@@ -28,8 +28,6 @@ from .sampler import (
     DirectSampler,
     SamplerConfig,
     build_sampler,
-    direct_draw,
-    direct_sample_many,
     rejection_bound,
 )
 from .stepfn import (
@@ -78,8 +76,6 @@ __all__ = [
     "DirectDrawReport",
     "BuildDiagnostics",
     "build_sampler",
-    "direct_draw",
-    "direct_sample_many",
     "rejection_bound",
     "KnotTable",
     "StepApprox",

@@ -26,7 +26,7 @@ from .chains import ChainOutput
 from .errors import DomainError
 from .rngstats import Rng, sym_eigenvalues
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
-from .search import BisectionSpec, arithmetic_midpoint, bisect
+from .search import BisectionSpec, bisect
 from .target import ContinuousInterval, UniformBase, WeightedTarget
 
 __all__ = [
@@ -196,8 +196,6 @@ def rho_target(eigenvalues: np.ndarray, eta_a_eta: float, tau2: float) -> Weight
             x_lo=0.0,
             x_hi=RHO_MAX,
             predicate=lambda r: deriv(r) < 0.0,
-            midpoint=arithmetic_midpoint,
-            distance=lambda a, b: b - a,
             tolerance=1e-13,
         )
         x_mode = float(bisect(spec).x)

@@ -23,16 +23,8 @@ from . import cmp as cmp_mod
 from . import treg as treg_mod
 from .errors import StepDirectError
 from .rngstats import Rng, summarize
-from .sampler import DirectSampler, SamplerConfig, rejection_bound
-from .stepfn import (
-    build_step,
-    equal_spaced_knots,
-    find_u_hi,
-    find_u_lo,
-    knot_table_rows,
-    select_knots,
-    total_rect_area,
-)
+from .sampler import DirectSampler, SamplerConfig, build_sampler
+from .stepfn import MIDPOINT_KINDS, knot_table_rows
 
 __all__ = ["main"]
 
@@ -127,21 +119,18 @@ def cmd_cmp_sample(args) -> int:
 def cmd_cmp_step_diag(args) -> int:
     out = Path(args.out)
     _write_config(out, args)
-    params = cmp_mod.CmpParams(args.lam, args.nu)
-    target = cmp_mod.cmp_target(params)
-    u_lo = find_u_lo(target)
-    u_hi = find_u_hi(target, u_lo)
     if args.method == "equal":
-        table = equal_spaced_knots(target, u_lo, u_hi, args.n_knots)
+        config = SamplerConfig(n_init_knots=args.n_knots, knot_method="equal", omega=args.omega)
     else:
         kind = "geometric" if args.method == "geom" else "arithmetic"
-        table = select_knots(target, u_lo, u_hi, args.n_knots, kind, args.omega)
-    step = build_step(table)
-    _write_csv(out / "knots.csv", ["j", "u", "log_prob", "rect_area"], knot_table_rows(table))
+        config = SamplerConfig(n_init_knots=args.n_knots, midpoint_kind=kind, omega=args.omega)
+    target = cmp_mod.cmp_target(cmp_mod.CmpParams(args.lam, args.nu))
+    step, diag = build_sampler(target, config)
+    _write_csv(out / "knots.csv", ["j", "u", "log_prob", "rect_area"], knot_table_rows(step.table))
     _write_csv(
         out / "report.csv",
         ["u_lo", "u_hi", "total_rect_area", "rejection_bound", "n_knots"],
-        [[u_lo, u_hi, total_rect_area(table), rejection_bound(step), table.knots.size]],
+        [[diag.u_lo, diag.u_hi, diag.rect_area, diag.rejection_bound, diag.n_knots]],
     )
     return 0
 
@@ -341,7 +330,6 @@ def cmd_nu_compare(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--n-draws", type=int, default=20000)
     p.add_argument("--n-knots", type=int, default=10)
-    p.add_argument("--midpoint", choices=["arithmetic", "geometric", "hybrid"], default="hybrid")
+    p.add_argument("--midpoint", choices=MIDPOINT_KINDS, default="hybrid")
     p.add_argument("--omega", type=float, default=0.5)
     _add_common(p)
     p.set_defaults(func=cmd_cmp_sample)
@@ -418,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-draws", type=int, default=100000)
     p.add_argument("--a-nu", type=float, default=0.01)
     p.add_argument("--b-nu", type=float, default=200.0)
+    p.add_argument("--threads", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_nu_compare)
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, logsumexp
 
 from .errors import DomainError, OracleError
-from .search import BisectionSpec, arithmetic_midpoint, bisect
+from .search import BisectionSpec, bisect
 from .target import GeometricBase, NonnegativeIntegers, WeightedTarget
 
 __all__ = [
@@ -124,8 +124,6 @@ def cmp_mode(params: CmpParams, decomp: CmpDecomposition):
         x_lo=0.0,
         x_hi=hi,
         predicate=lambda x: deriv(x) < 0.0,
-        midpoint=arithmetic_midpoint,
-        distance=lambda a, b: (b - a) / (1.0 + abs(a)),
         tolerance=1e-13,
     )
     x_mode = float(bisect(spec).x)

@@ -9,7 +9,7 @@ rejected u becomes a new knot, tightening the envelope as sampling runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .stepfn import (
     KnotTable,
     StepApprox,
     build_step,
+    check_knot_rule,
     equal_spaced_knots,
     find_u_hi,
     find_u_lo,
@@ -37,8 +38,6 @@ __all__ = [
     "BuildDiagnostics",
     "DirectSampler",
     "build_sampler",
-    "direct_draw",
-    "direct_sample_many",
     "rejection_bound",
 ]
 
@@ -53,9 +52,6 @@ class SamplerConfig:
     adapt: bool = True
     max_rejects: int = 10**6
     knot_method: str = "greedy"  # or "equal"
-    descent_delta_lin: float = 1e-10
-    descent_delta_log: float = 1e-10
-    descent_batch: int = 16
     u_lo_fixed: float | None = None
     u_hi_fixed: float | None = None
 
@@ -64,6 +60,7 @@ class SamplerConfig:
             raise DomainError("n_init_knots must be >= 1")
         if self.knot_method not in ("greedy", "equal"):
             raise DomainError(f"unknown knot method {self.knot_method!r}")
+        check_knot_rule(self.midpoint_kind, self.omega)
         if self.u_hi_fixed is not None and not 0.0 < self.u_hi_fixed <= 1.0:
             raise DomainError("u_hi_fixed must lie in (0, 1]")
         if self.u_lo_fixed is not None:
@@ -106,6 +103,17 @@ def rejection_bound(step: StepApprox) -> float:
     return float(min(1.0, math.exp(log_total_rect_area(step.table) - step.log_a)))
 
 
+def _diagnostics(step: StepApprox) -> BuildDiagnostics:
+    """Window, rectangle area, bound and knot count of a built envelope."""
+    return BuildDiagnostics(
+        u_lo=step.u_lo,
+        u_hi=step.u_hi,
+        log_rect_area=log_total_rect_area(step.table),
+        rejection_bound=rejection_bound(step),
+        n_knots=step.table.knots.size,
+    )
+
+
 def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig()):
     """Locate the descent window, select knots, and build the envelope.
 
@@ -122,14 +130,14 @@ def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig(
         if math.isinf(float(target.log_prob_Au(u_lo))):
             raise DomainError(f"P(A_u) vanishes at fixed u_lo = {u_lo:g}")
     else:
-        u_lo = find_u_lo(target, config.descent_delta_lin, config.descent_batch)
+        u_lo = find_u_lo(target)
     if config.u_hi_fixed is not None:
         # Any u with P(A_u) = 0 is a valid upper end; a caller who knows
         # one (e.g. u = 1 when the weight never attains its supremum) can
         # pin it here and skip the search.
         u_hi = config.u_hi_fixed
     else:
-        u_hi = find_u_hi(target, u_lo, config.descent_delta_log, config.descent_batch)
+        u_hi = find_u_hi(target, u_lo)
     if config.knot_method == "equal":
         table = equal_spaced_knots(target, u_lo, u_hi, config.n_init_knots)
     else:
@@ -140,18 +148,9 @@ def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig(
     table = KnotTable(
         np.concatenate(([0.0], table.knots)),
         np.concatenate(([log_p0], table.log_probs)),
-        midpoint_kind=table.midpoint_kind,
-        omega=table.omega,
     )
     step = build_step(table)
-    diag = BuildDiagnostics(
-        u_lo=u_lo,
-        u_hi=u_hi,
-        log_rect_area=log_total_rect_area(table),
-        rejection_bound=rejection_bound(step),
-        n_knots=table.knots.size,
-    )
-    return step, diag
+    return step, _diagnostics(step)
 
 
 class DirectSampler:
@@ -168,13 +167,7 @@ class DirectSampler:
             self.step, self.diagnostics = build_sampler(target, config)
         else:
             self.step = step
-            self.diagnostics = BuildDiagnostics(
-                u_lo=step.u_lo,
-                u_hi=step.u_hi,
-                log_rect_area=log_total_rect_area(step.table),
-                rejection_bound=rejection_bound(step),
-                n_knots=step.table.knots.size,
-            )
+            self.diagnostics = _diagnostics(step)
 
     def rejection_bound(self) -> float:
         return rejection_bound(self.step)
@@ -254,18 +247,3 @@ class DirectSampler:
         report.n_draws = n
         return out, report
 
-
-def direct_draw(target: WeightedTarget, step: StepApprox, rng: Rng, config: SamplerConfig = SamplerConfig()):
-    """One draw against an existing envelope; returns (report, step).
-
-    The returned step reflects any adaptive knot insertions.
-    """
-    sampler = DirectSampler(target, config, step=step)
-    report = sampler.draw(rng)
-    return report, sampler.step
-
-
-def direct_sample_many(target: WeightedTarget, config: SamplerConfig, n: int, rng: Rng):
-    """Build a sampler and draw n variates; returns (draws, aggregate report)."""
-    sampler = DirectSampler(target, config)
-    return sampler.sample(n, rng)

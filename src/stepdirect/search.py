@@ -1,14 +1,13 @@
-"""Bisection search over monotone 0-to-1 step predicates.
+"""Bracketed scalar bisection over monotone 0-to-1 step predicates.
 
-The search domain is abstract: real intervals, log-scale intervals (via a
-geometric midpoint and log distance), or integer index ranges. The predicate
-must step from 0 at the lower bound to 1 at the upper bound; the search
-narrows the bracket until the chosen distance drops below the tolerance.
+The predicate must step from 0 at the lower bound to 1 at the upper bound;
+the search halves the bracket at its arithmetic midpoint until the width
+drops below the tolerance relative to the lower end, so one tolerance
+serves brackets near zero and far from it alike.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketError, DomainError, NonConvergenceError
@@ -17,43 +16,9 @@ __all__ = [
     "BisectionSpec",
     "BisectionResult",
     "bisect",
-    "arithmetic_midpoint",
-    "geometric_midpoint",
-    "integer_midpoint",
-    "abs_distance",
-    "log_distance",
 ]
 
 MAX_ITERATIONS = 10_000
-
-
-def arithmetic_midpoint(x: float, y: float) -> float:
-    if y < x:
-        raise DomainError("arithmetic_midpoint requires x <= y")
-    return 0.5 * (x + y)
-
-
-def geometric_midpoint(x: float, y: float) -> float:
-    """sqrt(x*y), computed in log space to survive tiny magnitudes."""
-    if x <= 0:
-        raise DomainError("geometric_midpoint requires x > 0")
-    if y < x:
-        raise DomainError("geometric_midpoint requires x <= y")
-    return math.exp(0.5 * (math.log(x) + math.log(y)))
-
-
-def integer_midpoint(i, j):
-    return (int(i) + int(j)) // 2
-
-
-def abs_distance(x: float, y: float) -> float:
-    return abs(y - x)
-
-
-def log_distance(x: float, y: float) -> float:
-    if x <= 0 or y <= 0:
-        raise DomainError("log_distance requires positive points")
-    return abs(math.log(y) - math.log(x))
 
 
 @dataclass
@@ -61,14 +26,12 @@ class BisectionSpec:
     """Bracketed search problem for the first point where the predicate is 1.
 
     ``predicate(x_lo)`` must be falsy and ``predicate(x_hi)`` truthy; both
-    are checked at construction.
+    are checked at construction unless ``check_bracket`` is False.
     """
 
     x_lo: float
     x_hi: float
     predicate: Callable[[float], bool]
-    midpoint: Callable[[float, float], float] = arithmetic_midpoint
-    distance: Callable[[float, float], float] = abs_distance
     tolerance: float = 1e-12
     check_bracket: bool = True
 
@@ -91,17 +54,15 @@ class BisectionResult:
 
 
 def bisect(spec: BisectionSpec) -> BisectionResult:
-    """Narrow the bracket until ``distance(x_lo, x_hi) <= tolerance``.
+    """Narrow the bracket until ``(x_hi - x_lo) / (1 + |x_lo|) <= tolerance``.
 
     Returns the final midpoint; the final bracket still satisfies
-    ``predicate(x_lo) == 0`` and ``predicate(x_hi) == 1``. On integer-style
-    domains where the final midpoint collapses onto the lower endpoint, the
-    upper endpoint (the least point with predicate 1) is returned instead.
+    ``predicate(x_lo) == 0`` and ``predicate(x_hi) == 1``.
     """
     lo, hi = spec.x_lo, spec.x_hi
-    x = spec.midpoint(lo, hi)
+    x = 0.5 * (lo + hi)
     iterations = 0
-    while spec.distance(lo, hi) > spec.tolerance:
+    while (hi - lo) / (1.0 + abs(lo)) > spec.tolerance:
         iterations += 1
         if iterations > MAX_ITERATIONS:
             raise NonConvergenceError(
@@ -112,13 +73,5 @@ def bisect(spec: BisectionSpec) -> BisectionResult:
             hi = x
         else:
             lo = x
-        new_x = spec.midpoint(lo, hi)
-        if new_x == x and spec.distance(lo, hi) > spec.tolerance:
-            # Non-contracting midpoint (e.g. adjacent integers): stop here.
-            break
-        x = new_x
-    if x == lo and hi != lo:
-        # Integer domains stall with an adjacent bracket; the least point
-        # satisfying the predicate is the upper endpoint.
-        x = hi
+        x = 0.5 * (lo + hi)
     return BisectionResult(x=x, x_lo=lo, x_hi=hi, iterations=iterations)

@@ -15,13 +15,14 @@ from scipy.special import logsumexp
 
 from .errors import BracketError, DegenerateTargetError, DomainError
 from .logspace import log_diff_exp
-from .search import BisectionSpec, bisect, integer_midpoint
+from .search import BisectionSpec, bisect
 from .target import WeightedTarget
 
 __all__ = [
     "KnotTable",
     "StepApprox",
-    "RectLedger",
+    "MIDPOINT_KINDS",
+    "check_knot_rule",
     "find_u_lo",
     "find_u_hi",
     "select_knots",
@@ -37,14 +38,28 @@ __all__ = [
     "knot_table_rows",
 ]
 
+MIDPOINT_KINDS = ("arithmetic", "geometric", "hybrid")
+
+# Tolerance of the descent-window searches (linear in u for find_u_lo,
+# in log u for find_u_hi) and the points per round of the log-u search.
+DESCENT_TOL = 1e-10
+DESCENT_BATCH = 16
+
+
+def check_knot_rule(midpoint_kind: str, omega: float) -> None:
+    """Reject a greedy splitting rule that select_knots cannot apply."""
+    if midpoint_kind not in MIDPOINT_KINDS:
+        raise DomainError(f"unknown midpoint kind {midpoint_kind!r}")
+    if not 0.0 < omega < 1.0:
+        raise DomainError("omega must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class KnotTable:
     """Strictly ascending knots with nonincreasing log P(A_u) values."""
 
     knots: np.ndarray
     log_probs: np.ndarray
-    midpoint_kind: str = "geometric"
-    omega: float = 0.5
 
     def __post_init__(self):
         u = np.asarray(self.knots, dtype=float)
@@ -57,10 +72,6 @@ class KnotTable:
         lp = np.minimum.accumulate(lp)
         object.__setattr__(self, "knots", u)
         object.__setattr__(self, "log_probs", lp)
-        if self.midpoint_kind not in ("arithmetic", "geometric", "hybrid"):
-            raise DomainError(f"unknown midpoint kind {self.midpoint_kind!r}")
-        if not 0.0 < self.omega < 1.0:
-            raise DomainError("omega must lie in (0, 1)")
 
     @property
     def n_intervals(self) -> int:
@@ -83,44 +94,13 @@ class StepApprox:
 
     @property
     def u_lo(self) -> float:
-        return float(self.table.knots[0])
+        """Start of the descent grid: the first knot above a head knot at 0."""
+        knots = self.table.knots
+        return float(knots[1] if knots[0] == 0.0 else knots[0])
 
     @property
     def u_hi(self) -> float:
         return float(self.table.knots[-1])
-
-
-class RectLedger:
-    """Rectangle priorities for greedy knot splitting, kept in log space.
-
-    The priority of interval j is
-    ``omega * log(P_{j-1} - P_j) + (1 - omega) * log(u_j - u_{j-1})``;
-    with omega = 1/2 this orders intervals exactly by rectangle area.
-    """
-
-    def __init__(self, knots, log_probs, omega: float = 0.5):
-        self.knots = list(map(float, knots))
-        self.log_probs = list(map(float, log_probs))
-        self.omega = float(omega)
-
-    def keys(self) -> np.ndarray:
-        u = np.asarray(self.knots)
-        lp = np.asarray(self.log_probs)
-        with np.errstate(invalid="ignore"):
-            drop = log_diff_exp(lp[:-1], lp[1:])
-            width = np.log(np.diff(u))
-        return self.omega * drop + (1.0 - self.omega) * width
-
-    def argmax(self) -> int:
-        """Index of the max-priority interval; ties go to the smaller index."""
-        keys = self.keys()
-        if np.all(np.isneginf(keys)):
-            return 0
-        return int(np.argmax(keys))
-
-    def split(self, j: int, u_new: float, log_p_new: float) -> None:
-        self.knots.insert(j + 1, u_new)
-        self.log_probs.insert(j + 1, log_p_new)
 
 
 def _mid(kind: str, lo: float, hi: float) -> float:
@@ -129,18 +109,20 @@ def _mid(kind: str, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _geometric_descent(eval_log_p, log_u_lo, log_u_hi, is_one, delta_log, batch):
+def _geometric_descent(eval_log_p, log_u_lo, log_u_hi, is_one):
     """Monotone-predicate search in log-u space via batched multisection.
 
     ``is_one`` maps an array of log P(A_u) values to the 0/1 predicate;
     the predicate must be 0 at log_u_lo and 1 at log_u_hi. Each round
-    evaluates ``batch`` interior points in one vectorized call, which is
-    equivalent to repeated geometric-midpoint bisection but far cheaper
-    when P(A_u) is expensive. Returns the final (log_lo, log_hi) bracket.
+    evaluates DESCENT_BATCH interior points in one vectorized call, which
+    is equivalent to repeated geometric-midpoint bisection but far cheaper
+    when P(A_u) is expensive. Stops when the bracket is DESCENT_TOL wide
+    in log u and returns the final (log_lo, log_hi) bracket.
     """
+    batch = DESCENT_BATCH
     lo, hi = float(log_u_lo), float(log_u_hi)
     for _ in range(10_000):
-        if hi - lo <= delta_log:
+        if hi - lo <= DESCENT_TOL:
             break
         grid = np.linspace(lo, hi, batch + 2)[1:-1]
         z = is_one(eval_log_p(np.exp(grid)))
@@ -155,54 +137,51 @@ def _geometric_descent(eval_log_p, log_u_lo, log_u_hi, is_one, delta_log, batch)
     return lo, hi
 
 
-def find_u_lo(target: WeightedTarget, delta_lin: float = 1e-10, batch: int = 16) -> float:
+def find_u_lo(target: WeightedTarget) -> float:
     """Locate where P(A_u) first drops below P(A_0), to linear tolerance.
 
-    Bisects the plateau indicator 1{P(A_u) = P(A_0)} on [0, 1] with
-    arithmetic midpoints, where equality means the probabilities coincide
-    as doubles. The returned point is the descent-side end of the final
-    bracket, so P(A_u) there is already below P(A_0) (or within delta_lin
-    of the drop). When the true drop sits below delta_lin, the result is
-    roughly delta_lin itself; the envelope stays valid regardless because
-    the built step carries P(A_0) on the leading piece.
+    Bisects the drop indicator 1{P(A_u) != P(A_0)} on [0, 1], where
+    equality means the probabilities coincide as doubles. The returned
+    point is the descent-side end of the final bracket, so P(A_u) there is
+    already below P(A_0) (or within DESCENT_TOL of the drop). When the true
+    drop sits below DESCENT_TOL, the result is roughly DESCENT_TOL itself;
+    the envelope stays valid regardless because the built step carries
+    P(A_0) on the leading piece.
 
     If P(A_u) is already zero at the returned point (the whole descent is
-    narrower than delta_lin), a geometric search pins down the last u with
-    positive mass instead.
+    narrower than DESCENT_TOL), a geometric search pins down the last u
+    with positive mass instead.
     """
     log_p0 = float(target.log_prob_Au(0.0))
     if math.isinf(log_p0):
         raise DegenerateTargetError("base measure puts no mass on the support of w")
     p0 = math.exp(log_p0)
 
-    def on_plateau(u: float) -> bool:
-        return math.exp(float(target.log_prob_Au(u))) == p0
+    def dropped(u: float) -> bool:
+        return math.exp(float(target.log_prob_Au(u))) != p0
 
-    if on_plateau(1.0):
+    if not dropped(1.0):
         raise DegenerateTargetError("P(A_u) equals P(A_0) at u = 1; w has no descent")
-    lo, hi = 0.0, 1.0
-    while hi - lo > delta_lin:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if on_plateau(mid):
-            lo = mid
-        else:
-            hi = mid
+    # The bracket [0, 1] is known to hold: P(A_0) = p0 by construction and
+    # the drop at u = 1 was just checked.
+    spec = BisectionSpec(
+        x_lo=0.0, x_hi=1.0, predicate=dropped, tolerance=DESCENT_TOL, check_bracket=False
+    )
+    hi = bisect(spec).x_hi
     if not math.isinf(float(target.log_prob_Au(hi))):
         return float(hi)
 
-    # Descent narrower than delta_lin: find the last u with P(A_u) > 0.
+    # Descent narrower than DESCENT_TOL: find the last u with P(A_u) > 0.
     def is_zero(lp):
         return np.isneginf(np.asarray(lp))
 
     lo_log, _hi = _geometric_descent(
-        target.log_prob_Au, math.log(hi) - 512.0, math.log(hi), is_zero, 1e-10, batch
+        target.log_prob_Au, math.log(hi) - 512.0, math.log(hi), is_zero
     )
     return float(math.exp(lo_log))
 
 
-def find_u_hi(target: WeightedTarget, u_lo: float, delta_log: float = 1e-10, batch: int = 16) -> float:
+def find_u_hi(target: WeightedTarget, u_lo: float) -> float:
     """Smallest u (to tolerance) with P(A_u) = 0, searched on [u_lo, 1].
 
     Returns the upper end of the final bracket, so P(A_u) = 0 for every
@@ -217,9 +196,7 @@ def find_u_hi(target: WeightedTarget, u_lo: float, delta_log: float = 1e-10, bat
     def is_one(lp):
         return np.isneginf(np.asarray(lp))
 
-    _lo, hi_log = _geometric_descent(
-        target.log_prob_Au, math.log(u_lo), 0.0, is_one, delta_log, batch
-    )
+    _lo, hi_log = _geometric_descent(target.log_prob_Au, math.log(u_lo), 0.0, is_one)
     return float(min(math.exp(hi_log), 1.0))
 
 
@@ -233,11 +210,12 @@ def select_knots(
 ) -> KnotTable:
     """Greedy rectangle splitting of [u_lo, u_hi] into n_intervals pieces.
 
-    Each step splits the max-priority interval at its midpoint; with
-    omega = 1/2 the priority orders intervals by rectangle area. The
-    "hybrid" kind tries both the arithmetic and geometric midpoints of
-    the chosen interval at once, which recovers quickly when the descent
-    sits many orders of magnitude below u_hi.
+    Each step splits the max-priority interval at its midpoint. Priorities
+    are kept in log space: omega log(P_{j-1} - P_j) + (1 - omega)
+    log(u_j - u_{j-1}), which with omega = 1/2 orders intervals by
+    rectangle area. The "hybrid" kind tries both the arithmetic and
+    geometric midpoints of the chosen interval at once, which recovers
+    quickly when the descent sits many orders of magnitude below u_hi.
     """
     if not u_lo < u_hi:
         raise DomainError("select_knots requires u_lo < u_hi")
@@ -245,29 +223,28 @@ def select_knots(
         raise DomainError("n_intervals must be >= 1")
     if u_lo <= 0.0:
         raise DomainError("u_lo must be positive")
-    lp = np.asarray(target.log_prob_Au(np.array([u_lo, u_hi])))
-    ledger = RectLedger([u_lo, u_hi], lp, omega=omega)
+    check_knot_rule(midpoint_kind, omega)
+    u = np.array([u_lo, u_hi])
+    lp = np.asarray(target.log_prob_Au(u), dtype=float)
     n_knots_goal = n_intervals + 1
-    while len(ledger.knots) < n_knots_goal:
-        j = ledger.argmax()
-        lo, hi = ledger.knots[j], ledger.knots[j + 1]
+    while u.size < n_knots_goal:
+        # Ties, and a row of all -inf keys, go to the smaller index.
+        with np.errstate(invalid="ignore"):
+            keys = omega * log_diff_exp(lp[:-1], lp[1:]) + (1.0 - omega) * np.log(np.diff(u))
+        j = 0 if np.all(np.isneginf(keys)) else int(np.argmax(keys))
+        lo, hi = float(u[j]), float(u[j + 1])
         if midpoint_kind == "hybrid":
             cands = sorted({_mid("geometric", lo, hi), _mid("arithmetic", lo, hi)})
-            cands = [c for c in cands if lo < c < hi][: n_knots_goal - len(ledger.knots)]
+            cands = [c for c in cands if lo < c < hi][: n_knots_goal - u.size]
         else:
             u_new = _mid(midpoint_kind, lo, hi)
             cands = [u_new] if lo < u_new < hi else []
         if not cands:
             break  # interval narrower than float resolution
-        lp_new = np.asarray(target.log_prob_Au(np.asarray(cands)))
-        for offset, (u_new, lp_val) in enumerate(zip(cands, lp_new)):
-            ledger.split(j + offset, float(u_new), float(lp_val))
-    return KnotTable(
-        np.asarray(ledger.knots),
-        np.asarray(ledger.log_probs),
-        midpoint_kind=midpoint_kind,
-        omega=omega,
-    )
+        lp_new = np.asarray(target.log_prob_Au(np.asarray(cands)), dtype=float)
+        u = np.insert(u, j + 1, cands)
+        lp = np.insert(lp, j + 1, lp_new)
+    return KnotTable(u, lp)
 
 
 def equal_spaced_knots(
@@ -282,7 +259,7 @@ def equal_spaced_knots(
         raise DomainError("u_lo must be positive")
     u = np.linspace(u_lo, u_hi, n_intervals + 1)
     lp = np.asarray(target.log_prob_Au(u))
-    return KnotTable(u, lp, midpoint_kind="arithmetic")
+    return KnotTable(u, lp)
 
 
 def build_step(kt: KnotTable) -> StepApprox:
@@ -327,29 +304,11 @@ def step_quantile_many(s: StepApprox, phi) -> np.ndarray:
 
 
 def step_quantile(s: StepApprox, phi: float) -> float:
-    """Quantile H^{-1}(phi) via integer bisection for the knot interval."""
+    """Scalar quantile H^{-1}(phi); rejects NaN as well as phi outside [0, 1]."""
     phi = float(phi)
     if not 0.0 <= phi <= 1.0:
         raise DomainError("phi must lie in [0, 1]")
-    if phi <= 0.0:
-        return 0.0
-    if phi >= 1.0:
-        return float(s.grid_u[-1])
-    cdf = s.grid_cdf
-    spec = BisectionSpec(
-        x_lo=0,
-        x_hi=cdf.size - 1,
-        predicate=lambda i: cdf[int(i)] >= phi,
-        midpoint=integer_midpoint,
-        distance=lambda i, j: abs(int(j) - int(i)),
-        tolerance=1,
-    )
-    ell = int(bisect(spec).x)  # least index with H >= phi
-    h0, h1 = cdf[ell - 1], cdf[ell]
-    u0, u1 = s.grid_u[ell - 1], s.grid_u[ell]
-    if h1 == h0:
-        return float(u0)
-    return float(u0 + (u1 - u0) * (phi - h0) / (h1 - h0))
+    return float(step_quantile_many(s, phi)[0])
 
 
 def step_logpdf_unnorm(s: StepApprox, u):

@@ -10,7 +10,7 @@ log scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,9 +25,10 @@ __all__ = [
     "GeometricBase",
     "WeightedTarget",
     "integer_window",
-    "log_prob_Au",
-    "truncated_draw",
 ]
+
+# Absolute bracket width at which the superlevel endpoint bisection stops.
+ENDPOINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -173,9 +174,7 @@ class WeightedTarget:
     x_mode: float
     log_c: float
     base: UniformBase | GeometricBase
-    endpoint_tol: float = 1e-10
     name: str = ""
-    endpoint_solver: Callable | None = None
 
     @property
     def discrete(self) -> bool:
@@ -190,11 +189,6 @@ class WeightedTarget:
         support. Accepts scalars or arrays. When the threshold reaches
         log_c the interval collapses to (x_mode, x_mode).
         """
-        if self.endpoint_solver is not None:
-            return self.endpoint_solver(log_threshold)
-        return self._default_endpoints(log_threshold)
-
-    def _default_endpoints(self, log_threshold):
         thr = np.atleast_1d(np.asarray(log_threshold, dtype=float))
         scalar = np.ndim(log_threshold) == 0
         lo = float(self.support.lo)
@@ -214,59 +208,59 @@ class WeightedTarget:
         work = nonempty & ~full
         if np.any(work):
             t = thr[work]
-            x1[work] = self._solve_left(t, lo, lo_open)
-            x2[work] = self._solve_right(t, hi, hi_open)
+            x1[work] = self._solve_side(t, lo, lo_open)
+            x2[work] = self._solve_side(t, hi, hi_open)
         x1, x2 = np.minimum(x1, x2), np.maximum(x1, x2)
         if scalar:
             return float(x1[0]), float(x2[0])
         return x1, x2
 
-    def _solve_left(self, thr, support_lo, lo_open):
-        out = np.full(thr.shape, lo_open)
-        at_lo = self.log_w(np.full(thr.shape, support_lo)) > thr
-        mask = ~at_lo
-        if np.any(mask):
-            out[mask] = _bisect_rising(self.log_w, thr[mask], support_lo, self.x_mode, self.endpoint_tol)
-        return out
+    def _solve_side(self, thr, end, end_open):
+        """Crossings of thr between the mode and the support end ``end``.
 
-    def _solve_right(self, thr, support_hi, hi_open):
-        out = np.empty(thr.shape)
-        if math.isinf(support_hi):
-            hi0 = max(2.0 * abs(self.x_mode), self.x_mode + 8.0)
-            hi_arr = np.full(thr.shape, hi0)
+        Where w at the end is already above thr the set reaches the end and
+        ``end_open`` is returned. An infinite upper end is first bracketed
+        by doubling outward from the mode.
+        """
+        if end == math.inf:
+            outside = np.full(thr.shape, max(2.0 * abs(self.x_mode), self.x_mode + 8.0))
             for _ in range(200):
-                open_mask = self.log_w(hi_arr) > thr
+                open_mask = self.log_w(outside) > thr
                 if not np.any(open_mask):
                     break
-                hi_arr[open_mask] = 2.0 * hi_arr[open_mask] + 8.0
+                outside[open_mask] = 2.0 * outside[open_mask] + 8.0
             else:
                 raise DomainError("failed to bracket the right superlevel endpoint")
-            out[:] = _bisect_falling(self.log_w, thr, self.x_mode, hi_arr, self.endpoint_tol)
-        else:
-            at_hi = self.log_w(np.full(thr.shape, support_hi)) > thr
-            out[at_hi] = hi_open
-            mask = ~at_hi
-            if np.any(mask):
-                out[mask] = _bisect_falling(
-                    self.log_w, thr[mask], self.x_mode, np.full(int(mask.sum()), support_hi), self.endpoint_tol
-                )
+            return _bisect_crossing(self.log_w, thr, outside, self.x_mode)
+        out = np.full(thr.shape, end_open)
+        mask = ~(self.log_w(np.full(thr.shape, end)) > thr)
+        if np.any(mask):
+            out[mask] = _bisect_crossing(self.log_w, thr[mask], end, self.x_mode)
         return out
 
     # -- probabilities and draws -----------------------------------------
+
+    def _window(self, u):
+        """Bounds of A_u: (x1, x2) open, or on integer support the
+        inclusive window (lo, hi), which is empty when lo > hi."""
+        u = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore"):
+            thr = np.where(u > 0, np.log(np.maximum(u, np.finfo(float).tiny)) + self.log_c, -np.inf)
+        thr = np.where(u >= 1.0, np.inf, thr)
+        x1, x2 = self.interval_endpoints(thr)
+        if self.discrete:
+            return integer_window(x1, x2)
+        return x1, x2
 
     def log_prob_Au(self, u):
         """log of the base-measure probability of {x : w(x) > u c}."""
         u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u > 1)):
             raise DomainError("u must lie in [0, 1]")
-        with np.errstate(divide="ignore"):
-            thr = np.where(u > 0, np.log(np.maximum(u, np.finfo(float).tiny)) + self.log_c, -np.inf)
-        thr = np.where(u >= 1.0, np.inf, thr)
-        x1, x2 = self.interval_endpoints(thr)
+        lo, hi = self._window(u)
         if self.discrete:
-            lo, hi = integer_window(x1, x2)
             return self.base.log_prob_window(lo, hi)
-        return self.base.log_prob_interval(x1, x2)
+        return self.base.log_prob_interval(lo, hi)
 
     def truncated_draw(self, u, rng):
         """One draw from the base distribution restricted to A_u."""
@@ -276,59 +270,28 @@ class WeightedTarget:
 
     def truncated_draw_many(self, u, v):
         """Vectorized truncated draws given uniforms v, one per u."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        with np.errstate(divide="ignore"):
-            thr = np.where(u > 0, np.log(np.maximum(u, np.finfo(float).tiny)) + self.log_c, -np.inf)
-        thr = np.where(u >= 1.0, np.inf, thr)
-        x1, x2 = self.interval_endpoints(thr)
-        if self.discrete:
-            lo, hi = integer_window(x1, x2)
-            lo = np.atleast_1d(lo)
-            hi = np.atleast_1d(hi)
-            if np.any(lo > hi):
-                raise EmptySetError("A_u contains no support points")
-            return np.atleast_1d(self.base.truncated_draw(lo, hi, v))
-        x1 = np.atleast_1d(x1)
-        x2 = np.atleast_1d(x2)
-        if np.any(x2 <= x1):
+        lo, hi = (np.atleast_1d(b) for b in self._window(u))
+        if self.discrete and np.any(lo > hi):
+            raise EmptySetError("A_u contains no support points")
+        if not self.discrete and np.any(hi <= lo):
             raise EmptySetError("A_u has zero base mass")
-        return np.atleast_1d(self.base.truncated_draw(x1, x2, v))
+        return np.atleast_1d(self.base.truncated_draw(lo, hi, np.asarray(v, dtype=float)))
 
 
-def _bisect_rising(log_w, thr, lo, hi, tol):
-    """Crossing points where log_w rises through thr on [lo, hi], vectorized."""
-    lo_a = np.full(thr.shape, float(lo))
-    hi_a = np.full(thr.shape, float(hi))
+def _bisect_crossing(log_w, thr, outside, inside):
+    """Points where log_w crosses thr, bracketed by outside and inside points.
+
+    Vectorized over thr: log_w is at or below thr at ``outside`` and above
+    it at ``inside``, on either side of the mode. Stops once every bracket
+    is narrower than ENDPOINT_TOL and returns the bracket midpoints.
+    """
+    out_a = np.broadcast_to(np.asarray(outside, dtype=float), thr.shape)
+    in_a = np.broadcast_to(np.asarray(inside, dtype=float), thr.shape)
     for _ in range(200):
-        if np.max(hi_a - lo_a) <= tol:
+        if np.max(np.abs(in_a - out_a)) <= ENDPOINT_TOL:
             break
-        mid = 0.5 * (lo_a + hi_a)
+        mid = 0.5 * (out_a + in_a)
         above = log_w(mid) > thr
-        hi_a = np.where(above, mid, hi_a)
-        lo_a = np.where(above, lo_a, mid)
-    return 0.5 * (lo_a + hi_a)
-
-
-def _bisect_falling(log_w, thr, lo, hi, tol):
-    """Crossing points where log_w falls through thr on [lo, hi], vectorized."""
-    lo_a = np.full(thr.shape, float(lo))
-    hi_a = np.array(hi, dtype=float, copy=True)
-    for _ in range(200):
-        if np.max(hi_a - lo_a) <= tol:
-            break
-        mid = 0.5 * (lo_a + hi_a)
-        above = log_w(mid) > thr
-        lo_a = np.where(above, mid, lo_a)
-        hi_a = np.where(above, hi_a, mid)
-    return 0.5 * (lo_a + hi_a)
-
-
-def log_prob_Au(target: WeightedTarget, u):
-    """Module-level convenience wrapper for :meth:`WeightedTarget.log_prob_Au`."""
-    return target.log_prob_Au(u)
-
-
-def truncated_draw(target: WeightedTarget, u, rng):
-    """Module-level convenience wrapper for :meth:`WeightedTarget.truncated_draw`."""
-    return target.truncated_draw(u, rng)
+        in_a = np.where(above, mid, in_a)
+        out_a = np.where(above, out_a, mid)
+    return 0.5 * (out_a + in_a)

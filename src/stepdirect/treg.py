@@ -26,7 +26,7 @@ from .chains import ChainOutput
 from .errors import DomainError
 from .rngstats import Rng
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
-from .search import BisectionSpec, arithmetic_midpoint, bisect
+from .search import BisectionSpec, bisect
 from .target import ContinuousInterval, UniformBase, WeightedTarget
 
 __all__ = [
@@ -166,8 +166,6 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
             x_lo=p.a_nu,
             x_hi=p.b_nu,
             predicate=lambda v: _nu_deriv(v, p.n, p.A) < 0.0,
-            midpoint=arithmetic_midpoint,
-            distance=lambda a, b: (b - a) / (1.0 + abs(a)),
             tolerance=1e-13,
         )
         x_mode = float(bisect(spec).x)
@@ -235,8 +233,6 @@ def geweke_nu_star(p: NuTargetParams):
         x_lo=lo,
         x_hi=hi,
         predicate=lambda v: f(v) < 0.0,
-        midpoint=arithmetic_midpoint,
-        distance=lambda a, b: (b - a) / (1.0 + abs(a)),
         tolerance=1e-13,
     )
     return float(bisect(spec).x), True

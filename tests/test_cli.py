@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from stepdirect.car import car_dump_csv, car_synthetic
-from stepdirect.cli import main
+from stepdirect.cli import build_parser, main
+from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.rngstats import Rng
+from stepdirect.sampler import DirectSampler, SamplerConfig
 
 
 def read_csv(path):
@@ -50,6 +52,28 @@ class TestCmpStepDiag:
         report = dict(zip(*read_csv(tmp_path / "report.csv")[:2]))
         assert float(report["total_rect_area"]) > 0.0
         assert int(report["n_knots"]) >= 13
+
+    def test_report_matches_sampler_diagnostics(self, tmp_path):
+        # Default flags: lam 2, nu 0.5, 13 intervals, greedy geometric, omega 1/2.
+        assert main(["cmp-step-diag", "--out", str(tmp_path)]) == 0
+        report = dict(zip(*read_csv(tmp_path / "report.csv")[:2]))
+        config = SamplerConfig(n_init_knots=13, midpoint_kind="geometric", omega=0.5)
+        diag = DirectSampler(cmp_target(CmpParams(2.0, 0.5)), config).diagnostics
+        assert float(report["rejection_bound"]) == diag.rejection_bound
+        assert int(report["n_knots"]) == diag.n_knots
+        assert float(report["u_lo"]) == diag.u_lo
+        assert len(read_csv(tmp_path / "knots.csv")) == diag.n_knots + 1
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("subcommand", ["cmp-sample", "cmp-step-diag", "car", "treg"])
+    def test_rejected_where_unused(self, subcommand):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([subcommand, "--threads", "2", "--out", "x"])
+
+    def test_nu_compare_takes_threads(self):
+        args = build_parser().parse_args(["nu-compare", "--threads", "2", "--out", "x"])
+        assert args.threads == 2
 
 
 class TestCar:

@@ -12,8 +12,6 @@ from stepdirect.sampler import (
     DirectSampler,
     SamplerConfig,
     build_sampler,
-    direct_draw,
-    direct_sample_many,
     rejection_bound,
 )
 from stepdirect.stepfn import step_logpdf_unnorm
@@ -36,6 +34,17 @@ class TestSamplerConfig:
             SamplerConfig(u_lo_fixed=1.0)
         with pytest.raises(DomainError):
             SamplerConfig(u_lo_fixed=0.5, u_hi_fixed=0.5)
+
+    def test_knot_rule_validated_up_front(self):
+        # Checked at construction, not after a build, and whatever the
+        # knot method.
+        with pytest.raises(DomainError):
+            SamplerConfig(midpoint_kind="cubic")
+        with pytest.raises(DomainError):
+            SamplerConfig(midpoint_kind="cubic", knot_method="equal")
+        for omega in (0.0, 1.0, 1.5):
+            with pytest.raises(DomainError):
+                SamplerConfig(omega=omega)
 
 
 class TestBuildSampler:
@@ -66,6 +75,14 @@ class TestBuildSampler:
         target = cmp_target(CmpParams(2.0, 5.0))
         with pytest.raises(DomainError):
             build_sampler(target, SamplerConfig(u_lo_fixed=1.0 - 1e-12))
+
+    def test_diagnostics_from_given_step_match_build(self):
+        # A sampler over a step built elsewhere reports the same window as
+        # the build: u_lo is the first knot above the head knot at u = 0.
+        target = cmp_target(CmpParams(2.0, 0.5))
+        built = DirectSampler(target)
+        assert built.diagnostics.u_lo > 0.0
+        assert DirectSampler(target, built.config, step=built.step).diagnostics == built.diagnostics
 
     def test_diagnostics_consistent(self):
         step, diag = build_sampler(quadratic_target())
@@ -154,16 +171,18 @@ class TestSampleBlocks:
 
 
 class TestWrappers:
+    """Drawing against an existing envelope and bulk draws from a fresh one."""
+
     def test_direct_draw_returns_updated_step(self):
         target = cmp_target(CmpParams(2.0, 0.5))
-        step, _ = build_sampler(target, SamplerConfig(n_init_knots=3))
-        report, new_step = direct_draw(target, step, Rng(12), SamplerConfig(n_init_knots=3))
+        cfg = SamplerConfig(n_init_knots=3)
+        step, _ = build_sampler(target, cfg)
+        sampler = DirectSampler(target, cfg, step=step)
+        report = sampler.draw(Rng(12))
         assert report.x >= 0
-        assert new_step.table.knots.size >= step.table.knots.size
+        assert sampler.step.table.knots.size == step.table.knots.size + report.knots_inserted
 
     def test_direct_sample_many(self):
-        draws, report = direct_sample_many(
-            cmp_target(CmpParams(2.0, 2.0)), SamplerConfig(), 500, Rng(13)
-        )
+        draws, report = DirectSampler(cmp_target(CmpParams(2.0, 2.0)), SamplerConfig()).sample(500, Rng(13))
         assert draws.size == 500
         assert report.n_draws == 500

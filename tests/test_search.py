@@ -7,39 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stepdirect.errors import BracketError, DomainError
-from stepdirect.search import (
-    BisectionSpec,
-    abs_distance,
-    arithmetic_midpoint,
-    bisect,
-    geometric_midpoint,
-    integer_midpoint,
-    log_distance,
-)
-
-
-class TestMidpointsAndDistances:
-    def test_arithmetic(self):
-        assert arithmetic_midpoint(1.0, 3.0) == 2.0
-        with pytest.raises(DomainError):
-            arithmetic_midpoint(3.0, 1.0)
-
-    def test_geometric(self):
-        assert geometric_midpoint(1e-20, 1.0) == pytest.approx(1e-10, rel=1e-12)
-        with pytest.raises(DomainError):
-            geometric_midpoint(0.0, 1.0)
-        with pytest.raises(DomainError):
-            geometric_midpoint(2.0, 1.0)
-
-    def test_integer(self):
-        assert integer_midpoint(0, 5) == 2
-        assert integer_midpoint(4, 5) == 4
-
-    def test_distances(self):
-        assert abs_distance(1.0, 4.0) == 3.0
-        assert log_distance(0.1, 1.0) == pytest.approx(math.log(10.0))
-        with pytest.raises(DomainError):
-            log_distance(0.0, 1.0)
+from stepdirect.search import BisectionSpec, bisect
 
 
 class TestBisect:
@@ -50,31 +18,14 @@ class TestBisect:
         assert not spec.predicate(res.x_lo)
         assert spec.predicate(res.x_hi)
 
-    def test_geometric_domain(self):
-        # Crossing at 1e-15: arithmetic bisection from [1e-30, 1] would need
-        # ~50 halvings to even see it; log-scale search homes in directly.
-        spec = BisectionSpec(
-            x_lo=1e-30,
-            x_hi=1.0,
-            predicate=lambda x: x > 1e-15,
-            midpoint=geometric_midpoint,
-            distance=log_distance,
-            tolerance=1e-9,
-        )
+    def test_tolerance_is_relative_to_lower_end(self):
+        # Far from zero the bracket only has to shrink to tolerance * (1 + |lo|).
+        spec = BisectionSpec(x_lo=1e6, x_hi=2e6, predicate=lambda x: x > 1.5e6, tolerance=1e-9)
         res = bisect(spec)
-        assert res.x == pytest.approx(1e-15, rel=1e-6)
-
-    def test_integer_domain_returns_least_true_index(self):
-        values = [0, 0, 0, 1, 1]
-        spec = BisectionSpec(
-            x_lo=0,
-            x_hi=4,
-            predicate=lambda i: bool(values[int(i)]),
-            midpoint=integer_midpoint,
-            distance=lambda i, j: abs(int(j) - int(i)),
-            tolerance=1,
-        )
-        assert int(bisect(spec).x) == 3
+        assert (res.x_hi - res.x_lo) <= 1e-9 * (1.0 + abs(res.x_lo))
+        assert res.x_lo <= 1.5e6 < res.x_hi
+        # 1e6 / 2^k <= 1e-9 * (1 + 1.5e6) first holds at k = 30.
+        assert res.iterations == 30
 
     def test_bad_bracket_low(self):
         with pytest.raises(BracketError):

@@ -45,10 +45,6 @@ class TestKnotTable:
             KnotTable(np.array([0.1]), np.array([0.0]))
         with pytest.raises(DomainError):
             KnotTable(np.array([0.2, 0.1]), np.array([0.0, -1.0]))
-        with pytest.raises(DomainError):
-            KnotTable(np.array([0.1, 0.2]), np.array([0.0, -1.0]), midpoint_kind="cubic")
-        with pytest.raises(DomainError):
-            KnotTable(np.array([0.1, 0.2]), np.array([0.0, -1.0]), omega=1.5)
 
     def test_log_probs_forced_nonincreasing(self):
         kt = KnotTable(np.array([0.1, 0.2, 0.3]), np.array([-1.0, -0.5, -2.0]))
@@ -125,6 +121,10 @@ class TestKnotSelection:
             select_knots(quad, 0.1, 0.5, 0)
         with pytest.raises(DomainError):
             equal_spaced_knots(quad, 0.0, 0.5, 4)
+        with pytest.raises(DomainError):
+            select_knots(quad, 0.1, 0.5, 4, "cubic")
+        with pytest.raises(DomainError):
+            select_knots(quad, 0.1, 0.5, 4, "geometric", omega=1.5)
 
 
 class TestStepApprox:

@@ -201,6 +201,52 @@ class TestWeightedTargetDiscrete:
         assert np.all(target.log_w(draws) > math.log(0.3) + target.log_c)
 
 
+def lopsided_log_w(mode: float, left: float, right: float):
+    """log w = -left (x - mode)^2 below the mode, -right (x - mode)^2 above."""
+
+    def log_w(x):
+        d = np.asarray(x, float) - mode
+        return -np.where(d < 0.0, left, right) * d * d
+
+    return log_w
+
+
+class TestEndpointSolver:
+    """Both sides of the mode are solved in one interval_endpoints call."""
+
+    def test_continuous_crossings_on_both_sides(self):
+        target = WeightedTarget(
+            support=ContinuousInterval(0.0, 1.0),
+            log_w=lopsided_log_w(0.3, 50.0, 2.0),
+            x_mode=0.3,
+            log_c=0.0,
+            base=UniformBase(0.0, 1.0),
+        )
+        # log w(0) = -4.5 and log w(1) = -0.98, so -2 and -6 reach the
+        # right end and -6 also the left end; 0 leaves an empty set.
+        thr = np.array([-0.5, -2.0, -6.0, -np.inf, 0.0])
+        x1, x2 = target.interval_endpoints(thr)
+        assert x1 == pytest.approx([0.3 - 0.1, 0.3 - 0.2, 0.0, 0.0, 0.3], abs=1e-9)
+        assert x2 == pytest.approx([0.3 + 0.5, 1.0, 1.0, 1.0, 0.3], abs=1e-9)
+
+    def test_integer_support_with_infinite_upper_end(self):
+        target = WeightedTarget(
+            support=NonnegativeIntegers(),
+            log_w=lopsided_log_w(4.5, 1.0, 0.25),
+            x_mode=4.5,
+            log_c=0.0,
+            base=GeometricBase(0.5),
+        )
+        # At -25 the set contains x = 0 (log w(0) = -20.25), so the left
+        # endpoint moves one unit past it; the right crossing at 14.5 lies
+        # beyond the first doubling bracket at 12.5.
+        thr = np.array([-1.0, -25.0])
+        x1, x2 = target.interval_endpoints(thr)
+        assert x1 == pytest.approx([3.5, -1.0], abs=1e-9)
+        assert x2 == pytest.approx([6.5, 14.5], abs=1e-9)
+        assert target.interval_endpoints(-1.0) == pytest.approx((3.5, 6.5), abs=1e-9)
+
+
 class TestSupportValidation:
     def test_continuous_interval_ordering(self):
         with pytest.raises(DomainError):
