@@ -27,7 +27,7 @@ from .errors import DomainError
 from .rngstats import Rng, sym_eigenvalues
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
 from .search import BisectionSpec, bisect
-from .target import ContinuousInterval, UniformBase, WeightedTarget
+from .target import UniformBase, WeightedTarget
 
 __all__ = [
     "CarData",
@@ -200,7 +200,6 @@ def rho_target(eigenvalues: np.ndarray, eta_a_eta: float, tau2: float) -> Weight
         )
         x_mode = float(bisect(spec).x)
     return WeightedTarget(
-        support=ContinuousInterval(0.0, 1.0),
         log_w=log_w,
         x_mode=x_mode,
         log_c=float(log_w(np.asarray(x_mode))),
@@ -238,15 +237,14 @@ def draw_tau2(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> floa
 # -- rho updates -----------------------------------------------------------
 
 
-# The dependence-parameter weight never attains its supremum on the open
-# set where it exceeds the threshold, so P(A_u) vanishes at u = 1 and both
-# descent searches can be skipped. Equal spacing costs one vectorized
-# P(A_u) evaluation regardless of knot count, so a dense grid is cheap.
+# rho has a continuous base, so the window ends at u = 1 with no search,
+# and a fixed tiny u_lo skips the other descent search. Equal spacing
+# costs one vectorized P(A_u) evaluation regardless of knot count, so a
+# dense grid is cheap.
 RHO_SAMPLER_CONFIG = SamplerConfig(
     n_init_knots=200,
     knot_method="equal",
     u_lo_fixed=1e-10,
-    u_hi_fixed=1.0,
 )
 
 

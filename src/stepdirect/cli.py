@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from dataclasses import replace
@@ -61,13 +60,6 @@ def _write_config(out: Path, args: argparse.Namespace) -> None:
     with open(out / "config.txt", "w") as fh:
         for k, v in sorted(pairs.items()):
             fh.write(f"{k}={_fmt(v)}\n")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("STEPDIRECT_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
 
 
 def _summary_rows(chain, names):
@@ -312,7 +304,7 @@ def cmd_nu_compare(args) -> int:
         _draws, rejected = treg_mod.geweke_sample_many(p, args.n_draws, rng)
         return [p.A, "geweke", "", args.n_draws, rejected]
 
-    n_workers = _threads(args)
+    n_workers = args.threads or 1
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

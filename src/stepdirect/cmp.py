@@ -19,7 +19,7 @@ from scipy.special import digamma, gammaln, logsumexp
 
 from .errors import DomainError, OracleError
 from .search import BisectionSpec, bisect
-from .target import GeometricBase, NonnegativeIntegers, WeightedTarget
+from .target import GeometricBase, WeightedTarget
 
 __all__ = [
     "CmpParams",
@@ -138,7 +138,6 @@ def cmp_target(params: CmpParams, override_decomp: CmpDecomposition | None = Non
     decomp = override_decomp or default_decomposition(params)
     x_mode, log_c = cmp_mode(params, decomp)
     return WeightedTarget(
-        support=NonnegativeIntegers(),
         log_w=lambda x: cmp_log_weight(x, params, decomp),
         x_mode=x_mode,
         log_c=log_c,

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 MAX_KNOTS = 4096
+MAX_REJECTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,8 @@ class SamplerConfig:
     midpoint_kind: str = "hybrid"
     omega: float = 0.5
     adapt: bool = True
-    max_rejects: int = 10**6
     knot_method: str = "greedy"  # or "equal"
     u_lo_fixed: float | None = None
-    u_hi_fixed: float | None = None
 
     def __post_init__(self):
         if self.n_init_knots < 1:
@@ -61,13 +60,8 @@ class SamplerConfig:
         if self.knot_method not in ("greedy", "equal"):
             raise DomainError(f"unknown knot method {self.knot_method!r}")
         check_knot_rule(self.midpoint_kind, self.omega)
-        if self.u_hi_fixed is not None and not 0.0 < self.u_hi_fixed <= 1.0:
-            raise DomainError("u_hi_fixed must lie in (0, 1]")
-        if self.u_lo_fixed is not None:
-            if not 0.0 < self.u_lo_fixed < 1.0:
-                raise DomainError("u_lo_fixed must lie in (0, 1)")
-            if self.u_hi_fixed is not None and self.u_lo_fixed >= self.u_hi_fixed:
-                raise DomainError("u_lo_fixed must be below u_hi_fixed")
+        if self.u_lo_fixed is not None and not 0.0 < self.u_lo_fixed < 1.0:
+            raise DomainError("u_lo_fixed must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -117,6 +111,10 @@ def _diagnostics(step: StepApprox) -> BuildDiagnostics:
 def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig()):
     """Locate the descent window, select knots, and build the envelope.
 
+    On a continuous base the window ends at u_hi = 1: w attains c at
+    x_mode, so A_u keeps positive base mass for every u < 1. On integer
+    support A_u empties at the largest w(k)/c, which is searched for.
+
     The built table gains a leading knot at u = 0 carrying log P(A_0), so
     the envelope piece on [0, u_lo) dominates P(A_u) no matter where the
     descent search placed u_lo. The extra rectangle is counted in the
@@ -127,17 +125,11 @@ def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig(
         # u = 0 keeps the envelope valid on [0, u_lo) either way, and a
         # tiny u_lo keeps the head rectangle negligible.
         u_lo = config.u_lo_fixed
-        if math.isinf(float(target.log_prob_Au(u_lo))):
+        if target.discrete and math.isinf(float(target.log_prob_Au(u_lo))):
             raise DomainError(f"P(A_u) vanishes at fixed u_lo = {u_lo:g}")
     else:
         u_lo = find_u_lo(target)
-    if config.u_hi_fixed is not None:
-        # Any u with P(A_u) = 0 is a valid upper end; a caller who knows
-        # one (e.g. u = 1 when the weight never attains its supremum) can
-        # pin it here and skip the search.
-        u_hi = config.u_hi_fixed
-    else:
-        u_hi = find_u_hi(target, u_lo)
+    u_hi = find_u_hi(target, u_lo) if target.discrete else 1.0
     if config.knot_method == "equal":
         table = equal_spaced_knots(target, u_lo, u_hi, config.n_init_knots)
     else:
@@ -196,9 +188,9 @@ class DirectSampler:
                     )
             rejects += 1
             inserted += self._maybe_insert(u, log_p)
-            if rejects > self.config.max_rejects:
+            if rejects > MAX_REJECTS:
                 raise SamplerStallError(
-                    f"exceeded {self.config.max_rejects} rejections; "
+                    f"exceeded {MAX_REJECTS} rejections; "
                     f"bound={self.rejection_bound():.3g}, knots={self.step.table.knots.size}"
                 )
 
@@ -240,9 +232,9 @@ class DirectSampler:
             if n_rej:
                 for u_rej, lp_rej in zip(u[~accept], log_p[~accept]):
                     report.knots_inserted += self._maybe_insert(float(u_rej), float(lp_rej))
-            if report.n_rejected > self.config.max_rejects:
+            if report.n_rejected > MAX_REJECTS:
                 raise SamplerStallError(
-                    f"exceeded {self.config.max_rejects} rejections after {filled} draws"
+                    f"exceeded {MAX_REJECTS} rejections after {filled} draws"
                 )
         report.n_draws = n
         return out, report

@@ -3,9 +3,10 @@
 A weighted target bundles everything the generic sampler needs from one
 distribution f(x) proportional to w(x) g(x): the log weight and its maximum,
 the base distribution g, and a solver for the superlevel-set interval
-{x : log w(x) > threshold}. Base distributions expose log CDF/survival
-values and truncated inverse-CDF draws so every probability can stay on the
-log scale.
+{x : log w(x) > threshold}. The base distribution owns the support: given
+the open endpoints (x1, x2) of that interval it returns the log
+probability of the set and draws from g truncated to it, so every
+probability can stay on the log scale.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from .errors import DomainError, EmptySetError
 from .logspace import log1mexp
 
 __all__ = [
-    "ContinuousInterval",
-    "NonnegativeIntegers",
     "UniformBase",
     "GeometricBase",
     "WeightedTarget",
@@ -29,22 +28,6 @@ __all__ = [
 
 # Absolute bracket width at which the superlevel endpoint bisection stops.
 ENDPOINT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ContinuousInterval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError("continuous support requires lo < hi")
-
-
-@dataclass(frozen=True)
-class NonnegativeIntegers:
-    lo: float = 0.0
-    hi: float = math.inf
 
 
 def integer_window(x1, x2):
@@ -75,20 +58,7 @@ class UniformBase:
         self.hi = float(hi)
         self._log_width = math.log(hi - lo)
 
-    def log_cdf(self, x):
-        z = np.clip((np.asarray(x, float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            return np.log(z)
-
-    def log_sf(self, x):
-        z = np.clip((self.hi - np.asarray(x, float)) / (self.hi - self.lo), 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            return np.log(z)
-
-    def quantile(self, phi):
-        return self.lo + (self.hi - self.lo) * np.asarray(phi, float)
-
-    def log_prob_interval(self, x1, x2):
+    def log_prob(self, x1, x2):
         """log P(x1 < X < x2) with endpoints inside the support."""
         x1 = np.asarray(x1, float)
         x2 = np.asarray(x2, float)
@@ -98,7 +68,11 @@ class UniformBase:
 
     def truncated_draw(self, x1, x2, v):
         """Inverse-CDF draw restricted to (x1, x2); uniform stays uniform."""
-        return np.asarray(x1, float) + (np.asarray(x2, float) - np.asarray(x1, float)) * v
+        x1 = np.asarray(x1, float)
+        x2 = np.asarray(x2, float)
+        if np.any(x2 <= x1):
+            raise EmptySetError("A_u has zero base mass")
+        return x1 + (x2 - x1) * v
 
 
 class GeometricBase:
@@ -109,18 +83,14 @@ class GeometricBase:
     """
 
     discrete = True
+    lo = 0.0
+    hi = math.inf
 
     def __init__(self, p: float):
         if not 0.0 < p < 1.0:
             raise DomainError("GeometricBase requires 0 < p < 1")
         self.p = float(p)
         self.log_q = math.log1p(-p)
-
-    def log_cdf(self, x):
-        x = np.floor(np.asarray(x, float))
-        with np.errstate(divide="ignore"):
-            out = np.where(x < 0, -np.inf, log1mexp(np.where(x < 0, 0.0, (x + 1.0) * self.log_q)))
-        return out if out.ndim else float(out)
 
     def log_sf(self, x):
         """log P(X > x) = (floor(x)+1) log(1-p)."""
@@ -137,20 +107,21 @@ class GeometricBase:
         out = np.maximum(x, 0.0)
         return out if out.ndim else float(out)
 
-    def log_prob_window(self, lo, hi):
-        """log P(lo <= X <= hi) for an inclusive integer window."""
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
+    def log_prob(self, x1, x2):
+        """log P(x1 < X < x2): the mass of the integers strictly inside."""
+        lo, hi = integer_window(x1, x2)
         span = np.where(hi >= lo, hi - lo + 1.0, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             tail = np.where(np.isinf(span), 0.0, log1mexp(np.minimum(span * self.log_q, 0.0)))
             out = np.where(span > 0, lo * self.log_q + tail, -np.inf)
         return out if out.ndim else float(out)
 
-    def truncated_draw(self, lo, hi, v):
-        """Inverse-CDF draw from the geometric restricted to {lo, ..., hi}."""
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
+    def truncated_draw(self, x1, x2, v):
+        """Inverse-CDF draw from the geometric restricted to the integers
+        strictly inside (x1, x2)."""
+        lo, hi = integer_window(x1, x2)
+        if np.any(lo > hi):
+            raise EmptySetError("A_u contains no support points")
         m = hi - lo
         # mass of the window relative to q^lo: 1 - q^(m+1)
         c = np.where(np.isinf(m), 1.0, -np.expm1(np.minimum((m + 1.0) * self.log_q, 0.0)))
@@ -166,10 +137,11 @@ class WeightedTarget:
 
     ``log_w`` must accept numpy arrays (a continuous extension is expected
     even for integer support) and attain its maximum ``log_c`` at
-    ``x_mode``. Instances are immutable in practice and safe to share.
+    ``x_mode``. The support is the base's: continuous on [base.lo,
+    base.hi] or the integers {0, 1, ...}. Instances are immutable in
+    practice and safe to share.
     """
 
-    support: ContinuousInterval | NonnegativeIntegers
     log_w: Callable[[np.ndarray], np.ndarray]
     x_mode: float
     log_c: float
@@ -178,7 +150,7 @@ class WeightedTarget:
 
     @property
     def discrete(self) -> bool:
-        return isinstance(self.support, NonnegativeIntegers)
+        return self.base.discrete
 
     # -- superlevel-set endpoints ----------------------------------------
 
@@ -191,15 +163,14 @@ class WeightedTarget:
         """
         thr = np.atleast_1d(np.asarray(log_threshold, dtype=float))
         scalar = np.ndim(log_threshold) == 0
-        lo = float(self.support.lo)
-        hi = float(self.support.hi)
+        lo, hi = self.base.lo, self.base.hi
         x1 = np.full(thr.shape, self.x_mode)
         x2 = np.full(thr.shape, self.x_mode)
         # For integer support the window is the open interval's interior, so
         # a boundary point with w above the threshold must sit strictly
         # inside: shift the endpoint one unit past it.
-        lo_open = lo - 1.0 if self.discrete else lo
-        hi_open = hi + 1.0 if (self.discrete and not math.isinf(hi)) else hi
+        pad = 1.0 if self.discrete else 0.0
+        lo_open, hi_open = lo - pad, hi + pad
 
         nonempty = thr < self.log_c
         full = np.isneginf(thr)
@@ -241,26 +212,19 @@ class WeightedTarget:
     # -- probabilities and draws -----------------------------------------
 
     def _window(self, u):
-        """Bounds of A_u: (x1, x2) open, or on integer support the
-        inclusive window (lo, hi), which is empty when lo > hi."""
+        """Open endpoints (x1, x2) of A_u."""
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
             thr = np.where(u > 0, np.log(np.maximum(u, np.finfo(float).tiny)) + self.log_c, -np.inf)
         thr = np.where(u >= 1.0, np.inf, thr)
-        x1, x2 = self.interval_endpoints(thr)
-        if self.discrete:
-            return integer_window(x1, x2)
-        return x1, x2
+        return self.interval_endpoints(thr)
 
     def log_prob_Au(self, u):
         """log of the base-measure probability of {x : w(x) > u c}."""
         u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u > 1)):
             raise DomainError("u must lie in [0, 1]")
-        lo, hi = self._window(u)
-        if self.discrete:
-            return self.base.log_prob_window(lo, hi)
-        return self.base.log_prob_interval(lo, hi)
+        return self.base.log_prob(*self._window(u))
 
     def truncated_draw(self, u, rng):
         """One draw from the base distribution restricted to A_u."""
@@ -270,12 +234,8 @@ class WeightedTarget:
 
     def truncated_draw_many(self, u, v):
         """Vectorized truncated draws given uniforms v, one per u."""
-        lo, hi = (np.atleast_1d(b) for b in self._window(u))
-        if self.discrete and np.any(lo > hi):
-            raise EmptySetError("A_u contains no support points")
-        if not self.discrete and np.any(hi <= lo):
-            raise EmptySetError("A_u has zero base mass")
-        return np.atleast_1d(self.base.truncated_draw(lo, hi, np.asarray(v, dtype=float)))
+        x1, x2 = (np.atleast_1d(b) for b in self._window(u))
+        return np.atleast_1d(self.base.truncated_draw(x1, x2, np.asarray(v, dtype=float)))
 
 
 def _bisect_crossing(log_w, thr, outside, inside):

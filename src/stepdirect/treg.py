@@ -27,7 +27,7 @@ from .errors import DomainError
 from .rngstats import Rng
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
 from .search import BisectionSpec, bisect
-from .target import ContinuousInterval, UniformBase, WeightedTarget
+from .target import UniformBase, WeightedTarget
 
 __all__ = [
     "TregData",
@@ -170,7 +170,6 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
         )
         x_mode = float(bisect(spec).x)
     return WeightedTarget(
-        support=ContinuousInterval(p.a_nu, p.b_nu),
         log_w=lambda v: nu_log_weight(v, p.n, p.A),
         x_mode=x_mode,
         log_c=float(nu_log_weight(x_mode, p.n, p.A)),
@@ -179,15 +178,14 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
     )
 
 
-# The weight attains its supremum on the box, so P(A_u) vanishes at u = 1
-# and stays positive up to it; both descent searches can be skipped, and
-# equal spacing costs a single vectorized P(A_u) evaluation, which keeps
-# the per-iteration build cheap inside the Gibbs scan.
+# nu has a continuous base, so the window ends at u = 1 with no search,
+# and a fixed tiny u_lo skips the other descent search. Equal spacing
+# costs a single vectorized P(A_u) evaluation, which keeps the
+# per-iteration build cheap inside the Gibbs scan.
 NU_SAMPLER_CONFIG = SamplerConfig(
     n_init_knots=200,
     knot_method="equal",
     u_lo_fixed=1e-10,
-    u_hi_fixed=1.0,
 )
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import stepdirect.sampler
+from stepdirect.car import car_eigen_precompute, lattice_adjacency, rho_target
 from stepdirect.cmp import CmpParams, cmp_pmf_oracle, cmp_target
 from stepdirect.errors import DomainError, SamplerStallError
 from stepdirect.rngstats import Rng
@@ -14,8 +16,20 @@ from stepdirect.sampler import (
     build_sampler,
     rejection_bound,
 )
-from stepdirect.stepfn import step_logpdf_unnorm
+from stepdirect.stepfn import find_u_hi, find_u_lo, step_logpdf_unnorm
+from stepdirect.treg import NU_SAMPLER_CONFIG, NuTargetParams, nu_target
 from tests.test_target import quadratic_target
+
+
+def continuous_targets():
+    a = lattice_adjacency(6)
+    eig = car_eigen_precompute(a, a.sum(axis=1))
+    return [
+        quadratic_target(),
+        nu_target(NuTargetParams(n=200, A=101.0, a_nu=0.01, b_nu=200.0)),
+        nu_target(NuTargetParams(n=200, A=400.0, a_nu=0.01, b_nu=200.0)),
+        rho_target(eig, eta_a_eta=3.0, tau2=2.0),
+    ]
 
 
 class TestSamplerConfig:
@@ -29,11 +43,9 @@ class TestSamplerConfig:
         with pytest.raises(DomainError):
             SamplerConfig(knot_method="random")
         with pytest.raises(DomainError):
-            SamplerConfig(u_hi_fixed=0.0)
+            SamplerConfig(u_lo_fixed=0.0)
         with pytest.raises(DomainError):
             SamplerConfig(u_lo_fixed=1.0)
-        with pytest.raises(DomainError):
-            SamplerConfig(u_lo_fixed=0.5, u_hi_fixed=0.5)
 
     def test_knot_rule_validated_up_front(self):
         # Checked at construction, not after a build, and whatever the
@@ -64,10 +76,31 @@ class TestBuildSampler:
 
     def test_fixed_window_skips_search(self):
         target = quadratic_target()
-        cfg = SamplerConfig(knot_method="equal", u_lo_fixed=1e-10, u_hi_fixed=1.0)
+        cfg = SamplerConfig(knot_method="equal", u_lo_fixed=1e-10)
         step, diag = build_sampler(target, cfg)
         assert diag.u_lo == 1e-10 and diag.u_hi == 1.0
         assert step.table.knots[-1] == 1.0
+
+    @pytest.mark.parametrize("target", continuous_targets(), ids=lambda t: t.name)
+    def test_continuous_base_window_ends_at_one(self, target):
+        # The u_hi the search would find is exactly 1 on a continuous base.
+        _step, diag = build_sampler(target)
+        assert diag.u_hi == 1.0 == find_u_hi(target, find_u_lo(target))
+
+    def test_fixed_window_build_solves_twice(self):
+        # One P(A_u) call for the knot grid and one for the head knot at
+        # u = 0; a fixed u_lo on a continuous base needs no mass check.
+        target = nu_target(NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0))
+        sizes = []
+        solve = target.log_prob_Au
+
+        def counted(u):
+            sizes.append(np.size(u))
+            return solve(u)
+
+        target.log_prob_Au = counted
+        build_sampler(target, NU_SAMPLER_CONFIG)
+        assert sizes == [NU_SAMPLER_CONFIG.n_init_knots + 1, 1]
 
     def test_fixed_u_lo_without_mass_rejected(self):
         # The quadratic target keeps mass everywhere below u = 1, so build a
@@ -113,14 +146,14 @@ class TestDraw:
         tv = 0.5 * np.abs(counts / draws.size - oracle.pmf[: counts.size]).sum()
         assert tv < 0.015
 
-    def test_stall_raises(self):
+    def test_stall_raises(self, monkeypatch):
         # A 1-interval envelope over a sharply peaked weight rejects most
         # candidates; with a zero budget the first rejection must raise.
+        monkeypatch.setattr(stepdirect.sampler, "MAX_REJECTS", 0)
         target = quadratic_target(scale=2000.0)
-        cfg = SamplerConfig(n_init_knots=1, adapt=False, max_rejects=0)
-        sampler = DirectSampler(target, cfg)
+        sampler = DirectSampler(target, SamplerConfig(n_init_knots=1, adapt=False))
         rng = Rng(7)
-        with pytest.raises(SamplerStallError):
+        with pytest.raises(SamplerStallError, match="exceeded 0 rejections"):
             for _ in range(200):
                 sampler.draw(rng)
 

@@ -11,20 +11,12 @@ from scipy import stats
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import DomainError, EmptySetError
 from stepdirect.rngstats import Rng
-from stepdirect.target import (
-    ContinuousInterval,
-    GeometricBase,
-    NonnegativeIntegers,
-    UniformBase,
-    WeightedTarget,
-    integer_window,
-)
+from stepdirect.target import GeometricBase, UniformBase, WeightedTarget, integer_window
 
 
 def quadratic_target(center: float = 0.3, scale: float = 5.0) -> WeightedTarget:
     """w(x) = exp(-scale (x - center)^2) on a Uniform(0, 1) base."""
     return WeightedTarget(
-        support=ContinuousInterval(0.0, 1.0),
         log_w=lambda x: -scale * (np.asarray(x, float) - center) ** 2,
         x_mode=center,
         log_c=0.0,
@@ -68,12 +60,16 @@ class TestIntegerWindow:
 class TestUniformBase:
     def test_interval_probability(self):
         base = UniformBase(0.0, 2.0)
-        assert math.exp(base.log_prob_interval(0.5, 1.5)) == pytest.approx(0.5)
-        assert base.log_prob_interval(1.0, 1.0) == -math.inf
+        assert math.exp(base.log_prob(0.5, 1.5)) == pytest.approx(0.5)
+        assert base.log_prob(1.0, 1.0) == -math.inf
 
     def test_truncated_draw_is_linear(self):
         base = UniformBase(0.0, 1.0)
         assert base.truncated_draw(0.2, 0.6, 0.5) == pytest.approx(0.4)
+
+    def test_truncated_draw_on_empty_window_raises(self):
+        with pytest.raises(EmptySetError, match="zero base mass"):
+            UniformBase(0.0, 1.0).truncated_draw(np.array([0.2, 0.4]), np.array([0.6, 0.4]), 0.5)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(DomainError):
@@ -87,18 +83,13 @@ class TestGeometricBase:
         assert base.log_sf(9) == pytest.approx(10 * math.log(0.75), rel=1e-15)
         assert base.log_sf(39_999) == pytest.approx(40_000 * math.log(0.75), rel=1e-15)
 
-    def test_cdf_matches_scipy(self):
-        base = GeometricBase(0.3)
-        ref = stats.geom(0.3, loc=-1)
-        x = np.arange(0, 30)
-        assert np.allclose(np.exp(base.log_cdf(x)), ref.cdf(x), rtol=1e-12)
-
     def test_quantile_inverts_cdf(self):
         base = GeometricBase(0.3)
+        ref = stats.geom(0.3, loc=-1)
         for phi in (0.01, 0.3, 0.5, 0.9, 0.999):
             x = base.quantile(phi)
-            assert math.exp(base.log_cdf(x)) >= phi
-            assert x == 0 or math.exp(base.log_cdf(x - 1)) < phi
+            assert ref.cdf(x) >= phi
+            assert x == 0 or ref.cdf(x - 1) < phi
 
     def test_quantile_rejects_boundary(self):
         with pytest.raises(DomainError):
@@ -107,30 +98,48 @@ class TestGeometricBase:
     def test_window_probability_matches_sum(self):
         base = GeometricBase(0.4)
         pmf = stats.geom(0.4, loc=-1).pmf(np.arange(0, 50))
-        assert math.exp(base.log_prob_window(3, 7)) == pytest.approx(pmf[3:8].sum(), rel=1e-12)
-        assert base.log_prob_window(5, 4) == -math.inf
+        windows = [
+            (2.5, 7.5, slice(3, 8)),
+            (3.0, 8.0, slice(4, 8)),  # integer endpoints are excluded
+            (-3.2, 4.0, slice(0, 4)),  # x1 < 0 clips to the support
+            (-1.0, 0.5, slice(0, 1)),
+        ]
+        for x1, x2, inside in windows:
+            assert math.exp(base.log_prob(x1, x2)) == pytest.approx(pmf[inside].sum(), rel=1e-12)
+        assert base.log_prob(4.2, 4.8) == -math.inf
+
+    def test_window_probability_vectorized_and_unbounded(self):
+        base = GeometricBase(0.4)
+        out = base.log_prob(np.array([-1.0, 2.5, 4.2]), np.array([math.inf, math.inf, 4.8]))
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(3 * math.log(0.6), rel=1e-15)
+        assert out[2] == -math.inf
 
     def test_window_probability_survives_deep_tails(self):
         base = GeometricBase(0.5)
         # Window mass ~ 2^-10000: representable only on the log scale.
-        out = base.log_prob_window(9_999, 10_000)
+        out = base.log_prob(9_998, 10_001)
         assert out == pytest.approx(9_999 * math.log(0.5) + math.log(0.75), rel=1e-12)
 
     def test_truncated_draw_stays_inside(self):
         base = GeometricBase(0.2)
         v = Rng(0).generator.uniform(size=1000)
-        draws = base.truncated_draw(np.full(1000, 3.0), np.full(1000, 9.0), v)
+        draws = base.truncated_draw(np.full(1000, 2.0), np.full(1000, 10.0), v)
         assert draws.min() >= 3 and draws.max() <= 9
 
     def test_truncated_draw_matches_conditional_pmf(self):
         base = GeometricBase(0.35)
         v = Rng(1).generator.uniform(size=100_000)
-        draws = base.truncated_draw(np.full(v.size, 2.0), np.full(v.size, 6.0), v)
+        draws = base.truncated_draw(np.full(v.size, 1.5), np.full(v.size, 6.5), v)
         counts = np.bincount(draws.astype(int), minlength=7)[2:7]
         pmf = stats.geom(0.35, loc=-1).pmf(np.arange(2, 7))
         pmf = pmf / pmf.sum()
         tv = 0.5 * np.abs(counts / v.size - pmf).sum()
         assert tv < 0.01
+
+    def test_truncated_draw_on_empty_window_raises(self):
+        with pytest.raises(EmptySetError, match="no support points"):
+            GeometricBase(0.3).truncated_draw(np.array([0.5, 4.0]), np.array([3.5, 5.0]), 0.5)
 
     def test_rejects_degenerate_rate(self):
         with pytest.raises(DomainError):
@@ -173,6 +182,12 @@ class TestWeightedTargetContinuous:
 
 
 class TestWeightedTargetDiscrete:
+    def test_support_comes_from_base(self):
+        target = cmp_target(CmpParams(2.0, 5.0))
+        assert target.discrete and not quadratic_target().discrete
+        # The full support {0, 1, ...} as open endpoints.
+        assert target.interval_endpoints(-math.inf) == (-1.0, math.inf)
+
     def test_full_support_at_zero_threshold(self):
         # P(A_0) must include every support point, boundary x = 0 included.
         target = cmp_target(CmpParams(2.0, 5.0))
@@ -216,7 +231,6 @@ class TestEndpointSolver:
 
     def test_continuous_crossings_on_both_sides(self):
         target = WeightedTarget(
-            support=ContinuousInterval(0.0, 1.0),
             log_w=lopsided_log_w(0.3, 50.0, 2.0),
             x_mode=0.3,
             log_c=0.0,
@@ -231,7 +245,6 @@ class TestEndpointSolver:
 
     def test_integer_support_with_infinite_upper_end(self):
         target = WeightedTarget(
-            support=NonnegativeIntegers(),
             log_w=lopsided_log_w(4.5, 1.0, 0.25),
             x_mode=4.5,
             log_c=0.0,
@@ -246,12 +259,3 @@ class TestEndpointSolver:
         assert x2 == pytest.approx([6.5, 14.5], abs=1e-9)
         assert target.interval_endpoints(-1.0) == pytest.approx((3.5, 6.5), abs=1e-9)
 
-
-class TestSupportValidation:
-    def test_continuous_interval_ordering(self):
-        with pytest.raises(DomainError):
-            ContinuousInterval(1.0, 1.0)
-
-    def test_nonnegative_integers_defaults(self):
-        s = NonnegativeIntegers()
-        assert s.lo == 0.0 and math.isinf(s.hi)
