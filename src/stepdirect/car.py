@@ -237,15 +237,11 @@ def draw_tau2(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> floa
 # -- rho updates -----------------------------------------------------------
 
 
-# rho has a continuous base, so the window ends at u = 1 with no search,
-# and a fixed tiny u_lo skips the other descent search. Equal spacing
-# costs one vectorized P(A_u) evaluation regardless of knot count, so a
-# dense grid is cheap.
-RHO_SAMPLER_CONFIG = SamplerConfig(
-    n_init_knots=200,
-    knot_method="equal",
-    u_lo_fixed=1e-10,
-)
+# rho has a continuous base, so the descent window needs no search: it
+# ends at u = 1 and starts where w at the two support ends puts it. Equal
+# spacing costs one vectorized P(A_u) evaluation regardless of knot count,
+# so a dense grid is cheap.
+RHO_SAMPLER_CONFIG = SamplerConfig(n_init_knots=200, knot_method="equal")
 
 
 def draw_rho_direct(

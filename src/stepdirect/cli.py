@@ -11,7 +11,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 from importlib import metadata
 from pathlib import Path
 
@@ -62,12 +61,27 @@ def _write_config(out: Path, args: argparse.Namespace) -> None:
             fh.write(f"{k}={_fmt(v)}\n")
 
 
-def _summary_rows(chain, names):
-    rows = []
-    for name in names:
-        s = summarize(chain.column(name))
-        rows.append([name, s.mean, s.sd, s.q025, s.q975])
-    return rows
+def _write_chain(out: Path, args, chain, params, rejects_name: str):
+    """Write draws.csv, summary.csv of ``params`` and diagnostics.csv.
+
+    summary.csv keeps only its header when no draw was saved. Returns the
+    per-iteration rejection counts stored under ``rejects_name``.
+    """
+    its = [args.burnin + i * args.thin for i in range(chain.n_saved)]
+    _write_csv(
+        out / "draws.csv",
+        ["iter"] + chain.names,
+        [[it] + list(row) for it, row in zip(its, chain.draws)],
+    )
+    summaries = [(n, summarize(chain.column(n))) for n in (params if chain.n_saved else [])]
+    _write_csv(
+        out / "summary.csv",
+        ["param", "mean", "sd", "q025", "q975"],
+        [[n, s.mean, s.sd, s.q025, s.q975] for n, s in summaries],
+    )
+    rejects = chain.extras[rejects_name]
+    _write_csv(out / "diagnostics.csv", ["iter", rejects_name], list(enumerate(rejects.tolist())))
+    return rejects
 
 
 # -- cmp subcommands -------------------------------------------------------
@@ -127,15 +141,6 @@ def cmd_cmp_step_diag(args) -> int:
     return 0
 
 
-def _gibbs_config(base: SamplerConfig, args) -> SamplerConfig:
-    """Per-step sampler config for a Gibbs run: tuned defaults + overrides.
-
-    The fixed descent endpoints of the base config are only valid for
-    continuous weighted-uniform targets, which both Gibbs steps are.
-    """
-    return replace(base, n_init_knots=args.n_knots, knot_method=args.knot_method)
-
-
 # -- car subcommand --------------------------------------------------------
 
 
@@ -163,22 +168,11 @@ def cmd_car(args) -> int:
         args.thin,
         args.rho_method,
         Rng(args.seed, 0),
-        config=_gibbs_config(car_mod.RHO_SAMPLER_CONFIG, args),
+        config=SamplerConfig(n_init_knots=args.n_knots, knot_method=args.knot_method),
         sigma_prop=args.sigma_prop,
     )
-    its = [args.burnin + i * args.thin for i in range(chain.n_saved)]
-    _write_csv(
-        out / "draws.csv",
-        ["iter"] + chain.names,
-        [[it] + list(row) for it, row in zip(its, chain.draws)],
-    )
     params = [n for n in chain.names if not n.startswith("eta_")]
-    if chain.n_saved:
-        _write_csv(out / "summary.csv", ["param", "mean", "sd", "q025", "q975"], _summary_rows(chain, params))
-    else:
-        _write_csv(out / "summary.csv", ["param", "mean", "sd", "q025", "q975"], [])
-    rejects = chain.extras["rho_rejects"]
-    _write_csv(out / "diagnostics.csv", ["iter", "rho_rejects"], list(enumerate(rejects.tolist())))
+    rejects = _write_chain(out, args, chain, params, "rho_rejects")
     total = int(rejects.sum())
     frac = total / max(args.iters, 1)
     _write_csv(
@@ -231,20 +225,9 @@ def cmd_treg(args) -> int:
         args.thin,
         args.nu_method,
         Rng(args.seed, 0),
-        config=_gibbs_config(treg_mod.NU_SAMPLER_CONFIG, args),
+        config=SamplerConfig(n_init_knots=args.n_knots, knot_method=args.knot_method),
     )
-    its = [args.burnin + i * args.thin for i in range(chain.n_saved)]
-    _write_csv(
-        out / "draws.csv",
-        ["iter"] + chain.names,
-        [[it] + list(row) for it, row in zip(its, chain.draws)],
-    )
-    if chain.n_saved:
-        _write_csv(out / "summary.csv", ["param", "mean", "sd", "q025", "q975"], _summary_rows(chain, chain.names))
-    else:
-        _write_csv(out / "summary.csv", ["param", "mean", "sd", "q025", "q975"], [])
-    rejects = chain.extras["nu_rejects"]
-    _write_csv(out / "diagnostics.csv", ["iter", "nu_rejects"], list(enumerate(rejects.tolist())))
+    rejects = _write_chain(out, args, chain, chain.names, "nu_rejects")
     _write_csv(
         out / "report.csv",
         ["nu_method", "iters", "total_nu_rejects"],

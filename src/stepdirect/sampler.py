@@ -47,12 +47,17 @@ MAX_REJECTS = 10**6
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """How build_sampler places the initial knots, and whether draws adapt.
+
+    The descent window is not configurable: find_u_lo and find_u_hi derive
+    it from the target (see build_sampler).
+    """
+
     n_init_knots: int = 10
     midpoint_kind: str = "hybrid"
     omega: float = 0.5
     adapt: bool = True
     knot_method: str = "greedy"  # or "equal"
-    u_lo_fixed: float | None = None
 
     def __post_init__(self):
         if self.n_init_knots < 1:
@@ -60,8 +65,6 @@ class SamplerConfig:
         if self.knot_method not in ("greedy", "equal"):
             raise DomainError(f"unknown knot method {self.knot_method!r}")
         check_knot_rule(self.midpoint_kind, self.omega)
-        if self.u_lo_fixed is not None and not 0.0 < self.u_lo_fixed < 1.0:
-            raise DomainError("u_lo_fixed must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -94,16 +97,17 @@ class AggregateReport:
 
 def rejection_bound(step: StepApprox) -> float:
     """Computable upper bound on the rejection probability: sum|R_j| / a."""
-    return float(min(1.0, math.exp(log_total_rect_area(step.table) - step.log_a)))
+    return _diagnostics(step).rejection_bound
 
 
 def _diagnostics(step: StepApprox) -> BuildDiagnostics:
     """Window, rectangle area, bound and knot count of a built envelope."""
+    log_area = log_total_rect_area(step.table)
     return BuildDiagnostics(
         u_lo=step.u_lo,
         u_hi=step.u_hi,
-        log_rect_area=log_total_rect_area(step.table),
-        rejection_bound=rejection_bound(step),
+        log_rect_area=log_area,
+        rejection_bound=float(min(1.0, math.exp(log_area - step.log_a))),
         n_knots=step.table.knots.size,
     )
 
@@ -111,24 +115,19 @@ def _diagnostics(step: StepApprox) -> BuildDiagnostics:
 def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig()):
     """Locate the descent window, select knots, and build the envelope.
 
-    On a continuous base the window ends at u_hi = 1: w attains c at
-    x_mode, so A_u keeps positive base mass for every u < 1. On integer
-    support A_u empties at the largest w(k)/c, which is searched for.
+    The window starts at find_u_lo's u_lo: in closed form from w at the
+    two support ends on a continuous base, by bisection on integers. On a
+    continuous base the window ends at u_hi = 1: w attains c at x_mode, so
+    A_u keeps positive base mass for every u < 1. On integer support A_u
+    empties at the largest w(k)/c, which is searched for.
 
     The built table gains a leading knot at u = 0 carrying log P(A_0), so
-    the envelope piece on [0, u_lo) dominates P(A_u) no matter where the
-    descent search placed u_lo. The extra rectangle is counted in the
-    rejection bound, and adaptive insertion can split it like any other.
+    the envelope piece on [0, u_lo) dominates P(A_u) even where the
+    DESCENT_TOL floor puts u_lo past the drop. The extra rectangle is
+    counted in the rejection bound, and adaptive insertion can split it
+    like any other.
     """
-    if config.u_lo_fixed is not None:
-        # Any u with P(A_u) > 0 works as the grid start; the head knot at
-        # u = 0 keeps the envelope valid on [0, u_lo) either way, and a
-        # tiny u_lo keeps the head rectangle negligible.
-        u_lo = config.u_lo_fixed
-        if target.discrete and math.isinf(float(target.log_prob_Au(u_lo))):
-            raise DomainError(f"P(A_u) vanishes at fixed u_lo = {u_lo:g}")
-    else:
-        u_lo = find_u_lo(target)
+    u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo) if target.discrete else 1.0
     if config.knot_method == "equal":
         table = equal_spaced_knots(target, u_lo, u_hi, config.n_init_knots)
@@ -170,28 +169,46 @@ class DirectSampler:
         self.step, inserted = insert_knot(self.step, u, log_p)
         return int(inserted)
 
+    def _accept(self, u: np.ndarray, v: np.ndarray, report: AggregateReport) -> np.ndarray:
+        """The accept rule shared by draw and sample; returns the accept mask.
+
+        Candidate u is accepted when P(A_u) > 0 and log v <= log P(A_u) -
+        log h*(u). Rejected candidates become knots (adaptive mode) and
+        are counted on ``report``; more than MAX_REJECTS rejections in
+        total raise SamplerStallError.
+        """
+        log_p = np.asarray(self.target.log_prob_Au(u))
+        log_h = np.asarray(step_logpdf_unnorm(self.step, u))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = log_p - log_h
+            accept = ~np.isneginf(log_p) & ((ratio >= 0.0) | (np.log(v) <= ratio))
+        for u_rej, lp_rej in zip(u[~accept], log_p[~accept]):
+            report.knots_inserted += self._maybe_insert(float(u_rej), float(lp_rej))
+        report.n_rejected += int(np.count_nonzero(~accept))
+        if report.n_rejected > MAX_REJECTS:
+            raise SamplerStallError(
+                f"exceeded {MAX_REJECTS} rejections after {report.n_draws} draws; "
+                f"bound={self.rejection_bound():.3g}, knots={self.step.table.knots.size}"
+            )
+        return accept
+
     def draw(self, rng: Rng) -> DirectDrawReport:
-        """One exact draw from the weighted target."""
-        rejects = 0
-        inserted = 0
+        """One exact draw from the weighted target.
+
+        Uses two uniforms per candidate (u, then v) and one more for x
+        once a candidate is accepted.
+        """
+        report = AggregateReport()
         while True:
             u = step_quantile(self.step, rng.generator.uniform())
-            log_p = float(self.target.log_prob_Au(u))
-            log_h = step_logpdf_unnorm(self.step, u)
             v = rng.generator.uniform()
-            if not math.isinf(log_p):
-                ratio = log_p - log_h
-                if ratio >= 0.0 or math.log(v) <= ratio:
-                    x = self.target.truncated_draw(u, rng)
-                    return DirectDrawReport(
-                        x=x, u_accepted=u, n_rejected=rejects, knots_inserted=inserted
-                    )
-            rejects += 1
-            inserted += self._maybe_insert(u, log_p)
-            if rejects > MAX_REJECTS:
-                raise SamplerStallError(
-                    f"exceeded {MAX_REJECTS} rejections; "
-                    f"bound={self.rejection_bound():.3g}, knots={self.step.table.knots.size}"
+            if self._accept(np.array([u]), np.array([v]), report)[0]:
+                x = self.target.truncated_draw(u, rng)
+                return DirectDrawReport(
+                    x=x,
+                    u_accepted=u,
+                    n_rejected=report.n_rejected,
+                    knots_inserted=report.knots_inserted,
                 )
 
     def sample(self, n: int, rng: Rng):
@@ -206,36 +223,18 @@ class DirectSampler:
             raise DomainError("n must be nonnegative")
         report = AggregateReport()
         out = np.empty(n, dtype=float)
-        filled = 0
         block = 64 if self.config.adapt else n
-        while filled < n:
-            m = min(n - filled, max(block, 1))
+        while report.n_draws < n:
+            m = min(n - report.n_draws, max(block, 1))
             block *= 2
             v_u = rng.generator.uniform(size=m)
             v_acc = rng.generator.uniform(size=m)
             v_x = rng.generator.uniform(size=m)
             u = step_quantile_many(self.step, v_u)
-            log_p = np.asarray(self.target.log_prob_Au(u))
-            log_h = np.asarray(step_logpdf_unnorm(self.step, u))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = log_p - log_h
-                accept = np.where(
-                    np.isneginf(log_p), False, (ratio >= 0.0) | (np.log(v_acc) <= ratio)
-                )
+            accept = self._accept(u, v_acc, report)
             n_acc = int(np.count_nonzero(accept))
             if n_acc:
                 xs = self.target.truncated_draw_many(u[accept], v_x[accept])
-                out[filled : filled + n_acc] = xs
-                filled += n_acc
-            n_rej = m - n_acc
-            report.n_rejected += n_rej
-            if n_rej:
-                for u_rej, lp_rej in zip(u[~accept], log_p[~accept]):
-                    report.knots_inserted += self._maybe_insert(float(u_rej), float(lp_rej))
-            if report.n_rejected > MAX_REJECTS:
-                raise SamplerStallError(
-                    f"exceeded {MAX_REJECTS} rejections after {filled} draws"
-                )
-        report.n_draws = n
+                out[report.n_draws : report.n_draws + n_acc] = xs
+                report.n_draws += n_acc
         return out, report
-

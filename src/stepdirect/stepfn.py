@@ -138,20 +138,29 @@ def _geometric_descent(eval_log_p, log_u_lo, log_u_hi, is_one):
 
 
 def find_u_lo(target: WeightedTarget) -> float:
-    """Locate where P(A_u) first drops below P(A_0), to linear tolerance.
+    """Locate where P(A_u) first drops below P(A_0), floored at DESCENT_TOL.
 
-    Bisects the drop indicator 1{P(A_u) != P(A_0)} on [0, 1], where
-    equality means the probabilities coincide as doubles. The returned
-    point is the descent-side end of the final bracket, so P(A_u) there is
-    already below P(A_0) (or within DESCENT_TOL of the drop). When the true
-    drop sits below DESCENT_TOL, the result is roughly DESCENT_TOL itself;
-    the envelope stays valid regardless because the built step carries
-    P(A_0) on the leading piece.
+    On a continuous base w is unimodal on [lo, hi], so A_u is the whole
+    support until u passes min(w(lo), w(hi)) / c: one log_w call at the
+    two ends gives the drop in closed form. A drop below DESCENT_TOL is
+    returned as DESCENT_TOL; the envelope stays valid regardless because
+    the built step carries P(A_0) on the leading piece.
 
-    If P(A_u) is already zero at the returned point (the whole descent is
-    narrower than DESCENT_TOL), a geometric search pins down the last u
-    with positive mass instead.
+    On integer support the drop indicator 1{P(A_u) != P(A_0)} is bisected
+    on [0, 1], where equality means the probabilities coincide as doubles.
+    The returned point is the descent-side end of the final bracket, so
+    P(A_u) there is already below P(A_0). If P(A_u) is already zero at that
+    point (the whole descent is narrower than DESCENT_TOL), a geometric
+    search pins down the last u with positive mass instead.
     """
+    if not target.discrete:
+        base = target.base
+        log_ends = np.asarray(target.log_w(np.array([base.lo, base.hi])), dtype=float)
+        log_drop = float(np.min(log_ends)) - target.log_c
+        if not log_drop < 0.0:
+            raise DegenerateTargetError("w at both support ends reaches its maximum; w has no descent")
+        return max(DESCENT_TOL, math.exp(log_drop))
+
     log_p0 = float(target.log_prob_Au(0.0))
     if math.isinf(log_p0):
         raise DegenerateTargetError("base measure puts no mass on the support of w")

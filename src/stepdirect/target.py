@@ -47,11 +47,13 @@ def integer_window(x1, x2):
 
 
 class UniformBase:
-    """Uniform base distribution on [lo, hi]."""
+    """Uniform base distribution on a finite interval [lo, hi]."""
 
     discrete = False
 
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("UniformBase requires finite ends")
         if not lo < hi:
             raise DomainError("UniformBase requires lo < hi")
         self.lo = float(lo)

@@ -178,15 +178,11 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
     )
 
 
-# nu has a continuous base, so the window ends at u = 1 with no search,
-# and a fixed tiny u_lo skips the other descent search. Equal spacing
-# costs a single vectorized P(A_u) evaluation, which keeps the
+# nu has a continuous base, so the descent window needs no search: it
+# ends at u = 1 and starts where w at the two support ends puts it. Equal
+# spacing costs a single vectorized P(A_u) evaluation, which keeps the
 # per-iteration build cheap inside the Gibbs scan.
-NU_SAMPLER_CONFIG = SamplerConfig(
-    n_init_knots=200,
-    knot_method="equal",
-    u_lo_fixed=1e-10,
-)
+NU_SAMPLER_CONFIG = SamplerConfig(n_init_knots=200, knot_method="equal")
 
 
 def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = SamplerConfig()):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import stepdirect.sampler
-from stepdirect.car import car_eigen_precompute, lattice_adjacency, rho_target
+from stepdirect.car import RHO_SAMPLER_CONFIG, car_eigen_precompute, lattice_adjacency, rho_target
 from stepdirect.cmp import CmpParams, cmp_pmf_oracle, cmp_target
-from stepdirect.errors import DomainError, SamplerStallError
+from stepdirect.errors import DegenerateTargetError, DomainError, SamplerStallError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import (
     DirectSampler,
@@ -16,8 +16,10 @@ from stepdirect.sampler import (
     build_sampler,
     rejection_bound,
 )
-from stepdirect.stepfn import find_u_hi, find_u_lo, step_logpdf_unnorm
+from stepdirect.stepfn import DESCENT_TOL, find_u_hi, find_u_lo, step_logpdf_unnorm
+from stepdirect.target import UniformBase, WeightedTarget
 from stepdirect.treg import NU_SAMPLER_CONFIG, NuTargetParams, nu_target
+from tests.test_acceptance import _registered_targets
 from tests.test_target import quadratic_target
 
 
@@ -42,10 +44,6 @@ class TestSamplerConfig:
             SamplerConfig(n_init_knots=0)
         with pytest.raises(DomainError):
             SamplerConfig(knot_method="random")
-        with pytest.raises(DomainError):
-            SamplerConfig(u_lo_fixed=0.0)
-        with pytest.raises(DomainError):
-            SamplerConfig(u_lo_fixed=1.0)
 
     def test_knot_rule_validated_up_front(self):
         # Checked at construction, not after a build, and whatever the
@@ -74,13 +72,6 @@ class TestBuildSampler:
         log_p = np.asarray(target.log_prob_Au(u))
         assert np.all(log_h >= log_p - 1e-12)
 
-    def test_fixed_window_skips_search(self):
-        target = quadratic_target()
-        cfg = SamplerConfig(knot_method="equal", u_lo_fixed=1e-10)
-        step, diag = build_sampler(target, cfg)
-        assert diag.u_lo == 1e-10 and diag.u_hi == 1.0
-        assert step.table.knots[-1] == 1.0
-
     @pytest.mark.parametrize("target", continuous_targets(), ids=lambda t: t.name)
     def test_continuous_base_window_ends_at_one(self, target):
         # The u_hi the search would find is exactly 1 on a continuous base.
@@ -102,12 +93,14 @@ class TestBuildSampler:
         build_sampler(target, NU_SAMPLER_CONFIG)
         assert sizes == [NU_SAMPLER_CONFIG.n_init_knots + 1, 1]
 
-    def test_fixed_u_lo_without_mass_rejected(self):
-        # The quadratic target keeps mass everywhere below u = 1, so build a
-        # discrete one whose superlevel set is empty well before u = 1.
-        target = cmp_target(CmpParams(2.0, 5.0))
-        with pytest.raises(DomainError):
-            build_sampler(target, SamplerConfig(u_lo_fixed=1.0 - 1e-12))
+    @pytest.mark.parametrize("name", ["rho drift=1.0", "rho drift=12.0", "nu A=120.0", "nu A=400.0"])
+    def test_gibbs_configs_start_at_descent_tol(self, name):
+        # On the acceptance gate's nu and rho targets the derived u_lo lies
+        # far below DESCENT_TOL, so the floor gives the old fixed 1e-10.
+        target, cfg = {n: (t, c) for n, t, c in _registered_targets()}[name]
+        assert cfg in (NU_SAMPLER_CONFIG, RHO_SAMPLER_CONFIG)
+        _step, diag = build_sampler(target, cfg)
+        assert diag.u_lo == 1e-10
 
     def test_diagnostics_from_given_step_match_build(self):
         # A sampler over a step built elsewhere reports the same window as
@@ -124,7 +117,56 @@ class TestBuildSampler:
         assert 0.0 <= diag.rejection_bound <= 1.0
 
 
+class TestFindULo:
+    @pytest.mark.parametrize("target", continuous_targets(), ids=lambda t: t.name)
+    def test_closed_form_on_continuous_base(self, target):
+        ends = target.log_w(np.array([target.base.lo, target.base.hi]))
+        expected = max(DESCENT_TOL, math.exp(float(np.min(ends)) - target.log_c))
+        assert find_u_lo(target) == expected
+
+    def test_quadratic_drop_starts_at_u_lo(self):
+        # P(A_u) = P(A_0) until u passes w(1) / c = exp(-2.45).
+        target = quadratic_target()
+        u_lo = find_u_lo(target)
+        assert u_lo == pytest.approx(math.exp(-2.45), rel=1e-12)
+        log_p0 = target.log_prob_Au(0.0)
+        assert target.log_prob_Au(u_lo * (1.0 - 1e-6)) == log_p0
+        assert target.log_prob_Au(u_lo * (1.0 + 1e-6)) < log_p0
+
+    def test_flat_weight_has_no_descent(self):
+        target = WeightedTarget(
+            log_w=lambda x: np.zeros(np.shape(x)), x_mode=0.5, log_c=0.0, base=UniformBase(0.0, 1.0)
+        )
+        with pytest.raises(DegenerateTargetError, match="no descent"):
+            find_u_lo(target)
+
+
+class _CountingGenerator:
+    """Generator stand-in that counts the uniforms handed out."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.n_uniforms = 0
+
+    def uniform(self, *args, size=None):
+        self.n_uniforms += 1 if size is None else int(np.prod(size))
+        return self.generator.uniform(*args, size=size)
+
+
 class TestDraw:
+    def test_uniforms_per_candidate(self):
+        # u and v for every candidate, and x only once one is accepted.
+        target = quadratic_target(scale=2000.0)
+        sampler = DirectSampler(target, SamplerConfig(n_init_knots=1, adapt=False))
+        rng = Rng(3)
+        counter = _CountingGenerator(rng.generator)
+        rng.generator = counter
+        n_rejected = 0
+        for n_draws in range(1, 31):
+            n_rejected += sampler.draw(rng).n_rejected
+            assert counter.n_uniforms == 2 * n_rejected + 3 * n_draws
+        assert n_rejected > 0
+
     def test_reproducible(self):
         target = cmp_target(CmpParams(2.0, 2.0))
         r1 = DirectSampler(target).draw(Rng(5))

@@ -75,6 +75,12 @@ class TestUniformBase:
         with pytest.raises(DomainError):
             UniformBase(1.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_infinite_end(self, lo, hi):
+        # P(A_u) and the derived descent start need w at both ends.
+        with pytest.raises(DomainError, match="finite"):
+            UniformBase(lo, hi)
+
 
 class TestGeometricBase:
     def test_survival_is_exact_linear(self):
