@@ -2,9 +2,10 @@
 
 Candidates u come from the normalized step density via its quantile
 function; acceptance compares log v against log P(A_u) - log h*(u) so tiny
-masses never leave log space. Accepted u values feed the truncated base
-draw, giving exact variates from the weighted target. Optionally each
-rejected u becomes a new knot, tightening the envelope as sampling runs.
+masses never leave log space. An accepted u's window of A_u, solved once
+for the accept test, feeds the truncated base draw, giving exact variates
+from the weighted target. Optionally each rejected u becomes a new knot,
+tightening the envelope as sampling runs.
 """
 from __future__ import annotations
 
@@ -169,15 +170,17 @@ class DirectSampler:
         self.step, inserted = insert_knot(self.step, u, log_p)
         return int(inserted)
 
-    def _accept(self, u: np.ndarray, v: np.ndarray, report: AggregateReport) -> np.ndarray:
-        """The accept rule shared by draw and sample; returns the accept mask.
+    def _accept(self, u: np.ndarray, v: np.ndarray, report: AggregateReport):
+        """The accept rule shared by draw and sample.
 
         Candidate u is accepted when P(A_u) > 0 and log v <= log P(A_u) -
         log h*(u). Rejected candidates become knots (adaptive mode) and
         are counted on ``report``; more than MAX_REJECTS rejections in
-        total raise SamplerStallError.
+        total raise SamplerStallError. Returns the accept mask and the
+        windows (x1, x2) of the accepted candidates' A_u, from the same
+        endpoint solve as the accept test.
         """
-        log_p = np.asarray(self.target.log_prob_Au(u))
+        x1, x2, log_p = self.target.superlevel(u)
         log_h = np.asarray(step_logpdf_unnorm(self.step, u))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = log_p - log_h
@@ -190,7 +193,7 @@ class DirectSampler:
                 f"exceeded {MAX_REJECTS} rejections after {report.n_draws} draws; "
                 f"bound={self.rejection_bound():.3g}, knots={self.step.table.knots.size}"
             )
-        return accept
+        return accept, x1[accept], x2[accept]
 
     def draw(self, rng: Rng) -> DirectDrawReport:
         """One exact draw from the weighted target.
@@ -202,10 +205,11 @@ class DirectSampler:
         while True:
             u = step_quantile(self.step, rng.generator.uniform())
             v = rng.generator.uniform()
-            if self._accept(np.array([u]), np.array([v]), report)[0]:
-                x = self.target.truncated_draw(u, rng)
+            accept, x1, x2 = self._accept(np.array([u]), np.array([v]), report)
+            if accept[0]:
+                x = self.target.base.truncated_draw(x1, x2, rng.generator.uniform())
                 return DirectDrawReport(
-                    x=x,
+                    x=float(x[0]),
                     u_accepted=u,
                     n_rejected=report.n_rejected,
                     knots_inserted=report.knots_inserted,
@@ -231,10 +235,10 @@ class DirectSampler:
             v_acc = rng.generator.uniform(size=m)
             v_x = rng.generator.uniform(size=m)
             u = step_quantile_many(self.step, v_u)
-            accept = self._accept(u, v_acc, report)
-            n_acc = int(np.count_nonzero(accept))
+            accept, x1, x2 = self._accept(u, v_acc, report)
+            n_acc = x1.size
             if n_acc:
-                xs = self.target.truncated_draw_many(u[accept], v_x[accept])
+                xs = self.target.base.truncated_draw(x1, x2, v_x[accept])
                 out[report.n_draws : report.n_draws + n_acc] = xs
                 report.n_draws += n_acc
         return out, report

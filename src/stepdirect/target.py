@@ -26,7 +26,10 @@ __all__ = [
     "integer_window",
 ]
 
-# Absolute bracket width at which the superlevel endpoint bisection stops.
+# Relative stop of the superlevel endpoint solver: a bracket is done once
+# |inside - outside| <= ENDPOINT_TOL * (1 + |inside|). Relative, because an
+# absolute width of 1e-10 is out of reach once |x| >~ 1e6, where adjacent
+# doubles lie ~1.2e-10 apart.
 ENDPOINT_TOL = 1e-10
 
 
@@ -193,40 +196,49 @@ class WeightedTarget:
 
         Where w at the end is already above thr the set reaches the end and
         ``end_open`` is returned. An infinite upper end is first bracketed
-        by doubling outward from the mode.
+        by doubling outward from the mode. The solver starts from the log_w
+        values already known: at the end (or the last doubling point) and
+        log_c at the mode.
         """
         if end == math.inf:
             outside = np.full(thr.shape, max(2.0 * abs(self.x_mode), self.x_mode + 8.0))
             for _ in range(200):
-                open_mask = self.log_w(outside) > thr
+                log_out = self.log_w(outside)
+                open_mask = log_out > thr
                 if not np.any(open_mask):
                     break
                 outside[open_mask] = 2.0 * outside[open_mask] + 8.0
             else:
                 raise DomainError("failed to bracket the right superlevel endpoint")
-            return _bisect_crossing(self.log_w, thr, outside, self.x_mode)
+            return _bisect_crossing(self.log_w, thr, outside, self.x_mode, log_out, self.log_c)
         out = np.full(thr.shape, end_open)
-        mask = ~(self.log_w(np.full(thr.shape, end)) > thr)
+        log_end = float(self.log_w(np.array([end]))[0])
+        mask = ~(log_end > thr)
         if np.any(mask):
-            out[mask] = _bisect_crossing(self.log_w, thr[mask], end, self.x_mode)
+            out[mask] = _bisect_crossing(self.log_w, thr[mask], end, self.x_mode, log_end, self.log_c)
         return out
 
     # -- probabilities and draws -----------------------------------------
 
     def _window(self, u):
-        """Open endpoints (x1, x2) of A_u."""
+        """Open endpoints (x1, x2) of A_u; rejects u outside [0, 1], NaN included."""
         u = np.asarray(u, dtype=float)
+        if not np.all((u >= 0) & (u <= 1)):
+            raise DomainError("u must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             thr = np.where(u > 0, np.log(np.maximum(u, np.finfo(float).tiny)) + self.log_c, -np.inf)
         thr = np.where(u >= 1.0, np.inf, thr)
         return self.interval_endpoints(thr)
 
+    def superlevel(self, u):
+        """(x1, x2, log_p): the open endpoints of A_u = {x : w(x) > u c} and
+        the log base probability of A_u, from one endpoint solve."""
+        x1, x2 = self._window(u)
+        return x1, x2, self.base.log_prob(x1, x2)
+
     def log_prob_Au(self, u):
         """log of the base-measure probability of {x : w(x) > u c}."""
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u > 1)):
-            raise DomainError("u must lie in [0, 1]")
-        return self.base.log_prob(*self._window(u))
+        return self.superlevel(u)[2]
 
     def truncated_draw(self, u, rng):
         """One draw from the base distribution restricted to A_u."""
@@ -240,20 +252,38 @@ class WeightedTarget:
         return np.atleast_1d(self.base.truncated_draw(x1, x2, np.asarray(v, dtype=float)))
 
 
-def _bisect_crossing(log_w, thr, outside, inside):
+def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside):
     """Points where log_w crosses thr, bracketed by outside and inside points.
 
     Vectorized over thr: log_w is at or below thr at ``outside`` and above
-    it at ``inside``, on either side of the mode. Stops once every bracket
-    is narrower than ENDPOINT_TOL and returns the bracket midpoints.
+    it at ``inside``, on either side of the mode; ``log_w_outside`` and
+    ``log_w_inside`` are log_w there. Illinois regula falsi: each step
+    evaluates the secant point of the bracket [a, b], or its midpoint where
+    that point is not finite or not strictly inside (log_w may be -inf at
+    an end), and makes it the new end b. The old b becomes a when the
+    crossing lies between the two; otherwise a stays and its distance
+    log_w - thr is halved, so a fixed end cannot stall the secant. Stops
+    once every bracket has |inside - outside| <= ENDPOINT_TOL * (1 +
+    |inside|) and returns the bracket midpoints.
     """
-    out_a = np.broadcast_to(np.asarray(outside, dtype=float), thr.shape)
-    in_a = np.broadcast_to(np.asarray(inside, dtype=float), thr.shape)
-    for _ in range(200):
-        if np.max(np.abs(in_a - out_a)) <= ENDPOINT_TOL:
-            break
-        mid = 0.5 * (out_a + in_a)
-        above = log_w(mid) > thr
-        in_a = np.where(above, mid, in_a)
-        out_a = np.where(above, out_a, mid)
-    return 0.5 * (out_a + in_a)
+    a = np.broadcast_to(np.asarray(outside, dtype=float), thr.shape)
+    b = np.broadcast_to(np.asarray(inside, dtype=float), thr.shape)
+    g_a = log_w_outside - thr
+    g_b = log_w_inside - thr
+    b_above = np.ones(thr.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            d = b - a
+            x_in = np.where(b_above, b, a)
+            if np.all(np.abs(d) <= ENDPOINT_TOL * (1.0 + np.abs(x_in))):
+                break
+            # The secant point is b - t d; t outside (0, 1), or NaN, bisects.
+            t = g_b / (g_b - g_a)
+            x = b - np.where((t > 0.0) & (t < 1.0), t, 0.5) * d
+            g_x = log_w(x) - thr
+            x_above = g_x > 0.0
+            crossed = x_above != b_above
+            a = np.where(crossed, b, a)
+            g_a = np.where(crossed, g_b, 0.5 * g_a)
+            b, g_b, b_above = x, g_x, x_above
+    return 0.5 * (a + b)

@@ -167,6 +167,18 @@ class TestDraw:
             assert counter.n_uniforms == 2 * n_rejected + 3 * n_draws
         assert n_rejected > 0
 
+    def test_one_endpoint_solve_per_candidate(self):
+        # The accept test and the truncated draw share one solve.
+        target = quadratic_target(scale=2000.0)
+        sampler = DirectSampler(target, SamplerConfig(n_init_knots=1, adapt=False))
+        solves = []
+        endpoints = target.interval_endpoints
+        target.interval_endpoints = lambda thr: solves.append(np.size(thr)) or endpoints(thr)
+        rng = Rng(3)
+        candidates = sum(1 + sampler.draw(rng).n_rejected for _ in range(30))
+        assert candidates > 30
+        assert solves == [1] * candidates
+
     def test_reproducible(self):
         target = cmp_target(CmpParams(2.0, 2.0))
         r1 = DirectSampler(target).draw(Rng(5))
@@ -209,6 +221,21 @@ class TestSampleBlocks:
         tv = 0.5 * np.abs(counts / draws.size - oracle.pmf[: counts.size]).sum()
         assert tv < 0.015
         assert report.n_draws == 20_000
+
+    @pytest.mark.parametrize("adapt", [False, True])
+    def test_one_endpoint_solve_per_block(self, adapt, monkeypatch):
+        target = cmp_target(CmpParams(2.0, 0.2))
+        sampler = DirectSampler(target, SamplerConfig(n_init_knots=3, adapt=adapt))
+        blocks, solves = [], []
+        propose = stepdirect.sampler.step_quantile_many
+        monkeypatch.setattr(
+            stepdirect.sampler, "step_quantile_many", lambda s, phi: blocks.append(np.size(phi)) or propose(s, phi)
+        )
+        endpoints = target.interval_endpoints
+        target.interval_endpoints = lambda thr: solves.append(np.size(thr)) or endpoints(thr)
+        _, report = sampler.sample(5000, Rng(9))
+        assert report.n_rejected > 0 and len(blocks) > 1
+        assert solves == blocks
 
     def test_zero_draws(self):
         draws, report = DirectSampler(quadratic_target()).sample(0, Rng(0))

@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+import stepdirect.target
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import DomainError, EmptySetError
 from stepdirect.rngstats import Rng
 from stepdirect.target import GeometricBase, UniformBase, WeightedTarget, integer_window
+from tests.test_acceptance import _registered_targets
 
 
 def quadratic_target(center: float = 0.3, scale: float = 5.0) -> WeightedTarget:
@@ -171,6 +173,15 @@ class TestWeightedTargetContinuous:
         with pytest.raises(DomainError):
             quadratic_target().log_prob_Au(1.5)
 
+    def test_nan_u_rejected(self):
+        # NaN must not pass for u = 0, whose set is the full support.
+        with pytest.raises(DomainError):
+            quadratic_target().log_prob_Au(math.nan)
+        with pytest.raises(DomainError):
+            cmp_target(CmpParams(2.0, 0.5)).superlevel(np.array([0.5, math.nan]))
+        with pytest.raises(DomainError):
+            quadratic_target().truncated_draw_many(np.array([math.nan]), np.array([0.5]))
+
     def test_truncated_draws_land_in_superlevel_set(self):
         target = quadratic_target()
         u = 0.4
@@ -265,3 +276,73 @@ class TestEndpointSolver:
         assert x2 == pytest.approx([6.5, 14.5], abs=1e-9)
         assert target.interval_endpoints(-1.0) == pytest.approx((3.5, 6.5), abs=1e-9)
 
+
+def reference_crossing(log_w, thr, outside, inside, *_known_log_w):
+    """200 halvings of every bracket, with no early stop."""
+    out_a = np.broadcast_to(np.asarray(outside, dtype=float), thr.shape)
+    in_a = np.broadcast_to(np.asarray(inside, dtype=float), thr.shape)
+    for _ in range(200):
+        mid = 0.5 * (out_a + in_a)
+        above = log_w(mid) > thr
+        in_a = np.where(above, mid, in_a)
+        out_a = np.where(above, out_a, mid)
+    return 0.5 * (out_a + in_a)
+
+
+class TestSuperlevelSolve:
+    """One endpoint solve per u, against a reference bisection."""
+
+    U_GRID = np.linspace(0.0, 1.0, 3001)
+
+    def reference_window(self, target, u, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(stepdirect.target, "_bisect_crossing", reference_crossing)
+            return target.superlevel(u)[:2]
+
+    def test_wide_mode_needs_few_log_w_calls(self):
+        # The mode of CMP(2, 0.05) is about 1.05e6, where adjacent doubles
+        # lie ~1.2e-10 apart: a bisection to an absolute width of 1e-10
+        # runs to a 200-step cap on each side, 402 log_w calls in all.
+        target = cmp_target(CmpParams(2.0, 0.05))
+        assert target.x_mode > 1e6
+        calls = []
+        log_w = target.log_w
+        target.log_w = lambda x: calls.append(np.size(x)) or log_w(x)
+        thr = np.log(np.linspace(1e-10, 1.0, 201)) + target.log_c
+        target.interval_endpoints(thr)
+        assert len(calls) <= 80
+
+    @pytest.mark.parametrize("name", ["nu A=120.0", "nu A=400.0", "rho drift=1.0", "rho drift=12.0"])
+    def test_continuous_endpoints_match_reference(self, name, monkeypatch):
+        target = {n: t for n, t, _cfg in _registered_targets()}[name]
+        ref = self.reference_window(target, self.U_GRID, monkeypatch)
+        new = target.superlevel(self.U_GRID)[:2]
+        for x, x_ref in zip(new, ref):
+            assert np.all(np.abs(x - x_ref) <= 1e-9 * (1.0 + np.abs(x_ref)))
+
+    @pytest.mark.parametrize("nu", [0.05, 0.5, 5.0])
+    def test_cmp_integer_windows_match_reference(self, nu, monkeypatch):
+        target = cmp_target(CmpParams(2.0, nu))
+        ref = integer_window(*self.reference_window(target, self.U_GRID, monkeypatch))
+        new = integer_window(*target.superlevel(self.U_GRID)[:2])
+        assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+
+    @given(
+        lam=st.floats(min_value=1.0, max_value=5.0),
+        nu=st.floats(min_value=0.1, max_value=5.0),
+        u=st.floats(min_value=1e-12, max_value=0.999),
+        v=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_window_probability_and_draw_agree(self, lam, nu, u, v):
+        for target in (cmp_target(CmpParams(lam, nu)), quadratic_target(center=lam / 5.0 - 0.1)):
+            x1, x2, log_p = target.superlevel(u)
+            assert log_p == target.log_prob_Au(u)
+            if math.isinf(log_p):  # no integer strictly inside (x1, x2)
+                with pytest.raises(EmptySetError):
+                    target.truncated_draw_many(np.array([u]), np.array([v]))
+                continue
+            x = target.truncated_draw_many(np.array([u]), np.array([v]))[0]
+            if target.discrete:
+                assert x1 < x < x2
+            else:
+                assert x1 <= x <= x2
