@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, gammaln
 
 from .errors import DomainError, OracleError
+from .logspace import log_sum_exp
 from .search import BisectionSpec, bisect
 from .target import GeometricBase, WeightedTarget
 
@@ -202,7 +203,7 @@ def cmp_pmf_oracle(params: CmpParams, tail_eps: float = 1e-12) -> CmpPmfTable:
         x = np.arange(start, start + _ORACLE_BLOCK, dtype=float)
         t = x * log_lam - params.nu * gammaln(x + 1.0)
         blocks.append(t)
-        log_z = float(np.logaddexp(log_z, logsumexp(t)))
+        log_z = float(np.logaddexp(log_z, log_sum_exp(t)))
         start += _ORACLE_BLOCK
         if t[-1] < t[-2] and t[-1] < math.log(tail_eps) + log_z:
             break

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["log1mexp", "log_diff_exp", "log_add_exp"]
+__all__ = ["log1mexp", "log_diff_exp", "log_add_exp", "log_sum_exp"]
 
 _LOG_HALF = float(np.log(0.5))
 
@@ -51,3 +51,17 @@ def log_add_exp(a, b):
     """log(exp(a) + exp(b)) elementwise."""
     out = np.logaddexp(a, b)
     return out if np.ndim(out) else float(out)
+
+
+def log_sum_exp(a) -> float:
+    """log(sum(exp(a))) over all entries, shifted by the maximum.
+
+    All -inf (or no entries) gives -inf; a +inf entry gives +inf.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -np.inf
+    m = float(np.max(a))
+    if np.isinf(m):
+        return m
+    return m + float(np.log(np.sum(np.exp(a - m))))

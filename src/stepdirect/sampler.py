@@ -1,11 +1,15 @@
 """Rejection sampler driven by the step-function envelope.
 
 Candidates u come from the normalized step density via its quantile
-function; acceptance compares log v against log P(A_u) - log h*(u) so tiny
-masses never leave log space. An accepted u's window of A_u, solved once
-for the accept test, feeds the truncated base draw, giving exact variates
-from the weighted target. Optionally each rejected u becomes a new knot,
-tightening the envelope as sampling runs.
+function. Each knot of the envelope stores a window that contains A_u for
+every u on its piece, with the piece's height equal to the window's base
+mass. A candidate u on piece j draws x from the base truncated to window
+j and is accepted iff log w(x) > log u + log c: with probability
+P(A_u) / h(u), and then x follows the base truncated to A_u, so accepted
+x are exact variates from the weighted target. No candidate solves for
+A_u. Optionally the rejected u of a block become new knots, solved in one
+call and inserted with one rebuild, tightening the envelope as sampling
+runs.
 """
 from __future__ import annotations
 
@@ -16,6 +20,8 @@ import numpy as np
 
 from .errors import DomainError, SamplerStallError
 from .rngstats import Rng
+# step_logpdf_unnorm and step_quantile are not called here, but stay
+# importable from this module: perfbench/spans.py wraps them by name.
 from .stepfn import (
     KnotTable,
     StepApprox,
@@ -122,7 +128,8 @@ def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig(
     A_u keeps positive base mass for every u < 1. On integer support A_u
     empties at the largest w(k)/c, which is searched for.
 
-    The built table gains a leading knot at u = 0 carrying log P(A_0), so
+    The built table gains a leading knot at u = 0 carrying the full
+    support as its window and log P(A_0) as its height, so
     the envelope piece on [0, u_lo) dominates P(A_u) even where the
     DESCENT_TOL floor puts u_lo past the drop. The extra rectangle is
     counted in the rejection bound, and adaptive insertion can split it
@@ -136,10 +143,12 @@ def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig(
         table = select_knots(
             target, u_lo, u_hi, config.n_init_knots, config.midpoint_kind, config.omega
         )
-    log_p0 = float(target.log_prob_Au(0.0))
+    x1_0, x2_0, log_p0 = target.superlevel(0.0)
     table = KnotTable(
         np.concatenate(([0.0], table.knots)),
         np.concatenate(([log_p0], table.log_probs)),
+        np.concatenate(([x1_0], table.x1)),
+        np.concatenate(([x2_0], table.x2)),
     )
     step = build_step(table)
     return step, _diagnostics(step)
@@ -164,53 +173,55 @@ class DirectSampler:
     def rejection_bound(self) -> float:
         return rejection_bound(self.step)
 
-    def _maybe_insert(self, u: float, log_p: float) -> int:
-        if not self.config.adapt or self.step.table.knots.size >= MAX_KNOTS:
-            return 0
-        self.step, inserted = insert_knot(self.step, u, log_p)
-        return int(inserted)
+    def _propose(self, m: int, rng: Rng, report: AggregateReport):
+        """Propose m candidates; return the accepted (u, x) in order.
 
-    def _accept(self, u: np.ndarray, v: np.ndarray, report: AggregateReport):
-        """The accept rule shared by draw and sample.
-
-        Candidate u is accepted when P(A_u) > 0 and log v <= log P(A_u) -
-        log h*(u). Rejected candidates become knots (adaptive mode) and
-        are counted on ``report``; more than MAX_REJECTS rejections in
-        total raise SamplerStallError. Returns the accept mask and the
-        windows (x1, x2) of the accepted candidates' A_u, from the same
-        endpoint solve as the accept test.
+        Takes two uniforms per candidate, all m for u and then all m for x,
+        and evaluates log w once per candidate. A candidate on a piece whose
+        window holds no support point (quantile round-off onto a zero-mass
+        piece) is rejected without a draw. Rejections are counted on
+        ``report``, and more than MAX_REJECTS in total raise
+        SamplerStallError. In adaptive mode the rejected u become knots.
         """
-        x1, x2, log_p = self.target.superlevel(u)
-        log_h = np.asarray(step_logpdf_unnorm(self.step, u))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = log_p - log_h
-            accept = ~np.isneginf(log_p) & ((ratio >= 0.0) | (np.log(v) <= ratio))
-        for u_rej, lp_rej in zip(u[~accept], log_p[~accept]):
-            report.knots_inserted += self._maybe_insert(float(u_rej), float(lp_rej))
-        report.n_rejected += int(np.count_nonzero(~accept))
+        v_u = rng.generator.uniform(size=m)
+        v_x = rng.generator.uniform(size=m)
+        table = self.step.table
+        u = step_quantile_many(self.step, v_u)
+        # u's piece; quantile round-off at either end stays on an end piece.
+        j = np.clip(np.searchsorted(table.knots, u, side="right") - 1, 0, table.knots.size - 2)
+        live = ~np.isneginf(table.log_probs[j])
+        x = np.zeros(m)
+        accept = np.zeros(m, dtype=bool)
+        if np.any(live):
+            j = j[live]
+            x[live] = self.target.base.truncated_draw(table.x1[j], table.x2[j], v_x[live])
+            with np.errstate(divide="ignore"):
+                accept[live] = self.target.log_w(x[live]) > np.log(u[live]) + self.target.log_c
+        rejected = u[~accept]
+        report.n_rejected += rejected.size
         if report.n_rejected > MAX_REJECTS:
             raise SamplerStallError(
                 f"exceeded {MAX_REJECTS} rejections after {report.n_draws} draws; "
-                f"bound={self.rejection_bound():.3g}, knots={self.step.table.knots.size}"
+                f"bound={self.rejection_bound():.3g}, knots={table.knots.size}"
             )
-        return accept, x1[accept], x2[accept]
+        room = MAX_KNOTS - table.knots.size
+        if self.config.adapt and rejected.size and room > 0:
+            u_new = rejected[:room]
+            x1, x2, log_p = self.target.superlevel(u_new)
+            self.step, inserted = insert_knot(self.step, u_new, log_p, x1, x2)
+            report.knots_inserted += inserted
+        return u[accept], x[accept]
 
     def draw(self, rng: Rng) -> DirectDrawReport:
-        """One exact draw from the weighted target.
-
-        Uses two uniforms per candidate (u, then v) and one more for x
-        once a candidate is accepted.
-        """
+        """One exact draw from the weighted target: blocks of one candidate
+        until one is accepted, two uniforms (u, then x) per candidate."""
         report = AggregateReport()
         while True:
-            u = step_quantile(self.step, rng.generator.uniform())
-            v = rng.generator.uniform()
-            accept, x1, x2 = self._accept(np.array([u]), np.array([v]), report)
-            if accept[0]:
-                x = self.target.base.truncated_draw(x1, x2, rng.generator.uniform())
+            u, x = self._propose(1, rng, report)
+            if x.size:
                 return DirectDrawReport(
                     x=float(x[0]),
-                    u_accepted=u,
+                    u_accepted=float(u[0]),
                     n_rejected=report.n_rejected,
                     knots_inserted=report.knots_inserted,
                 )
@@ -231,14 +242,7 @@ class DirectSampler:
         while report.n_draws < n:
             m = min(n - report.n_draws, max(block, 1))
             block *= 2
-            v_u = rng.generator.uniform(size=m)
-            v_acc = rng.generator.uniform(size=m)
-            v_x = rng.generator.uniform(size=m)
-            u = step_quantile_many(self.step, v_u)
-            accept, x1, x2 = self._accept(u, v_acc, report)
-            n_acc = x1.size
-            if n_acc:
-                xs = self.target.base.truncated_draw(x1, x2, v_x[accept])
-                out[report.n_draws : report.n_draws + n_acc] = xs
-                report.n_draws += n_acc
+            _u, x = self._propose(m, rng, report)
+            out[report.n_draws : report.n_draws + x.size] = x
+            report.n_draws += x.size
         return out, report

@@ -3,18 +3,20 @@
 Locates the descent window [u_lo, u_hi], selects knots by greedy rectangle
 splitting or equal spacing, and builds the piecewise-constant unnormalized
 density together with its piecewise-linear CDF and quantile function. All
-knot probabilities are carried as log values.
+knot probabilities are carried as log values. Each knot u_j also carries
+the window (x1_j, x2_j) that its height is the base mass of; the window
+contains A_u for every u on the piece [u_j, u_{j+1}), so the sampler can
+draw x on it without solving for A_u.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BracketError, DegenerateTargetError, DomainError
-from .logspace import log_diff_exp
+from .logspace import log_diff_exp, log_sum_exp
 from .search import BisectionSpec, bisect
 from .target import WeightedTarget
 
@@ -56,22 +58,38 @@ def check_knot_rule(midpoint_kind: str, omega: float) -> None:
 
 @dataclass(frozen=True)
 class KnotTable:
-    """Strictly ascending knots with nonincreasing log P(A_u) values."""
+    """Strictly ascending knots, each with a window and its log base mass.
+
+    ``x1``/``x2`` are the open window that ``superlevel(u_j)`` returned,
+    and ``log_probs`` its log base mass, the height of piece j. Heights
+    are made nonincreasing: where a height exceeds an earlier one (solver
+    noise), the piece takes the earlier knot's height and window, which
+    contains A_u for every later u too. So each height stays the base mass
+    of the window its piece uses.
+    """
 
     knots: np.ndarray
     log_probs: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.knots, dtype=float)
         lp = np.asarray(self.log_probs, dtype=float)
-        if u.ndim != 1 or u.shape != lp.shape or u.size < 2:
+        x1 = np.asarray(self.x1, dtype=float)
+        x2 = np.asarray(self.x2, dtype=float)
+        if u.ndim != 1 or not u.shape == lp.shape == x1.shape == x2.shape or u.size < 2:
             raise DomainError("knot table needs matching 1-d arrays with >= 2 knots")
         if np.any(np.diff(u) <= 0):
             raise DomainError("knots must be strictly ascending")
-        # Monotonicity of P(A_u) up to evaluation noise.
-        lp = np.minimum.accumulate(lp)
+        # Index of the running minimum's knot: a knot keeps its own window
+        # where its height is the minimum so far.
+        idx = np.arange(u.size)
+        src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), idx, 0))
         object.__setattr__(self, "knots", u)
-        object.__setattr__(self, "log_probs", lp)
+        object.__setattr__(self, "log_probs", lp[src])
+        object.__setattr__(self, "x1", x1[src])
+        object.__setattr__(self, "x2", x2[src])
 
     @property
     def n_intervals(self) -> int:
@@ -234,7 +252,7 @@ def select_knots(
         raise DomainError("u_lo must be positive")
     check_knot_rule(midpoint_kind, omega)
     u = np.array([u_lo, u_hi])
-    lp = np.asarray(target.log_prob_Au(u), dtype=float)
+    x1, x2, lp = target.superlevel(u)
     n_knots_goal = n_intervals + 1
     while u.size < n_knots_goal:
         # Ties, and a row of all -inf keys, go to the smaller index.
@@ -250,10 +268,12 @@ def select_knots(
             cands = [u_new] if lo < u_new < hi else []
         if not cands:
             break  # interval narrower than float resolution
-        lp_new = np.asarray(target.log_prob_Au(np.asarray(cands)), dtype=float)
+        x1_new, x2_new, lp_new = target.superlevel(np.asarray(cands))
         u = np.insert(u, j + 1, cands)
         lp = np.insert(lp, j + 1, lp_new)
-    return KnotTable(u, lp)
+        x1 = np.insert(x1, j + 1, x1_new)
+        x2 = np.insert(x2, j + 1, x2_new)
+    return KnotTable(u, lp, x1, x2)
 
 
 def equal_spaced_knots(
@@ -267,8 +287,8 @@ def equal_spaced_knots(
     if u_lo <= 0.0:
         raise DomainError("u_lo must be positive")
     u = np.linspace(u_lo, u_hi, n_intervals + 1)
-    lp = np.asarray(target.log_prob_Au(u))
-    return KnotTable(u, lp)
+    x1, x2, lp = target.superlevel(u)
+    return KnotTable(u, lp, x1, x2)
 
 
 def build_step(kt: KnotTable) -> StepApprox:
@@ -279,7 +299,7 @@ def build_step(kt: KnotTable) -> StepApprox:
         head = lp[0] + (np.log(u[0]) if u[0] > 0 else -np.inf)
         body = lp[:-1] + np.log(np.diff(u))
     terms = np.concatenate(([head], body))
-    log_a = float(logsumexp(terms))
+    log_a = log_sum_exp(terms)
     if math.isinf(log_a):
         raise DegenerateTargetError("step function has zero total mass")
     increments = np.exp(terms - log_a)
@@ -342,34 +362,34 @@ def log_total_rect_area(kt: KnotTable) -> float:
     u = kt.knots
     with np.errstate(invalid="ignore"):
         terms = log_diff_exp(lp[:-1], lp[1:]) + np.log(np.diff(u))
-    return float(logsumexp(terms))
+    return log_sum_exp(terms)
 
 
 def total_rect_area(kt: KnotTable) -> float:
     return float(math.exp(log_total_rect_area(kt)))
 
 
-def insert_knot(s: StepApprox, u: float, log_p: float):
-    """Insert a knot with its log P(A_u) value; rebuild the normalizer.
+def insert_knot(s: StepApprox, u, log_p, x1, x2):
+    """Insert knots with their windows and log masses; rebuild once.
 
-    Returns (step, inserted). Points outside (u_0, u_N) or duplicating an
-    existing knot are ignored with inserted = False.
+    Vectorized over u, with log_p, x1, x2 from ``superlevel(u)``. Returns
+    (step, n_inserted). Points outside (u_0, u_N), on an existing knot, or
+    repeated in the batch are skipped; with nothing left the step is
+    returned as it is. KnotTable keeps the heights nonincreasing.
     """
-    u = float(u)
-    knots = s.table.knots
-    if not knots[0] < u < knots[-1]:
-        return s, False
-    pos = int(np.searchsorted(knots, u))
-    if knots[pos] == u or knots[pos - 1] == u:
-        return s, False
-    lp = s.table.log_probs
-    log_p = min(max(float(log_p), lp[pos]), lp[pos - 1])  # keep monotone
-    new_table = replace(
-        s.table,
-        knots=np.insert(knots, pos, u),
-        log_probs=np.insert(lp, pos, log_p),
+    t = s.table
+    u, log_p, x1, x2 = (
+        np.concatenate((old, np.atleast_1d(np.asarray(new, dtype=float))))
+        for old, new in ((t.knots, u), (t.log_probs, log_p), (t.x1, x1), (t.x2, x2))
     )
-    return build_step(new_table), True
+    # np.unique keeps the first occurrence, so an existing knot wins.
+    knots, first = np.unique(u, return_index=True)
+    inside = (knots >= t.knots[0]) & (knots <= t.knots[-1])
+    n_inserted = int(np.count_nonzero(inside)) - t.knots.size
+    if n_inserted == 0:
+        return s, 0
+    pick = first[inside]
+    return build_step(KnotTable(knots[inside], log_p[pick], x1[pick], x2[pick])), n_inserted
 
 
 def knot_table_rows(kt: KnotTable):

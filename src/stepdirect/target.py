@@ -2,11 +2,15 @@
 
 A weighted target bundles everything the generic sampler needs from one
 distribution f(x) proportional to w(x) g(x): the log weight and its maximum,
-the base distribution g, and a solver for the superlevel-set interval
-{x : log w(x) > threshold}. The base distribution owns the support: given
-the open endpoints (x1, x2) of that interval it returns the log
-probability of the set and draws from g truncated to it, so every
-probability can stay on the log scale.
+the base distribution g, and a solver for the superlevel set
+A_u = {x : log w(x) > log u + log c}. The solver returns an open window
+(x1, x2) that contains A_u: each end is the outside end of the solver's
+final bracket, where log w is at or below the threshold. The base
+distribution owns the support: given a window it returns the window's log
+probability and draws from g truncated to it, so every probability can
+stay on the log scale. The sampler draws x on a stored window and keeps it
+only if w(x) > u c, so a window that is slightly too wide costs a little
+acceptance but never exactness.
 """
 from __future__ import annotations
 
@@ -231,13 +235,17 @@ class WeightedTarget:
         return self.interval_endpoints(thr)
 
     def superlevel(self, u):
-        """(x1, x2, log_p): the open endpoints of A_u = {x : w(x) > u c} and
-        the log base probability of A_u, from one endpoint solve."""
+        """(x1, x2, log_p): an open window (x1, x2) that contains A_u =
+        {x : w(x) > u c}, and its log base probability, from one endpoint
+        solve. log w is at or below log u + log c at each interior end, and
+        the window reaches past A_u by at most one solver tolerance."""
         x1, x2 = self._window(u)
         return x1, x2, self.base.log_prob(x1, x2)
 
     def log_prob_Au(self, u):
-        """log of the base-measure probability of {x : w(x) > u c}."""
+        """log base probability of the window superlevel(u) returns: an
+        upper bound on log P(A_u), by the mass within one solver tolerance
+        of its ends."""
         return self.superlevel(u)[2]
 
     def truncated_draw(self, u, rng):
@@ -264,7 +272,8 @@ def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside):
     crossing lies between the two; otherwise a stays and its distance
     log_w - thr is halved, so a fixed end cannot stall the secant. Stops
     once every bracket has |inside - outside| <= ENDPOINT_TOL * (1 +
-    |inside|) and returns the bracket midpoints.
+    |inside|) and returns each bracket's outside end, where log_w is at or
+    below thr, so the window the ends bound contains the superlevel set.
     """
     a = np.broadcast_to(np.asarray(outside, dtype=float), thr.shape)
     b = np.broadcast_to(np.asarray(inside, dtype=float), thr.shape)
@@ -286,4 +295,4 @@ def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside):
             a = np.where(crossed, b, a)
             g_a = np.where(crossed, g_b, 0.5 * g_a)
             b, g_b, b_above = x, g_x, x_above
-    return 0.5 * (a + b)
+    return np.where(b_above, a, b)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stepdirect.logspace import log1mexp, log_add_exp, log_diff_exp
+from scipy.special import logsumexp
+
+from stepdirect.logspace import log1mexp, log_add_exp, log_diff_exp, log_sum_exp
 
 
 class TestLog1mexp:
@@ -77,3 +79,29 @@ class TestLogAddExp:
         out = log_add_exp(np.array([0.0, -math.inf]), np.array([0.0, -math.inf]))
         assert out[0] == pytest.approx(math.log(2.0))
         assert out[1] == -math.inf
+
+
+class TestLogSumExp:
+    @given(st.lists(st.floats(min_value=-800.0, max_value=800.0), min_size=1, max_size=64))
+    def test_matches_scipy(self, values):
+        a = np.array(values)
+        assert log_sum_exp(a) == pytest.approx(float(logsumexp(a)), rel=1e-12, abs=1e-12)
+
+    def test_random_inputs_match_scipy(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 12, 200, 4096):
+            a = rng.normal(scale=300.0, size=n)
+            assert log_sum_exp(a) == pytest.approx(float(logsumexp(a)), rel=1e-12)
+
+    def test_neg_inf_entries_are_zero_terms(self):
+        a = np.array([-np.inf, -3.0, -np.inf, 1.5, -2000.0])
+        assert log_sum_exp(a) == pytest.approx(float(logsumexp(a)), rel=1e-12)
+        assert log_sum_exp(a) == pytest.approx(math.log(math.exp(-3.0) + math.exp(1.5)))
+
+    def test_all_neg_inf(self):
+        assert log_sum_exp(np.full(5, -np.inf)) == -math.inf
+        assert log_sum_exp(np.array([])) == -math.inf
+
+    def test_no_overflow_or_underflow(self):
+        assert log_sum_exp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0))
+        assert log_sum_exp(np.array([-1e5, -1e5])) == pytest.approx(-1e5 + math.log(2.0))

@@ -39,16 +39,29 @@ def quad_window(quad):
     return u_lo, find_u_hi(quad, u_lo)
 
 
+def windows(n: int):
+    """n nested placeholder windows, widest first."""
+    half = np.linspace(0.5, 0.1, n)
+    return 0.5 - half, 0.5 + half
+
+
 class TestKnotTable:
     def test_validation(self):
         with pytest.raises(DomainError):
-            KnotTable(np.array([0.1]), np.array([0.0]))
+            KnotTable(np.array([0.1]), np.array([0.0]), *windows(1))
         with pytest.raises(DomainError):
-            KnotTable(np.array([0.2, 0.1]), np.array([0.0, -1.0]))
+            KnotTable(np.array([0.2, 0.1]), np.array([0.0, -1.0]), *windows(2))
+        with pytest.raises(DomainError):
+            KnotTable(np.array([0.1, 0.2]), np.array([0.0, -1.0]), *windows(3))
 
     def test_log_probs_forced_nonincreasing(self):
-        kt = KnotTable(np.array([0.1, 0.2, 0.3]), np.array([-1.0, -0.5, -2.0]))
+        x1, x2 = windows(4)
+        kt = KnotTable(np.array([0.1, 0.2, 0.3, 0.4]), np.array([-1.0, -0.5, -0.7, -2.0]), x1, x2)
         assert np.all(np.diff(kt.log_probs) <= 0)
+        # The raised heights take the height and the window of knot 0.
+        assert np.array_equal(kt.log_probs, [-1.0, -1.0, -1.0, -2.0])
+        assert np.array_equal(kt.x1, x1[[0, 0, 0, 3]])
+        assert np.array_equal(kt.x2, x2[[0, 0, 0, 3]])
 
 
 class TestDescentWindow:
@@ -62,7 +75,8 @@ class TestDescentWindow:
         u_lo, _ = quad_window
         # P(A_u) = 1 until u passes the weight's minimum over the support,
         # which for the quadratic weight is w(1) = exp(-5 * 0.49).
-        assert math.exp(quad.log_prob_Au(u_lo)) < 1.0
+        assert math.exp(quad.log_prob_Au(u_lo)) == 1.0
+        assert math.exp(quad.log_prob_Au(u_lo * (1.0 + 1e-8))) < 1.0
         assert u_lo == pytest.approx(math.exp(-5.0 * 0.49), abs=1e-8)
 
     def test_find_u_hi_needs_mass_at_u_lo(self):
@@ -192,26 +206,47 @@ class TestInsertKnot:
     def test_insert_reduces_area(self, quad, step):
         knots = step.table.knots
         u_new = 0.5 * (knots[3] + knots[4])
-        new_step, inserted = insert_knot(step, u_new, float(quad.log_prob_Au(u_new)))
-        assert inserted
+        x1, x2, log_p = quad.superlevel(u_new)
+        new_step, inserted = insert_knot(step, u_new, log_p, x1, x2)
+        assert inserted == 1
         assert new_step.table.knots.size == knots.size + 1
         assert total_rect_area(new_step.table) <= total_rect_area(step.table) + 1e-15
 
     def test_insert_outside_ignored(self, step):
-        same, inserted = insert_knot(step, 1.5, -1.0)
-        assert not inserted and same is step
+        same, inserted = insert_knot(step, 1.5, -1.0, 0.2, 0.4)
+        assert inserted == 0 and same is step
 
     def test_insert_duplicate_ignored(self, step):
-        u = float(step.table.knots[2])
-        _, inserted = insert_knot(step, u, float(step.table.log_probs[2]))
-        assert not inserted
+        t = step.table
+        _, inserted = insert_knot(step, t.knots[2], t.log_probs[2], t.x1[2], t.x2[2])
+        assert inserted == 0
 
     def test_insert_clamps_to_monotone(self, step):
-        knots = step.table.knots
-        u_new = 0.5 * (knots[2] + knots[3])
-        new_step, inserted = insert_knot(step, u_new, 10.0)  # absurdly high value
-        assert inserted
-        assert np.all(np.diff(new_step.table.log_probs) <= 1e-15)
+        # A height above its left neighbour's is lowered to it, and the
+        # piece takes that neighbour's window with it, so each height stays
+        # the base mass of the window its piece draws from.
+        t = step.table
+        u_new = 0.5 * (t.knots[2] + t.knots[3])
+        new_step, inserted = insert_knot(step, u_new, 10.0, 0.0, 1.0)  # absurdly high value
+        assert inserted == 1
+        new = new_step.table
+        assert np.all(np.diff(new.log_probs) <= 0.0)
+        assert (new.log_probs[3], new.x1[3], new.x2[3]) == (t.log_probs[2], t.x1[2], t.x2[2])
+
+    def test_batch_inserts_once(self, quad, step):
+        # Points are sorted into place, and repeats, existing knots and
+        # points outside (u_0, u_N) are skipped.
+        t = step.table
+        mids = 0.5 * (t.knots[1:] + t.knots[:-1])
+        u = np.concatenate((mids[::-1], mids[:2], t.knots[3:4], [1.5]))
+        x1, x2, log_p = quad.superlevel(np.minimum(u, 1.0))
+        new_step, inserted = insert_knot(step, u, log_p, x1, x2)
+        assert inserted == mids.size
+        ref = quad.superlevel(np.sort(np.concatenate((t.knots, mids))))
+        new = new_step.table
+        assert np.array_equal(new.knots, np.sort(np.concatenate((t.knots, mids))))
+        for got, want in zip((new.x1, new.x2, new.log_probs), ref):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 class TestKnotTableRows:
