@@ -237,11 +237,11 @@ def draw_tau2(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> floa
 # -- rho updates -----------------------------------------------------------
 
 
-# rho has a continuous base, so the descent window needs no search: it
-# ends at u = 1 and starts where w at the two support ends puts it. Equal
-# spacing costs one vectorized P(A_u) evaluation regardless of knot count,
-# so a dense grid is cheap.
-RHO_SAMPLER_CONFIG = SamplerConfig(n_init_knots=200, knot_method="equal")
+# The Gibbs step builds a fresh envelope for each draw and drops it after
+# one accepted value. Level knots build it from two log_w calls with no
+# endpoint solve, and the envelope does not adapt, since a knot inserted
+# into it would never be used.
+RHO_SAMPLER_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 
 def draw_rho_direct(

@@ -168,7 +168,7 @@ def cmd_car(args) -> int:
         args.thin,
         args.rho_method,
         Rng(args.seed, 0),
-        config=SamplerConfig(n_init_knots=args.n_knots, knot_method=args.knot_method),
+        config=_gibbs_config(args, car_mod.RHO_SAMPLER_CONFIG),
         sigma_prop=args.sigma_prop,
     )
     params = [n for n in chain.names if not n.startswith("eta_")]
@@ -181,6 +181,13 @@ def cmd_car(args) -> int:
         [[args.rho_method, args.iters, total, frac]],
     )
     return 0
+
+
+def _gibbs_config(args, library_config: SamplerConfig) -> SamplerConfig:
+    """The library's Gibbs config for level knots; --n-knots otherwise."""
+    if args.knot_method == "level":
+        return library_config
+    return SamplerConfig(n_init_knots=args.n_knots, knot_method=args.knot_method)
 
 
 # -- treg subcommands ------------------------------------------------------
@@ -225,7 +232,7 @@ def cmd_treg(args) -> int:
         args.thin,
         args.nu_method,
         Rng(args.seed, 0),
-        config=SamplerConfig(n_init_knots=args.n_knots, knot_method=args.knot_method),
+        config=_gibbs_config(args, treg_mod.NU_SAMPLER_CONFIG),
     )
     rejects = _write_chain(out, args, chain, chain.names, "nu_rejects")
     _write_csv(
@@ -343,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjacency-csv")
     p.add_argument("--rho-method", choices=["direct", "mh"], default="direct")
     p.add_argument("--sigma-prop", type=float, default=0.05)
-    p.add_argument("--n-knots", type=int, default=200)
-    p.add_argument("--knot-method", choices=["equal", "greedy"], default="equal")
+    p.add_argument("--n-knots", type=int, default=200, help="initial knots of the equal and greedy methods")
+    p.add_argument("--knot-method", choices=["level", "equal", "greedy"], default="level")
     p.add_argument("--n-rep", type=int, default=4)
     p.add_argument("--iters", type=int, default=20000)
     p.add_argument("--burnin", type=int, default=5000)
@@ -361,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-csv")
     p.add_argument("--n-internal-knots", type=int, default=6)
     p.add_argument("--nu-method", choices=["direct", "geweke"], default="direct")
-    p.add_argument("--n-knots", type=int, default=200)
-    p.add_argument("--knot-method", choices=["equal", "greedy"], default="equal")
+    p.add_argument("--n-knots", type=int, default=200, help="initial knots of the equal and greedy methods")
+    p.add_argument("--knot-method", choices=["level", "equal", "greedy"], default="level")
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--burnin", type=int, default=5000)
     p.add_argument("--thin", type=int, default=1)

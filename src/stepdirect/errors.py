@@ -39,3 +39,7 @@ class SamplerStallError(StepDirectError):
 
 class OracleError(StepDirectError):
     """A brute-force oracle computation failed to converge."""
+
+
+class ModeError(StepDirectError):
+    """A weighted target's log w exceeds its stated maximum log_c."""

@@ -31,6 +31,7 @@ from .stepfn import (
     find_u_hi,
     find_u_lo,
     insert_knot,
+    level_knots,
     log_total_rect_area,
     select_knots,
     step_logpdf_unnorm,
@@ -57,19 +58,21 @@ class SamplerConfig:
     """How build_sampler places the initial knots, and whether draws adapt.
 
     The descent window is not configurable: find_u_lo and find_u_hi derive
-    it from the target (see build_sampler).
+    it from the target (see build_sampler). ``n_init_knots``,
+    ``midpoint_kind`` and ``omega`` apply to the greedy and equal knots;
+    level knots (continuous bases only) take theirs from the target.
     """
 
     n_init_knots: int = 10
     midpoint_kind: str = "hybrid"
     omega: float = 0.5
     adapt: bool = True
-    knot_method: str = "greedy"  # or "equal"
+    knot_method: str = "greedy"  # or "equal", "level"
 
     def __post_init__(self):
         if self.n_init_knots < 1:
             raise DomainError("n_init_knots must be >= 1")
-        if self.knot_method not in ("greedy", "equal"):
+        if self.knot_method not in ("greedy", "equal", "level"):
             raise DomainError(f"unknown knot method {self.knot_method!r}")
         check_knot_rule(self.midpoint_kind, self.omega)
 
@@ -103,7 +106,9 @@ class AggregateReport:
 
 
 def rejection_bound(step: StepApprox) -> float:
-    """Computable upper bound on the rejection probability: sum|R_j| / a."""
+    """Computable upper bound on the rejection probability:
+    sum_j (h_j - low_j)(u_{j+1} - u_j) / a, with low_j the table's lower
+    bound on P(A_u) over piece j."""
     return _diagnostics(step).rejection_bound
 
 
@@ -120,21 +125,27 @@ def _diagnostics(step: StepApprox) -> BuildDiagnostics:
 
 
 def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig()):
-    """Locate the descent window, select knots, and build the envelope.
+    """Select knots and build the envelope.
 
-    The window starts at find_u_lo's u_lo: in closed form from w at the
-    two support ends on a continuous base, by bisection on integers. On a
-    continuous base the window ends at u_hi = 1: w attains c at x_mode, so
-    A_u keeps positive base mass for every u < 1. On integer support A_u
-    empties at the largest w(k)/c, which is searched for.
+    Level knots (``knot_method="level"``) come from ``level_knots``: two
+    log_w calls and no endpoint solve, with the head knot at u = 0 and
+    u_hi = 1 in the table.
 
-    The built table gains a leading knot at u = 0 carrying the full
-    support as its window and log P(A_0) as its height, so
-    the envelope piece on [0, u_lo) dominates P(A_u) even where the
-    DESCENT_TOL floor puts u_lo past the drop. The extra rectangle is
-    counted in the rejection bound, and adaptive insertion can split it
-    like any other.
+    The greedy and equal knots cover a descent window. It starts at
+    find_u_lo's u_lo: in closed form from w at the two support ends on a
+    continuous base, by bisection on integers. On a continuous base the
+    window ends at u_hi = 1: w attains c at x_mode, so A_u keeps positive
+    base mass for every u < 1. On integer support A_u empties at the
+    largest w(k)/c, which is searched for. The built table gains a leading
+    knot at u = 0 carrying the full support as its window and log P(A_0)
+    as its height, so the envelope piece on [0, u_lo) dominates P(A_u)
+    even where the DESCENT_TOL floor puts u_lo past the drop. The extra
+    rectangle is counted in the rejection bound, and adaptive insertion
+    can split it like any other.
     """
+    if config.knot_method == "level":
+        step = build_step(level_knots(target))
+        return step, _diagnostics(step)
     u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo) if target.discrete else 1.0
     if config.knot_method == "equal":
@@ -181,7 +192,8 @@ class DirectSampler:
         window holds no support point (quantile round-off onto a zero-mass
         piece) is rejected without a draw. Rejections are counted on
         ``report``, and more than MAX_REJECTS in total raise
-        SamplerStallError. In adaptive mode the rejected u become knots.
+        SamplerStallError. In adaptive mode the rejected u become knots,
+        each solved from its piece's window, which already brackets A_u.
         """
         v_u = rng.generator.uniform(size=m)
         v_x = rng.generator.uniform(size=m)
@@ -193,8 +205,8 @@ class DirectSampler:
         x = np.zeros(m)
         accept = np.zeros(m, dtype=bool)
         if np.any(live):
-            j = j[live]
-            x[live] = self.target.base.truncated_draw(table.x1[j], table.x2[j], v_x[live])
+            jl = j[live]
+            x[live] = self.target.base.truncated_draw(table.x1[jl], table.x2[jl], v_x[live])
             with np.errstate(divide="ignore"):
                 accept[live] = self.target.log_w(x[live]) > np.log(u[live]) + self.target.log_c
         rejected = u[~accept]
@@ -207,7 +219,8 @@ class DirectSampler:
         room = MAX_KNOTS - table.knots.size
         if self.config.adapt and rejected.size and room > 0:
             u_new = rejected[:room]
-            x1, x2, log_p = self.target.superlevel(u_new)
+            j_new = j[~accept][:room]
+            x1, x2, log_p = self.target.superlevel(u_new, (table.x1[j_new], table.x2[j_new]))
             self.step, inserted = insert_knot(self.step, u_new, log_p, x1, x2)
             report.knots_inserted += inserted
         return u[accept], x[accept]

@@ -1,12 +1,21 @@
 """Step-function envelope for the descent of P(A_u).
 
-Locates the descent window [u_lo, u_hi], selects knots by greedy rectangle
-splitting or equal spacing, and builds the piecewise-constant unnormalized
-density together with its piecewise-linear CDF and quantile function. All
-knot probabilities are carried as log values. Each knot u_j also carries
-the window (x1_j, x2_j) that its height is the base mass of; the window
-contains A_u for every u on the piece [u_j, u_{j+1}), so the sampler can
-draw x on it without solving for A_u.
+Builds the piecewise-constant unnormalized density over u together with
+its piecewise-linear CDF and quantile function. All knot probabilities
+are carried as log values. Each knot u_j also carries the window
+(x1_j, x2_j) that its height is the base mass of; the window contains A_u
+for every u on the piece [u_j, u_{j+1}), so the sampler can draw x on it
+without solving for A_u. Each piece also carries a lower bound on
+P(A_u) over the piece, from which the rejection bound is computed.
+
+Knots come from one of three rules. The paper's greedy rectangle
+splitting and equal spacing place knots in u over a descent window
+[u_lo, u_hi] and solve each one for its window. Level knots
+(``level_knots``, continuous bases only) need no solve: log w is
+tabulated once on a grid of x around the mode, and the knots are the
+grid's levels w(x_i) / c, so the outer grid bracket of each level is a
+window that contains A_u for every u on its piece (the table or ziggurat
+construction for unimodal densities).
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DegenerateTargetError, DomainError
+from .errors import BracketError, DegenerateTargetError, DomainError, ModeError
 from .logspace import log_diff_exp, log_sum_exp
 from .search import BisectionSpec, bisect
 from .target import WeightedTarget
@@ -29,6 +38,7 @@ __all__ = [
     "find_u_hi",
     "select_knots",
     "equal_spaced_knots",
+    "level_knots",
     "build_step",
     "step_cdf",
     "step_quantile",
@@ -47,6 +57,18 @@ MIDPOINT_KINDS = ("arithmetic", "geometric", "hybrid")
 DESCENT_TOL = 1e-10
 DESCENT_BATCH = 16
 
+# Level tables (see level_knots). 64 cells per scale left the rho Gibbs
+# step above its 1% rejection gate; 128 keeps it near 0.4%.
+SCALE_PROBES = 60
+SCALE_DROP = 0.5
+LEVEL_CELLS = 128
+LEVEL_SPAN = 7
+LEVEL_GROWTH = 1.15
+# Near its mode log w can exceed log_c by its own rounding (7e-12 on the nu
+# target at A = 101, whose terms are ~1e4); past this relative slack,
+# x_mode is not where w peaks.
+MODE_SLACK = 1e-9
+
 
 def check_knot_rule(midpoint_kind: str, omega: float) -> None:
     """Reject a greedy splitting rule that select_knots cannot apply."""
@@ -60,18 +82,24 @@ def check_knot_rule(midpoint_kind: str, omega: float) -> None:
 class KnotTable:
     """Strictly ascending knots, each with a window and its log base mass.
 
-    ``x1``/``x2`` are the open window that ``superlevel(u_j)`` returned,
-    and ``log_probs`` its log base mass, the height of piece j. Heights
+    ``x1``/``x2`` are an open window that contains A_{u_j}, and
+    ``log_probs`` its log base mass, the height of piece j. Heights
     are made nonincreasing: where a height exceeds an earlier one (solver
     noise), the piece takes the earlier knot's height and window, which
     contains A_u for every later u too. So each height stays the base mass
     of the window its piece uses.
+
+    ``log_lows[j]`` is a lower bound on log P(A_u) over piece j (the last
+    entry, which has no piece, is -inf). Left out, it is the next knot's
+    height, which is what solved knots give. Lows are capped at their
+    piece's height.
     """
 
     knots: np.ndarray
     log_probs: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
+    log_lows: np.ndarray | None = None
 
     def __post_init__(self):
         u = np.asarray(self.knots, dtype=float)
@@ -86,10 +114,19 @@ class KnotTable:
         # where its height is the minimum so far.
         idx = np.arange(u.size)
         src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), idx, 0))
+        lp = lp[src]
+        if self.log_lows is None:
+            lows = np.append(lp[1:], -np.inf)
+        else:
+            lows = np.asarray(self.log_lows, dtype=float)
+            if lows.shape != u.shape:
+                raise DomainError("log_lows must match the knots")
+            lows = np.append(np.minimum(lows[:-1], lp[:-1]), -np.inf)
         object.__setattr__(self, "knots", u)
-        object.__setattr__(self, "log_probs", lp[src])
+        object.__setattr__(self, "log_probs", lp)
         object.__setattr__(self, "x1", x1[src])
         object.__setattr__(self, "x2", x2[src])
+        object.__setattr__(self, "log_lows", lows)
 
     @property
     def n_intervals(self) -> int:
@@ -291,6 +328,96 @@ def equal_spaced_knots(
     return KnotTable(u, lp, x1, x2)
 
 
+def _side_distances(scale: float, length: float) -> np.ndarray:
+    """Grid distances from the mode on one side, ending at its length."""
+    cell = scale / LEVEL_CELLS
+    near = cell * np.arange(1, LEVEL_SPAN * LEVEL_CELLS + 1)
+    rest = length - LEVEL_SPAN * scale
+    n_far = 0
+    if rest > 0:
+        n_far = int(math.log1p(rest * (LEVEL_GROWTH - 1.0) / cell) / math.log(LEVEL_GROWTH)) + 1
+    far = LEVEL_SPAN * scale + cell * np.cumsum(LEVEL_GROWTH ** np.arange(1, n_far + 1))
+    d = np.concatenate((near, far))
+    return np.append(d[d < length], length)
+
+
+def _checked_log_w(target: WeightedTarget, x: np.ndarray) -> np.ndarray:
+    """log w at x; raises ModeError where it exceeds log_c by more than rounding."""
+    log_w = np.asarray(target.log_w(x), dtype=float)
+    limit = target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
+    if np.any(log_w > limit):
+        worst = int(np.argmax(log_w))
+        raise ModeError(
+            f"log w({x[worst]!r}) = {log_w[worst]!r} exceeds log_c = {target.log_c!r}: "
+            f"x_mode = {target.x_mode!r} is not the maximizer of w"
+        )
+    return log_w
+
+
+def level_knots(target: WeightedTarget) -> KnotTable:
+    """Knots at the levels of one tabulation of log w, with no endpoint solve.
+
+    Two log_w calls. The first probes x_mode -/+ L 2^-k (k < SCALE_PROBES,
+    L the side's length) and takes as the side's scale s the smallest
+    probed distance at which log w has dropped by SCALE_DROP nats, or L.
+    The second tabulates each side on cells of s / LEVEL_CELLS out to
+    LEVEL_SPAN s, then cells growing by LEVEL_GROWTH, and the support end.
+
+    The knots are u = 0, whose window is the whole support, every distinct
+    tabulated level w(x_i) / c below 1, and u = 1. Knot u_j's window ends,
+    on each side, at the first grid point outward with log w at or below
+    log u_j + log c, or at the support end. As w is unimodal, that window
+    contains A_u for every u >= u_j. The lower bound of piece j is the base
+    mass of the hull of the grid points with log w at or above
+    log u_{j+1} + log c, which lies inside A_u for every u < u_{j+1}; the
+    last piece, which ends at u = 1, gets none.
+
+    Raises DomainError on an integer base, and ModeError where a tabulated
+    log w exceeds log_c by more than MODE_SLACK (1 + |log_c|).
+    """
+    if target.discrete:
+        raise DomainError(
+            "level knots need a continuous base; on integer support use the "
+            "greedy or equal knots"
+        )
+    base, m, log_c = target.base, target.x_mode, target.log_c
+    ends = (base.lo, base.hi)
+    lengths = (m - base.lo, base.hi - m)
+    signs = (-1.0, 1.0)
+    probe = np.array(lengths)[:, None] * 2.0 ** -np.arange(SCALE_PROBES)
+    dropped = _checked_log_w(target, m + np.array(signs)[:, None] * probe) <= log_c - SCALE_DROP
+    grids = [np.empty(0), np.empty(0)]
+    for side in range(2):
+        if lengths[side] > 0:
+            hits = probe[side][dropped[side]]
+            d = _side_distances(float(hits.min()) if hits.size else lengths[side], lengths[side])
+            grids[side] = np.append(m + signs[side] * d[:-1], ends[side])
+    log_w = _checked_log_w(target, np.concatenate(grids))
+    # Each side runs outward from the mode, where log w = log_c.
+    sides = [
+        (np.append(m, x), np.append(log_c, lw))
+        for x, lw in zip(grids, np.split(log_w, [grids[0].size]))
+    ]
+
+    with np.errstate(under="ignore"):
+        levels = np.unique(np.exp(log_w[log_w < log_c] - log_c))
+    u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
+    thr = np.log(u[1:]) + log_c
+    window, hull = [], []
+    for x, lw in sides:
+        # First point outward at or below thr (the support end if none);
+        # last point at or above thr (the mode if none).
+        first = np.searchsorted(-np.minimum.accumulate(lw), -thr, side="left")
+        window.append(x[np.minimum(first, x.size - 1)])
+        last = np.searchsorted(-np.maximum.accumulate(lw[::-1])[::-1], -thr, side="right") - 1
+        hull.append(x[last])
+    x1 = np.append(base.lo, window[0])
+    x2 = np.append(base.hi, window[1])
+    # The last piece ends at u = 1, where P(A_u) falls to 0.
+    lows = np.append(base.log_prob(hull[0][:-1], hull[1][:-1]), [-np.inf, -np.inf])
+    return KnotTable(u, base.log_prob(x1, x2), x1, x2, lows)
+
+
 def build_step(kt: KnotTable) -> StepApprox:
     """Normalize the step function and precompute its CDF at the knots."""
     u = kt.knots
@@ -357,11 +484,11 @@ def step_logpdf_unnorm(s: StepApprox, u):
 
 
 def log_total_rect_area(kt: KnotTable) -> float:
-    """log of the total rectangle area between consecutive knots."""
-    lp = kt.log_probs
-    u = kt.knots
+    """log sum_j (h_j - low_j)(u_{j+1} - u_j): the area between the step
+    function and the lower bounds on P(A_u), which contains the area
+    between the step function and P(A_u)."""
     with np.errstate(invalid="ignore"):
-        terms = log_diff_exp(lp[:-1], lp[1:]) + np.log(np.diff(u))
+        terms = log_diff_exp(kt.log_probs[:-1], kt.log_lows[:-1]) + np.log(np.diff(kt.knots))
     return log_sum_exp(terms)
 
 
@@ -375,12 +502,17 @@ def insert_knot(s: StepApprox, u, log_p, x1, x2):
     Vectorized over u, with log_p, x1, x2 from ``superlevel(u)``. Returns
     (step, n_inserted). Points outside (u_0, u_N), on an existing knot, or
     repeated in the batch are skipped; with nothing left the step is
-    returned as it is. KnotTable keeps the heights nonincreasing.
+    returned as it is. KnotTable keeps the heights nonincreasing. Both
+    halves of a split piece keep the parent piece's lower bound on P(A_u).
     """
     t = s.table
-    u, log_p, x1, x2 = (
-        np.concatenate((old, np.atleast_1d(np.asarray(new, dtype=float))))
-        for old, new in ((t.knots, u), (t.log_probs, log_p), (t.x1, x1), (t.x2, x2))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    parent = np.clip(np.searchsorted(t.knots, u, side="right") - 1, 0, t.knots.size - 1)
+    u, log_p, x1, x2, lows = (
+        np.concatenate((old, np.broadcast_to(np.asarray(new, dtype=float), u.shape)))
+        for old, new in (
+            (t.knots, u), (t.log_probs, log_p), (t.x1, x1), (t.x2, x2), (t.log_lows, t.log_lows[parent])
+        )
     )
     # np.unique keeps the first occurrence, so an existing knot wins.
     knots, first = np.unique(u, return_index=True)
@@ -389,13 +521,13 @@ def insert_knot(s: StepApprox, u, log_p, x1, x2):
     if n_inserted == 0:
         return s, 0
     pick = first[inside]
-    return build_step(KnotTable(knots[inside], log_p[pick], x1[pick], x2[pick])), n_inserted
+    return build_step(KnotTable(knots[inside], log_p[pick], x1[pick], x2[pick], lows[pick])), n_inserted
 
 
 def knot_table_rows(kt: KnotTable):
     """Diagnostic rows (j, u_j, log_p_j, rect_area_j) for CSV dumps."""
     areas = np.concatenate(
-        ([0.0], (np.exp(kt.log_probs[:-1]) - np.exp(kt.log_probs[1:])) * np.diff(kt.knots))
+        ([0.0], (np.exp(kt.log_probs[:-1]) - np.exp(kt.log_lows[:-1])) * np.diff(kt.knots))
     )
     return [
         (j, float(kt.knots[j]), float(kt.log_probs[j]), float(areas[j]))

@@ -163,12 +163,16 @@ class WeightedTarget:
 
     # -- superlevel-set endpoints ----------------------------------------
 
-    def interval_endpoints(self, log_threshold):
+    def interval_endpoints(self, log_threshold, outside=None):
         """Endpoints (x1, x2) of {x : log_w(x) > log_threshold}.
 
         Thresholds are passed on the log scale; -inf yields the full
         support. Accepts scalars or arrays. When the threshold reaches
-        log_c the interval collapses to (x_mode, x_mode).
+        log_c the interval collapses to (x_mode, x_mode). ``outside``
+        optionally gives, per threshold, a window (x1, x2) with log w at or
+        below the threshold at its ends, such as the stored window of a
+        knot below u; an end strictly inside the support starts that side's
+        solve in place of the support end.
         """
         thr = np.atleast_1d(np.asarray(log_threshold, dtype=float))
         scalar = np.ndim(log_threshold) == 0
@@ -188,58 +192,83 @@ class WeightedTarget:
         work = nonempty & ~full
         if np.any(work):
             t = thr[work]
-            x1[work] = self._solve_side(t, lo, lo_open)
-            x2[work] = self._solve_side(t, hi, hi_open)
+            start1, start2 = (
+                (None, None)
+                if outside is None
+                else (np.broadcast_to(np.asarray(o, dtype=float), thr.shape)[work] for o in outside)
+            )
+            x1[work] = self._solve_side(t, lo, lo_open, start1)
+            x2[work] = self._solve_side(t, hi, hi_open, start2)
         x1, x2 = np.minimum(x1, x2), np.maximum(x1, x2)
         if scalar:
             return float(x1[0]), float(x2[0])
         return x1, x2
 
-    def _solve_side(self, thr, end, end_open):
+    def _solve_side(self, thr, end, end_open, start=None):
         """Crossings of thr between the mode and the support end ``end``.
 
-        Where w at the end is already above thr the set reaches the end and
-        ``end_open`` is returned. An infinite upper end is first bracketed
-        by doubling outward from the mode. The solver starts from the log_w
-        values already known: at the end (or the last doubling point) and
-        log_c at the mode.
+        A ``start`` strictly inside the support is taken as the outside end
+        of its bracket. Elsewhere the bracket reaches the support end: where
+        w there is already above thr the set reaches the end and
+        ``end_open`` is returned, and an infinite upper end is first
+        bracketed by doubling outward from the mode. The solver starts from
+        the log_w values already known: at the outside end and log_c at the
+        mode. A start where w is above thr is not a bracket; that side is
+        then returned as reaching the end.
         """
-        if end == math.inf:
-            outside = np.full(thr.shape, max(2.0 * abs(self.x_mode), self.x_mode + 8.0))
+        outside = np.full(thr.shape, float(end))
+        log_out = np.empty(thr.shape)
+        known = np.zeros(thr.shape, dtype=bool)
+        if start is not None:
+            known = (start > self.base.lo) & (start < self.base.hi)
+            if np.any(known):
+                outside[known] = start[known]
+                log_out[known] = self.log_w(start[known])
+        rest = ~known
+        if np.any(rest) and end == math.inf:
+            o = np.full(np.count_nonzero(rest), max(2.0 * abs(self.x_mode), self.x_mode + 8.0))
             for _ in range(200):
-                log_out = self.log_w(outside)
-                open_mask = log_out > thr
+                log_o = self.log_w(o)
+                open_mask = log_o > thr[rest]
                 if not np.any(open_mask):
                     break
-                outside[open_mask] = 2.0 * outside[open_mask] + 8.0
+                o[open_mask] = 2.0 * o[open_mask] + 8.0
             else:
                 raise DomainError("failed to bracket the right superlevel endpoint")
-            return _bisect_crossing(self.log_w, thr, outside, self.x_mode, log_out, self.log_c)
+            outside[rest], log_out[rest] = o, log_o
+        elif np.any(rest):
+            log_out[rest] = float(self.log_w(np.array([end]))[0])
         out = np.full(thr.shape, end_open)
-        log_end = float(self.log_w(np.array([end]))[0])
-        mask = ~(log_end > thr)
-        if np.any(mask):
-            out[mask] = _bisect_crossing(self.log_w, thr[mask], end, self.x_mode, log_end, self.log_c)
+        solve = ~(log_out > thr)
+        if np.any(solve):
+            out[solve] = _bisect_crossing(
+                self.log_w, thr[solve], outside[solve], self.x_mode, log_out[solve], self.log_c
+            )
         return out
 
     # -- probabilities and draws -----------------------------------------
 
-    def _window(self, u):
+    def _window(self, u, outside=None):
         """Open endpoints (x1, x2) of A_u; rejects u outside [0, 1], NaN included."""
         u = np.asarray(u, dtype=float)
         if not np.all((u >= 0) & (u <= 1)):
             raise DomainError("u must lie in [0, 1]")
+        # log 0 = -inf selects the full support; a subnormal u keeps its own
+        # threshold, which the sampler's accept test uses too.
         with np.errstate(divide="ignore"):
-            thr = np.where(u > 0, np.log(np.maximum(u, np.finfo(float).tiny)) + self.log_c, -np.inf)
+            thr = np.log(u) + self.log_c
         thr = np.where(u >= 1.0, np.inf, thr)
-        return self.interval_endpoints(thr)
+        return self.interval_endpoints(thr, outside)
 
-    def superlevel(self, u):
+    def superlevel(self, u, outside=None):
         """(x1, x2, log_p): an open window (x1, x2) that contains A_u =
         {x : w(x) > u c}, and its log base probability, from one endpoint
         solve. log w is at or below log u + log c at each interior end, and
-        the window reaches past A_u by at most one solver tolerance."""
-        x1, x2 = self._window(u)
+        the window reaches past A_u by at most one solver tolerance.
+        ``outside`` optionally gives windows known to contain A_u, such as
+        the stored windows of u's pieces; their interior ends start the
+        solve (see ``interval_endpoints``)."""
+        x1, x2 = self._window(u, outside)
         return x1, x2, self.base.log_prob(x1, x2)
 
     def log_prob_Au(self, u):

@@ -178,11 +178,11 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
     )
 
 
-# nu has a continuous base, so the descent window needs no search: it
-# ends at u = 1 and starts where w at the two support ends puts it. Equal
-# spacing costs a single vectorized P(A_u) evaluation, which keeps the
-# per-iteration build cheap inside the Gibbs scan.
-NU_SAMPLER_CONFIG = SamplerConfig(n_init_knots=200, knot_method="equal")
+# The Gibbs step builds a fresh envelope for each draw and drops it after
+# one accepted value. Level knots build it from two log_w calls with no
+# endpoint solve, and the envelope does not adapt, since a knot inserted
+# into it would never be used.
+NU_SAMPLER_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 
 def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = SamplerConfig()):

@@ -5,11 +5,14 @@ import csv
 import numpy as np
 import pytest
 
-from stepdirect.car import car_dump_csv, car_synthetic
+import stepdirect.car
+import stepdirect.treg
+from stepdirect.car import RHO_SAMPLER_CONFIG, car_dump_csv, car_synthetic
 from stepdirect.cli import build_parser, main
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, SamplerConfig
+from stepdirect.treg import NU_SAMPLER_CONFIG
 
 
 def read_csv(path):
@@ -74,6 +77,32 @@ class TestThreadsFlag:
     def test_nu_compare_takes_threads(self):
         args = build_parser().parse_args(["nu-compare", "--threads", "2", "--out", "x"])
         assert args.threads == 2
+
+
+class TestGibbsConfig:
+    """car and treg run the library's Gibbs step unless told otherwise."""
+
+    @pytest.mark.parametrize(
+        "command, module, run, library",
+        [
+            ("car", stepdirect.car, "car_gibbs_run", RHO_SAMPLER_CONFIG),
+            ("treg", stepdirect.treg, "treg_gibbs_run", NU_SAMPLER_CONFIG),
+        ],
+    )
+    def test_default_is_library_config(self, command, module, run, library, tmp_path, monkeypatch):
+        configs = []
+        original = getattr(module, run)
+
+        def spy(*args, config, **kwargs):
+            configs.append(config)
+            return original(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(module, run, spy)
+        base = [command, "--iters", "3", "--burnin", "0"]
+        assert main(base + ["--out", str(tmp_path / "a")]) == 0
+        equal = ["--knot-method", "equal", "--n-knots", "50"]
+        assert main(base + equal + ["--out", str(tmp_path / "b")]) == 0
+        assert configs == [library, SamplerConfig(n_init_knots=50, knot_method="equal")]
 
 
 class TestCar:

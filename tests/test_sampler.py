@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 import stepdirect.sampler
 from stepdirect.car import RHO_SAMPLER_CONFIG, car_eigen_precompute, lattice_adjacency, rho_target
@@ -80,30 +81,37 @@ class TestBuildSampler:
         _step, diag = build_sampler(target)
         assert diag.u_hi == 1.0 == find_u_hi(target, find_u_lo(target))
 
-    def test_fixed_window_build_solves_twice(self):
-        # One endpoint solve for the knot grid, which also gives the
-        # knots' windows, and one for the head knot at u = 0; a fixed u_lo
-        # on a continuous base needs no mass check.
-        target = nu_target(NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0))
-        sizes = []
-        solve = target.interval_endpoints
-
-        def counted(thr):
-            sizes.append(np.size(thr))
-            return solve(thr)
-
-        target.interval_endpoints = counted
+    @pytest.mark.parametrize("target", continuous_targets(), ids=lambda t: t.name)
+    def test_level_build_makes_no_solve(self, target):
+        # A Gibbs-config build calls log_w twice, for the scale probe and
+        # the table, and solves no endpoint, the head knot included.
+        calls, solves = [], []
+        log_w, endpoints = target.log_w, target.interval_endpoints
+        target.log_w = lambda x: calls.append(np.size(x)) or log_w(x)
+        target.interval_endpoints = lambda *args: solves.append(args) or endpoints(*args)
         build_sampler(target, NU_SAMPLER_CONFIG)
-        assert sizes == [NU_SAMPLER_CONFIG.n_init_knots + 1, 1]
+        assert len(calls) == 2 and solves == []
 
     @pytest.mark.parametrize("name", ["rho drift=1.0", "rho drift=12.0", "nu A=120.0", "nu A=400.0"])
     def test_gibbs_configs_start_at_descent_tol(self, name):
-        # On the acceptance gate's nu and rho targets the derived u_lo lies
-        # far below DESCENT_TOL, so the floor gives the old fixed 1e-10.
+        # The Gibbs configs use level knots, whose u_lo is the smallest
+        # positive tabulated level w(x_i) / c, with no DESCENT_TOL floor.
+        # On the nu targets it lies far below that floor; on the rho targets
+        # w(1) = 0 gives no knot, and the next level is far above it.
         target, cfg = {n: (t, c) for n, t, c in _registered_targets()}[name]
-        assert cfg in (NU_SAMPLER_CONFIG, RHO_SAMPLER_CONFIG)
+        assert cfg in (NU_SAMPLER_CONFIG, RHO_SAMPLER_CONFIG) and cfg.knot_method == "level"
+        tables = []
+        log_w = target.log_w
+
+        def recorded(x):
+            tables.append(log_w(x))
+            return tables[-1]
+
+        target.log_w = recorded
         _step, diag = build_sampler(target, cfg)
-        assert diag.u_lo == 1e-10
+        levels = np.exp(tables[-1] - target.log_c)
+        assert diag.u_lo == levels[levels > 0.0].min()
+        assert (diag.u_lo < DESCENT_TOL) == name.startswith("nu")
 
     def test_diagnostics_from_given_step_match_build(self):
         # A sampler over a step built elsewhere reports the same window as
@@ -144,6 +152,50 @@ class TestFindULo:
             find_u_lo(target)
 
 
+def log_weight_mass(target):
+    """log of the integral of w(x) / c against the base, by quadrature on
+    either side of the mode: the acceptance mass of any exact envelope."""
+
+    def w_over_c(x):
+        return math.exp(float(target.log_w(np.array([x]))[0]) - target.log_c)
+
+    base = target.base
+    parts = [
+        integrate.quad(w_over_c, a, b, limit=500, epsabs=0.0, epsrel=1e-12)[0]
+        for a, b in ((base.lo, target.x_mode), (target.x_mode, base.hi))
+    ]
+    return math.log(sum(parts) / (base.hi - base.lo))
+
+
+class TestLevelEnvelope:
+    """Gibbs-config envelopes against quadrature."""
+
+    @pytest.mark.parametrize("a_const", [101.0, 400.0])
+    def test_rejection_bound_holds(self, a_const):
+        # The rejection probability is 1 - (mass of w / c) / a. Summing
+        # (h_j - h_{j+1}) du in place of (h_j - low_j) du falls below it
+        # on both targets.
+        target = nu_target(NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0))
+        step, diag = build_sampler(target, NU_SAMPLER_CONFIG)
+        rejection = -math.expm1(log_weight_mass(target) - step.log_a)
+        assert 0.0 < rejection <= diag.rejection_bound
+
+    @pytest.mark.parametrize("name", ["nu A=180", "rho 6x6"])
+    def test_draws_match_quadrature(self, name):
+        if name == "nu A=180":
+            target = nu_target(NuTargetParams(n=200, A=180.0, a_nu=0.01, b_nu=200.0))
+        else:
+            target = continuous_targets()[3]
+        draws, _ = DirectSampler(target, NU_SAMPLER_CONFIG).sample(100_000, Rng(21))
+        grid = np.linspace(target.base.lo, target.base.hi, 400_001)
+        with np.errstate(divide="ignore"):
+            density = np.exp(target.log_w(grid) - target.log_c)
+        cdf = integrate.cumulative_trapezoid(density, grid, initial=0.0)
+        cdf /= cdf[-1]
+        pvalue = stats.kstest(draws, lambda x: np.interp(x, grid, cdf)).pvalue
+        assert pvalue > 0.01
+
+
 class _CountingGenerator:
     """Generator stand-in that counts the uniforms handed out."""
 
@@ -178,7 +230,7 @@ class TestDraw:
             sampler = DirectSampler(target, SamplerConfig(n_init_knots=1, adapt=adapt))
             solves = []
             endpoints = target.interval_endpoints
-            target.interval_endpoints = lambda thr: solves.append(np.size(thr)) or endpoints(thr)
+            target.interval_endpoints = lambda thr, *rest: solves.append(np.size(thr)) or endpoints(thr, *rest)
             rng = Rng(3)
             n_rejected = sum(sampler.draw(rng).n_rejected for _ in range(30))
             assert n_rejected > 0
@@ -241,7 +293,7 @@ class TestSampleBlocks:
             lambda s, phi: events.append(("block", np.size(phi))) or propose(s, phi),
         )
         endpoints = target.interval_endpoints
-        target.interval_endpoints = lambda thr: events.append(("solve", np.size(thr))) or endpoints(thr)
+        target.interval_endpoints = lambda thr, *rest: events.append(("solve", np.size(thr))) or endpoints(thr, *rest)
         _, report = sampler.sample(5000, Rng(9))
         kinds = [kind for kind, _ in events]
         solves = [size for kind, size in events if kind == "solve"]
@@ -258,7 +310,7 @@ class TestSampleBlocks:
         points, solves = [], []
         log_w, endpoints = target.log_w, target.interval_endpoints
         target.log_w = lambda x: points.append(np.size(x)) or log_w(x)
-        target.interval_endpoints = lambda thr: solves.append(np.size(thr)) or endpoints(thr)
+        target.interval_endpoints = lambda thr, *rest: solves.append(np.size(thr)) or endpoints(thr, *rest)
         _, report = sampler.sample(5000, Rng(10))
         assert report.n_rejected > 0
         assert sum(points) == 5000 + report.n_rejected
@@ -272,7 +324,7 @@ class TestSampleBlocks:
         monkeypatch.setattr(stepdirect.sampler, "MAX_KNOTS", size + 2)
         solves = []
         endpoints = target.interval_endpoints
-        target.interval_endpoints = lambda thr: solves.append(np.size(thr)) or endpoints(thr)
+        target.interval_endpoints = lambda thr, *rest: solves.append(np.size(thr)) or endpoints(thr, *rest)
         _, report = sampler.sample(5000, Rng(9))
         assert report.n_rejected > 2
         assert report.knots_inserted == 2

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepdirect.car import car_eigen_precompute, lattice_adjacency, rho_target
 from stepdirect.cmp import CmpParams, cmp_target
-from stepdirect.errors import BracketError, DomainError
+from stepdirect.errors import BracketError, DomainError, ModeError
+from stepdirect.sampler import SamplerConfig, build_sampler
 from stepdirect.stepfn import (
     KnotTable,
     build_step,
@@ -17,6 +19,7 @@ from stepdirect.stepfn import (
     find_u_lo,
     insert_knot,
     knot_table_rows,
+    level_knots,
     log_total_rect_area,
     select_knots,
     step_cdf,
@@ -25,6 +28,8 @@ from stepdirect.stepfn import (
     step_quantile_many,
     total_rect_area,
 )
+from stepdirect.target import ENDPOINT_TOL, UniformBase, WeightedTarget
+from stepdirect.treg import NuTargetParams, nu_target
 from tests.test_target import quadratic_target
 
 
@@ -247,6 +252,67 @@ class TestInsertKnot:
         assert np.array_equal(new.knots, np.sort(np.concatenate((t.knots, mids))))
         for got, want in zip((new.x1, new.x2, new.log_probs), ref):
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+class TestLevelKnots:
+    """Knots at the tabulated levels w(x_i) / c, checked against the solver."""
+
+    EIG6 = car_eigen_precompute(lattice_adjacency(6), lattice_adjacency(6).sum(axis=1))
+
+    @staticmethod
+    def check(target):
+        table = level_knots(target)
+        step = build_step(table)
+        u = table.knots
+        assert u[0] == 0.0 and u[-1] == 1.0
+        assert np.array_equal(table.log_probs, target.base.log_prob(table.x1, table.x2))
+        # Each stored window contains A_u at both ends of its piece: it
+        # reaches at least to the solver's window, which lies within one
+        # solver tolerance outside A_u. Each piece's lower bound lies under
+        # P(A_u) there. log w is unimodal only up to its rounding, so pieces
+        # that reach within 1e-9 of u = 1 are left out.
+        x1, x2, log_p = target.superlevel(u)
+        j = np.flatnonzero(u[1:] < 1.0 - 1e-9)
+        for end in (j, j + 1):
+            assert np.all(table.x1[j] <= x1[end] + ENDPOINT_TOL * (1.0 + np.abs(x1[end])))
+            assert np.all(table.x2[j] >= x2[end] - ENDPOINT_TOL * (1.0 + np.abs(x2[end])))
+            assert np.all(table.log_lows[j] <= log_p[end] + 1e-8)
+        grid = np.concatenate((np.linspace(0.0, 1.0, 2001), u))
+        envelope = np.exp(step_logpdf_unnorm(step, grid))
+        assert np.all(envelope >= np.exp(target.log_prob_Au(grid)) - 1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        center=st.floats(min_value=0.0, max_value=1.0),
+        scale=st.floats(min_value=0.5, max_value=5000.0),
+    )
+    def test_quadratic_tables(self, center, scale):
+        self.check(quadratic_target(center, scale))
+
+    @settings(max_examples=25, deadline=None)
+    @given(a_const=st.floats(min_value=100.0, max_value=2000.0))
+    def test_nu_tables(self, a_const):
+        self.check(nu_target(NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        eta_a_eta=st.floats(min_value=-20.0, max_value=60.0),
+        tau2=st.floats(min_value=0.1, max_value=5.0),
+    )
+    def test_rho_tables(self, eta_a_eta, tau2):
+        self.check(rho_target(self.EIG6, eta_a_eta, tau2))
+
+    def test_integer_base_rejected(self):
+        with pytest.raises(DomainError, match="integer support"):
+            build_sampler(cmp_target(CmpParams(2.0, 0.5)), SamplerConfig(knot_method="level"))
+
+    def test_level_above_log_c_raises(self):
+        # x_mode = 0.6 under a peak at 0.3: the table finds w above c.
+        target = WeightedTarget(
+            log_w=quadratic_target().log_w, x_mode=0.6, log_c=-5.0 * 0.09, base=UniformBase(0.0, 1.0)
+        )
+        with pytest.raises(ModeError, match="not the maximizer"):
+            level_knots(target)
 
 
 class TestKnotTableRows:

@@ -12,7 +12,8 @@ import stepdirect.target
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import DomainError, EmptySetError
 from stepdirect.rngstats import Rng
-from stepdirect.target import GeometricBase, UniformBase, WeightedTarget, integer_window
+from stepdirect.sampler import DirectSampler, SamplerConfig
+from stepdirect.target import ENDPOINT_TOL, GeometricBase, UniformBase, WeightedTarget, integer_window
 from tests.test_acceptance import _registered_targets
 
 
@@ -311,6 +312,25 @@ class TestSuperlevelSolve:
         thr = np.log(np.linspace(1e-10, 1.0, 201)) + target.log_c
         target.interval_endpoints(thr)
         assert len(calls) <= 80
+
+    def test_stored_window_starts_the_solve(self):
+        # Each knot's stored window brackets A_u for every u on its piece,
+        # so an insertion at a piece's midpoint starts there instead of at
+        # the support ends (and the doubling toward the infinite one).
+        target = cmp_target(CmpParams(2.0, 0.05))
+        table = DirectSampler(target, SamplerConfig(n_init_knots=20)).step.table
+        u = 0.5 * (table.knots[1:-1] + table.knots[2:])
+        outside = (table.x1[1:-1], table.x2[1:-1])
+        assert np.all((outside[0] > 0.0) & np.isfinite(outside[1]))
+        calls = []
+        log_w = target.log_w
+        target.log_w = lambda x: calls.append(np.size(x)) or log_w(x)
+        scratch = target.superlevel(u)
+        n_scratch = len(calls)
+        stored = target.superlevel(u, outside)
+        assert len(calls) - n_scratch < n_scratch
+        for x, x_ref in zip(stored[:2], scratch[:2]):
+            assert np.all(np.abs(x - x_ref) <= ENDPOINT_TOL * (1.0 + np.abs(x_ref)))
 
     @pytest.mark.parametrize("name", ["nu A=120.0", "nu A=400.0", "rho drift=1.0", "rho drift=12.0"])
     def test_continuous_endpoints_match_reference(self, name, monkeypatch):
