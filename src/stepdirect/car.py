@@ -11,19 +11,36 @@ parameter rho has the nonstandard conditional
 with lambda_i the eigenvalues of D^{-1} A. That is a weighted Uniform(0,1)
 target, so the direct sampler draws rho exactly; a truncated-normal
 Metropolis-Hastings step is included as a baseline.
+
+Cost per iteration. S is a one-hot area indicator, so S'S = diag(counts),
+S'r is a bincount and S eta is eta[area]; the quadratic forms eta'A eta and
+eta'(D - rho A) eta come from the edge list. The eta conditional is then a
+Gaussian Markov random field whose precision diag(counts)/sigma^2 +
+(D - rho A)/tau^2 has the band of A: it is factored by a band Cholesky and
+drawn in O(k b^2) for k areas at bandwidth b (Rue 2001, fast sampling of
+Gaussian Markov random fields), b = grid_side on a lattice. The areas are
+factored in reverse Cuthill-McKee order where that strictly narrows the
+band, and in their own order otherwise. An iteration costs O(n d + k b^2)
+outside the rho step, whose log w costs O(k) per point; the spectrum of
+D^{-1} A is computed once per data set. `CarData` holds all of this, and
+is frozen so none of it can go stale.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.special import ndtr, ndtri
 
 from .chains import ChainOutput
-from .errors import DomainError
+from .errors import DomainError, NotPositiveDefiniteError
 from .rngstats import Rng, sym_eigenvalues
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
 from .search import BisectionSpec, bisect
@@ -33,7 +50,6 @@ __all__ = [
     "CarData",
     "CarHyper",
     "CarState",
-    "CarPrecomp",
     "car_eigen_precompute",
     "rho_target",
     "RHO_SAMPLER_CONFIG",
@@ -75,29 +91,81 @@ def _validate_adjacency(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
+def _one_hot_areas(s: np.ndarray) -> np.ndarray:
+    """Each row's area index; every row of S must be a 0/1 indicator of one area."""
+    area = np.argmax(s, axis=1)
+    one_hot = (s[np.arange(s.shape[0]), area] == 1.0) & (np.count_nonzero(s, axis=1) == 1)
+    if not np.all(one_hot):
+        i = int(np.argmin(one_hot))
+        raise DomainError(f"row {i} of S is not a one-hot area indicator")
+    return area
+
+
+def _band_order(k: int, edges: np.ndarray):
+    """(order, upper band of A in that order) for the banded eta draw.
+
+    order[p] is the area factored at position p: reverse Cuthill-McKee
+    where it strictly narrows the band, else the areas' own order. The
+    band is in LAPACK upper storage: band[b + p - q, q] = A at positions
+    (p, q) for q - b <= p <= q, with b the bandwidth and a zero diagonal row.
+    """
+    i, j = edges.T
+    graph = coo_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(k, k)).tocsr()
+    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    pos = np.empty(k, dtype=int)
+    pos[order] = np.arange(k)
+    if not np.max(np.abs(pos[i] - pos[j])) < np.max(j - i):
+        order = pos = np.arange(k)
+    lo, hi = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+    width = int(np.max(hi - lo))
+    band = np.zeros((width + 1, k))
+    band[width - (hi - lo), hi] = 1.0
+    return order, band
+
+
+@dataclass(frozen=True)
 class CarData:
-    """Observed outcomes with design matrices and the area graph."""
+    """Observed outcomes with design matrices and the area graph.
+
+    Everything the Gibbs scan derives from S and A is computed here once:
+    the row sums D, each outcome's area and the outcomes per area, the
+    edge list, the factor order with the band of A in it, and (on first
+    use) the spectrum of D^{-1} A.
+    """
 
     y: np.ndarray
     X: np.ndarray
     S: np.ndarray
     A: np.ndarray
     D: np.ndarray = field(init=False)
+    area: np.ndarray = field(init=False)  # area index of each outcome
+    counts: np.ndarray = field(init=False)  # outcomes per area
+    edges: np.ndarray = field(init=False)  # (m, 2) area pairs, i < j
+    order: np.ndarray = field(init=False)  # area at each position of the factor order
+    a_band: np.ndarray = field(init=False)  # upper band of A in that order
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.S = np.atleast_2d(np.asarray(self.S, dtype=float))
-        self.A = _validate_adjacency(self.A)
-        n = self.y.size
-        if self.X.shape[0] != n or self.S.shape[0] != n:
+        y = np.asarray(self.y, dtype=float).ravel()
+        x = np.atleast_2d(np.asarray(self.X, dtype=float))
+        s = np.atleast_2d(np.asarray(self.S, dtype=float))
+        a = _validate_adjacency(self.A)
+        n = y.size
+        if x.shape[0] != n or s.shape[0] != n:
             raise DomainError("X and S must have one row per outcome")
-        if self.S.shape[1] != self.A.shape[0]:
+        if s.shape[1] != a.shape[0]:
             raise DomainError("S column count must match the number of areas")
-        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise DomainError("y and X must be finite")
-        self.D = self.A.sum(axis=1)
+        area = _one_hot_areas(s)
+        edges = np.argwhere(np.triu(a) > 0)
+        order, a_band = _band_order(a.shape[0], edges)
+        values = dict(
+            y=y, X=x, S=s, A=a, D=a.sum(axis=1), area=area,
+            counts=np.bincount(area, minlength=a.shape[0]).astype(float),
+            edges=edges, order=order, a_band=a_band,
+        )
+        for name, value in values.items():
+            object.__setattr__(self, name, value)  # the one place the frozen fields are set
 
     @property
     def n(self) -> int:
@@ -110,6 +178,19 @@ class CarData:
     @property
     def k(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.a_band.shape[0] - 1
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of D^{-1} A, descending; computed on first use, then kept."""
+        return car_eigen_precompute(self.A, self.D)
+
+    def eta_a_eta(self, eta: np.ndarray) -> float:
+        """eta' A eta from the edge list: twice the sum of eta_i eta_j over edges."""
+        return 2.0 * float(eta[self.edges[:, 0]] @ eta[self.edges[:, 1]])
 
 
 @dataclass(frozen=True)
@@ -138,13 +219,6 @@ class CarState:
             raise DomainError("variances must be positive")
         if not 0.0 <= self.rho < 1.0:
             raise DomainError("rho must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class CarPrecomp:
-    """Eigenvalues of D^{-1} A, fixed for the whole run."""
-
-    eigenvalues: np.ndarray
 
 
 def car_eigen_precompute(a: np.ndarray, d_row_sums: np.ndarray) -> np.ndarray:
@@ -212,25 +286,41 @@ def rho_target(eigenvalues: np.ndarray, eta_a_eta: float, tau2: float) -> Weight
 
 
 def draw_beta_car(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> np.ndarray:
-    resid = data.y - data.S @ state.eta
+    resid = data.y - state.eta[data.area]
     omega = data.X.T @ data.X / state.sigma2 + np.eye(data.d) / hyper.sigma_beta2
     return rng.mvn_precision(omega, data.X.T @ resid / state.sigma2)
 
 
 def draw_eta(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> np.ndarray:
+    """Draw eta from N(Omega^{-1} b, Omega^{-1}) by a band Cholesky in data.order.
+
+    Omega = diag(counts)/sigma^2 + (D - rho A)/tau^2 and b = S'r/sigma^2 with
+    r = y - X beta. With Omega = U'U, the draw is U^{-1}(U'^{-1} b + z) for
+    z ~ N(0, I): the dense draw, up to round-off, in the identity order.
+    """
     resid = data.y - data.X @ state.beta
-    prior_prec = (np.diag(data.D) - state.rho * data.A) / state.tau2
-    omega = data.S.T @ data.S / state.sigma2 + prior_prec
-    return rng.mvn_precision(omega, data.S.T @ resid / state.sigma2)
+    linear = np.bincount(data.area, weights=resid, minlength=data.k) / state.sigma2
+    order = data.order
+    band = data.a_band * (-state.rho / state.tau2)
+    band[-1] = data.counts[order] / state.sigma2 + data.D[order] / state.tau2
+    upper, info = dpbtrf(band, overwrite_ab=1)
+    if info != 0:
+        raise NotPositiveDefiniteError("precision matrix is not positive definite")
+    mean, _ = dpbtrs(upper, linear[order])
+    dev, _ = dtbtrs(upper, rng.generator.standard_normal(data.k))
+    eta = np.empty(data.k)
+    eta[order] = mean + dev
+    return eta
 
 
 def draw_sigma2_car(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> float:
-    resid = data.y - data.X @ state.beta - data.S @ state.eta
+    resid = data.y - data.X @ state.beta - state.eta[data.area]
     return rng.inverse_gamma_trunc(0.5 * data.n, 0.5 * float(resid @ resid), hyper.m_sigma)
 
 
 def draw_tau2(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> float:
-    quad = float(state.eta @ (np.diag(data.D) - state.rho * data.A) @ state.eta)
+    eta = state.eta
+    quad = float(data.D @ (eta * eta)) - state.rho * data.eta_a_eta(eta)
     return rng.inverse_gamma_trunc(0.5 * data.k, 0.5 * quad, hyper.m_tau)
 
 
@@ -245,26 +335,23 @@ RHO_SAMPLER_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 
 def draw_rho_direct(
-    precomp: CarPrecomp,
-    state: CarState,
     data: CarData,
+    state: CarState,
     rng: Rng,
     config: SamplerConfig = RHO_SAMPLER_CONFIG,
 ):
     """Exact draw of rho from its conditional; returns (rho, report)."""
-    eta_a_eta = float(state.eta @ data.A @ state.eta)
-    target = rho_target(precomp.eigenvalues, eta_a_eta, state.tau2)
+    target = rho_target(data.eigenvalues, data.eta_a_eta(state.eta), state.tau2)
     sampler = DirectSampler(target, config)
     report = sampler.draw(rng)
     return min(report.x, RHO_MAX), report
 
 
 def draw_rho_mh(
-    state: CarState,
-    precomp: CarPrecomp,
     data: CarData,
-    sigma_prop: float,
+    state: CarState,
     rng: Rng,
+    sigma_prop: float,
 ):
     """One truncated-normal MH transition for rho; returns (rho, accepted).
 
@@ -274,8 +361,7 @@ def draw_rho_mh(
     """
     if sigma_prop <= 0:
         raise DomainError("sigma_prop must be positive")
-    eta_a_eta = float(state.eta @ data.A @ state.eta)
-    log_w = _rho_log_w(precomp.eigenvalues, eta_a_eta / (2.0 * state.tau2))
+    log_w = _rho_log_w(data.eigenvalues, data.eta_a_eta(state.eta) / (2.0 * state.tau2))
     lo = float(ndtr((0.0 - state.rho) / sigma_prop))
     hi = float(ndtr((1.0 - state.rho) / sigma_prop))
     u = rng.generator.uniform(lo, hi)
@@ -313,7 +399,6 @@ def car_gibbs_run(
         raise DomainError(f"unknown rho method {rho_method!r}")
     if config is None:
         config = RHO_SAMPLER_CONFIG
-    precomp = CarPrecomp(car_eigen_precompute(data.A, data.D))
     state = init or CarState(
         beta=np.zeros(data.d),
         eta=np.zeros(data.k),
@@ -334,10 +419,10 @@ def car_gibbs_run(
         state.sigma2 = draw_sigma2_car(data, state, hyper, rng)
         state.tau2 = draw_tau2(data, state, hyper, rng)
         if rho_method == "direct":
-            state.rho, report = draw_rho_direct(precomp, state, data, rng, config)
+            state.rho, report = draw_rho_direct(data, state, rng, config)
             rho_rejects[it] = report.n_rejected
         else:
-            state.rho, accepted = draw_rho_mh(state, precomp, data, sigma_prop, rng)
+            state.rho, accepted = draw_rho_mh(data, state, rng, sigma_prop)
             rho_rejects[it] = 0 if accepted else 1
         if it >= burnin and (it - burnin) % thin == 0:
             saved.append(
@@ -408,33 +493,23 @@ def car_synthetic(
 
 
 def car_dump_csv(data: CarData, out_dir) -> None:
-    """Write y.csv (area, y), x.csv, and adjacency.csv (edge list).
-
-    Requires each row of S to assign its observation to exactly one area
-    (a 0/1 indicator row), which is how the synthetic generator and the
-    CSV loader structure their data.
-    """
-    s = data.S
-    if not (np.all((s == 0.0) | (s == 1.0)) and np.all(s.sum(axis=1) == 1.0)):
-        raise DomainError("car_dump_csv requires one-hot area-indicator rows in S")
-    areas = np.argmax(s, axis=1)
+    """Write y.csv (area, y), x.csv, and adjacency.csv (edge list)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "y.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["area", "y"])
-        for area, v in zip(areas, data.y):
+        for area, v in zip(data.area, data.y):
             w.writerow([int(area), repr(float(v))])
     with open(out / "x.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"x_{j}" for j in range(data.d)])
         for row in data.X:
             w.writerow([repr(float(v)) for v in row])
-    edges = np.argwhere(np.triu(data.A) > 0)
     with open(out / "adjacency.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j"])
-        for i, j in edges:
+        for i, j in data.edges:
             w.writerow([int(i), int(j)])
 
 

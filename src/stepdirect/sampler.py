@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "DirectDrawReport",
     "BuildDiagnostics",
     "DirectSampler",
+    "build_envelope",
     "build_sampler",
     "rejection_bound",
 ]
@@ -55,10 +57,10 @@ MAX_REJECTS = 10**6
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """How build_sampler places the initial knots, and whether draws adapt.
+    """How build_envelope places the initial knots, and whether draws adapt.
 
     The descent window is not configurable: find_u_lo and find_u_hi derive
-    it from the target (see build_sampler). ``n_init_knots``,
+    it from the target (see build_envelope). ``n_init_knots``,
     ``midpoint_kind`` and ``omega`` apply to the greedy and equal knots;
     level knots (continuous bases only) take theirs from the target.
     """
@@ -124,7 +126,7 @@ def _diagnostics(step: StepApprox) -> BuildDiagnostics:
     )
 
 
-def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig()):
+def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig()) -> StepApprox:
     """Select knots and build the envelope.
 
     Level knots (``knot_method="level"``) come from ``level_knots``: two
@@ -144,8 +146,7 @@ def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig(
     can split it like any other.
     """
     if config.knot_method == "level":
-        step = build_step(level_knots(target))
-        return step, _diagnostics(step)
+        return build_step(level_knots(target))
     u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo) if target.discrete else 1.0
     if config.knot_method == "equal":
@@ -161,7 +162,12 @@ def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig(
         np.concatenate(([x1_0], table.x1)),
         np.concatenate(([x2_0], table.x2)),
     )
-    step = build_step(table)
+    return build_step(table)
+
+
+def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig()):
+    """(step, diagnostics): ``build_envelope`` and the diagnostics of what it built."""
+    step = build_envelope(target, config)
     return step, _diagnostics(step)
 
 
@@ -175,11 +181,17 @@ class DirectSampler:
     def __init__(self, target: WeightedTarget, config: SamplerConfig = SamplerConfig(), step: StepApprox | None = None):
         self.target = target
         self.config = config
-        if step is None:
-            self.step, self.diagnostics = build_sampler(target, config)
-        else:
-            self.step = step
-            self.diagnostics = _diagnostics(step)
+        self.step = build_envelope(target, config) if step is None else step
+        self._built = self.step
+
+    @cached_property
+    def diagnostics(self) -> BuildDiagnostics:
+        """Diagnostics of the envelope as built or given, before any adaptation.
+
+        Computed on first read: a Gibbs step draws once from each sampler
+        and reads none of it.
+        """
+        return _diagnostics(self._built)
 
     def rejection_bound(self) -> float:
         return rejection_bound(self.step)

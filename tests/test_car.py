@@ -1,16 +1,18 @@
 from __future__ import annotations
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stepdirect.car
 from stepdirect.car import (
     RHO_MAX,
     RHO_SAMPLER_CONFIG,
     CarData,
     CarHyper,
-    CarPrecomp,
     CarState,
     car_dump_csv,
     car_eigen_precompute,
@@ -36,6 +38,50 @@ def cycle_adjacency(k: int) -> np.ndarray:
     for i in range(k):
         a[i, (i + 1) % k] = 1.0
         a[(i + 1) % k, i] = 1.0
+    return a
+
+
+def dense_eta_draw(data: CarData, state: CarState, rng: Rng) -> np.ndarray:
+    """Reference eta draw with dense S and A, factored in the data's order.
+
+    Omega = S'S/sigma^2 + (D - rho A)/tau^2 and b = S'(y - X beta)/sigma^2,
+    drawn by Rng.mvn_precision; the banded draw must match it to round-off.
+    """
+    resid = data.y - data.X @ state.beta
+    omega = data.S.T @ data.S / state.sigma2 + (np.diag(data.D) - state.rho * data.A) / state.tau2
+    linear = data.S.T @ resid / state.sigma2
+    p = data.order
+    eta = np.empty(data.k)
+    eta[p] = rng.mvn_precision(omega[np.ix_(p, p)], linear[p])
+    return eta
+
+
+def relabeled(data: CarData, labels) -> CarData:
+    """The same data with area i renamed labels[i]."""
+    a = np.zeros_like(data.A)
+    a[np.ix_(labels, labels)] = data.A
+    s = np.zeros_like(data.S)
+    s[:, labels] = data.S
+    return CarData(y=data.y, X=data.X, S=s, A=a)
+
+
+def assert_draws_match_dense(data: CarData, state: CarState, seed: int) -> None:
+    band = draw_eta(data, state, CarHyper(), Rng(seed))
+    dense = dense_eta_draw(data, state, Rng(seed))
+    assert np.linalg.norm(band - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Adjacency of a random spanning tree plus extra edges, with random labels."""
+    k = draw(st.integers(min_value=2, max_value=30))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, k)}
+    pairs = st.tuples(st.integers(min_value=0, max_value=k - 1), st.integers(min_value=0, max_value=k - 1))
+    edges |= {(i, j) for i, j in draw(st.lists(pairs, max_size=2 * k)) if i != j}
+    labels = draw(st.permutations(range(k)))
+    a = np.zeros((k, k))
+    for i, j in edges:
+        a[labels[i], labels[j]] = a[labels[j], labels[i]] = 1.0
     return a
 
 
@@ -92,6 +138,81 @@ class TestAdjacencyValidation:
         a[0, 1] = a[1, 0] = 1.0
         with pytest.raises(DomainError):
             self.base(a)
+
+
+class TestAreaIndicator:
+    @pytest.mark.parametrize("row", [[0.0, 1.0, 1.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+    def test_rejects_row_that_is_not_one_hot(self, row):
+        s = np.eye(4)
+        s[2] = row
+        with pytest.raises(DomainError, match="row 2 of S"):
+            CarData(y=np.zeros(4), X=np.ones((4, 1)), S=s, A=cycle_adjacency(4))
+
+    def test_keeps_areas_and_counts(self):
+        s = np.eye(4)[[3, 0, 3, 1]]
+        data = CarData(y=np.zeros(4), X=np.ones((4, 1)), S=s, A=cycle_adjacency(4))
+        np.testing.assert_array_equal(data.area, [3, 0, 3, 1])
+        np.testing.assert_array_equal(data.counts, [1.0, 1.0, 0.0, 2.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.S = np.eye(4)
+
+
+class TestBandedEta:
+    """The banded eta draw against the dense one, with the same Rng."""
+
+    STATE = dict(beta=[1.0, 0.5], sigma2=0.5, tau2=1.3, rho=0.9)
+
+    def state(self, data, seed):
+        eta = Rng(seed).generator.standard_normal(data.k)
+        return CarState(eta=eta, **self.STATE)
+
+    def test_lattice_keeps_identity_order(self):
+        data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(20), n_rep=3)
+        np.testing.assert_array_equal(data.order, np.arange(data.k))
+        assert data.bandwidth == 6
+        assert_draws_match_dense(data, self.state(data, 21), 22)
+
+    def test_cycle(self):
+        k = 6
+        s = np.repeat(np.eye(k), 2, axis=0)
+        x = np.column_stack((np.ones(2 * k), Rng(23).generator.standard_normal(2 * k)))
+        data = CarData(y=Rng(24).generator.standard_normal(2 * k), X=x, S=s, A=cycle_adjacency(k))
+        assert_draws_match_dense(data, self.state(data, 25), 26)
+
+    def test_shuffled_lattice_through_csv_gets_its_band_back(self, tmp_path):
+        data = car_synthetic(20, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(27), n_rep=2)
+        shuffled = relabeled(data, np.random.default_rng(0).permutation(data.k))
+        i, j = shuffled.edges.T
+        assert np.max(j - i) == 384
+        car_dump_csv(shuffled, tmp_path)
+        loaded = car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")
+        assert loaded.bandwidth == 20
+        assert not np.array_equal(loaded.order, np.arange(loaded.k))
+        assert_draws_match_dense(loaded, self.state(loaded, 28), 29)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=connected_graphs(),
+        rho=st.floats(min_value=0.0, max_value=0.99),
+        sigma2=st.floats(min_value=0.2, max_value=5.0),
+        tau2=st.floats(min_value=0.2, max_value=5.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_random_graphs_match_dense(self, a, rho, sigma2, tau2, seed):
+        k = a.shape[0]
+        gen = Rng(seed).generator
+        area = gen.integers(0, k, size=2 * k)  # some areas may have no outcome
+        data = CarData(y=gen.standard_normal(2 * k), X=np.ones((2 * k, 1)), S=np.eye(k)[area], A=a)
+        state = CarState(beta=[0.3], eta=gen.standard_normal(k), sigma2=sigma2, tau2=tau2, rho=rho)
+        eta = state.eta
+
+        scale = np.abs(eta) @ a @ np.abs(eta)
+        assert data.eta_a_eta(eta) == pytest.approx(eta @ a @ eta, rel=0.0, abs=1e-12 * scale)
+        hyper = CarHyper()
+        quad = eta @ (np.diag(data.D) - rho * a) @ eta
+        dense_tau2 = Rng(seed).inverse_gamma_trunc(0.5 * k, 0.5 * quad, hyper.m_tau)
+        assert draw_tau2(data, state, hyper, Rng(seed)) == pytest.approx(dense_tau2, rel=1e-12)
+        assert_draws_match_dense(data, state, seed)
 
 
 class TestEigenPrecompute:
@@ -193,7 +314,6 @@ class TestRhoSteps:
     def setup():
         rng = Rng(7, 0)
         data = car_synthetic(4, beta=[1.0], sigma2=0.5, tau2=1.0, rho=0.7, rng=rng, n_rep=2)
-        precomp = CarPrecomp(car_eigen_precompute(data.A, data.D))
         state = CarState(
             beta=np.array([1.0]),
             eta=rng.generator.standard_normal(data.k) * 0.5,
@@ -201,28 +321,37 @@ class TestRhoSteps:
             tau2=1.0,
             rho=0.5,
         )
-        return data, precomp, state
+        return data, state
 
     def test_direct_in_range(self, setup):
-        data, precomp, state = setup
-        rho, report = draw_rho_direct(precomp, state, data, Rng(8))
+        data, state = setup
+        rho, report = draw_rho_direct(data, state, Rng(8))
         assert 0.0 <= rho <= RHO_MAX
         assert report.n_rejected >= 0
 
     def test_mh_in_range_and_deterministic(self, setup):
-        data, precomp, state = setup
-        r1 = draw_rho_mh(state, precomp, data, 0.05, Rng(9))
-        r2 = draw_rho_mh(state, precomp, data, 0.05, Rng(9))
+        data, state = setup
+        r1 = draw_rho_mh(data, state, Rng(9), 0.05)
+        r2 = draw_rho_mh(data, state, Rng(9), 0.05)
         assert r1 == r2
         assert 0.0 <= r1[0] <= RHO_MAX
 
     def test_mh_validates_proposal_sd(self, setup):
-        data, precomp, state = setup
+        data, state = setup
         with pytest.raises(DomainError):
-            draw_rho_mh(state, precomp, data, 0.0, Rng(0))
+            draw_rho_mh(data, state, Rng(0), 0.0)
 
 
 class TestGibbsRun:
+    def test_spectrum_computed_once_per_data(self, monkeypatch):
+        calls = []
+        spectrum = stepdirect.car.car_eigen_precompute
+        monkeypatch.setattr(stepdirect.car, "car_eigen_precompute", lambda a, d: calls.append(a) or spectrum(a, d))
+        data = car_synthetic(3, beta=[1.0], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(16), n_rep=2)
+        car_gibbs_run(data, CarHyper(), 5, 0, 1, "direct", Rng(17))
+        car_gibbs_run(data, CarHyper(), 5, 0, 1, "mh", Rng(18))
+        assert len(calls) == 1
+
     def test_shapes_and_extras(self):
         data = car_synthetic(3, beta=[1.0, 0.5], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(10), n_rep=2)
         out = car_gibbs_run(data, CarHyper(), iters=30, burnin=10, thin=2, rho_method="direct", rng=Rng(11))

@@ -121,6 +121,19 @@ class TestBuildSampler:
         assert built.diagnostics.u_lo > 0.0
         assert DirectSampler(target, built.config, step=built.step).diagnostics == built.diagnostics
 
+    def test_diagnostics_computed_on_first_read(self, monkeypatch):
+        # A Gibbs step draws once and never reads the diagnostics, so the
+        # rectangle area over its ~2,000 level knots is summed only on demand.
+        calls = []
+        summed = stepdirect.sampler.log_total_rect_area
+        monkeypatch.setattr(stepdirect.sampler, "log_total_rect_area", lambda kt: calls.append(kt) or summed(kt))
+        target = nu_target(NuTargetParams(n=200, A=180.0, a_nu=0.01, b_nu=200.0))
+        sampler = DirectSampler(target, NU_SAMPLER_CONFIG)
+        sampler.draw(Rng(0))
+        assert calls == []
+        assert sampler.diagnostics == build_sampler(target, NU_SAMPLER_CONFIG)[1]
+        assert len(calls) == 2
+
     def test_diagnostics_consistent(self):
         step, diag = build_sampler(quadratic_target())
         assert diag.rejection_bound == pytest.approx(rejection_bound(step))
