@@ -21,9 +21,17 @@ drawn in O(k b^2) for k areas at bandwidth b (Rue 2001, fast sampling of
 Gaussian Markov random fields), b = grid_side on a lattice. The areas are
 factored in reverse Cuthill-McKee order where that strictly narrows the
 band, and in their own order otherwise. An iteration costs O(n d + k b^2)
-outside the rho step, whose log w costs O(k) per point; the spectrum of
-D^{-1} A is computed once per data set. `CarData` holds all of this, and
-is frozen so none of it can go stale.
+outside the rho step.
+
+In the rho step log w = F(rho) + theta rho: F(rho) = (1/2) sum log(1 -
+rho lambda_i) is fixed by the data, and only theta = eta'A eta / (2 tau^2)
+changes between iterations. F is tabulated once per data set on a fixed
+grid, so the step's level knots read F + theta rho from the table, O(grid)
+work with no O(k) term; only the mode search and each candidate's accept
+test evaluate log w, at O(k) a point (and the level knots too, where the
+grid is coarser than their cells). The spectrum of D^{-1} A and the table
+are computed once per data set, on first use. `CarData` holds all of
+this, and is frozen so none of it can go stale.
 """
 from __future__ import annotations
 
@@ -43,14 +51,17 @@ from .chains import ChainOutput
 from .errors import DomainError, NotPositiveDefiniteError
 from .rngstats import Rng, sym_eigenvalues
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
-from .search import BisectionSpec, bisect
-from .target import UniformBase, WeightedTarget
+# bisect is not called here, but stays importable from this module:
+# perfbench/spans.py wraps it by name.
+from .search import bisect  # noqa: F401
+from .target import UniformBase, WeightedTarget, concave_mode
 
 __all__ = [
     "CarData",
     "CarHyper",
     "CarState",
     "car_eigen_precompute",
+    "rho_grid_table",
     "rho_target",
     "RHO_SAMPLER_CONFIG",
     "draw_beta_car",
@@ -68,6 +79,15 @@ __all__ = [
 
 # Largest representable rho: D - rho A stays nonsingular strictly below 1.
 RHO_MAX = 1.0 - 1e-12
+
+# The grid of rho_grid_table has spacing min(1 - rho, RHO_GRID_FLAT) /
+# RHO_GRID_PER_EFOLD: even in rho up to 1 - RHO_GRID_FLAT, then
+# RHO_GRID_PER_EFOLD points per e-fold of 1 - rho. F is tabulated
+# RHO_TABLE_BLOCK points at a time, which bounds the working memory at
+# RHO_TABLE_BLOCK x k doubles.
+RHO_GRID_FLAT = 0.1
+RHO_GRID_PER_EFOLD = 1024
+RHO_TABLE_BLOCK = 256
 
 
 def _validate_adjacency(a: np.ndarray) -> np.ndarray:
@@ -130,7 +150,7 @@ class CarData:
     Everything the Gibbs scan derives from S and A is computed here once:
     the row sums D, each outcome's area and the outcomes per area, the
     edge list, the factor order with the band of A in it, and (on first
-    use) the spectrum of D^{-1} A.
+    use) the spectrum of D^{-1} A and the rho table.
     """
 
     y: np.ndarray
@@ -187,6 +207,11 @@ class CarData:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of D^{-1} A, descending; computed on first use, then kept."""
         return car_eigen_precompute(self.A, self.D)
+
+    @cached_property
+    def rho_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """rho_grid_table of the spectrum; computed on first use, then kept."""
+        return rho_grid_table(self.eigenvalues)
 
     def eta_a_eta(self, eta: np.ndarray) -> float:
         """eta' A eta from the edge list: twice the sum of eta_i eta_j over edges."""
@@ -245,40 +270,65 @@ def _rho_log_w(eigenvalues: np.ndarray, drift: float):
     return log_w
 
 
-def rho_target(eigenvalues: np.ndarray, eta_a_eta: float, tau2: float) -> WeightedTarget:
+def rho_grid_table(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, F): a fixed rho grid and F(rho) = (1/2) sum log(1 - rho lambda_i) on it.
+
+    The grid has spacing min(1 - rho, RHO_GRID_FLAT) / RHO_GRID_PER_EFOLD,
+    dense near 1 where F bends sharply, and runs from rho = 0 through the
+    largest double below 1 to rho = 1: a level point that rounds to within
+    a double of 1 still reads a finite F. F comes from _rho_log_w(lambda,
+    0) itself, RHO_TABLE_BLOCK points at a time, so F + theta grid is,
+    float for float, what rho_target's log_w returns on the grid.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    flat = np.arange(0.0, 1.0 - RHO_GRID_FLAT, RHO_GRID_FLAT / RHO_GRID_PER_EFOLD)
+    below_one = np.nextafter(1.0, 0.0)
+    folds = np.arange(math.ceil(RHO_GRID_PER_EFOLD * math.log(RHO_GRID_FLAT / (1.0 - below_one))) + 1)
+    near_one = np.minimum(1.0 - RHO_GRID_FLAT * np.exp(-folds / RHO_GRID_PER_EFOLD), below_one)
+    rho = np.unique(np.concatenate((flat, near_one, [1.0])))
+    log_f = _rho_log_w(lam, 0.0)
+    blocks = [log_f(rho[i : i + RHO_TABLE_BLOCK]) for i in range(0, rho.size, RHO_TABLE_BLOCK)]
+    return rho, np.concatenate(blocks)
+
+
+def rho_target(
+    eigenvalues: np.ndarray,
+    eta_a_eta: float,
+    tau2: float,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
+) -> WeightedTarget:
     """Weighted Uniform(0,1) target for the dependence parameter.
 
     log w(rho) = (1/2) sum log(1 - rho lambda_i) + rho eta'A eta / (2 tau^2).
     The eigen-sum term is concave and the drift linear, so the derivative
-    has at most one root; the mode is that root or a boundary.
+    has at most one root; the mode is that root or a boundary, found by
+    concave_mode. ``table`` is rho_grid_table(eigenvalues): when given,
+    the target carries log w on its grid, F + theta grid, and the mode
+    search starts from the grid's argmax.
     """
     if tau2 <= 0:
         raise DomainError("tau2 must be positive")
     lam = np.asarray(eigenvalues, dtype=float)
     drift = float(eta_a_eta) / (2.0 * tau2)
     log_w = _rho_log_w(lam, drift)
+    grid = x0 = None
+    if table is not None:
+        rho, log_f = table
+        grid = (rho, log_f + rho * drift)
+        x0 = float(rho[np.argmax(grid[1])])
 
-    def deriv(rho: float) -> float:
-        return float(-0.5 * np.sum(lam / (1.0 - rho * lam)) + drift)
+    def slope(r: float):
+        ratio = lam / (1.0 - r * lam)
+        return -0.5 * float(np.sum(ratio)) + drift, -0.5 * float(ratio @ ratio)
 
-    if deriv(0.0) <= 0.0:
-        x_mode = 0.0
-    elif deriv(RHO_MAX) >= 0.0:
-        x_mode = RHO_MAX
-    else:
-        spec = BisectionSpec(
-            x_lo=0.0,
-            x_hi=RHO_MAX,
-            predicate=lambda r: deriv(r) < 0.0,
-            tolerance=1e-13,
-        )
-        x_mode = float(bisect(spec).x)
+    x_mode = concave_mode(slope, 0.0, RHO_MAX, x0)
     return WeightedTarget(
         log_w=log_w,
         x_mode=x_mode,
         log_c=float(log_w(np.asarray(x_mode))),
         base=UniformBase(0.0, 1.0),
         name="car-rho",
+        grid=grid,
     )
 
 
@@ -328,9 +378,9 @@ def draw_tau2(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> floa
 
 
 # The Gibbs step builds a fresh envelope for each draw and drops it after
-# one accepted value. Level knots build it from two log_w calls with no
-# endpoint solve, and the envelope does not adapt, since a knot inserted
-# into it would never be used.
+# one accepted value. Level knots build it from the data's rho table with
+# no log_w call and no endpoint solve, and the envelope does not adapt,
+# since a knot inserted into it would never be used.
 RHO_SAMPLER_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 
@@ -341,7 +391,7 @@ def draw_rho_direct(
     config: SamplerConfig = RHO_SAMPLER_CONFIG,
 ):
     """Exact draw of rho from its conditional; returns (rho, report)."""
-    target = rho_target(data.eigenvalues, data.eta_a_eta(state.eta), state.tau2)
+    target = rho_target(data.eigenvalues, data.eta_a_eta(state.eta), state.tau2, data.rho_table)
     sampler = DirectSampler(target, config)
     report = sampler.draw(rng)
     return min(report.x, RHO_MAX), report

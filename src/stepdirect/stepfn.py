@@ -20,7 +20,7 @@ construction for unimodal densities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,6 +64,10 @@ SCALE_DROP = 0.5
 LEVEL_CELLS = 128
 LEVEL_SPAN = 7
 LEVEL_GROWTH = 1.15
+# A target's grid stands in for log_w only where its spacing, next to the
+# mode and one scale out on each side, is at most this share of a level
+# cell; snapping then moves a point by at most a quarter of a cell.
+GRID_CELL_SHARE = 0.5
 # Near its mode log w can exceed log_c by its own rounding (7e-12 on the nu
 # target at A = 101, whose terms are ~1e4); past this relative slack,
 # x_mode is not where w peaks.
@@ -341,17 +345,48 @@ def _side_distances(scale: float, length: float) -> np.ndarray:
     return np.append(d[d < length], length)
 
 
-def _checked_log_w(target: WeightedTarget, x: np.ndarray) -> np.ndarray:
-    """log w at x; raises ModeError where it exceeds log_c by more than rounding."""
-    log_w = np.asarray(target.log_w(x), dtype=float)
+def _level_points(target: WeightedTarget, x: np.ndarray, sign: np.ndarray):
+    """(x, log w) at points x, each on the side of x_mode that sign gives (-1 left, +1 right).
+
+    Without a grid, log w comes from one log_w call at x. On a target with
+    a grid, each point snaps to its nearest grid point on its own side of
+    x_mode, and log w is read from the grid: the snap keeps each side's
+    points in order and may repeat one. Raises ModeError where log w
+    exceeds log_c by more than rounding.
+    """
+    if target.grid is None:
+        log_w = np.asarray(target.log_w(x), dtype=float)
+    else:
+        grid_x, grid_log_w = target.grid
+        # The grid spans the support, so i is the first grid point at or
+        # above x, or the one before it where that is nearer (-1 at x = lo,
+        # which the clip below maps to 0).
+        i = np.searchsorted(grid_x, x)
+        i -= x - grid_x[i - 1] < grid_x[i] - x
+        m = target.x_mode
+        right = int(np.searchsorted(grid_x, m, side="right"))  # first grid point past the mode
+        left = right - 1 - (grid_x[right - 1] == m)  # last grid point before it
+        # A side of length 0 (x_mode at a support end) snaps to the end.
+        i = np.clip(np.where(sign > 0, np.maximum(i, right), np.minimum(i, left)), 0, grid_x.size - 1)
+        x, log_w = grid_x[i], grid_log_w[i]
     limit = target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
     if np.any(log_w > limit):
-        worst = int(np.argmax(log_w))
+        worst = np.unravel_index(np.argmax(log_w), log_w.shape)
         raise ModeError(
             f"log w({x[worst]!r}) = {log_w[worst]!r} exceeds log_c = {target.log_c!r}: "
             f"x_mode = {target.x_mode!r} is not the maximizer of w"
         )
-    return log_w
+    return x, log_w
+
+
+def _grid_resolves(grid_x: np.ndarray, m: float, scales, lengths) -> bool:
+    """Whether the grid spacing at the mode, and one scale out on each side
+    of nonzero length, is at most GRID_CELL_SHARE of that side's cell."""
+    at = np.array([m, m - scales[0], m, m + scales[1]])
+    k = np.clip(np.searchsorted(grid_x, at), 1, grid_x.size - 1)
+    spacing = (grid_x[k] - grid_x[k - 1]).reshape(2, 2).max(axis=1)
+    fine = spacing <= GRID_CELL_SHARE * np.array(scales) / LEVEL_CELLS
+    return bool(np.all(fine | (np.array(lengths) == 0)))
 
 
 def level_knots(target: WeightedTarget) -> KnotTable:
@@ -362,6 +397,11 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     probed distance at which log w has dropped by SCALE_DROP nats, or L.
     The second tabulates each side on cells of s / LEVEL_CELLS out to
     LEVEL_SPAN s, then cells growing by LEVEL_GROWTH, and the support end.
+    On a target with a grid both steps read log w from it instead, at the
+    grid point nearest each point on its side of the mode, and call no
+    log_w; the construction below is the same. Where the grid is too coarse
+    for the cells (see _grid_resolves), the target is built as if it had
+    no grid.
 
     The knots are u = 0, whose window is the whole support, every distinct
     tabulated level w(x_i) / c below 1, and u = 1. Knot u_j's window ends,
@@ -373,7 +413,7 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     last piece, which ends at u = 1, gets none.
 
     Raises DomainError on an integer base, and ModeError where a tabulated
-    log w exceeds log_c by more than MODE_SLACK (1 + |log_c|).
+    or grid log w exceeds log_c by more than MODE_SLACK (1 + |log_c|).
     """
     if target.discrete:
         raise DomainError(
@@ -385,18 +425,25 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     lengths = (m - base.lo, base.hi - m)
     signs = (-1.0, 1.0)
     probe = np.array(lengths)[:, None] * 2.0 ** -np.arange(SCALE_PROBES)
-    dropped = _checked_log_w(target, m + np.array(signs)[:, None] * probe) <= log_c - SCALE_DROP
+    sign = np.array(signs)[:, None]
+    x, log_w = _level_points(target, m + sign * probe, sign)
+    if target.grid is not None:
+        probe = sign * (x - m)  # the distances of the grid points read
+    dropped = log_w <= log_c - SCALE_DROP
+    scales = [float(probe[i][dropped[i]].min()) if np.any(dropped[i]) else lengths[i] for i in range(2)]
+    if target.grid is not None and not _grid_resolves(target.grid[0], m, scales, lengths):
+        return level_knots(replace(target, grid=None))
     grids = [np.empty(0), np.empty(0)]
     for side in range(2):
         if lengths[side] > 0:
-            hits = probe[side][dropped[side]]
-            d = _side_distances(float(hits.min()) if hits.size else lengths[side], lengths[side])
+            d = _side_distances(scales[side], lengths[side])
             grids[side] = np.append(m + signs[side] * d[:-1], ends[side])
-    log_w = _checked_log_w(target, np.concatenate(grids))
+    n_left = grids[0].size
+    x, log_w = _level_points(target, np.concatenate(grids), np.repeat(signs, [n_left, grids[1].size]))
     # Each side runs outward from the mode, where log w = log_c.
     sides = [
-        (np.append(m, x), np.append(log_c, lw))
-        for x, lw in zip(grids, np.split(log_w, [grids[0].size]))
+        (np.append(m, xs), np.append(log_c, lw))
+        for xs, lw in zip(np.split(x, [n_left]), np.split(log_w, [n_left]))
     ]
 
     with np.errstate(under="ignore"):

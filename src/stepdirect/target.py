@@ -11,6 +11,10 @@ probability and draws from g truncated to it, so every probability can
 stay on the log scale. The sampler draws x on a stored window and keeps it
 only if w(x) > u c, so a window that is slightly too wide costs a little
 acceptance but never exactness.
+
+A target whose log w is a fixed function plus a linear term may also carry
+log w tabulated on a fixed grid (``WeightedTarget.grid``), and
+``concave_mode`` finds the mode of a log w with decreasing derivative.
 """
 from __future__ import annotations
 
@@ -20,13 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EmptySetError
+from .errors import DomainError, EmptySetError, NonConvergenceError
 from .logspace import log1mexp
 
 __all__ = [
     "UniformBase",
     "GeometricBase",
     "WeightedTarget",
+    "concave_mode",
     "integer_window",
 ]
 
@@ -35,6 +40,11 @@ __all__ = [
 # absolute width of 1e-10 is out of reach once |x| >~ 1e6, where adjacent
 # doubles lie ~1.2e-10 apart.
 ENDPOINT_TOL = 1e-10
+
+# Relative stop of concave_mode: a Newton or bisection step of at most
+# MODE_TOL * (1 + |x|) ends the search.
+MODE_TOL = 1e-14
+MODE_MAX_STEPS = 500
 
 
 def integer_window(x1, x2):
@@ -149,6 +159,11 @@ class WeightedTarget:
     ``x_mode``. The support is the base's: continuous on [base.lo,
     base.hi] or the integers {0, 1, ...}. Instances are immutable in
     practice and safe to share.
+
+    ``grid``, when given, is log w tabulated at fixed points: a pair
+    (x, log w) with x ascending and spanning the support, and each log w
+    the value ``log_w`` itself returns at that x. ``level_knots`` then
+    reads its points from the grid instead of calling ``log_w``.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]
@@ -156,6 +171,7 @@ class WeightedTarget:
     log_c: float
     base: UniformBase | GeometricBase
     name: str = ""
+    grid: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def discrete(self) -> bool:
@@ -287,6 +303,46 @@ class WeightedTarget:
         """Vectorized truncated draws given uniforms v, one per u."""
         x1, x2 = (np.atleast_1d(b) for b in self._window(u))
         return np.atleast_1d(self.base.truncated_draw(x1, x2, np.asarray(v, dtype=float)))
+
+
+def concave_mode(slope, lo: float, hi: float, x0: float | None = None) -> float:
+    """Maximizer on [lo, hi] of a log weight whose derivative decreases.
+
+    ``slope(x)`` returns (g, h): the first and second derivatives of log w
+    at x. The mode is lo where g(lo) <= 0, hi where g(hi) >= 0, and the root
+    of g otherwise. The root is found by Newton steps from x0 (the midpoint
+    if None), safeguarded as in Numerical Recipes' rtsafe: the bracket
+    [a, b] keeps g(a) > 0 > g(b), and a Newton step that leaves it, or is
+    not below half the last step, is replaced by bisecting it. Stops once a
+    step is at most MODE_TOL (1 + |x|).
+    """
+    if slope(lo)[0] <= 0.0:
+        return float(lo)
+    if slope(hi)[0] >= 0.0:
+        return float(hi)
+    a, b = float(lo), float(hi)
+    x = 0.5 * (a + b) if x0 is None else min(max(float(x0), a), b)
+    step = b - a
+    for _ in range(MODE_MAX_STEPS):
+        g, h = slope(x)
+        if g > 0.0:
+            a = x
+        elif g < 0.0:
+            b = x
+        elif g == 0.0:
+            return x
+        else:
+            raise DomainError(f"log w has no finite slope at {x!r}")
+        step_old, step = step, (-g / h if h < 0.0 else math.inf)
+        # A Newton step within tolerance ends the search even where it rounds
+        # onto a bracket end; a larger one must stay inside and shrink.
+        converged = abs(step) <= MODE_TOL * (1.0 + abs(x))
+        if not converged and (not a < x + step < b or abs(step) > 0.5 * abs(step_old)):
+            step = 0.5 * (a + b) - x
+        x = min(max(x + step, a), b)
+        if abs(step) <= MODE_TOL * (1.0 + abs(x)):
+            return x
+    raise NonConvergenceError(f"mode search did not converge in [{a!r}, {b!r}]")
 
 
 def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside):

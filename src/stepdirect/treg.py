@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, zeta
 
 from .chains import ChainOutput
 from .errors import DomainError
 from .rngstats import Rng
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
 from .search import BisectionSpec, bisect
-from .target import UniformBase, WeightedTarget
+from .target import UniformBase, WeightedTarget, concave_mode
 
 __all__ = [
     "TregData",
@@ -155,20 +155,19 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
 
     The derivative of log w is decreasing, so the mode is b_nu when the
     derivative stays positive on the box, a_nu when it stays negative, and
-    the interior root otherwise.
+    the interior root otherwise, found by concave_mode. Since 1/(2x) <
+    log x - psi(x) < 1/x, the root lies between nu_0 = n / (2A - n) and
+    2 nu_0, and the derivative is convex, so Newton steps from nu_0 rise
+    to the root without overshoot.
     """
-    if _nu_deriv(p.b_nu, p.n, p.A) >= 0.0:
-        x_mode = p.b_nu
-    elif _nu_deriv(p.a_nu, p.n, p.A) <= 0.0:
-        x_mode = p.a_nu
-    else:
-        spec = BisectionSpec(
-            x_lo=p.a_nu,
-            x_hi=p.b_nu,
-            predicate=lambda v: _nu_deriv(v, p.n, p.A) < 0.0,
-            tolerance=1e-13,
-        )
-        x_mode = float(bisect(spec).x)
+
+    def slope(nu: float):
+        # scipy's zeta(2, x) is the trigamma function psi'(x).
+        curvature = 0.5 * p.n * (1.0 / nu - 0.5 * float(zeta(2.0, nu / 2.0)))
+        return _nu_deriv(nu, p.n, p.A), curvature
+
+    nu_0 = p.n / (2.0 * p.A - p.n) if p.A > 0.5 * p.n else p.b_nu
+    x_mode = concave_mode(slope, p.a_nu, p.b_nu, nu_0)
     return WeightedTarget(
         log_w=lambda v: nu_log_weight(v, p.n, p.A),
         x_mode=x_mode,
@@ -185,8 +184,9 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
 NU_SAMPLER_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 
-def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = SamplerConfig()):
-    """One exact draw of nu; returns (nu, DirectDrawReport)."""
+def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = NU_SAMPLER_CONFIG):
+    """One exact draw of nu; returns (nu, DirectDrawReport). The default
+    config builds what the Gibbs step builds."""
     sampler = DirectSampler(nu_target(p), config)
     report = sampler.draw(rng)
     return report.x, report

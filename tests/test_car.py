@@ -26,11 +26,13 @@ from stepdirect.car import (
     draw_sigma2_car,
     draw_tau2,
     lattice_adjacency,
+    rho_grid_table,
     rho_target,
 )
 from stepdirect.errors import DomainError
 from stepdirect.rngstats import Rng
-from stepdirect.sampler import DirectSampler
+from stepdirect.sampler import DirectSampler, rejection_bound
+from stepdirect.stepfn import build_step, level_knots
 
 
 def cycle_adjacency(k: int) -> np.ndarray:
@@ -256,6 +258,59 @@ class TestRhoTarget:
         emp = np.histogram(draws, bins=np.concatenate(([0.0], edges, [1.0])))[0] / draws.size
         exact = np.diff(np.concatenate(([0.0], qs, [1.0])))
         assert 0.5 * np.abs(emp - exact).sum() < 0.015
+
+
+class TestRhoTable:
+    """Level knots read from the data's rho table instead of calling log_w."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=connected_graphs(),
+        drifts=st.lists(
+            st.tuples(st.floats(min_value=-20.0, max_value=60.0), st.floats(min_value=0.1, max_value=5.0)),
+            min_size=8,
+            max_size=8,
+        ),
+    )
+    def test_tabulated_envelope(self, a, drifts):
+        eig = car_eigen_precompute(a, a.sum(axis=1))
+        table = rho_grid_table(eig)
+        bounds, plain_bounds = [], []
+        for eta_a_eta, tau2 in drifts:
+            target = rho_target(eig, eta_a_eta, tau2, table)
+            grid_x, grid_log_w = target.grid
+            assert np.array_equal(grid_log_w, target.log_w(grid_x))
+            kt = level_knots(target)
+            assert np.array_equal(kt.log_probs, target.base.log_prob(kt.x1, kt.x2))
+            with np.errstate(divide="ignore"):
+                thr = np.log(kt.knots) + target.log_c
+            for ends in (kt.x1, kt.x2):
+                inside = (ends > 0.0) & (ends < 1.0)
+                assert np.all(target.log_w(ends[inside]) <= thr[inside])
+            bounds.append(rejection_bound(build_step(kt)))
+            plain_bounds.append(rejection_bound(build_step(level_knots(dataclasses.replace(target, grid=None)))))
+        # One target's bound moves by a few percent when its level points
+        # shift by a fraction of a cell, with or without the table; summed
+        # over several drifts the table may loosen it by at most 5%.
+        assert sum(bounds) <= 1.05 * sum(plain_bounds)
+        assert max(b / p for b, p in zip(bounds, plain_bounds)) <= 1.25
+
+    def test_table_built_on_first_rho_step_only(self, monkeypatch):
+        calls = []
+        table = stepdirect.car.rho_grid_table
+        monkeypatch.setattr(stepdirect.car, "rho_grid_table", lambda lam: calls.append(lam) or table(lam))
+        data = car_synthetic(3, beta=[1.0], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(19), n_rep=2)
+        assert not calls
+        car_gibbs_run(data, CarHyper(), 5, 0, 1, "direct", Rng(20))
+        car_gibbs_run(data, CarHyper(), 5, 0, 1, "direct", Rng(21))
+        assert len(calls) == 1
+
+    def test_grid_spans_the_support(self):
+        eig = car_eigen_precompute(lattice_adjacency(4), lattice_adjacency(4).sum(axis=1))
+        grid, log_f = rho_grid_table(eig)
+        assert grid[0] == 0.0 and grid[-1] == 1.0 and grid[-2] == np.nextafter(1.0, 0.0)
+        assert np.all(np.diff(grid) > 0.0)
+        assert np.array_equal(log_f, rho_target(eig, 0.0, 1.0).log_w(grid))
 
 
 class TestConjugateDraws:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepdirect.car import car_eigen_precompute, lattice_adjacency, rho_target
+from stepdirect.car import car_eigen_precompute, lattice_adjacency, rho_grid_table, rho_target
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import BracketError, DomainError, ModeError
 from stepdirect.sampler import SamplerConfig, build_sampler
@@ -294,13 +295,15 @@ class TestLevelKnots:
     def test_nu_tables(self, a_const):
         self.check(nu_target(NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0)))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
         eta_a_eta=st.floats(min_value=-20.0, max_value=60.0),
         tau2=st.floats(min_value=0.1, max_value=5.0),
+        tabulated=st.booleans(),
     )
-    def test_rho_tables(self, eta_a_eta, tau2):
-        self.check(rho_target(self.EIG6, eta_a_eta, tau2))
+    def test_rho_tables(self, eta_a_eta, tau2, tabulated):
+        table = rho_grid_table(self.EIG6) if tabulated else None
+        self.check(rho_target(self.EIG6, eta_a_eta, tau2, table))
 
     def test_integer_base_rejected(self):
         with pytest.raises(DomainError, match="integer support"):
@@ -313,6 +316,16 @@ class TestLevelKnots:
         )
         with pytest.raises(ModeError, match="not the maximizer"):
             level_knots(target)
+
+    def test_grid_value_above_log_c_raises(self):
+        # The check runs on the values read from the grid: a grid point next
+        # to the mode that reads above log_c is caught without a log_w call.
+        target = rho_target(self.EIG6, 20.0, 1.0, rho_grid_table(self.EIG6))
+        grid_x, grid_log_w = target.grid
+        bumped = grid_log_w.copy()
+        bumped[np.searchsorted(grid_x, target.x_mode)] = target.log_c + 1e-6
+        with pytest.raises(ModeError, match="not the maximizer"):
+            level_knots(replace(target, grid=(grid_x, bumped), log_w=None))
 
 
 class TestKnotTableRows:

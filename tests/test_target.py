@@ -4,16 +4,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import digamma
 
 import stepdirect.target
+from stepdirect.car import RHO_MAX, rho_grid_table, rho_target
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import DomainError, EmptySetError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, SamplerConfig
-from stepdirect.target import ENDPOINT_TOL, GeometricBase, UniformBase, WeightedTarget, integer_window
+from stepdirect.target import (
+    ENDPOINT_TOL,
+    GeometricBase,
+    UniformBase,
+    WeightedTarget,
+    concave_mode,
+    integer_window,
+)
+from stepdirect.treg import NuTargetParams, nu_target
 from tests.test_acceptance import _registered_targets
 
 
@@ -366,3 +376,88 @@ class TestSuperlevelSolve:
                 assert x1 < x < x2
             else:
                 assert x1 <= x <= x2
+
+
+def reference_mode(deriv, lo: float, hi: float) -> float:
+    """Mode of a log weight with decreasing derivative: a boundary, or the
+    midpoint of a bisection of the derivative's sign change to a width of
+    1e-13 (1 + |lower end|)."""
+    if deriv(lo) <= 0.0:
+        return lo
+    if deriv(hi) >= 0.0:
+        return hi
+    while (hi - lo) / (1.0 + abs(lo)) > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def assert_modes_agree(mode: float, ref: float) -> None:
+    assert abs(mode - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+class TestConcaveMode:
+    """The bracketed Newton mode of rho_target and nu_target against a reference bisection."""
+
+    @staticmethod
+    def rho_deriv(lam, drift):
+        return lambda r: float(-0.5 * np.sum(lam / (1.0 - r * lam)) + drift)
+
+    @staticmethod
+    def nu_deriv(n, a_const):
+        return lambda v: 0.5 * n * (math.log(v / 2.0) - float(digamma(v / 2.0))) + 0.5 * n - a_const
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.lists(st.floats(min_value=-1.0, max_value=0.999), min_size=1, max_size=40),
+        drift=st.floats(min_value=-50.0, max_value=2000.0),
+        tabulated=st.booleans(),
+    )
+    def test_rho_modes(self, lam, drift, tabulated):
+        # The spectrum of D^-1 A has largest eigenvalue 1.
+        lam = np.sort(np.append(lam, 1.0))[::-1]
+        table = rho_grid_table(lam) if tabulated else None
+        target = rho_target(lam, 2.0 * drift, 1.0, table)
+        assert_modes_agree(target.x_mode, reference_mode(self.rho_deriv(lam, drift), 0.0, RHO_MAX))
+
+    def test_rho_boundary_modes(self):
+        lam = np.array([1.0, 0.5, -0.5, -1.0])
+        for drift, mode in ((-1.0, 0.0), (0.0, 0.0), (1e13, RHO_MAX)):
+            for table in (None, rho_grid_table(lam)):
+                assert rho_target(lam, 2.0 * drift, 1.0, table).x_mode == mode
+                assert reference_mode(self.rho_deriv(lam, drift), 0.0, RHO_MAX) == mode
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=1000),
+        log_ratio=st.floats(min_value=0.0, max_value=6.0),
+        a_nu=st.floats(min_value=1e-3, max_value=1.0),
+        b_nu=st.floats(min_value=2.0, max_value=500.0),
+    )
+    def test_nu_modes(self, n, log_ratio, a_nu, b_nu):
+        a_const = 0.5 * n * math.exp(log_ratio)
+        target = nu_target(NuTargetParams(n=n, A=a_const, a_nu=a_nu, b_nu=b_nu))
+        assert_modes_agree(target.x_mode, reference_mode(self.nu_deriv(n, a_const), a_nu, b_nu))
+
+    def test_nu_boundary_modes(self):
+        # A = n/2 keeps the derivative positive; a large A makes it negative at a_nu.
+        for a_const, mode in ((100.0, 200.0), (1e6, 0.01)):
+            target = nu_target(NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0))
+            assert target.x_mode == mode
+            assert reference_mode(self.nu_deriv(200, a_const), 0.01, 200.0) == mode
+
+    def test_quadratic_from_any_start(self):
+        # log w = -(x - 0.3)^2: Newton lands on the root from either side,
+        # and starts outside [lo, hi] are clamped into it.
+        def slope(x):
+            return -2.0 * (x - 0.3), -2.0
+
+        for x0 in (None, -5.0, 0.0, 0.29, 0.9, 7.0):
+            assert concave_mode(slope, 0.0, 1.0, x0) == pytest.approx(0.3, abs=1e-15)
+
+    def test_nan_slope_raises(self):
+        with pytest.raises(DomainError, match="no finite slope"):
+            concave_mode(lambda x: (1.0 if x == 0.0 else (-1.0 if x == 1.0 else math.nan), -1.0), 0.0, 1.0)

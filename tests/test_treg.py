@@ -10,6 +10,7 @@ from scipy import stats
 
 from stepdirect.errors import DomainError
 from stepdirect.rngstats import Rng
+from stepdirect.sampler import SamplerConfig
 from stepdirect.treg import (
     NU_SAMPLER_CONFIG,
     CubicBasis,
@@ -104,6 +105,11 @@ class TestNuTarget:
         nu, report = draw_nu_direct(p, Rng(2))
         assert p.a_nu <= nu <= p.b_nu
         assert report.n_rejected >= 0
+
+    def test_scalar_draw_defaults_to_the_gibbs_envelope(self):
+        p = NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0)
+        assert draw_nu_direct(p, Rng(3)) == draw_nu_direct(p, Rng(3), NU_SAMPLER_CONFIG)
+        assert draw_nu_direct(p, Rng(3)) != draw_nu_direct(p, Rng(3), SamplerConfig())
 
 
 class TestGewekeSampler:
