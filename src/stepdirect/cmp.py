@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, zeta
 
 from .errors import DomainError, OracleError
 from .logspace import log_sum_exp
-from .search import BisectionSpec, bisect
-from .target import GeometricBase, WeightedTarget
+# bisect is not called here, but stays importable from this module:
+# perfbench/spans.py wraps it by name.
+from .search import bisect  # noqa: F401
+from .target import GeometricBase, WeightedTarget, concave_mode
 
 __all__ = [
     "CmpParams",
@@ -99,35 +101,38 @@ def cmp_log_weight(x, params: CmpParams, decomp: CmpDecomposition):
     return out if out.ndim else float(out)
 
 
+# cmp_mode's limit on log of the mode: past it the mode exceeds 2^53 - 1.
+MAX_LOG_MODE = 53.0 * math.log(2.0)
+
+
 def cmp_mode(params: CmpParams, decomp: CmpDecomposition):
     """Continuous argmax of log w and its value (x_mode, log_c).
 
-    log w is strictly concave with positive derivative at zero, so the
-    derivative drift - nu psi(x+1) has a unique root; bracket it by
-    doubling, then bisect.
+    log w is strictly concave, so its slope drift - nu psi(x+1) has at most
+    one root, found by concave_mode (the mode is 0 where the slope at 0 is
+    not positive). With L = drift / nu, log(y - 1/2) < psi(y) < log y puts
+    the root in (e^L - 1, e^L - 1/2): the bracket [0, e^L] is closed form,
+    and Newton steps start from e^L - 1, below the root. Raises DomainError
+    where L > MAX_LOG_MODE: e^L overflows, or the mode is past 2^53 - 1,
+    where integers are no longer exact doubles.
     """
     if params.nu == 0:
         raise DomainError("cmp_mode requires nu > 0")
     drift = _drift(params, decomp)
     nu = params.nu
+    log_hi = drift / nu
+    if log_hi > MAX_LOG_MODE:
+        raise DomainError(
+            f"CMP(lam={params.lam!r}, nu={nu!r}) under the {decomp.value} decomposition has "
+            f"its weight mode above e^{log_hi:.6g} - 1, past 2^53, where integers are not "
+            "exact doubles: this low-nu regime is not supported"
+        )
 
-    def deriv(x: float) -> float:
-        return drift - nu * float(digamma(x + 1.0))
+    def slope(x: float):
+        # scipy's zeta(2, y) is the trigamma function psi'(y).
+        return drift - nu * float(digamma(x + 1.0)), -nu * float(zeta(2.0, x + 1.0))
 
-    hi = 1.0
-    for _ in range(200):
-        if deriv(hi) < 0.0:
-            break
-        hi = 2.0 * hi + 1.0
-    else:
-        raise DomainError("failed to bracket the weight mode")
-    spec = BisectionSpec(
-        x_lo=0.0,
-        x_hi=hi,
-        predicate=lambda x: deriv(x) < 0.0,
-        tolerance=1e-13,
-    )
-    x_mode = float(bisect(spec).x)
+    x_mode = concave_mode(slope, 0.0, math.exp(log_hi), math.expm1(log_hi))
     log_c = float(cmp_log_weight(x_mode, params, decomp))
     return x_mode, log_c
 

@@ -133,22 +133,21 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
     log_w calls and no endpoint solve, with the head knot at u = 0 and
     u_hi = 1 in the table.
 
-    The greedy and equal knots cover a descent window. It starts at
-    find_u_lo's u_lo: in closed form from w at the two support ends on a
-    continuous base, by bisection on integers. On a continuous base the
-    window ends at u_hi = 1: w attains c at x_mode, so A_u keeps positive
-    base mass for every u < 1. On integer support A_u empties at the
-    largest w(k)/c, which is searched for. The built table gains a leading
-    knot at u = 0 carrying the full support as its window and log P(A_0)
-    as its height, so the envelope piece on [0, u_lo) dominates P(A_u)
-    even where the DESCENT_TOL floor puts u_lo past the drop. The extra
-    rectangle is counted in the rejection bound, and adaptive insertion
-    can split it like any other.
+    The greedy and equal knots cover a descent window [u_lo, u_hi], both in
+    closed form with no search. u_lo is find_u_lo's: the smaller of w at
+    the two support ends over c (w = 0 at an infinite end), floored at
+    DESCENT_TOL. u_hi is find_u_hi's: 1 on a continuous base, where w
+    attains c at x_mode, and the largest w(k) / c on integer support, past
+    which A_u is empty. The built table gains a leading knot at u = 0
+    carrying the full support as its window and log P(A_0) as its height,
+    so the envelope piece on [0, u_lo) dominates P(A_u) whatever u_lo is.
+    The extra rectangle is counted in the rejection bound, and adaptive
+    insertion can split it like any other.
     """
     if config.knot_method == "level":
         return build_step(level_knots(target))
     u_lo = find_u_lo(target)
-    u_hi = find_u_hi(target, u_lo) if target.discrete else 1.0
+    u_hi = find_u_hi(target, u_lo)
     if config.knot_method == "equal":
         table = equal_spaced_knots(target, u_lo, u_hi, config.n_init_knots)
     else:

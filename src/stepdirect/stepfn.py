@@ -10,7 +10,8 @@ P(A_u) over the piece, from which the rejection bound is computed.
 
 Knots come from one of three rules. The paper's greedy rectangle
 splitting and equal spacing place knots in u over a descent window
-[u_lo, u_hi] and solve each one for its window. Level knots
+[u_lo, u_hi], which find_u_lo and find_u_hi give in closed form, and
+solve each knot for its window. Level knots
 (``level_knots``, continuous bases only) need no solve: log w is
 tabulated once on a grid of x around the mode, and the knots are the
 grid's levels w(x_i) / c, so the outer grid bracket of each level is a
@@ -26,7 +27,9 @@ import numpy as np
 
 from .errors import BracketError, DegenerateTargetError, DomainError, ModeError
 from .logspace import log_diff_exp, log_sum_exp
-from .search import BisectionSpec, bisect
+# bisect is not called here, but stays importable from this module:
+# perfbench/spans.py wraps it by name.
+from .search import bisect  # noqa: F401
 from .target import WeightedTarget
 
 __all__ = [
@@ -52,10 +55,10 @@ __all__ = [
 
 MIDPOINT_KINDS = ("arithmetic", "geometric", "hybrid")
 
-# Tolerance of the descent-window searches (linear in u for find_u_lo,
-# in log u for find_u_hi) and the points per round of the log-u search.
+# Floor of find_u_lo: the greedy and equal knots start no lower than this.
+# The head knot at u = 0 carries P(A_0), so the envelope dominates P(A_u)
+# below the floor too.
 DESCENT_TOL = 1e-10
-DESCENT_BATCH = 16
 
 # Level tables (see level_knots). 64 cells per scale left the rho Gibbs
 # step above its 1% rejection gate; 128 keeps it near 0.4%.
@@ -168,104 +171,48 @@ def _mid(kind: str, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _geometric_descent(eval_log_p, log_u_lo, log_u_hi, is_one):
-    """Monotone-predicate search in log-u space via batched multisection.
-
-    ``is_one`` maps an array of log P(A_u) values to the 0/1 predicate;
-    the predicate must be 0 at log_u_lo and 1 at log_u_hi. Each round
-    evaluates DESCENT_BATCH interior points in one vectorized call, which
-    is equivalent to repeated geometric-midpoint bisection but far cheaper
-    when P(A_u) is expensive. Stops when the bracket is DESCENT_TOL wide
-    in log u and returns the final (log_lo, log_hi) bracket.
-    """
-    batch = DESCENT_BATCH
-    lo, hi = float(log_u_lo), float(log_u_hi)
-    for _ in range(10_000):
-        if hi - lo <= DESCENT_TOL:
-            break
-        grid = np.linspace(lo, hi, batch + 2)[1:-1]
-        z = is_one(eval_log_p(np.exp(grid)))
-        idx = int(np.argmax(z)) if np.any(z) else batch
-        hi_new = grid[idx] if idx < batch else hi
-        lo_new = grid[idx - 1] if idx > 0 else lo
-        if (lo_new, hi_new) == (lo, hi):
-            break
-        lo, hi = lo_new, hi_new
-    else:
-        raise BracketError("descent search failed to contract")
-    return lo, hi
-
-
 def find_u_lo(target: WeightedTarget) -> float:
-    """Locate where P(A_u) first drops below P(A_0), floored at DESCENT_TOL.
+    """Where P(A_u) first drops below P(A_0), floored at DESCENT_TOL.
 
-    On a continuous base w is unimodal on [lo, hi], so A_u is the whole
-    support until u passes min(w(lo), w(hi)) / c: one log_w call at the
-    two ends gives the drop in closed form. A drop below DESCENT_TOL is
+    w is unimodal on the support, so A_u is the whole support until u
+    passes the smaller of w at the two support ends over c: one log_w call
+    at the two ends gives the drop in closed form. An infinite end counts
+    as w = 0 there, without a log_w call, so on a geometric base the drop
+    is at u = 0 and the result is DESCENT_TOL. A drop below DESCENT_TOL is
     returned as DESCENT_TOL; the envelope stays valid regardless because
     the built step carries P(A_0) on the leading piece.
-
-    On integer support the drop indicator 1{P(A_u) != P(A_0)} is bisected
-    on [0, 1], where equality means the probabilities coincide as doubles.
-    The returned point is the descent-side end of the final bracket, so
-    P(A_u) there is already below P(A_0). If P(A_u) is already zero at that
-    point (the whole descent is narrower than DESCENT_TOL), a geometric
-    search pins down the last u with positive mass instead.
     """
-    if not target.discrete:
-        base = target.base
-        log_ends = np.asarray(target.log_w(np.array([base.lo, base.hi])), dtype=float)
-        log_drop = float(np.min(log_ends)) - target.log_c
-        if not log_drop < 0.0:
-            raise DegenerateTargetError("w at both support ends reaches its maximum; w has no descent")
-        return max(DESCENT_TOL, math.exp(log_drop))
-
-    log_p0 = float(target.log_prob_Au(0.0))
-    if math.isinf(log_p0):
-        raise DegenerateTargetError("base measure puts no mass on the support of w")
-    p0 = math.exp(log_p0)
-
-    def dropped(u: float) -> bool:
-        return math.exp(float(target.log_prob_Au(u))) != p0
-
-    if not dropped(1.0):
-        raise DegenerateTargetError("P(A_u) equals P(A_0) at u = 1; w has no descent")
-    # The bracket [0, 1] is known to hold: P(A_0) = p0 by construction and
-    # the drop at u = 1 was just checked.
-    spec = BisectionSpec(
-        x_lo=0.0, x_hi=1.0, predicate=dropped, tolerance=DESCENT_TOL, check_bracket=False
-    )
-    hi = bisect(spec).x_hi
-    if not math.isinf(float(target.log_prob_Au(hi))):
-        return float(hi)
-
-    # Descent narrower than DESCENT_TOL: find the last u with P(A_u) > 0.
-    def is_zero(lp):
-        return np.isneginf(np.asarray(lp))
-
-    lo_log, _hi = _geometric_descent(
-        target.log_prob_Au, math.log(hi) - 512.0, math.log(hi), is_zero
-    )
-    return float(math.exp(lo_log))
+    base = target.base
+    ends = np.array([base.lo, base.hi])
+    if np.all(np.isfinite(ends)):
+        log_drop = float(np.min(target.log_w(ends))) - target.log_c
+    else:
+        log_drop = -math.inf
+    if not log_drop < 0.0:
+        raise DegenerateTargetError("w at both support ends reaches its maximum; w has no descent")
+    return max(DESCENT_TOL, math.exp(log_drop))
 
 
 def find_u_hi(target: WeightedTarget, u_lo: float) -> float:
-    """Smallest u (to tolerance) with P(A_u) = 0, searched on [u_lo, 1].
+    """Smallest u with A_u empty, in closed form.
 
-    Returns the upper end of the final bracket, so P(A_u) = 0 for every
-    u at or beyond the result and the step function vanishes only where
-    the target truly has no mass.
+    On a continuous base w attains c at x_mode, so A_u is nonempty for
+    every u < 1 and the result is 1. On integer support A_u empties at
+    the largest w(k) / c, which for a unimodal w is at floor(x_mode) or
+    ceil(x_mode): one log_w call at those two points. The result is capped
+    at 1, since log w at a large integer mode can round above log_c.
+    Raises BracketError where A_u is already empty at u_lo.
     """
     if not 0.0 < u_lo < 1.0:
         raise DomainError("u_lo must lie in (0, 1)")
-    if math.isinf(float(target.log_prob_Au(u_lo))):
+    u_hi = 1.0
+    if target.discrete:
+        m = target.x_mode
+        log_top = float(np.max(target.log_w(np.array([math.floor(m), math.ceil(m)]))))
+        u_hi = min(1.0, math.exp(log_top - target.log_c))
+    if not u_lo < u_hi:
         raise BracketError("P(A_u) is already zero at u_lo")
-
-    def is_one(lp):
-        return np.isneginf(np.asarray(lp))
-
-    _lo, hi_log = _geometric_descent(target.log_prob_Au, math.log(u_lo), 0.0, is_one)
-    return float(min(math.exp(hi_log), 1.0))
+    return u_hi
 
 
 def select_knots(

@@ -26,7 +26,9 @@ from .chains import ChainOutput
 from .errors import DomainError
 from .rngstats import Rng
 from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
-from .search import BisectionSpec, bisect
+# bisect is not called here, but stays importable from this module:
+# perfbench/spans.py wraps it by name.
+from .search import bisect  # noqa: F401
 from .target import UniformBase, WeightedTarget, concave_mode
 
 __all__ = [
@@ -144,10 +146,13 @@ def nu_log_weight(nu, n: int, a_const: float):
     return out if out.ndim else float(out)
 
 
-def _nu_deriv(nu: float, n: int, a_const: float) -> float:
-    """d/dnu log w = (n/2)[log(nu/2) - psi(nu/2)] + n/2 - A; decreasing."""
+def _nu_slope(nu: float, n: int, a_const: float):
+    """First and second derivatives of log w at nu; the first,
+    (n/2)[log(nu/2) - psi(nu/2)] + n/2 - A, decreases."""
     half = nu / 2.0
-    return 0.5 * n * (math.log(half) - float(digamma(half))) + 0.5 * n - a_const
+    # scipy's zeta(2, x) is the trigamma function psi'(x).
+    curvature = 0.5 * n * (1.0 / nu - 0.5 * float(zeta(2.0, half)))
+    return 0.5 * n * (math.log(half) - float(digamma(half))) + 0.5 * n - a_const, curvature
 
 
 def nu_target(p: NuTargetParams) -> WeightedTarget:
@@ -161,13 +166,8 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
     to the root without overshoot.
     """
 
-    def slope(nu: float):
-        # scipy's zeta(2, x) is the trigamma function psi'(x).
-        curvature = 0.5 * p.n * (1.0 / nu - 0.5 * float(zeta(2.0, nu / 2.0)))
-        return _nu_deriv(nu, p.n, p.A), curvature
-
     nu_0 = p.n / (2.0 * p.A - p.n) if p.A > 0.5 * p.n else p.b_nu
-    x_mode = concave_mode(slope, p.a_nu, p.b_nu, nu_0)
+    x_mode = concave_mode(lambda nu: _nu_slope(nu, p.n, p.A), p.a_nu, p.b_nu, nu_0)
     return WeightedTarget(
         log_w=lambda v: nu_log_weight(v, p.n, p.A),
         x_mode=x_mode,
@@ -204,32 +204,22 @@ def nu_direct_sample(p: NuTargetParams, n_draws: int, rng: Rng, config: SamplerC
 def geweke_nu_star(p: NuTargetParams):
     """Proposal-rate root: (n/2)[log(nu/2) + 1 - psi(nu/2)] + 1/nu - A = 0.
 
-    The left side decreases from +inf to n/2 - A, so a root exists exactly
-    when A > n/2; if bracketing fails the box's upper end is used and
-    flagged. Returns (nu_star, root_found).
+    The left side is the slope of log w plus 1/nu. It decreases from +inf
+    to n/2 - A, so a root exists exactly when A > n/2; otherwise the box's
+    upper end is used and flagged. Since 1/(2x) < log x - psi(x) < 1/x, the
+    root lies in [(n/2 + 1)/(A - n/2), (n + 1)/(A - n/2)], and
+    concave_mode finds it there. Returns (nu_star, root_found).
     """
-
-    def f(nu: float) -> float:
-        half = nu / 2.0
-        return 0.5 * p.n * (math.log(half) + 1.0 - float(digamma(half))) + 1.0 / nu - p.A
-
-    lo = 1e-6
-    if f(lo) <= 0.0:
-        return lo, False
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
+    excess = p.A - 0.5 * p.n
+    if not excess > 0.0:
         return p.b_nu, False
-    spec = BisectionSpec(
-        x_lo=lo,
-        x_hi=hi,
-        predicate=lambda v: f(v) < 0.0,
-        tolerance=1e-13,
-    )
-    return float(bisect(spec).x), True
+
+    def slope(nu: float):
+        g, h = _nu_slope(nu, p.n, p.A)
+        return g + 1.0 / nu, h - 1.0 / nu**2
+
+    lo = (0.5 * p.n + 1.0) / excess
+    return concave_mode(slope, lo, (p.n + 1.0) / excess, lo), True
 
 
 def _geweke_log_ratio(nu, p: NuTargetParams, nu_star: float):

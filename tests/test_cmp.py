@@ -81,6 +81,18 @@ class TestMode:
         with pytest.raises(DomainError):
             cmp_mode(CmpParams(0.5, 0.0), CmpDecomposition.GEOMETRIC_LAMBDA)
 
+    @pytest.mark.parametrize("lam, nu", [(0.5, 0.001), (50.0, 0.02)])
+    def test_unrepresentable_mode_raises(self, lam, nu):
+        # drift / nu ~ 6.9e5 overflows e^(drift / nu); at (50, 0.02) the mode
+        # is ~8.9e84, past 2^53, where integers are not exact doubles.
+        with pytest.raises(DomainError, match=rf"lam={lam}, nu={nu}\) under the geometric-mu .* 2\^53"):
+            cmp_target(CmpParams(lam, nu))
+
+    def test_mode_near_one_million_builds(self):
+        target = cmp_target(CmpParams(2.0, 0.05))
+        assert 1.0e6 < target.x_mode < 1.1e6
+        assert DirectSampler(target).step.u_hi <= 1.0
+
 
 class TestOracle:
     def test_poisson_case(self):

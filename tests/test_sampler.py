@@ -8,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import stepdirect.cmp
 import stepdirect.sampler
+import stepdirect.search
+import stepdirect.stepfn
+import stepdirect.treg
 from stepdirect.car import RHO_SAMPLER_CONFIG, car_eigen_precompute, lattice_adjacency, rho_target
 from stepdirect.cmp import CmpParams, cmp_pmf_oracle, cmp_target
 from stepdirect.errors import DegenerateTargetError, DomainError, SamplerStallError
+from stepdirect.logspace import log_sum_exp
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import (
     DirectSampler,
@@ -21,7 +26,7 @@ from stepdirect.sampler import (
 )
 from stepdirect.stepfn import DESCENT_TOL, KnotTable, build_step, find_u_hi, find_u_lo, step_logpdf_unnorm
 from stepdirect.target import UniformBase, WeightedTarget, integer_window
-from stepdirect.treg import NU_SAMPLER_CONFIG, NuTargetParams, nu_target
+from stepdirect.treg import NU_SAMPLER_CONFIG, NuTargetParams, geweke_nu_star, nu_target
 from tests.test_acceptance import _registered_targets
 from tests.test_target import quadratic_target
 
@@ -113,6 +118,25 @@ class TestBuildSampler:
         assert diag.u_lo == levels[levels > 0.0].min()
         assert (diag.u_lo < DESCENT_TOL) == name.startswith("nu")
 
+    def test_equal_integer_build_solves_twice(self):
+        # The descent window is closed form on integer support too: one
+        # solve for the N + 1 equal knots and one for the head knot.
+        target = cmp_target(CmpParams(2.0, 0.5))
+        solves = []
+        endpoints = target.interval_endpoints
+        target.interval_endpoints = lambda thr, *rest: solves.append(np.size(thr)) or endpoints(thr, *rest)
+        build_sampler(target, SamplerConfig(n_init_knots=12, knot_method="equal"))
+        assert solves == [13, 1]
+
+    def test_no_bisection_left(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("bisect was called")
+
+        for module in (stepdirect.search, stepdirect.cmp, stepdirect.treg, stepdirect.stepfn):
+            monkeypatch.setattr(module, "bisect", refuse)
+        DirectSampler(cmp_target(CmpParams(2.0, 0.5)))
+        assert geweke_nu_star(NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0))[1]
+
     def test_diagnostics_from_given_step_match_build(self):
         # A sampler over a step built elsewhere reports the same window as
         # the build: u_lo is the first knot above the head knot at u = 0.
@@ -156,6 +180,16 @@ class TestFindULo:
         log_p0 = target.log_prob_Au(0.0)
         assert target.log_prob_Au(u_lo * (1.0 - 1e-6)) == log_p0
         assert target.log_prob_Au(u_lo * (1.0 + 1e-6)) < log_p0
+
+    def test_geometric_base_floors_with_no_log_w_call(self):
+        # The infinite end counts as w = 0 there, so P(A_u) drops at u = 0.
+        for params in (CmpParams(2.0, 0.5), CmpParams(2.0, 5.0), CmpParams(0.5, 0.3)):
+            target = cmp_target(params)
+            calls = []
+            log_w = target.log_w
+            target.log_w = lambda x, log_w=log_w: calls.append(x) or log_w(x)
+            assert find_u_lo(target) == DESCENT_TOL
+            assert calls == []
 
     def test_flat_weight_has_no_descent(self):
         target = WeightedTarget(
@@ -441,6 +475,21 @@ def check_window_rule(target, table):
     assert np.array_equal(table.log_probs, target.base.log_prob(table.x1, table.x2))
 
 
+def integer_levels(target, u_min):
+    """(k, log w(k)) for the integers around the mode, out to where w(k) / c
+    is at or below u_min on each side, or to k = 0. log w is concave, so w / c
+    is below u_min at every integer left out too."""
+    m = target.x_mode
+    thr = math.log(u_min) + target.log_c
+    reach = 64
+    while True:
+        ks = np.arange(max(0.0, math.floor(m) - reach), math.ceil(m) + reach + 1)
+        log_w = target.log_w(ks)
+        if (ks[0] == 0.0 or log_w[0] <= thr) and log_w[-1] <= thr:
+            return ks, log_w
+        reach *= 2
+
+
 class TestWindowRule:
     """The windows the envelope stores, before and after adaptation."""
 
@@ -466,6 +515,33 @@ class TestWindowRule:
     )
     def test_quadratic_windows_contain_superlevel_sets(self, center, scale, n_knots, seed):
         self.check(quadratic_target(center, scale), n_knots, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(min_value=1.5, max_value=5.0),
+        nu=st.floats(min_value=0.1, max_value=5.0),
+        n_knots=st.integers(min_value=1, max_value=30),
+        method=st.sampled_from(["greedy", "equal"]),
+    )
+    def test_cmp_window_against_enumeration(self, lam, nu, n_knots, method):
+        # u_hi is the top integer level, and the envelope is at least
+        # P(A_u) summed over the integers, at every knot, every piece's
+        # midpoint and just below every knot but the first.
+        target = cmp_target(CmpParams(lam, nu))
+        ks, log_w = integer_levels(target, DESCENT_TOL)
+        u_hi = find_u_hi(target, find_u_lo(target))
+        assert u_hi == min(1.0, math.exp(log_w.max() - target.log_c))
+        step, diag = build_sampler(target, SamplerConfig(n_init_knots=n_knots, knot_method=method, adapt=False))
+        assert diag.u_hi == u_hi
+        knots = step.table.knots
+        u = np.concatenate((knots, 0.5 * (knots[:-1] + knots[1:]), np.nextafter(knots[1:], 0.0)))
+        log_pmf = math.log(target.base.p) + ks * target.base.log_q
+        # A_1 is empty by definition, as in WeightedTarget.superlevel: near a
+        # large mode log w can round above log_c (CMP(5, 0.1), mode 9.8e6).
+        with np.errstate(divide="ignore"):
+            thr = np.where(u < 1.0, np.log(u) + target.log_c, np.inf)
+        log_p = np.array([log_sum_exp(log_pmf[log_w > t]) for t in thr])
+        assert np.all(step_logpdf_unnorm(step, u) >= log_p - 1e-9)
 
     @staticmethod
     def check(target, n_knots, seed):

@@ -96,11 +96,16 @@ class TestDescentWindow:
             find_u_hi(quad, 0.0)
 
     def test_discrete_target_window(self):
+        # A_u is empty at u_hi and holds an integer just below it, checked
+        # on the integers themselves: log_prob_Au reads the solver's outer
+        # window, which at u_hi still holds the integer 1.
         target = cmp_target(CmpParams(2.0, 2.0))
         u_lo = find_u_lo(target)
         u_hi = find_u_hi(target, u_lo)
         assert 0.0 < u_lo < u_hi <= 1.0
-        assert math.isinf(target.log_prob_Au(u_hi))
+        log_w = target.log_w(np.arange(3 * math.ceil(target.x_mode) + 51, dtype=float))
+        assert not np.any(log_w > math.log(u_hi) + target.log_c)
+        assert np.any(log_w > math.log(u_hi * (1.0 - 1e-12)) + target.log_c)
 
 
 class TestKnotSelection:

@@ -11,7 +11,7 @@ from scipy.special import digamma
 
 import stepdirect.target
 from stepdirect.car import RHO_MAX, rho_grid_table, rho_target
-from stepdirect.cmp import CmpParams, cmp_target
+from stepdirect.cmp import MAX_LOG_MODE, CmpDecomposition, CmpParams, _drift, cmp_mode, cmp_target
 from stepdirect.errors import DomainError, EmptySetError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, SamplerConfig
@@ -23,7 +23,7 @@ from stepdirect.target import (
     concave_mode,
     integer_window,
 )
-from stepdirect.treg import NuTargetParams, nu_target
+from stepdirect.treg import NuTargetParams, geweke_nu_star, nu_target
 from tests.test_acceptance import _registered_targets
 
 
@@ -400,7 +400,8 @@ def assert_modes_agree(mode: float, ref: float) -> None:
 
 
 class TestConcaveMode:
-    """The bracketed Newton mode of rho_target and nu_target against a reference bisection."""
+    """The bracketed Newton modes of rho_target, nu_target, cmp_mode and
+    geweke_nu_star against a reference bisection."""
 
     @staticmethod
     def rho_deriv(lam, drift):
@@ -448,6 +449,45 @@ class TestConcaveMode:
             target = nu_target(NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0))
             assert target.x_mode == mode
             assert reference_mode(self.nu_deriv(200, a_const), 0.01, 200.0) == mode
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.floats(min_value=0.05, max_value=50.0),
+        nu=st.floats(min_value=0.02, max_value=10.0),
+        decomp=st.sampled_from(list(CmpDecomposition)),
+    )
+    def test_cmp_modes(self, lam, nu, decomp):
+        # Modes past 2^53 raise; the reference searches up to there.
+        params = CmpParams(lam, nu)
+        drift = _drift(params, decomp)
+        if drift / nu > MAX_LOG_MODE:
+            with pytest.raises(DomainError, match=r"2\^53"):
+                cmp_mode(params, decomp)
+            return
+        ref = reference_mode(lambda x: drift - nu * float(digamma(x + 1.0)), 0.0, 2.0**53)
+        assert_modes_agree(cmp_mode(params, decomp)[0], ref)
+
+    @staticmethod
+    def geweke_rate(n, a_const):
+        return lambda v: 0.5 * n * (math.log(v / 2.0) + 1.0 - float(digamma(v / 2.0))) + 1.0 / v - a_const
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=1000),
+        excess=st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=2000.0)),
+        b_nu=st.floats(min_value=2.0, max_value=500.0),
+    )
+    def test_geweke_roots(self, n, excess, b_nu):
+        # A = n/2 + excess; at A = n/2 the rate has no root and b_nu is used.
+        p = NuTargetParams(n=n, A=0.5 * n + excess, a_nu=0.01, b_nu=b_nu)
+        nu_star, found = geweke_nu_star(p)
+        if excess == 0.0:
+            assert (nu_star, found) == (b_nu, False)
+            return
+        assert found
+        ref = reference_mode(self.geweke_rate(n, p.A), 1e-9, 1e6)
+        assert (0.5 * n + 1.0) / excess <= ref <= (n + 1.0) / excess
+        assert_modes_agree(nu_star, ref)
 
     def test_quadratic_from_any_start(self):
         # log w = -(x - 0.3)^2: Newton lands on the root from either side,
