@@ -21,6 +21,7 @@ construction for unimodal densities).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,8 +56,9 @@ __all__ = [
 
 MIDPOINT_KINDS = ("arithmetic", "geometric", "hybrid")
 
-# Floor of find_u_lo: the greedy and equal knots start no lower than this.
-# The head knot at u = 0 carries P(A_0), so the envelope dominates P(A_u)
+# Floor of find_u_lo: the greedy and equal knots start no lower than this,
+# or than half of u_hi where A_u empties below it on integer support. The
+# head knot at u = 0 carries P(A_0), so the envelope dominates P(A_u)
 # below the floor too.
 DESCENT_TOL = 1e-10
 
@@ -171,6 +173,23 @@ def _mid(kind: str, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _u_top(target: WeightedTarget) -> float:
+    """The smallest u with A_u empty: 1 on a continuous base, where w
+    attains c at x_mode, and on integer support the largest w(k) / c, which
+    for a unimodal w is at floor(x_mode) or ceil(x_mode). Capped at 1, since
+    log w at a large integer mode can round above log_c."""
+    if not target.discrete:
+        return 1.0
+    m = target.x_mode
+    log_top = float(np.max(target.log_w(np.array([math.floor(m), math.ceil(m)])))) - target.log_c
+    u_top = min(1.0, math.exp(log_top))
+    if not u_top >= sys.float_info.min:
+        raise DomainError(
+            f"the top integer level w(k) / c = exp({log_top:.6g}) is below the smallest normal double"
+        )
+    return u_top
+
+
 def find_u_lo(target: WeightedTarget) -> float:
     """Where P(A_u) first drops below P(A_0), floored at DESCENT_TOL.
 
@@ -178,9 +197,11 @@ def find_u_lo(target: WeightedTarget) -> float:
     passes the smaller of w at the two support ends over c: one log_w call
     at the two ends gives the drop in closed form. An infinite end counts
     as w = 0 there, without a log_w call, so on a geometric base the drop
-    is at u = 0 and the result is DESCENT_TOL. A drop below DESCENT_TOL is
-    returned as DESCENT_TOL; the envelope stays valid regardless because
-    the built step carries P(A_0) on the leading piece.
+    is at u = 0. A drop below the floor is returned as the floor; the
+    envelope stays valid regardless because the built step carries P(A_0)
+    on the leading piece. The floor is DESCENT_TOL, or half of find_u_hi's
+    result where that is lower: on integer support A_u can empty below
+    DESCENT_TOL (CMP(2, 200) has w(1) / c = 5.1e-11).
     """
     base = target.base
     ends = np.array([base.lo, base.hi])
@@ -190,26 +211,18 @@ def find_u_lo(target: WeightedTarget) -> float:
         log_drop = -math.inf
     if not log_drop < 0.0:
         raise DegenerateTargetError("w at both support ends reaches its maximum; w has no descent")
-    return max(DESCENT_TOL, math.exp(log_drop))
+    return max(min(DESCENT_TOL, 0.5 * _u_top(target)), math.exp(log_drop))
 
 
 def find_u_hi(target: WeightedTarget, u_lo: float) -> float:
-    """Smallest u with A_u empty, in closed form.
-
-    On a continuous base w attains c at x_mode, so A_u is nonempty for
-    every u < 1 and the result is 1. On integer support A_u empties at
-    the largest w(k) / c, which for a unimodal w is at floor(x_mode) or
-    ceil(x_mode): one log_w call at those two points. The result is capped
-    at 1, since log w at a large integer mode can round above log_c.
-    Raises BracketError where A_u is already empty at u_lo.
+    """Smallest u with A_u empty, in closed form (see _u_top): 1 on a
+    continuous base, and on integer support one log_w call at the two
+    integers next to x_mode. Raises BracketError where A_u is already empty
+    at u_lo.
     """
     if not 0.0 < u_lo < 1.0:
         raise DomainError("u_lo must lie in (0, 1)")
-    u_hi = 1.0
-    if target.discrete:
-        m = target.x_mode
-        log_top = float(np.max(target.log_w(np.array([math.floor(m), math.ceil(m)]))))
-        u_hi = min(1.0, math.exp(log_top - target.log_c))
+    u_hi = _u_top(target)
     if not u_lo < u_hi:
         raise BracketError("P(A_u) is already zero at u_lo")
     return u_hi

@@ -181,15 +181,42 @@ class TestFindULo:
         assert target.log_prob_Au(u_lo * (1.0 - 1e-6)) == log_p0
         assert target.log_prob_Au(u_lo * (1.0 + 1e-6)) < log_p0
 
-    def test_geometric_base_floors_with_no_log_w_call(self):
-        # The infinite end counts as w = 0 there, so P(A_u) drops at u = 0.
+    def test_geometric_base_never_evaluates_the_infinite_end(self):
+        # The infinite end counts as w = 0 there, so P(A_u) drops at u = 0
+        # and u_lo is the floor. log_w is called only at the two integers
+        # next to the mode, for u_hi: CMP's log_w(inf) is NaN.
         for params in (CmpParams(2.0, 0.5), CmpParams(2.0, 5.0), CmpParams(0.5, 0.3)):
             target = cmp_target(params)
             calls = []
             log_w = target.log_w
             target.log_w = lambda x, log_w=log_w: calls.append(x) or log_w(x)
             assert find_u_lo(target) == DESCENT_TOL
-            assert calls == []
+            m = target.x_mode
+            assert [list(x) for x in calls] == [[math.floor(m), math.ceil(m)]]
+
+    @pytest.mark.parametrize("nu", [200.0, 1000.0])
+    def test_floor_sits_below_a_top_level_under_descent_tol(self, nu):
+        # CMP(2, nu) puts all its mass on {0, 1}, and w(1) / c is 5.1e-11 at
+        # nu = 200 and 3.1e-53 at nu = 1000: the window must end below
+        # DESCENT_TOL, and the sampler must still draw the exact law.
+        params = CmpParams(2.0, nu)
+        target = cmp_target(params)
+        u_lo = find_u_lo(target)
+        u_hi = find_u_hi(target, u_lo)
+        assert u_hi < DESCENT_TOL
+        assert u_lo == 0.5 * u_hi
+        pmf = cmp_pmf_oracle(params).pmf
+        for method in ("greedy", "equal"):
+            draws, _ = DirectSampler(target, SamplerConfig(knot_method=method)).sample(20_000, Rng(3))
+            emp = np.bincount(draws.astype(int), minlength=pmf.size)[: pmf.size] / draws.size
+            assert draws.max() <= 1.0
+            assert 0.5 * np.abs(emp - pmf).sum() < 0.015
+
+    def test_top_level_below_the_smallest_double_raises(self):
+        # At nu = 1e4, w(1) / c = exp(-1214): no u can be placed under it.
+        target = cmp_target(CmpParams(2.0, 1.0e4))
+        with pytest.raises(DomainError, match="smallest normal double"):
+            find_u_lo(target)
 
     def test_flat_weight_has_no_descent(self):
         target = WeightedTarget(
