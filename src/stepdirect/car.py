@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -150,12 +150,14 @@ class CarData:
     Everything the Gibbs scan derives from S and A is computed here once:
     the row sums D, each outcome's area and the outcomes per area, the
     edge list, the factor order with the band of A in it, and (on first
-    use) the spectrum of D^{-1} A and the rho table.
+    use) the spectrum of D^{-1} A and the rho table. The one-hot S (n x k)
+    is validated and decoded into ``area``, then dropped: S eta is
+    eta[area].
     """
 
     y: np.ndarray
     X: np.ndarray
-    S: np.ndarray
+    S: InitVar[np.ndarray]
     A: np.ndarray
     D: np.ndarray = field(init=False)
     area: np.ndarray = field(init=False)  # area index of each outcome
@@ -164,10 +166,10 @@ class CarData:
     order: np.ndarray = field(init=False)  # area at each position of the factor order
     a_band: np.ndarray = field(init=False)  # upper band of A in that order
 
-    def __post_init__(self):
+    def __post_init__(self, S):
         y = np.asarray(self.y, dtype=float).ravel()
         x = np.atleast_2d(np.asarray(self.X, dtype=float))
-        s = np.atleast_2d(np.asarray(self.S, dtype=float))
+        s = np.atleast_2d(np.asarray(S, dtype=float))
         a = _validate_adjacency(self.A)
         n = y.size
         if x.shape[0] != n or s.shape[0] != n:
@@ -180,7 +182,7 @@ class CarData:
         edges = np.argwhere(np.triu(a) > 0)
         order, a_band = _band_order(a.shape[0], edges)
         values = dict(
-            y=y, X=x, S=s, A=a, D=a.sum(axis=1), area=area,
+            y=y, X=x, A=a, D=a.sum(axis=1), area=area,
             counts=np.bincount(area, minlength=a.shape[0]).astype(float),
             edges=edges, order=order, a_band=a_band,
         )

@@ -184,97 +184,69 @@ class WeightedTarget:
 
         Thresholds are passed on the log scale; -inf yields the full
         support. Accepts scalars or arrays. When the threshold reaches
-        log_c the interval collapses to (x_mode, x_mode). ``outside``
-        optionally gives, per threshold, a window (x1, x2) with log w at or
-        below the threshold at its ends, such as the stored window of a
-        knot below u; an end strictly inside the support starts that side's
-        solve in place of the support end.
+        log_c the interval collapses to (x_mode, x_mode). w is unimodal, so
+        the set is one interval with one crossing on each side of the mode,
+        and both sides are solved together: one ``log_w`` call at the
+        outside ends of all brackets, then one ``_bisect_crossing`` loop.
+
+        A bracket's outside end is the end of ``outside`` on its side where
+        that lies strictly inside the support; ``outside`` optionally gives,
+        per threshold, a window (x1, x2) with log w at or below the
+        threshold at its ends, such as the stored window of a knot below u.
+        Elsewhere it is the support end, and an infinite end is bracketed by
+        doubling outward from the mode. Where w at the outside end is above
+        the threshold the set reaches that end, and the support's open end
+        is returned.
         """
         thr = np.atleast_1d(np.asarray(log_threshold, dtype=float))
         scalar = np.ndim(log_threshold) == 0
         lo, hi = self.base.lo, self.base.hi
-        x1 = np.full(thr.shape, self.x_mode)
-        x2 = np.full(thr.shape, self.x_mode)
-        # For integer support the window is the open interval's interior, so
-        # a boundary point with w above the threshold must sit strictly
-        # inside: shift the endpoint one unit past it.
+        # Row 0 is the side below the mode, row 1 the side above it. For
+        # integer support the window is the open interval's interior, so a
+        # boundary point with w above the threshold must sit strictly
+        # inside: the open end lies one unit past it.
         pad = 1.0 if self.discrete else 0.0
-        lo_open, hi_open = lo - pad, hi + pad
-
-        nonempty = thr < self.log_c
+        end_open = np.array([[lo - pad], [hi + pad]])
+        x = np.full((2,) + thr.shape, self.x_mode)
         full = np.isneginf(thr)
-        x1[full] = lo_open
-        x2[full] = hi_open
-        work = nonempty & ~full
+        x[:, full] = end_open
+        work = (thr < self.log_c) & ~full
         if np.any(work):
-            t = thr[work]
-            start1, start2 = (
-                (None, None)
-                if outside is None
-                else (np.broadcast_to(np.asarray(o, dtype=float), thr.shape)[work] for o in outside)
-            )
-            x1[work] = self._solve_side(t, lo, lo_open, start1)
-            x2[work] = self._solve_side(t, hi, hi_open, start2)
-        x1, x2 = np.minimum(x1, x2), np.maximum(x1, x2)
+            t = np.broadcast_to(thr[work], (2, np.count_nonzero(work)))
+            inf_hi = hi == math.inf
+            top = max(2.0 * abs(self.x_mode), self.x_mode + 8.0) if inf_hi else hi
+            ends = np.array([lo, top])
+            o = np.repeat(ends[:, None], t.shape[1], axis=1)
+            known = np.zeros(t.shape, dtype=bool)
+            if outside is not None:
+                start = np.stack([np.broadcast_to(np.asarray(s, float), thr.shape)[work] for s in outside])
+                known = (start > lo) & (start < hi)
+                o[known] = start[known]
+            grow = ~known & np.array([[False], [inf_hi]])
+            log_ends = self.log_w(np.concatenate((ends, o[known])))
+            log_o = np.repeat(log_ends[:2, None], t.shape[1], axis=1)
+            log_o[known] = log_ends[2:]
+            for _ in range(200):
+                open_mask = grow & (log_o > t)
+                if not np.any(open_mask):
+                    break
+                o[open_mask] = 2.0 * o[open_mask] + 8.0
+                log_o[open_mask] = self.log_w(o[open_mask])
+            else:
+                raise DomainError("failed to bracket the right superlevel endpoint")
+            solve = ~(log_o > t)
+            side = np.where(solve, o, end_open)
+            if np.any(solve):
+                side[solve] = _bisect_crossing(
+                    self.log_w, t[solve], o[solve], self.x_mode, log_o[solve], self.log_c
+                )
+            x[:, work] = side
+        x1, x2 = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
         if scalar:
             return float(x1[0]), float(x2[0])
         return x1, x2
 
-    def _solve_side(self, thr, end, end_open, start=None):
-        """Crossings of thr between the mode and the support end ``end``.
-
-        A ``start`` strictly inside the support is taken as the outside end
-        of its bracket. Elsewhere the bracket reaches the support end: where
-        w there is already above thr the set reaches the end and
-        ``end_open`` is returned, and an infinite upper end is first
-        bracketed by doubling outward from the mode. The solver starts from
-        the log_w values already known: at the outside end and log_c at the
-        mode. A start where w is above thr is not a bracket; that side is
-        then returned as reaching the end.
-        """
-        outside = np.full(thr.shape, float(end))
-        log_out = np.empty(thr.shape)
-        known = np.zeros(thr.shape, dtype=bool)
-        if start is not None:
-            known = (start > self.base.lo) & (start < self.base.hi)
-            if np.any(known):
-                outside[known] = start[known]
-                log_out[known] = self.log_w(start[known])
-        rest = ~known
-        if np.any(rest) and end == math.inf:
-            o = np.full(np.count_nonzero(rest), max(2.0 * abs(self.x_mode), self.x_mode + 8.0))
-            for _ in range(200):
-                log_o = self.log_w(o)
-                open_mask = log_o > thr[rest]
-                if not np.any(open_mask):
-                    break
-                o[open_mask] = 2.0 * o[open_mask] + 8.0
-            else:
-                raise DomainError("failed to bracket the right superlevel endpoint")
-            outside[rest], log_out[rest] = o, log_o
-        elif np.any(rest):
-            log_out[rest] = float(self.log_w(np.array([end]))[0])
-        out = np.full(thr.shape, end_open)
-        solve = ~(log_out > thr)
-        if np.any(solve):
-            out[solve] = _bisect_crossing(
-                self.log_w, thr[solve], outside[solve], self.x_mode, log_out[solve], self.log_c
-            )
-        return out
-
     # -- probabilities and draws -----------------------------------------
-
-    def _window(self, u, outside=None):
-        """Open endpoints (x1, x2) of A_u; rejects u outside [0, 1], NaN included."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0) & (u <= 1)):
-            raise DomainError("u must lie in [0, 1]")
-        # log 0 = -inf selects the full support; a subnormal u keeps its own
-        # threshold, which the sampler's accept test uses too.
-        with np.errstate(divide="ignore"):
-            thr = np.log(u) + self.log_c
-        thr = np.where(u >= 1.0, np.inf, thr)
-        return self.interval_endpoints(thr, outside)
 
     def superlevel(self, u, outside=None):
         """(x1, x2, log_p): an open window (x1, x2) that contains A_u =
@@ -283,8 +255,16 @@ class WeightedTarget:
         the window reaches past A_u by at most one solver tolerance.
         ``outside`` optionally gives windows known to contain A_u, such as
         the stored windows of u's pieces; their interior ends start the
-        solve (see ``interval_endpoints``)."""
-        x1, x2 = self._window(u, outside)
+        solve (see ``interval_endpoints``). Rejects u outside [0, 1], NaN
+        included."""
+        u = np.asarray(u, dtype=float)
+        if not np.all((u >= 0) & (u <= 1)):
+            raise DomainError("u must lie in [0, 1]")
+        # log 0 = -inf selects the full support; a subnormal u keeps its own
+        # threshold, which the sampler's accept test uses too.
+        with np.errstate(divide="ignore"):
+            thr = np.log(u) + self.log_c
+        x1, x2 = self.interval_endpoints(np.where(u >= 1.0, np.inf, thr), outside)
         return x1, x2, self.base.log_prob(x1, x2)
 
     def log_prob_Au(self, u):
@@ -301,7 +281,7 @@ class WeightedTarget:
 
     def truncated_draw_many(self, u, v):
         """Vectorized truncated draws given uniforms v, one per u."""
-        x1, x2 = (np.atleast_1d(b) for b in self._window(u))
+        x1, x2, _ = (np.atleast_1d(b) for b in self.superlevel(u))
         return np.atleast_1d(self.base.truncated_draw(x1, x2, np.asarray(v, dtype=float)))
 
 

@@ -49,9 +49,10 @@ def dense_eta_draw(data: CarData, state: CarState, rng: Rng) -> np.ndarray:
     Omega = S'S/sigma^2 + (D - rho A)/tau^2 and b = S'(y - X beta)/sigma^2,
     drawn by Rng.mvn_precision; the banded draw must match it to round-off.
     """
+    s = np.eye(data.k)[data.area]
     resid = data.y - data.X @ state.beta
-    omega = data.S.T @ data.S / state.sigma2 + (np.diag(data.D) - state.rho * data.A) / state.tau2
-    linear = data.S.T @ resid / state.sigma2
+    omega = s.T @ s / state.sigma2 + (np.diag(data.D) - state.rho * data.A) / state.tau2
+    linear = s.T @ resid / state.sigma2
     p = data.order
     eta = np.empty(data.k)
     eta[p] = rng.mvn_precision(omega[np.ix_(p, p)], linear[p])
@@ -62,8 +63,8 @@ def relabeled(data: CarData, labels) -> CarData:
     """The same data with area i renamed labels[i]."""
     a = np.zeros_like(data.A)
     a[np.ix_(labels, labels)] = data.A
-    s = np.zeros_like(data.S)
-    s[:, labels] = data.S
+    s = np.zeros((data.n, data.k))
+    s[:, labels] = np.eye(data.k)[data.area]
     return CarData(y=data.y, X=data.X, S=s, A=a)
 
 
@@ -155,8 +156,9 @@ class TestAreaIndicator:
         data = CarData(y=np.zeros(4), X=np.ones((4, 1)), S=s, A=cycle_adjacency(4))
         np.testing.assert_array_equal(data.area, [3, 0, 3, 1])
         np.testing.assert_array_equal(data.counts, [1.0, 1.0, 0.0, 2.0])
+        assert not hasattr(data, "S")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            data.S = np.eye(4)
+            data.area = np.zeros(4, dtype=int)
 
 
 class TestBandedEta:
@@ -332,7 +334,7 @@ class TestConjugateDraws:
         data, state, hyper = setup
         rng = Rng(4)
         draws = np.array([draw_beta_car(data, state, hyper, rng) for _ in range(4000)])
-        resid = data.y - data.S @ state.eta
+        resid = data.y - np.eye(data.k)[data.area] @ state.eta
         omega = data.X.T @ data.X / state.sigma2 + np.eye(data.d) / hyper.sigma_beta2
         mean = np.linalg.solve(omega, data.X.T @ resid / state.sigma2)
         se = np.sqrt(np.diag(np.linalg.inv(omega)) / 4000)
@@ -344,15 +346,16 @@ class TestConjugateDraws:
         draws = np.array([draw_eta(data, state, hyper, rng) for _ in range(4000)])
         resid = data.y - data.X @ state.beta
         prec = (np.diag(data.D) - state.rho * data.A) / state.tau2
-        omega = data.S.T @ data.S / state.sigma2 + prec
-        mean = np.linalg.solve(omega, data.S.T @ resid / state.sigma2)
+        s = np.eye(data.k)[data.area]
+        omega = s.T @ s / state.sigma2 + prec
+        mean = np.linalg.solve(omega, s.T @ resid / state.sigma2)
         se = np.sqrt(np.diag(np.linalg.inv(omega)) / 4000)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
 
     def test_variance_draw_means(self, setup):
         data, state, hyper = setup
         rng = Rng(6)
-        resid = data.y - data.X @ state.beta - data.S @ state.eta
+        resid = data.y - data.X @ state.beta - np.eye(data.k)[data.area] @ state.eta
         shape, rate = 0.5 * data.n, 0.5 * float(resid @ resid)
         draws = np.array([draw_sigma2_car(data, state, hyper, rng) for _ in range(20_000)])
         assert draws.mean() == pytest.approx(rate / (shape - 1.0), rel=0.05)
@@ -430,7 +433,7 @@ class TestSyntheticAndCsv:
     def test_synthetic_shapes(self):
         data = car_synthetic(3, beta=[1.0, 0.5, -0.2], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(14), n_rep=3)
         assert data.k == 9 and data.n == 27 and data.d == 3
-        assert data.S.sum() == data.n
+        assert np.eye(data.k)[data.area].sum() == data.n
 
     def test_synthetic_validation(self):
         with pytest.raises(DomainError):
@@ -447,4 +450,4 @@ class TestSyntheticAndCsv:
         np.testing.assert_allclose(loaded.y, data.y, rtol=1e-12)
         np.testing.assert_allclose(loaded.X, data.X, rtol=1e-12)
         np.testing.assert_array_equal(loaded.A, data.A)
-        np.testing.assert_array_equal(loaded.S, data.S)
+        np.testing.assert_array_equal(np.eye(loaded.k)[loaded.area], np.eye(data.k)[data.area])

@@ -287,6 +287,18 @@ class TestEndpointSolver:
         assert x2 == pytest.approx([6.5, 14.5], abs=1e-9)
         assert target.interval_endpoints(-1.0) == pytest.approx((3.5, 6.5), abs=1e-9)
 
+    def test_doubling_that_never_brackets_raises(self):
+        # log w falls by 1e-250 per unit, so the doubled bracket toward the
+        # infinite end stays above the threshold until the doubling cap.
+        target = WeightedTarget(
+            log_w=lambda x: -1e-250 * np.abs(np.asarray(x, float) - 4.5),
+            x_mode=4.5,
+            log_c=0.0,
+            base=GeometricBase(0.5),
+        )
+        with pytest.raises(DomainError, match="failed to bracket the right superlevel endpoint"):
+            target.interval_endpoints(np.array([-1.0, -2.0]))
+
 
 def reference_crossing(log_w, thr, outside, inside, *_known_log_w):
     """200 halvings of every bracket, with no early stop."""
@@ -322,6 +334,63 @@ class TestSuperlevelSolve:
         thr = np.log(np.linspace(1e-10, 1.0, 201)) + target.log_c
         target.interval_endpoints(thr)
         assert len(calls) <= 80
+
+    def test_both_sides_share_one_crossing_loop(self, monkeypatch):
+        # The two sides of the mode are bracketed together and bisected in
+        # one loop, so the 201 levels cost one set of loop iterations.
+        target = cmp_target(CmpParams(2.0, 0.05))
+        loops = []
+        crossing = stepdirect.target._bisect_crossing
+        monkeypatch.setattr(
+            stepdirect.target, "_bisect_crossing", lambda *args: loops.append(args) or crossing(*args)
+        )
+        calls = []
+        log_w = target.log_w
+        target.log_w = lambda x: calls.append(np.size(x)) or log_w(x)
+        thr = np.log(np.linspace(1e-10, 1.0, 201)) + target.log_c
+        target.interval_endpoints(thr)
+        assert len(loops) == 1
+        assert len(calls) <= 30
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.floats(min_value=0.05, max_value=0.95),
+        left=st.floats(min_value=0.0, max_value=3.0),
+        right=st.floats(min_value=0.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_mixed_starts_match_reference(self, discrete, mode, left, right, seed):
+        # Curvatures 10^left, 10^right on Uniform(0, 1); on the geometric
+        # base, whose upper end is infinite, the mode scales to 60 mode and
+        # the curvatures to 10^-left, 10^-right.
+        if discrete:
+            mode, left, right, base = 60.0 * mode, 10.0**-left, 10.0**-right, GeometricBase(0.5)
+        else:
+            left, right, base = 10.0**left, 10.0**right, UniformBase(0.0, 1.0)
+        target = WeightedTarget(
+            log_w=lopsided_log_w(mode, left, right), x_mode=mode, log_c=0.0, base=base
+        )
+        gen = np.random.default_rng(seed)
+        thr = -(10.0 ** gen.uniform(-3.0, 3.0, size=50))
+        # A random subset of entries on each side starts from a point past
+        # its crossing; the rest start from the support end.
+        given_start = gen.uniform(size=(2, thr.size)) < 0.5
+        gap = gen.uniform(0.01, 2.0, size=(2, thr.size))
+        half = np.sqrt(-thr / np.array([[left], [right]]))
+        past = mode + np.array([[-1.0], [1.0]]) * half * (1.0 + gap)
+        starts = np.where(given_start, past, [[base.lo], [base.hi]])
+        new = target.interval_endpoints(thr, tuple(starts))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(stepdirect.target, "_bisect_crossing", reference_crossing)
+            ref = target.interval_endpoints(thr)
+        if discrete:
+            lo, hi = integer_window(*new)
+            lo_ref, hi_ref = integer_window(*ref)
+            assert np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
+        else:
+            for x, x_ref in zip(new, ref):
+                assert np.all(np.abs(x - x_ref) <= 1e-9 * (1.0 + np.abs(x_ref)))
 
     def test_stored_window_starts_the_solve(self):
         # Each knot's stored window brackets A_u for every u on its piece,
