@@ -12,16 +12,16 @@ with lambda_i the eigenvalues of D^{-1} A. That is a weighted Uniform(0,1)
 target, so the direct sampler draws rho exactly; a truncated-normal
 Metropolis-Hastings step is included as a baseline.
 
-Cost per iteration. S is a one-hot area indicator, so S'S = diag(counts),
-S'r is a bincount and S eta is eta[area]; the quadratic forms eta'A eta and
-eta'(D - rho A) eta come from the edge list. The eta conditional is then a
-Gaussian Markov random field whose precision diag(counts)/sigma^2 +
-(D - rho A)/tau^2 has the band of A: it is factored by a band Cholesky and
-drawn in O(k b^2) for k areas at bandwidth b (Rue 2001, fast sampling of
-Gaussian Markov random fields), b = grid_side on a lattice. The areas are
-factored in reverse Cuthill-McKee order where that strictly narrows the
-band, and in their own order otherwise. An iteration costs O(n d + k b^2)
-outside the rho step.
+Cost per iteration. S is held as each outcome's area index, so S'S =
+diag(counts), S'r is a bincount and S eta is eta[area]; the quadratic
+forms eta'A eta and eta'(D - rho A) eta come from the edge list. The eta
+conditional is then a Gaussian Markov random field whose precision
+diag(counts)/sigma^2 + (D - rho A)/tau^2 has the band of A: it is factored
+by a band Cholesky and drawn in O(k b^2) for k areas at bandwidth b (Rue
+2001, fast sampling of Gaussian Markov random fields), b = grid_side on a
+lattice. The areas are factored in reverse Cuthill-McKee order where that
+strictly narrows the band, and in their own order otherwise. An iteration
+costs O(n d + k b^2) outside the rho step.
 
 In the rho step log w = F(rho) + theta rho: F(rho) = (1/2) sum log(1 -
 rho lambda_i) is fixed by the data, and only theta = eta'A eta / (2 tau^2)
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -50,7 +50,7 @@ from scipy.special import ndtr, ndtri
 from .chains import ChainOutput
 from .errors import DomainError, NotPositiveDefiniteError
 from .rngstats import Rng, sym_eigenvalues
-from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
+from .sampler import DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
@@ -111,16 +111,6 @@ def _validate_adjacency(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _one_hot_areas(s: np.ndarray) -> np.ndarray:
-    """Each row's area index; every row of S must be a 0/1 indicator of one area."""
-    area = np.argmax(s, axis=1)
-    one_hot = (s[np.arange(s.shape[0]), area] == 1.0) & (np.count_nonzero(s, axis=1) == 1)
-    if not np.all(one_hot):
-        i = int(np.argmin(one_hot))
-        raise DomainError(f"row {i} of S is not a one-hot area indicator")
-    return area
-
-
 def _band_order(k: int, edges: np.ndarray):
     """(order, upper band of A in that order) for the banded eta draw.
 
@@ -147,43 +137,45 @@ def _band_order(k: int, edges: np.ndarray):
 class CarData:
     """Observed outcomes with design matrices and the area graph.
 
-    Everything the Gibbs scan derives from S and A is computed here once:
-    the row sums D, each outcome's area and the outcomes per area, the
-    edge list, the factor order with the band of A in it, and (on first
-    use) the spectrum of D^{-1} A and the rho table. The one-hot S (n x k)
-    is validated and decoded into ``area``, then dropped: S eta is
-    eta[area].
+    ``area`` holds each outcome's area index, an integer in [0, k): it is
+    the model's S, whose row i is the indicator of area[i], so S eta is
+    eta[area]. Everything the Gibbs scan derives from S and A is computed
+    here once: the row sums D, the outcomes per area, the edge list, the
+    factor order with the band of A in it, and (on first use) the
+    spectrum of D^{-1} A and the rho table.
     """
 
     y: np.ndarray
     X: np.ndarray
-    S: InitVar[np.ndarray]
+    area: np.ndarray  # area index of each outcome
     A: np.ndarray
     D: np.ndarray = field(init=False)
-    area: np.ndarray = field(init=False)  # area index of each outcome
     counts: np.ndarray = field(init=False)  # outcomes per area
     edges: np.ndarray = field(init=False)  # (m, 2) area pairs, i < j
     order: np.ndarray = field(init=False)  # area at each position of the factor order
     a_band: np.ndarray = field(init=False)  # upper band of A in that order
 
-    def __post_init__(self, S):
+    def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
         x = np.atleast_2d(np.asarray(self.X, dtype=float))
-        s = np.atleast_2d(np.asarray(S, dtype=float))
         a = _validate_adjacency(self.A)
-        n = y.size
-        if x.shape[0] != n or s.shape[0] != n:
-            raise DomainError("X and S must have one row per outcome")
-        if s.shape[1] != a.shape[0]:
-            raise DomainError("S column count must match the number of areas")
+        if x.shape[0] != y.size:
+            raise DomainError("X must have one row per outcome")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise DomainError("y and X must be finite")
-        area = _one_hot_areas(s)
+        area, k = np.asarray(self.area), a.shape[0]
+        if area.shape != y.shape:
+            raise DomainError(f"area must hold one index per outcome: shape {area.shape} for {y.size} outcomes")
+        valid = np.isin(area, np.arange(k))
+        if not np.all(valid):
+            i = int(np.argmin(valid))
+            raise DomainError(f"outcome {i} has area {area[i]}, not an integer in [0, {k})")
+        area = area.astype(int)
         edges = np.argwhere(np.triu(a) > 0)
-        order, a_band = _band_order(a.shape[0], edges)
+        order, a_band = _band_order(k, edges)
         values = dict(
             y=y, X=x, A=a, D=a.sum(axis=1), area=area,
-            counts=np.bincount(area, minlength=a.shape[0]).astype(float),
+            counts=np.bincount(area, minlength=k).astype(float),
             edges=edges, order=order, a_band=a_band,
         )
         for name, value in values.items():
@@ -537,11 +529,11 @@ def car_synthetic(
     for _ in range(beta.size - 1):
         cols.append(rng.generator.standard_normal(n))
     x = np.column_stack(cols)
-    s = np.repeat(np.eye(k), n_rep, axis=0)
+    area = np.repeat(np.arange(k), n_rep)
     d_row = a.sum(axis=1)
     eta = rng.mvn_precision((np.diag(d_row) - rho * a) / tau2, np.zeros(k))
-    y = x @ beta + s @ eta + rng.generator.standard_normal(n) * math.sqrt(sigma2)
-    return CarData(y=y, X=x, S=s, A=a)
+    y = x @ beta + eta[area] + rng.generator.standard_normal(n) * math.sqrt(sigma2)
+    return CarData(y=y, X=x, area=area, A=a)
 
 
 def car_dump_csv(data: CarData, out_dir) -> None:
@@ -565,43 +557,54 @@ def car_dump_csv(data: CarData, out_dir) -> None:
             w.writerow([int(i), int(j)])
 
 
+def read_csv(path, kinds=float, header=None) -> tuple[list[str], list[list]]:
+    """(header, rows) of a CSV file; kinds[j] parses cell j, or kinds every cell if it is one type.
+
+    A header other than ``header``, a row of another width or a cell that does
+    not parse raises DomainError naming the file, and the line for a row.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, [])
+        if header is not None and first != header:
+            raise DomainError(f"{path}: expected header '{','.join(header)}'")
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,) * len(first)
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(kinds):
+                    raise ValueError(f"expected {len(kinds)} cells, found {len(row)}")
+                rows.append([kind(cell) for kind, cell in zip(kinds, row)])
+            except ValueError as exc:
+                raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
+    return first, rows
+
+
 def car_load_csv(y_path, x_path, adjacency_path) -> CarData:
     """Read data written by car_dump_csv.
 
     The area count comes from the largest index in the edge list; every
     area must appear there since isolated areas are invalid anyway.
     """
-    with open(y_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["area", "y"]:
-        raise DomainError(f"{y_path}: expected 'area,y' columns")
-    areas = np.array([int(r[0]) for r in rows[1:]])
-    y = np.array([float(r[1]) for r in rows[1:]])
-    with open(x_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    _, outcomes = read_csv(y_path, (int, float), header=["area", "y"])
+    header, x = read_csv(x_path)
+    if not header:
         raise DomainError(f"{x_path}: empty design file")
-    x = np.array([[float(v) for v in r] for r in rows[1:]])
-    with open(adjacency_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["i", "j"]:
-        raise DomainError(f"{adjacency_path}: expected 'i,j' edge list header")
-    edges = []
-    for line_no, r in enumerate(rows[1:], start=2):
-        i, j = int(r[0]), int(r[1])
+    _, edges = read_csv(adjacency_path, (int, int), header=["i", "j"])
+    for line_no, (i, j) in enumerate(edges, start=2):
         if i == j:
             raise DomainError(f"{adjacency_path}:{line_no}: self loop at area {i}")
         if i < 0 or j < 0:
             raise DomainError(f"{adjacency_path}:{line_no}: negative area index")
-        edges.append((i, j))
     if not edges:
         raise DomainError(f"{adjacency_path}: no edges")
     k = max(max(i, j) for i, j in edges) + 1
+    for line_no, (area, _) in enumerate(outcomes, start=2):
+        if not 0 <= area < k:
+            raise DomainError(f"{y_path}:{line_no}: area index {area} out of range for k={k}")
     a = np.zeros((k, k))
-    for i, j in edges:
-        a[i, j] = a[j, i] = 1.0
-    if areas.size and (areas.min() < 0 or areas.max() >= k):
-        raise DomainError(f"{y_path}: area index out of range for k={k}")
-    s = np.zeros((y.size, k))
-    s[np.arange(y.size), areas] = 1.0
-    return CarData(y=y, X=x, S=s, A=a)
+    i, j = np.array(edges).T
+    a[i, j] = a[j, i] = 1.0
+    area = np.array([r[0] for r in outcomes], dtype=int)
+    y = np.array([r[1] for r in outcomes], dtype=float)
+    return CarData(y=y, X=np.array(x), area=area, A=a)

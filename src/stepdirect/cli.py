@@ -212,10 +212,8 @@ def cmd_treg(args) -> int:
         basis = treg_mod.CubicBasis(r, args.n_internal_knots)
         data = treg_mod.TregData(y=sim.y, X=basis.design(r))
     else:
-        with open(args.data_csv, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        mat = np.array([[float(v) for v in row] for row in body])
+        header, body = car_mod.read_csv(args.data_csv)
+        mat = np.array(body)
         if header == ["y", "r"]:
             r = mat[:, 1]
             basis = treg_mod.CubicBasis(r, args.n_internal_knots)
@@ -257,7 +255,7 @@ def _write_curve(path, chain, basis, r, rng: Rng, synthetic: bool) -> None:
     ypred = mu_draws + sigma * noise
     mu_lo, mu_hi = np.quantile(mu_draws, [0.025, 0.975], axis=1)
     yp_lo, yp_hi = np.quantile(ypred, [0.025, 0.975], axis=1)
-    mu_true = treg_mod.mean_curve(grid, 0.746, 274.7) if synthetic else np.full(grid.size, np.nan)
+    mu_true = treg_mod.mean_curve(grid) if synthetic else np.full(grid.size, np.nan)
     _write_csv(
         path,
         ["r", "mu_true", "mu_hat_q025", "mu_hat_q975", "ypred_q025", "ypred_q975"],

@@ -25,7 +25,7 @@ from scipy.special import digamma, gammaln, zeta
 from .chains import ChainOutput
 from .errors import DomainError
 from .rngstats import Rng
-from .sampler import DirectDrawReport, DirectSampler, SamplerConfig
+from .sampler import DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
@@ -369,7 +369,7 @@ class TregSynthetic:
     y: np.ndarray
 
 
-def mean_curve(r, phi1: float, phi2: float):
+def mean_curve(r, phi1: float = 0.746, phi2: float = 274.7):
     """mu(r) = r (1 - phi1 exp(-phi2 / r)); continuous limit mu(0) = 0."""
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):
@@ -380,8 +380,6 @@ def mean_curve(r, phi1: float, phi2: float):
 def treg_synthetic(
     n: int,
     rng: Rng,
-    phi1: float = 0.746,
-    phi2: float = 274.7,
     nu: float = 2.0,
     sigma: float = 1.25,
 ) -> TregSynthetic:
@@ -389,7 +387,7 @@ def treg_synthetic(
     if n < 1:
         raise DomainError("n must be >= 1")
     r = rng.generator.uniform(0.0, 10.0, size=n)
-    mu = mean_curve(r, phi1, phi2)
+    mu = mean_curve(r)
     y = mu + sigma * rng.generator.standard_t(nu, size=n)
     return TregSynthetic(r=r, mu=mu, y=y)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -63,9 +64,7 @@ def relabeled(data: CarData, labels) -> CarData:
     """The same data with area i renamed labels[i]."""
     a = np.zeros_like(data.A)
     a[np.ix_(labels, labels)] = data.A
-    s = np.zeros((data.n, data.k))
-    s[:, labels] = np.eye(data.k)[data.area]
-    return CarData(y=data.y, X=data.X, S=s, A=a)
+    return CarData(y=data.y, X=data.X, area=labels[data.area], A=a)
 
 
 def assert_draws_match_dense(data: CarData, state: CarState, seed: int) -> None:
@@ -113,7 +112,7 @@ class TestLattice:
 class TestAdjacencyValidation:
     def base(self, a):
         k = a.shape[0]
-        return CarData(y=np.zeros(k), X=np.ones((k, 1)), S=np.eye(k), A=a)
+        return CarData(y=np.zeros(k), X=np.ones((k, 1)), area=np.arange(k), A=a)
 
     def test_accepts_lattice(self):
         self.base(lattice_adjacency(2))
@@ -144,19 +143,26 @@ class TestAdjacencyValidation:
 
 
 class TestAreaIndicator:
-    @pytest.mark.parametrize("row", [[0.0, 1.0, 1.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
-    def test_rejects_row_that_is_not_one_hot(self, row):
-        s = np.eye(4)
-        s[2] = row
-        with pytest.raises(DomainError, match="row 2 of S"):
-            CarData(y=np.zeros(4), X=np.ones((4, 1)), S=s, A=cycle_adjacency(4))
+    @pytest.mark.parametrize(
+        "area, message",
+        [
+            ([0, 1, -1, 3], "outcome 2 has area -1,"),
+            ([0, 1, 4, 3], "outcome 2 has area 4,"),
+            ([0, 1, 1.5, 3], "outcome 2 has area 1.5,"),
+            ([0, 1, np.nan, 3], "outcome 2 has area nan,"),
+            ([0, 1, 2], r"one index per outcome: shape \(3,\) for 4 outcomes"),
+        ],
+        ids=["negative", "k", "fraction", "nan", "wrong_length"],
+    )
+    def test_rejects_bad_area(self, area, message):
+        with pytest.raises(DomainError, match=message):
+            CarData(y=np.zeros(4), X=np.ones((4, 1)), area=area, A=cycle_adjacency(4))
 
     def test_keeps_areas_and_counts(self):
-        s = np.eye(4)[[3, 0, 3, 1]]
-        data = CarData(y=np.zeros(4), X=np.ones((4, 1)), S=s, A=cycle_adjacency(4))
+        data = CarData(y=np.zeros(4), X=np.ones((4, 1)), area=[3, 0, 3, 1], A=cycle_adjacency(4))
         np.testing.assert_array_equal(data.area, [3, 0, 3, 1])
+        assert data.area.dtype.kind == "i"
         np.testing.assert_array_equal(data.counts, [1.0, 1.0, 0.0, 2.0])
-        assert not hasattr(data, "S")
         with pytest.raises(dataclasses.FrozenInstanceError):
             data.area = np.zeros(4, dtype=int)
 
@@ -178,9 +184,9 @@ class TestBandedEta:
 
     def test_cycle(self):
         k = 6
-        s = np.repeat(np.eye(k), 2, axis=0)
+        area = np.repeat(np.arange(k), 2)
         x = np.column_stack((np.ones(2 * k), Rng(23).generator.standard_normal(2 * k)))
-        data = CarData(y=Rng(24).generator.standard_normal(2 * k), X=x, S=s, A=cycle_adjacency(k))
+        data = CarData(y=Rng(24).generator.standard_normal(2 * k), X=x, area=area, A=cycle_adjacency(k))
         assert_draws_match_dense(data, self.state(data, 25), 26)
 
     def test_shuffled_lattice_through_csv_gets_its_band_back(self, tmp_path):
@@ -206,7 +212,7 @@ class TestBandedEta:
         k = a.shape[0]
         gen = Rng(seed).generator
         area = gen.integers(0, k, size=2 * k)  # some areas may have no outcome
-        data = CarData(y=gen.standard_normal(2 * k), X=np.ones((2 * k, 1)), S=np.eye(k)[area], A=a)
+        data = CarData(y=gen.standard_normal(2 * k), X=np.ones((2 * k, 1)), area=area, A=a)
         state = CarState(beta=[0.3], eta=gen.standard_normal(k), sigma2=sigma2, tau2=tau2, rho=rho)
         eta = state.eta
 
@@ -451,3 +457,22 @@ class TestSyntheticAndCsv:
         np.testing.assert_allclose(loaded.X, data.X, rtol=1e-12)
         np.testing.assert_array_equal(loaded.A, data.A)
         np.testing.assert_array_equal(np.eye(loaded.k)[loaded.area], np.eye(data.k)[data.area])
+
+    @pytest.mark.parametrize(
+        "name, line, row, message",
+        [
+            ("y.csv", 3, "1.5,0.25", "invalid literal for int"),
+            ("y.csv", 2, "1,x", "could not convert string to float"),
+            ("x.csv", 4, "1.0", "expected 2 cells, found 1"),
+            ("adjacency.csv", 2, "0,one", "invalid literal for int"),
+        ],
+        ids=["y_area_fraction", "y_value_text", "x_short_row", "adjacency_index_text"],
+    )
+    def test_malformed_cell_names_file_and_line(self, tmp_path, name, line, row, message):
+        data = car_synthetic(3, beta=[1.0, 0.5], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(15), n_rep=2)
+        car_dump_csv(data, tmp_path)
+        lines = (tmp_path / name).read_text().splitlines()
+        lines[line - 1] = row
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=re.escape(f"{tmp_path / name}:{line}: ") + message):
+            car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")

@@ -147,6 +147,23 @@ class TestCar:
         )
         assert (tmp_path / "run" / "summary.csv").exists()
 
+    def test_malformed_csv_cell_exits_3(self, tmp_path, capsys):
+        data = car_synthetic(2, [1.0, 0.5], 0.5, 1.0, 0.5, Rng(4), n_rep=2)
+        car_dump_csv(data, tmp_path / "data")
+        (tmp_path / "data" / "y.csv").write_text("area,y\n1,x\n")
+        code = main(
+            [
+                "car",
+                "--mode", "csv",
+                "--y-csv", str(tmp_path / "data" / "y.csv"),
+                "--x-csv", str(tmp_path / "data" / "x.csv"),
+                "--adjacency-csv", str(tmp_path / "data" / "adjacency.csv"),
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        assert f"stepdirect: error: {tmp_path / 'data' / 'y.csv'}:2: " in capsys.readouterr().err
+
 
 class TestTreg:
     def test_synthetic_run_and_rerun(self, tmp_path):
@@ -204,6 +221,12 @@ class TestTreg:
         )
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_csv_cell_exits_3(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("y,r\n1.5,abc\n")
+        code = main(["treg", "--mode", "csv", "--data-csv", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert f"stepdirect: error: {tmp_path / 'bad.csv'}:2: " in capsys.readouterr().err
 
 
 class TestNuCompare:
