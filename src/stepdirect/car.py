@@ -560,8 +560,9 @@ def car_dump_csv(data: CarData, out_dir) -> None:
 def read_csv(path, kinds=float, header=None) -> tuple[list[str], list[list]]:
     """(header, rows) of a CSV file; kinds[j] parses cell j, or kinds every cell if it is one type.
 
-    A header other than ``header``, a row of another width or a cell that does
-    not parse raises DomainError naming the file, and the line for a row.
+    A header other than ``header``, no rows after the header, a row of another
+    width or a cell that does not parse raises DomainError naming the file,
+    and the line for a row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -577,6 +578,8 @@ def read_csv(path, kinds=float, header=None) -> tuple[list[str], list[list]]:
                 rows.append([kind(cell) for kind, cell in zip(kinds, row)])
             except ValueError as exc:
                 raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
     return first, rows
 
 
@@ -588,7 +591,7 @@ def car_load_csv(y_path, x_path, adjacency_path) -> CarData:
     """
     _, outcomes = read_csv(y_path, (int, float), header=["area", "y"])
     header, x = read_csv(x_path)
-    if not header:
+    if not header:  # a blank first line, then blank rows
         raise DomainError(f"{x_path}: empty design file")
     _, edges = read_csv(adjacency_path, (int, int), header=["i", "j"])
     for line_no, (i, j) in enumerate(edges, start=2):
@@ -596,8 +599,6 @@ def car_load_csv(y_path, x_path, adjacency_path) -> CarData:
             raise DomainError(f"{adjacency_path}:{line_no}: self loop at area {i}")
         if i < 0 or j < 0:
             raise DomainError(f"{adjacency_path}:{line_no}: negative area index")
-    if not edges:
-        raise DomainError(f"{adjacency_path}: no edges")
     k = max(max(i, j) for i, j in edges) + 1
     for line_no, (area, _) in enumerate(outcomes, start=2):
         if not 0 <= area < k:

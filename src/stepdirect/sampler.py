@@ -210,8 +210,8 @@ class DirectSampler:
         v_x = rng.generator.uniform(size=m)
         table = self.step.table
         u = step_quantile_many(self.step, v_u)
-        # u's piece; quantile round-off at either end stays on an end piece.
-        j = np.clip(np.searchsorted(table.knots, u, side="right") - 1, 0, table.knots.size - 2)
+        # u's piece (u >= 0 = u_0); a u at u_N stays on the last piece.
+        j = np.minimum(np.searchsorted(table.knots, u, side="right") - 1, table.knots.size - 2)
         live = ~np.isneginf(table.log_probs[j])
         x = np.zeros(m)
         accept = np.zeros(m, dtype=bool)

@@ -6,13 +6,15 @@ are carried as log values. Each knot u_j also carries the window
 (x1_j, x2_j) that its height is the base mass of; the window contains A_u
 for every u on the piece [u_j, u_{j+1}), so the sampler can draw x on it
 without solving for A_u. Each piece also carries a lower bound on
-P(A_u) over the piece, from which the rejection bound is computed.
+P(A_u) over the piece, from which the rejection bound is computed. An
+envelope starts at a head knot u_0 = 0 whose window is the whole support,
+and one np.interp map, read either way, gives its CDF and quantile.
 
 Knots come from one of three rules. The paper's greedy rectangle
 splitting and equal spacing place knots in u over a descent window
 [u_lo, u_hi], which find_u_lo and find_u_hi give in closed form, and
-solve each knot for its window. Level knots
-(``level_knots``, continuous bases only) need no solve: log w is
+solve each knot for its window; the sampler prepends the head knot. Level
+knots (``level_knots``, continuous bases only) need no solve: log w is
 tabulated once on a grid of x around the mode, and the knots are the
 grid's levels w(x_i) / c, so the outer grid bracket of each level is a
 window that contains A_u for every u on its piece (the table or ziggurat
@@ -144,23 +146,21 @@ class KnotTable:
 
 @dataclass(frozen=True)
 class StepApprox:
-    """Built step density: knot table, log normalizer, and CDF grid.
+    """Built step density: knot table, log normalizer, and CDF at the knots.
 
-    ``grid_u``/``grid_cdf`` include the leading point (0, 0) so the
-    [0, u_0) piece participates in CDF and quantile evaluation. Instances
-    are immutable snapshots; knot insertion returns a fresh one.
+    The first knot is u = 0 (build_step checks it), so ``grid_cdf[j]`` is
+    H(u_j) at ``table.knots[j]``, from 0 at the head knot to 1 at u_N.
+    Instances are immutable snapshots; knot insertion returns a fresh one.
     """
 
     table: KnotTable
     log_a: float
-    grid_u: np.ndarray
     grid_cdf: np.ndarray
 
     @property
     def u_lo(self) -> float:
-        """Start of the descent grid: the first knot above a head knot at 0."""
-        knots = self.table.knots
-        return float(knots[1] if knots[0] == 0.0 else knots[0])
+        """Start of the descent grid: the first knot above the head knot at 0."""
+        return float(self.table.knots[1])
 
     @property
     def u_hi(self) -> float:
@@ -244,6 +244,7 @@ def select_knots(
     rectangle area. The "hybrid" kind tries both the arithmetic and
     geometric midpoints of the chosen interval at once, which recovers
     quickly when the descent sits many orders of magnitude below u_hi.
+    Raises DomainError where a solved height rises with u, as P(A_u) cannot.
     """
     if not u_lo < u_hi:
         raise DomainError("select_knots requires u_lo < u_hi")
@@ -256,6 +257,10 @@ def select_knots(
     x1, x2, lp = target.superlevel(u)
     n_knots_goal = n_intervals + 1
     while u.size < n_knots_goal:
+        if np.any(lp[1:] > lp[:-1]):
+            j = int(np.argmax(lp[1:] > lp[:-1]))
+            raise DomainError(f"{target.name or 'target'}: the solved P(A_u) rises from u = {float(u[j])!r} to "
+                              f"{float(u[j + 1])!r}: log w rounds by more than the gaps between knot heights")
         # Ties, and a row of all -inf keys, go to the smaller index.
         with np.errstate(invalid="ignore"):
             keys = omega * log_diff_exp(lp[:-1], lp[1:]) + (1.0 - omega) * np.log(np.diff(u))
@@ -426,44 +431,35 @@ def level_knots(target: WeightedTarget) -> KnotTable:
 
 
 def build_step(kt: KnotTable) -> StepApprox:
-    """Normalize the step function and precompute its CDF at the knots."""
+    """Normalize the step function and precompute its CDF at the knots.
+
+    Raises DomainError unless the first knot is u = 0, so that the pieces
+    cover every u in [0, u_N) and the CDF starts at H(0) = 0.
+    """
     u = kt.knots
-    lp = kt.log_probs
+    if u[0] != 0.0:
+        raise DomainError(f"a step envelope starts at a head knot at u = 0, not at u = {u[0]!r}")
     with np.errstate(divide="ignore"):
-        head = lp[0] + (np.log(u[0]) if u[0] > 0 else -np.inf)
-        body = lp[:-1] + np.log(np.diff(u))
-    terms = np.concatenate(([head], body))
+        terms = kt.log_probs[:-1] + np.log(np.diff(u))
     log_a = log_sum_exp(terms)
     if math.isinf(log_a):
         raise DegenerateTargetError("step function has zero total mass")
-    increments = np.exp(terms - log_a)
-    cdf = np.concatenate(([0.0], np.cumsum(increments)))
-    cdf = np.minimum.accumulate(np.minimum(cdf, 1.0)[::-1])[::-1]
+    cdf = np.minimum(np.concatenate(([0.0], np.cumsum(np.exp(terms - log_a)))), 1.0)
     cdf[-1] = 1.0
-    grid_u = np.concatenate(([0.0], u))
-    return StepApprox(table=kt, log_a=log_a, grid_u=grid_u, grid_cdf=cdf)
+    return StepApprox(table=kt, log_a=log_a, grid_cdf=cdf)
 
 
 def step_cdf(s: StepApprox, u):
     """Piecewise-linear CDF H(u)."""
-    return np.interp(u, s.grid_u, s.grid_cdf, left=0.0, right=1.0)
+    return np.interp(u, s.table.knots, s.grid_cdf)
 
 
 def step_quantile_many(s: StepApprox, phi) -> np.ndarray:
-    """Vectorized quantile H^{-1}(phi) by interval lookup + interpolation."""
+    """Vectorized quantile H^{-1}(phi): step_cdf's map, read backwards."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if np.any((phi < 0) | (phi > 1)):
         raise DomainError("phi must lie in [0, 1]")
-    idx = np.searchsorted(s.grid_cdf, phi, side="right")
-    idx = np.clip(idx, 1, s.grid_cdf.size - 1)
-    h0 = s.grid_cdf[idx - 1]
-    h1 = s.grid_cdf[idx]
-    u0 = s.grid_u[idx - 1]
-    u1 = s.grid_u[idx]
-    gap = h1 - h0
-    frac = np.where(gap > 0, (phi - h0) / np.where(gap > 0, gap, 1.0), 0.0)
-    out = u0 + (u1 - u0) * np.clip(frac, 0.0, 1.0)
-    return np.where(phi >= 1.0, s.grid_u[-1], np.where(phi <= 0.0, 0.0, out))
+    return np.interp(phi, s.grid_cdf, s.table.knots)
 
 
 def step_quantile(s: StepApprox, phi: float) -> float:
@@ -475,28 +471,26 @@ def step_quantile(s: StepApprox, phi: float) -> float:
 
 
 def step_logpdf_unnorm(s: StepApprox, u):
-    """log h*(u): left-closed pieces, P(A_{u_0}) below u_0, zero past u_N."""
+    """log h*(u): left-closed pieces from u_0 = 0, zero below 0 and from u_N on."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     knots = s.table.knots
     lp = s.table.log_probs
-    idx = np.searchsorted(knots, u_arr, side="right") - 1
-    below = idx < 0
-    beyond = u_arr >= knots[-1]
-    idx = np.clip(idx, 0, lp.size - 2)
-    out = lp[idx]
-    out = np.where(below, lp[0], out)
-    out = np.where(beyond, -np.inf, out)
-    out = np.where((u_arr < 0) | (u_arr > 1), -np.inf, out)
+    idx = np.minimum(np.searchsorted(knots, u_arr, side="right") - 1, lp.size - 2)
+    out = np.where((u_arr < 0) | (u_arr >= knots[-1]), -np.inf, lp[idx])
     return out if np.ndim(u) else float(out[0])
+
+
+def _log_rect_areas(kt: KnotTable) -> np.ndarray:
+    """log (h_j - low_j)(u_{j+1} - u_j) for each piece j."""
+    with np.errstate(invalid="ignore"):
+        return log_diff_exp(kt.log_probs[:-1], kt.log_lows[:-1]) + np.log(np.diff(kt.knots))
 
 
 def log_total_rect_area(kt: KnotTable) -> float:
     """log sum_j (h_j - low_j)(u_{j+1} - u_j): the area between the step
     function and the lower bounds on P(A_u), which contains the area
     between the step function and P(A_u)."""
-    with np.errstate(invalid="ignore"):
-        terms = log_diff_exp(kt.log_probs[:-1], kt.log_lows[:-1]) + np.log(np.diff(kt.knots))
-    return log_sum_exp(terms)
+    return log_sum_exp(_log_rect_areas(kt))
 
 
 def total_rect_area(kt: KnotTable) -> float:
@@ -533,9 +527,7 @@ def insert_knot(s: StepApprox, u, log_p, x1, x2):
 
 def knot_table_rows(kt: KnotTable):
     """Diagnostic rows (j, u_j, log_p_j, rect_area_j) for CSV dumps."""
-    areas = np.concatenate(
-        ([0.0], (np.exp(kt.log_probs[:-1]) - np.exp(kt.log_lows[:-1])) * np.diff(kt.knots))
-    )
+    areas = np.concatenate(([0.0], np.exp(_log_rect_areas(kt))))
     return [
         (j, float(kt.knots[j]), float(kt.log_probs[j]), float(areas[j]))
         for j in range(kt.knots.size)

@@ -476,3 +476,21 @@ class TestSyntheticAndCsv:
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         with pytest.raises(DomainError, match=re.escape(f"{tmp_path / name}:{line}: ") + message):
             car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")
+
+    @pytest.mark.parametrize("name", ["y.csv", "x.csv", "adjacency.csv"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, name):
+        data = car_synthetic(3, beta=[1.0, 0.5], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(15), n_rep=2)
+        car_dump_csv(data, tmp_path)
+        header = (tmp_path / name).read_text().splitlines()[0]
+        (tmp_path / name).write_text(header + "\n")
+        with pytest.raises(DomainError, match=re.escape(f"{tmp_path / name}: no data rows")):
+            car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")
+
+    def test_blank_design_header_is_refused(self, tmp_path):
+        # A blank first line parses as an empty header, and blank rows match
+        # its width of 0, so read_csv alone would return a design of no columns.
+        data = car_synthetic(3, beta=[1.0, 0.5], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(15), n_rep=2)
+        car_dump_csv(data, tmp_path)
+        (tmp_path / "x.csv").write_text("\n" * (data.n + 1))
+        with pytest.raises(DomainError, match="empty design file"):
+            car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")

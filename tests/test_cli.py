@@ -45,6 +45,13 @@ class TestCmpSample:
         assert int(row["n_draws"]) == 1000
         assert float(row["tv"]) < 0.1
 
+    def test_heights_that_rise_with_u_exit_3(self, tmp_path, capsys):
+        # log w rounds by about 3 nats at this target's mode (log_c = 2.9e13),
+        # so the greedy knots solve a P(A_u) that rises with u.
+        args = ["cmp-sample", "--lam", "10.627472835292822", "--nu", "0.07022383468430263"]
+        assert main(args + ["--n-draws", "10", "--out", str(tmp_path)]) == 3
+        assert "the solved P(A_u) rises" in capsys.readouterr().err
+
 
 class TestCmpStepDiag:
     def test_knot_table_written(self, tmp_path):
@@ -227,6 +234,12 @@ class TestTreg:
         code = main(["treg", "--mode", "csv", "--data-csv", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "run")])
         assert code == 3
         assert f"stepdirect: error: {tmp_path / 'bad.csv'}:2: " in capsys.readouterr().err
+
+    def test_header_only_csv_exits_3(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("y,r\n")
+        code = main(["treg", "--mode", "csv", "--data-csv", str(tmp_path / "empty.csv"), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert f"stepdirect: error: {tmp_path / 'empty.csv'}: no data rows" in capsys.readouterr().err
 
 
 class TestNuCompare:

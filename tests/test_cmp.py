@@ -16,7 +16,7 @@ from stepdirect.cmp import (
     cmp_target,
     default_decomposition,
 )
-from stepdirect.errors import DomainError
+from stepdirect.errors import DomainError, StepDirectError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, SamplerConfig
 
@@ -92,6 +92,13 @@ class TestMode:
         target = cmp_target(CmpParams(2.0, 0.05))
         assert 1.0e6 < target.x_mode < 1.1e6
         assert DirectSampler(target).step.u_hi <= 1.0
+
+    def test_heights_rising_with_u_raise_typed_error(self):
+        # The mode is 4.1e14, below 2^53, but log_c is 2.9e13: log w rounds by
+        # about 3 nats there, more than the gaps between greedy knot heights.
+        target = cmp_target(CmpParams(10.627472835292822, 0.07022383468430263))
+        with pytest.raises(StepDirectError, match=r"cmp\(lam=10\.627472835292822, .*the solved P\(A_u\) rises"):
+            DirectSampler(target)
 
 
 class TestOracle:

@@ -155,14 +155,18 @@ class TestKnotSelection:
 class TestStepApprox:
     @staticmethod
     @pytest.fixture(scope="class")
-    def step(quad, quad_window):
-        u_lo, u_hi = quad_window
-        return build_step(select_knots(quad, u_lo, u_hi, 15, "hybrid"))
+    def step(quad):
+        return build_sampler(quad, SamplerConfig(n_init_knots=15))[0]
 
     def test_cdf_shape(self, step):
         assert step.grid_cdf[0] == 0.0
         assert step.grid_cdf[-1] == 1.0
         assert np.all(np.diff(step.grid_cdf) >= 0)
+
+    def test_table_must_start_at_zero(self, quad, quad_window):
+        # A table over the descent window alone leaves [0, u_lo) uncovered.
+        with pytest.raises(DomainError, match="head knot at u = 0"):
+            build_step(select_knots(quad, *quad_window, 15, "hybrid"))
 
     def test_cdf_quantile_round_trip(self, step):
         phi = np.linspace(0.01, 0.99, 37)
@@ -184,8 +188,10 @@ class TestStepApprox:
     def test_logpdf_pieces(self, step):
         lp = step.table.log_probs
         knots = step.table.knots
-        # Left of the first knot the envelope carries the first plateau value.
-        assert step_logpdf_unnorm(step, knots[0] / 2.0) == lp[0]
+        # The head piece [0, u_1) carries P(A_0); below u = 0 the density is zero.
+        assert knots[0] == 0.0
+        assert step_logpdf_unnorm(step, knots[1] / 2.0) == lp[0]
+        assert step_logpdf_unnorm(step, -0.1) == -math.inf
         # At or beyond the last knot the density is zero.
         assert step_logpdf_unnorm(step, knots[-1]) == -math.inf
         assert step_logpdf_unnorm(step, 2.0) == -math.inf
@@ -196,9 +202,7 @@ class TestStepApprox:
     @settings(max_examples=50)
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_envelope_dominates(self, step, quad, u):
-        # Below the first knot the envelope carries P(A_u_lo), which sits a
-        # descent-search tolerance under the plateau value P(A_0) = 1.
-        assert step_logpdf_unnorm(step, u) >= float(quad.log_prob_Au(u)) - 1e-8
+        assert step_logpdf_unnorm(step, u) >= float(quad.log_prob_Au(u)) - 1e-12
 
     def test_rect_area_formula(self, step):
         kt = step.table
@@ -210,9 +214,8 @@ class TestStepApprox:
 
 class TestInsertKnot:
     @pytest.fixture()
-    def step(self, quad, quad_window):
-        u_lo, u_hi = quad_window
-        return build_step(select_knots(quad, u_lo, u_hi, 8, "hybrid"))
+    def step(self, quad):
+        return build_sampler(quad, SamplerConfig(n_init_knots=8))[0]
 
     def test_insert_reduces_area(self, quad, step):
         knots = step.table.knots
@@ -286,6 +289,9 @@ class TestLevelKnots:
         grid = np.concatenate((np.linspace(0.0, 1.0, 2001), u))
         envelope = np.exp(step_logpdf_unnorm(step, grid))
         assert np.all(envelope >= np.exp(target.log_prob_Au(grid)) - 1e-9)
+        # The quantile reads step_cdf's map backwards.
+        phi = np.linspace(0.0, 1.0, 101)
+        assert np.allclose(step_cdf(step, step_quantile_many(step, phi)), phi, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
