@@ -75,6 +75,18 @@ LEVEL_GROWTH = 1.15
 # mode and one scale out on each side, is at most this share of a level
 # cell; snapping then moves a point by at most a quarter of a cell.
 GRID_CELL_SHARE = 0.5
+# Fixed arrays of the level construction, computed once: the probe
+# distances as shares of a side's length, and the near and far distances of
+# _side_points in cells. The far ones are running sums of LEVEL_GROWTH^k;
+# no side needs more of them than this, as its rest / cell is at most the
+# largest double (the last sums overflow to inf, past every side's end).
+PROBE_SHARES = 2.0 ** -np.arange(SCALE_PROBES)
+SIDE_SIGNS = np.array([[-1.0], [1.0]])
+NEAR_STEPS = np.arange(1, LEVEL_SPAN * LEVEL_CELLS + 1, dtype=float)
+with np.errstate(over="ignore"):
+    FAR_STEPS = np.cumsum(
+        LEVEL_GROWTH ** np.arange(1, int(math.log(sys.float_info.max) / math.log(LEVEL_GROWTH)) + 2)
+    )
 # Near its mode log w can exceed log_c by its own rounding (7e-12 on the nu
 # target at A = 101, whose terms are ~1e4); past this relative slack,
 # x_mode is not where w peaks.
@@ -98,7 +110,10 @@ class KnotTable:
     are made nonincreasing: where a height exceeds an earlier one (solver
     noise), the piece takes the earlier knot's height and window, which
     contains A_u for every later u too. So each height stays the base mass
-    of the window its piece uses.
+    of the window its piece uses. Heights that are already nonincreasing,
+    as a level table's are by construction, are kept as given with no
+    re-index: the check is on the data, so a table that does rise is still
+    caught.
 
     ``log_lows[j]`` is a lower bound on log P(A_u) over piece j (the last
     entry, which has no piece, is -inf). Left out, it is the next knot's
@@ -119,24 +134,28 @@ class KnotTable:
         x2 = np.asarray(self.x2, dtype=float)
         if u.ndim != 1 or not u.shape == lp.shape == x1.shape == x2.shape or u.size < 2:
             raise DomainError("knot table needs matching 1-d arrays with >= 2 knots")
-        if np.any(np.diff(u) <= 0):
+        if np.any(u[1:] <= u[:-1]):
             raise DomainError("knots must be strictly ascending")
-        # Index of the running minimum's knot: a knot keeps its own window
-        # where its height is the minimum so far.
-        idx = np.arange(u.size)
-        src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), idx, 0))
-        lp = lp[src]
+        if not np.all(lp[1:] <= lp[:-1]):
+            # A height rises (or is NaN): re-index each knot to the running
+            # minimum's knot, which is the knot itself where its height is
+            # the minimum so far.
+            idx = np.arange(u.size)
+            src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), idx, 0))
+            lp, x1, x2 = lp[src], x1[src], x2[src]
+        lows = np.empty_like(lp)
         if self.log_lows is None:
-            lows = np.append(lp[1:], -np.inf)
+            lows[:-1] = lp[1:]
         else:
-            lows = np.asarray(self.log_lows, dtype=float)
-            if lows.shape != u.shape:
+            given = np.asarray(self.log_lows, dtype=float)
+            if given.shape != u.shape:
                 raise DomainError("log_lows must match the knots")
-            lows = np.append(np.minimum(lows[:-1], lp[:-1]), -np.inf)
+            np.minimum(given[:-1], lp[:-1], out=lows[:-1])
+        lows[-1] = -np.inf
         object.__setattr__(self, "knots", u)
         object.__setattr__(self, "log_probs", lp)
-        object.__setattr__(self, "x1", x1[src])
-        object.__setattr__(self, "x2", x2[src])
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
         object.__setattr__(self, "log_lows", lows)
 
     @property
@@ -297,17 +316,25 @@ def equal_spaced_knots(
     return KnotTable(u, lp, x1, x2)
 
 
-def _side_distances(scale: float, length: float) -> np.ndarray:
-    """Grid distances from the mode on one side, ending at its length."""
+def _side_points(m: float, sign: float, end: float, scale: float, length: float) -> np.ndarray:
+    """A side's tabulation points, outward from the mode m to its support end.
+
+    Cells of scale / LEVEL_CELLS out to LEVEL_SPAN scale, then cells growing
+    by LEVEL_GROWTH, then the end; a side of length 0 has none.
+    """
+    if not length > 0:
+        return np.empty(0)
     cell = scale / LEVEL_CELLS
-    near = cell * np.arange(1, LEVEL_SPAN * LEVEL_CELLS + 1)
     rest = length - LEVEL_SPAN * scale
     n_far = 0
     if rest > 0:
         n_far = int(math.log1p(rest * (LEVEL_GROWTH - 1.0) / cell) / math.log(LEVEL_GROWTH)) + 1
-    far = LEVEL_SPAN * scale + cell * np.cumsum(LEVEL_GROWTH ** np.arange(1, n_far + 1))
-    d = np.concatenate((near, far))
-    return np.append(d[d < length], length)
+    d = np.concatenate((cell * NEAR_STEPS, LEVEL_SPAN * scale + cell * FAR_STEPS[:n_far]))
+    d = d[d < length]
+    points = np.empty(d.size + 1)
+    points[:-1] = m + sign * d
+    points[-1] = end
+    return points
 
 
 def _level_points(target: WeightedTarget, x: np.ndarray, sign: np.ndarray):
@@ -377,6 +404,13 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     log u_{j+1} + log c, which lies inside A_u for every u < u_{j+1}; the
     last piece, which ends at u = 1, gets none.
 
+    No level is searched for. The thresholds log u_j + log c ascend, and on
+    each side the running minimum of log w outward from the mode and the
+    running maximum inward from the support end are monotone. One stable
+    merge of the thresholds with each of these runs counts, for all levels
+    at once, the points before the window end and before the hull end, with
+    the ties a binary search would give.
+
     Raises DomainError on an integer base, and ModeError where a tabulated
     or grid log w exceeds log_c by more than MODE_SLACK (1 + |log_c|).
     """
@@ -386,47 +420,53 @@ def level_knots(target: WeightedTarget) -> KnotTable:
             "greedy or equal knots"
         )
     base, m, log_c = target.base, target.x_mode, target.log_c
-    ends = (base.lo, base.hi)
-    lengths = (m - base.lo, base.hi - m)
-    signs = (-1.0, 1.0)
-    probe = np.array(lengths)[:, None] * 2.0 ** -np.arange(SCALE_PROBES)
-    sign = np.array(signs)[:, None]
-    x, log_w = _level_points(target, m + sign * probe, sign)
+    lengths = np.array([m - base.lo, base.hi - m])
+    probe = lengths[:, None] * PROBE_SHARES
+    x, log_w = _level_points(target, m + SIDE_SIGNS * probe, SIDE_SIGNS)
     if target.grid is not None:
-        probe = sign * (x - m)  # the distances of the grid points read
+        probe = SIDE_SIGNS * (x - m)  # the distances of the grid points read
     dropped = log_w <= log_c - SCALE_DROP
-    scales = [float(probe[i][dropped[i]].min()) if np.any(dropped[i]) else lengths[i] for i in range(2)]
+    scales = np.where(dropped.any(axis=1), np.where(dropped, probe, np.inf).min(axis=1), lengths)
     if target.grid is not None and not _grid_resolves(target.grid[0], m, scales, lengths):
         return level_knots(replace(target, grid=None))
-    grids = [np.empty(0), np.empty(0)]
-    for side in range(2):
-        if lengths[side] > 0:
-            d = _side_distances(scales[side], lengths[side])
-            grids[side] = np.append(m + signs[side] * d[:-1], ends[side])
-    n_left = grids[0].size
-    x, log_w = _level_points(target, np.concatenate(grids), np.repeat(signs, [n_left, grids[1].size]))
-    # Each side runs outward from the mode, where log w = log_c.
-    sides = [
-        (np.append(m, xs), np.append(log_c, lw))
-        for xs, lw in zip(np.split(x, [n_left]), np.split(log_w, [n_left]))
-    ]
+    left = _side_points(m, -1.0, base.lo, scales[0], lengths[0])
+    right = _side_points(m, 1.0, base.hi, scales[1], lengths[1])
+    n_left = left.size
+    sign = np.ones(n_left + right.size)
+    sign[:n_left] = -1.0
+    x, log_w = _level_points(target, np.concatenate((left, right)), sign)
 
     with np.errstate(under="ignore"):
-        levels = np.unique(np.exp(log_w[log_w < log_c] - log_c))
-    u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
+        levels = np.sort(np.exp(log_w[log_w < log_c] - log_c))
+    # The distinct levels in (0, 1): each above the one before it, the first above 0.
+    u = np.concatenate(([0.0], levels[(np.diff(levels, prepend=0.0) > 0.0) & (levels < 1.0)], [1.0]))
     thr = np.log(u[1:]) + log_c
+    k = np.arange(thr.size)
     window, hull = [], []
-    for x, lw in sides:
-        # First point outward at or below thr (the support end if none);
-        # last point at or above thr (the mode if none).
-        first = np.searchsorted(-np.minimum.accumulate(lw), -thr, side="left")
-        window.append(x[np.minimum(first, x.size - 1)])
-        last = np.searchsorted(-np.maximum.accumulate(lw[::-1])[::-1], -thr, side="right") - 1
-        hull.append(x[last])
-    x1 = np.append(base.lo, window[0])
-    x2 = np.append(base.hi, window[1])
+    # In a stable argsort of two ascending runs, an entry of the second run
+    # lands after the entries of the first that are at or below it. So the
+    # k-th threshold's place in the merge, less k, counts a run's entries at
+    # or below thr_k where the run goes first, and below it where thr does.
+    for side in (slice(0, n_left), slice(n_left, None)):
+        # The side's points outward from the mode, where log w = log_c.
+        xs = np.concatenate(([m], x[side]))
+        lw = np.concatenate(([log_c], log_w[side]))
+        n = xs.size
+        # Window: the first point outward whose running minimum of log w is
+        # at or below thr (the support end if none).
+        merge = np.concatenate((np.minimum.accumulate(lw)[::-1], thr)).argsort(kind="stable")
+        n_at_or_below = (merge >= n).nonzero()[0] - k
+        window.append(xs[np.minimum(n - n_at_or_below, n - 1)])
+        # Hull: the last point outward with log w at or above thr (the mode
+        # if none), where the running maximum from the support end inward
+        # falls below thr.
+        merge = np.concatenate((thr, np.maximum.accumulate(lw[::-1]))).argsort(kind="stable")
+        n_below = (merge < thr.size).nonzero()[0] - k
+        hull.append(xs[n - 1 - n_below[:-1]])
+    x1 = np.concatenate(([base.lo], window[0]))
+    x2 = np.concatenate(([base.hi], window[1]))
     # The last piece ends at u = 1, where P(A_u) falls to 0.
-    lows = np.append(base.log_prob(hull[0][:-1], hull[1][:-1]), [-np.inf, -np.inf])
+    lows = np.concatenate((base.log_prob(*hull), [-np.inf, -np.inf]))
     return KnotTable(u, base.log_prob(x1, x2), x1, x2, lows)
 
 
@@ -455,19 +495,17 @@ def step_cdf(s: StepApprox, u):
 
 
 def step_quantile_many(s: StepApprox, phi) -> np.ndarray:
-    """Vectorized quantile H^{-1}(phi): step_cdf's map, read backwards."""
+    """Vectorized quantile H^{-1}(phi): step_cdf's map, read backwards.
+    Rejects NaN as well as phi outside [0, 1]."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if np.any((phi < 0) | (phi > 1)):
+    if not np.all((phi >= 0) & (phi <= 1)):
         raise DomainError("phi must lie in [0, 1]")
     return np.interp(phi, s.grid_cdf, s.table.knots)
 
 
 def step_quantile(s: StepApprox, phi: float) -> float:
-    """Scalar quantile H^{-1}(phi); rejects NaN as well as phi outside [0, 1]."""
-    phi = float(phi)
-    if not 0.0 <= phi <= 1.0:
-        raise DomainError("phi must lie in [0, 1]")
-    return float(step_quantile_many(s, phi)[0])
+    """Scalar quantile H^{-1}(phi)."""
+    return float(step_quantile_many(s, float(phi))[0])
 
 
 def step_logpdf_unnorm(s: StepApprox, u):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import cProfile
 import math
+import pstats
 
 import numpy as np
 import pytest
@@ -13,7 +15,15 @@ import stepdirect.sampler
 import stepdirect.search
 import stepdirect.stepfn
 import stepdirect.treg
-from stepdirect.car import RHO_SAMPLER_CONFIG, car_eigen_precompute, lattice_adjacency, rho_target
+from stepdirect.car import (
+    RHO_SAMPLER_CONFIG,
+    CarState,
+    car_eigen_precompute,
+    car_synthetic,
+    draw_rho_direct,
+    lattice_adjacency,
+    rho_target,
+)
 from stepdirect.cmp import CmpParams, cmp_pmf_oracle, cmp_target
 from stepdirect.errors import DegenerateTargetError, DomainError, SamplerStallError
 from stepdirect.logspace import log_sum_exp
@@ -26,7 +36,7 @@ from stepdirect.sampler import (
 )
 from stepdirect.stepfn import DESCENT_TOL, KnotTable, build_step, find_u_hi, find_u_lo, step_logpdf_unnorm
 from stepdirect.target import UniformBase, WeightedTarget, integer_window
-from stepdirect.treg import NU_SAMPLER_CONFIG, NuTargetParams, geweke_nu_star, nu_target
+from stepdirect.treg import NU_SAMPLER_CONFIG, NuTargetParams, draw_nu_direct, geweke_nu_star, nu_target
 from tests.test_acceptance import _registered_targets
 from tests.test_target import quadratic_target
 
@@ -268,6 +278,35 @@ class TestLevelEnvelope:
         cdf /= cdf[-1]
         pvalue = stats.kstest(draws, lambda x: np.interp(x, grid, cdf)).pvalue
         assert pvalue > 0.01
+
+
+class TestGibbsStepCalls:
+    """Python calls in one direct Gibbs step, as cProfile counts them: a
+    cost that needs no timer and does not change with the machine's load.
+
+    Each bound is the count with Python 3.11 and numpy 2.4 plus 10%; both
+    draws below take no rejection, which would add calls.
+    """
+
+    @staticmethod
+    def calls(step, *args) -> int:
+        step(*args, Rng(0))  # lazy set-up: imports, cached spectra
+        rng = Rng(1)
+        profile = cProfile.Profile()
+        profile.enable()
+        step(*args, rng)
+        profile.disable()
+        return pstats.Stats(profile).total_calls
+
+    def test_nu_step(self):
+        # 346 calls.
+        assert self.calls(draw_nu_direct, NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)) <= 380
+
+    def test_rho_step(self):
+        # 409 calls, on the 6x6 lattice with its rho table.
+        data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
+        state = CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
+        assert self.calls(draw_rho_direct, data, state) <= 449
 
 
 class _CountingGenerator:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepdirect.car import car_eigen_precompute, lattice_adjacency, rho_grid_table, rho_target
@@ -13,7 +13,15 @@ from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import BracketError, DomainError, ModeError
 from stepdirect.sampler import SamplerConfig, build_sampler
 from stepdirect.stepfn import (
+    LEVEL_CELLS,
+    LEVEL_GROWTH,
+    LEVEL_SPAN,
+    MODE_SLACK,
+    SCALE_DROP,
+    SCALE_PROBES,
     KnotTable,
+    _grid_resolves,
+    _level_points,
     build_step,
     equal_spaced_knots,
     find_u_hi,
@@ -68,6 +76,21 @@ class TestKnotTable:
         assert np.array_equal(kt.log_probs, [-1.0, -1.0, -1.0, -2.0])
         assert np.array_equal(kt.x1, x1[[0, 0, 0, 3]])
         assert np.array_equal(kt.x2, x2[[0, 0, 0, 3]])
+
+    def test_nonincreasing_heights_kept_and_lows_capped(self):
+        # Ties and a -inf tail are nonincreasing: every knot keeps its own
+        # height and window, and the given lows are capped at the heights.
+        u = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        lp = np.array([0.0, -1.0, -1.0, -3.0, -np.inf, -np.inf])
+        x1, x2 = windows(6)
+        lows = np.array([0.5, -2.0, -0.5, -np.inf, 1.0, 7.0])
+        kt = KnotTable(u, lp, x1, x2, lows)
+        assert np.array_equal(kt.log_probs, lp)
+        assert np.array_equal(kt.x1, x1) and np.array_equal(kt.x2, x2)
+        assert np.array_equal(kt.log_lows, [0.0, -2.0, -1.0, -np.inf, -np.inf, -np.inf])
+        # Left out, each low is the next knot's height.
+        kt = KnotTable(u, lp, x1, x2)
+        assert np.array_equal(kt.log_lows, [-1.0, -1.0, -3.0, -np.inf, -np.inf, -np.inf])
 
 
 class TestDescentWindow:
@@ -184,6 +207,11 @@ class TestStepApprox:
             step_quantile(step, 1.5)
         with pytest.raises(DomainError):
             step_quantile_many(step, np.array([-0.1]))
+        for phi in (math.nan, [math.nan, 0.5]):
+            with pytest.raises(DomainError):
+                step_quantile_many(step, phi)
+        with pytest.raises(DomainError):
+            step_quantile(step, math.nan)
 
     def test_logpdf_pieces(self, step):
         lp = step.table.log_probs
@@ -337,6 +365,145 @@ class TestLevelKnots:
         bumped[np.searchsorted(grid_x, target.x_mode)] = target.log_c + 1e-6
         with pytest.raises(ModeError, match="not the maximizer"):
             level_knots(replace(target, grid=(grid_x, bumped), log_w=None))
+
+
+def reference_side_distances(scale: float, length: float) -> np.ndarray:
+    """Grid distances from the mode on one side, ending at its length."""
+    cell = scale / LEVEL_CELLS
+    near = cell * np.arange(1, LEVEL_SPAN * LEVEL_CELLS + 1)
+    rest = length - LEVEL_SPAN * scale
+    n_far = 0
+    if rest > 0:
+        n_far = int(math.log1p(rest * (LEVEL_GROWTH - 1.0) / cell) / math.log(LEVEL_GROWTH)) + 1
+    far = LEVEL_SPAN * scale + cell * np.cumsum(LEVEL_GROWTH ** np.arange(1, n_far + 1))
+    d = np.concatenate((near, far))
+    return np.append(d[d < length], length)
+
+
+def reference_level_knots(target: WeightedTarget):
+    """level_knots's table built with one binary search per level, side and
+    bound, and KnotTable's running-minimum re-index applied to it.
+
+    Returns (knots, log_probs, x1, x2, log_lows) as KnotTable stores them.
+    """
+    base, m, log_c = target.base, target.x_mode, target.log_c
+    ends = (base.lo, base.hi)
+    lengths = (m - base.lo, base.hi - m)
+    signs = (-1.0, 1.0)
+    probe = np.array(lengths)[:, None] * 2.0 ** -np.arange(SCALE_PROBES)
+    sign = np.array(signs)[:, None]
+    x, log_w = _level_points(target, m + sign * probe, sign)
+    if target.grid is not None:
+        probe = sign * (x - m)
+    dropped = log_w <= log_c - SCALE_DROP
+    scales = [float(probe[i][dropped[i]].min()) if np.any(dropped[i]) else lengths[i] for i in range(2)]
+    if target.grid is not None and not _grid_resolves(target.grid[0], m, scales, lengths):
+        return reference_level_knots(replace(target, grid=None))
+    grids = [np.empty(0), np.empty(0)]
+    for side in range(2):
+        if lengths[side] > 0:
+            d = reference_side_distances(scales[side], lengths[side])
+            grids[side] = np.append(m + signs[side] * d[:-1], ends[side])
+    n_left = grids[0].size
+    x, log_w = _level_points(target, np.concatenate(grids), np.repeat(signs, [n_left, grids[1].size]))
+    sides = [
+        (np.append(m, xs), np.append(log_c, lw))
+        for xs, lw in zip(np.split(x, [n_left]), np.split(log_w, [n_left]))
+    ]
+    with np.errstate(under="ignore"):
+        levels = np.unique(np.exp(log_w[log_w < log_c] - log_c))
+    u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
+    thr = np.log(u[1:]) + log_c
+    window, hull = [], []
+    for x, lw in sides:
+        first = np.searchsorted(-np.minimum.accumulate(lw), -thr, side="left")
+        window.append(x[np.minimum(first, x.size - 1)])
+        last = np.searchsorted(-np.maximum.accumulate(lw[::-1])[::-1], -thr, side="right") - 1
+        hull.append(x[last])
+    x1 = np.append(base.lo, window[0])
+    x2 = np.append(base.hi, window[1])
+    lows = np.append(base.log_prob(hull[0][:-1], hull[1][:-1]), [-np.inf, -np.inf])
+    lp = base.log_prob(x1, x2)
+    src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), np.arange(u.size), 0))
+    lp = lp[src]
+    return u, lp, x1[src], x2[src], np.append(np.minimum(lows[:-1], lp[:-1]), -np.inf)
+
+
+def wiggle_target(center: float, curvature: float, step: float, amplitude: float, period: float) -> WeightedTarget:
+    """log w = -step k with k = round(curvature (x - center)^2 / step), on a
+    Uniform(0, 1) base: plateaus of tied levels. On the even plateaus, the
+    top one included, log w wiggles by amplitude (within MODE_SLACK), so it
+    rises and falls along each side and reaches above log_c = 0."""
+
+    def log_w(x):
+        x = np.asarray(x, dtype=float)
+        k = np.round(curvature * (x - center) ** 2 / step)
+        return -step * k + np.where(k % 2 == 0, amplitude * np.cos(period * x), 0.0)
+
+    return WeightedTarget(log_w=log_w, x_mode=center, log_c=0.0, base=UniformBase(0.0, 1.0), name="wiggle")
+
+
+class TestLevelKnotsMatchReference:
+    """level_knots builds reference_level_knots's table, array for array."""
+
+    EIG6 = TestLevelKnots.EIG6
+    TABLE6 = rho_grid_table(EIG6)
+
+    @staticmethod
+    def check(target):
+        table = level_knots(target)
+        for name, want in zip(("knots", "log_probs", "x1", "x2", "log_lows"), reference_level_knots(target)):
+            assert np.array_equal(getattr(table, name), want), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(center=st.floats(min_value=0.0, max_value=1.0), scale=st.floats(min_value=0.5, max_value=5000.0))
+    @example(center=0.0, scale=5.0)
+    @example(center=1.0, scale=5.0)
+    def test_quadratic(self, center, scale):
+        self.check(quadratic_target(center, scale))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([5, 200, 1000]), excess=st.floats(min_value=0.0, max_value=10.0))
+    @example(n=5, excess=0.0)
+    @example(n=1000, excess=0.0)
+    def test_nu(self, n, excess):
+        target = nu_target(NuTargetParams(n=n, A=0.5 * n * (1.0 + excess), a_nu=0.01, b_nu=200.0))
+        # A = n/2 puts the mode at b_nu, which leaves the right side empty.
+        assert excess > 0.0 or target.x_mode == 200.0
+        self.check(target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eta_a_eta=st.floats(min_value=-20.0, max_value=60.0),
+        tau2=st.floats(min_value=0.1, max_value=5.0),
+        tabulated=st.booleans(),
+    )
+    @example(eta_a_eta=-5.0, tau2=1.0, tabulated=True)
+    @example(eta_a_eta=-5.0, tau2=1.0, tabulated=False)
+    def test_rho(self, eta_a_eta, tau2, tabulated):
+        target = rho_target(self.EIG6, eta_a_eta, tau2, self.TABLE6 if tabulated else None)
+        # A drift at or below 0 puts the mode at rho = 0, which leaves the left side empty.
+        assert eta_a_eta > 0.0 or target.x_mode == 0.0
+        self.check(target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        center=st.floats(min_value=0.0, max_value=1.0),
+        curvature=st.floats(min_value=1.0, max_value=1000.0),
+        step=st.sampled_from([0.05, 0.5, 2.0]),
+        amplitude=st.floats(min_value=0.0, max_value=0.9 * MODE_SLACK),
+        period=st.floats(min_value=1e2, max_value=1e5),
+    )
+    def test_wiggle(self, center, curvature, step, amplitude, period):
+        self.check(wiggle_target(center, curvature, step, amplitude, period))
+
+    def test_wiggle_has_ties_rises_and_exceeds_log_c(self):
+        target = wiggle_target(0.3, 50.0, 0.5, 0.5 * MODE_SLACK, 1e4)
+        lw = target.log_w(np.linspace(0.3, 1.0, 2001))
+        assert np.unique(lw).size < lw.size
+        assert np.any(np.diff(lw) > 0.0)
+        assert lw.max() > target.log_c
+        self.check(target)
 
 
 class TestKnotTableRows:
