@@ -17,11 +17,16 @@ diag(counts), S'r is a bincount and S eta is eta[area]; the quadratic
 forms eta'A eta and eta'(D - rho A) eta come from the edge list. The eta
 conditional is then a Gaussian Markov random field whose precision
 diag(counts)/sigma^2 + (D - rho A)/tau^2 has the band of A: it is factored
-by a band Cholesky and drawn in O(k b^2) for k areas at bandwidth b (Rue
-2001, fast sampling of Gaussian Markov random fields), b = grid_side on a
-lattice. The areas are factored in reverse Cuthill-McKee order where that
-strictly narrows the band, and in their own order otherwise. An iteration
-costs O(n d + k b^2) outside the rho step.
+by a band LU and drawn in O(k b^2) for k areas at bandwidth b (Rue 2001,
+fast sampling of Gaussian Markov random fields), b = grid_side on a
+lattice. The precision is strictly diagonally dominant for 0 <= rho < 1,
+so the LU's partial pivoting swaps no rows, and its U is the Cholesky
+factor up to a diagonal scale. (LAPACK's band Cholesky would do too, but
+at this bandwidth it makes one threaded rank-1 update per row, which
+costs more in thread overhead than in flops.) The areas are factored in
+reverse Cuthill-McKee order where that strictly narrows the band, and in
+their own order otherwise. An iteration costs O(n d + k b^2) outside the
+rho step.
 
 In the rho step log w = F(rho) + theta rho: F(rho) = (1/2) sum log(1 -
 rho lambda_i) is fixed by the data, and only theta = eta'A eta / (2 tau^2)
@@ -42,7 +47,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+from scipy.linalg.lapack import dgbtrf, dtbtrs
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.special import ndtr, ndtri
@@ -112,12 +117,16 @@ def _validate_adjacency(a: np.ndarray) -> np.ndarray:
 
 
 def _band_order(k: int, edges: np.ndarray):
-    """(order, upper band of A in that order) for the banded eta draw.
+    """(order, band of A in that order) for the banded eta draw.
 
     order[p] is the area factored at position p: reverse Cuthill-McKee
     where it strictly narrows the band, else the areas' own order. The
-    band is in LAPACK upper storage: band[b + p - q, q] = A at positions
-    (p, q) for q - b <= p <= q, with b the bandwidth and a zero diagonal row.
+    band is A's 0/1 pattern in LAPACK general-band storage for dgbtrf with
+    b sub- and b superdiagonals, b the bandwidth: shape (3b + 1, k),
+    band[2b + p - q, q] = A at positions (p, q) for |p - q| <= b, a zero
+    diagonal row 2b, and b zero rows on top that the factor's fill-in would
+    use. It is Fortran-ordered, so a scaled copy goes to LAPACK as it is,
+    and boolean, so it costs a byte an entry.
     """
     i, j = edges.T
     graph = coo_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(k, k)).tocsr()
@@ -128,8 +137,9 @@ def _band_order(k: int, edges: np.ndarray):
         order = pos = np.arange(k)
     lo, hi = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
     width = int(np.max(hi - lo))
-    band = np.zeros((width + 1, k))
-    band[width - (hi - lo), hi] = 1.0
+    band = np.zeros((3 * width + 1, k), dtype=bool, order="F")
+    band[2 * width - (hi - lo), hi] = True
+    band[2 * width + (hi - lo), lo] = True
     return order, band
 
 
@@ -153,7 +163,7 @@ class CarData:
     counts: np.ndarray = field(init=False)  # outcomes per area
     edges: np.ndarray = field(init=False)  # (m, 2) area pairs, i < j
     order: np.ndarray = field(init=False)  # area at each position of the factor order
-    a_band: np.ndarray = field(init=False)  # upper band of A in that order
+    a_band: np.ndarray = field(init=False)  # general band of A in that order, for dgbtrf
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
@@ -195,7 +205,7 @@ class CarData:
 
     @property
     def bandwidth(self) -> int:
-        return self.a_band.shape[0] - 1
+        return (self.a_band.shape[0] - 1) // 3
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -336,24 +346,32 @@ def draw_beta_car(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> 
 
 
 def draw_eta(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> np.ndarray:
-    """Draw eta from N(Omega^{-1} b, Omega^{-1}) by a band Cholesky in data.order.
+    """Draw eta from N(Omega^{-1} b, Omega^{-1}) by a band LU in data.order.
 
     Omega = diag(counts)/sigma^2 + (D - rho A)/tau^2 and b = S'r/sigma^2 with
-    r = y - X beta. With Omega = U'U, the draw is U^{-1}(U'^{-1} b + z) for
-    z ~ N(0, I): the dense draw, up to round-off, in the identity order.
+    r = y - X beta. For 0 <= rho < 1, Omega is symmetric and strictly
+    diagonally dominant (row i holds D_i/tau^2 or more on the diagonal and
+    rho D_i/tau^2 off it, with D_i >= 1), so elimination with partial
+    pivoting swaps no rows: Omega = L U with L unit lower and U = diag(u) L',
+    and diag(u)^{-1/2} U is the Cholesky factor. The draw is
+    U^{-1}(L^{-1} b + diag(u)^{1/2} z) for z ~ N(0, I): the dense draw, up to
+    round-off, in the identity order. A row swap or a pivot u_i <= 0, which
+    a positive definite, diagonally dominant Omega never gives, raises
+    NotPositiveDefiniteError.
     """
     resid = data.y - data.X @ state.beta
     linear = np.bincount(data.area, weights=resid, minlength=data.k) / state.sigma2
-    order = data.order
+    order, b = data.order, data.bandwidth
     band = data.a_band * (-state.rho / state.tau2)
-    band[-1] = data.counts[order] / state.sigma2 + data.D[order] / state.tau2
-    upper, info = dpbtrf(band, overwrite_ab=1)
-    if info != 0:
+    band[2 * b] = data.counts[order] / state.sigma2 + data.D[order] / state.tau2
+    lu, piv, info = dgbtrf(band, b, b, overwrite_ab=1)
+    u = lu[2 * b]
+    if info != 0 or np.any(piv != np.arange(data.k)) or not np.all(u > 0.0):
         raise NotPositiveDefiniteError("precision matrix is not positive definite")
-    mean, _ = dpbtrs(upper, linear[order])
-    dev, _ = dtbtrs(upper, rng.generator.standard_normal(data.k))
+    half, _ = dtbtrs(lu[2 * b :], linear[order], uplo="L", diag="U")  # L in lower band storage
+    half += np.sqrt(u) * rng.generator.standard_normal(data.k)
     eta = np.empty(data.k)
-    eta[order] = mean + dev
+    eta[order], _ = dtbtrs(lu[b : 2 * b + 1], half)  # U in upper band storage
     return eta
 
 

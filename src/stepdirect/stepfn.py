@@ -134,7 +134,7 @@ class KnotTable:
         x2 = np.asarray(self.x2, dtype=float)
         if u.ndim != 1 or not u.shape == lp.shape == x1.shape == x2.shape or u.size < 2:
             raise DomainError("knot table needs matching 1-d arrays with >= 2 knots")
-        if np.any(u[1:] <= u[:-1]):
+        if not np.all(u[1:] > u[:-1]):  # False against NaN as well
             raise DomainError("knots must be strictly ascending")
         if not np.all(lp[1:] <= lp[:-1]):
             # A height rises (or is NaN): re-index each knot to the running
@@ -509,12 +509,14 @@ def step_quantile(s: StepApprox, phi: float) -> float:
 
 
 def step_logpdf_unnorm(s: StepApprox, u):
-    """log h*(u): left-closed pieces from u_0 = 0, zero below 0 and from u_N on."""
+    """log h*(u): left-closed pieces from u_0 = 0, zero below 0 and from u_N on.
+    NaN in gives NaN out, as in step_cdf."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     knots = s.table.knots
     lp = s.table.log_probs
     idx = np.minimum(np.searchsorted(knots, u_arr, side="right") - 1, lp.size - 2)
     out = np.where((u_arr < 0) | (u_arr >= knots[-1]), -np.inf, lp[idx])
+    out[np.isnan(u_arr)] = np.nan
     return out if np.ndim(u) else float(out[0])
 
 

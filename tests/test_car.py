@@ -30,7 +30,7 @@ from stepdirect.car import (
     rho_grid_table,
     rho_target,
 )
-from stepdirect.errors import DomainError
+from stepdirect.errors import DomainError, NotPositiveDefiniteError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, rejection_bound
 from stepdirect.stepfn import build_step, level_knots
@@ -42,6 +42,18 @@ def cycle_adjacency(k: int) -> np.ndarray:
         a[i, (i + 1) % k] = 1.0
         a[(i + 1) % k, i] = 1.0
     return a
+
+
+def path_adjacency(k: int) -> np.ndarray:
+    a = cycle_adjacency(k)
+    a[0, k - 1] = a[k - 1, 0] = 0.0
+    return a
+
+
+def random_adjacency(k: int, p: float, seed: int) -> np.ndarray:
+    """Each pair an edge with probability p, plus a path so no area is isolated."""
+    upper = np.triu(Rng(seed).generator.uniform(size=(k, k)) < p, 1).astype(float)
+    return np.maximum(upper + upper.T, path_adjacency(k))
 
 
 def dense_eta_draw(data: CarData, state: CarState, rng: Rng) -> np.ndarray:
@@ -199,6 +211,57 @@ class TestBandedEta:
         assert loaded.bandwidth == 20
         assert not np.array_equal(loaded.order, np.arange(loaded.k))
         assert_draws_match_dense(loaded, self.state(loaded, 28), 29)
+
+    @pytest.mark.parametrize(
+        "a, areas, min_band",
+        [
+            (lattice_adjacency(6), np.arange(0, 36, 2), 6),
+            (path_adjacency(30), np.array([7]), 1),
+            (cycle_adjacency(9), np.array([0, 0, 4]), 2),
+            (lattice_adjacency(33), np.arange(0, 33 * 33, 3), 33),
+            (random_adjacency(64, 0.5, seed=31), np.arange(0, 64, 5), 32),
+        ],
+        ids=["lattice-6", "path-30", "cycle-9", "lattice-33", "random-64"],
+    )
+    def test_near_one_rho_with_empty_areas(self, a, areas, min_band):
+        # At rho = 0.999 an area with no outcome has Omega_ii = D_i / tau^2
+        # against off-diagonals summing to 0.999 D_i / tau^2: the LU's
+        # smallest dominance margin. From b = 32 on, dgbtrf takes its
+        # blocked path.
+        gen = Rng(30).generator
+        area = np.repeat(areas, 2)
+        x = np.column_stack((np.ones(area.size), gen.standard_normal(area.size)))
+        data = CarData(y=gen.standard_normal(area.size), X=x, area=area, A=a)
+        assert data.bandwidth >= min_band
+        assert np.sum(data.counts == 0.0) >= data.k // 2
+        for sigma2, tau2 in ((0.5, 1.3), (4.0, 0.2)):
+            state = CarState(beta=[1.0, 0.5], eta=np.zeros(data.k), sigma2=sigma2, tau2=tau2, rho=0.999)
+            assert_draws_match_dense(data, state, 32)
+
+    @pytest.mark.parametrize("rho", [1.2, 1.5, -3.0])
+    def test_precision_not_positive_definite_refused(self, rho):
+        data = CarData(y=np.zeros(1), X=np.ones((1, 1)), area=[0], A=lattice_adjacency(4))
+        state = CarState(beta=[0.0], eta=np.zeros(data.k), sigma2=1000.0, tau2=1.0, rho=0.5)
+        state.rho = rho  # outside [0, 1), past CarState's check
+        omega = np.diag(data.counts / state.sigma2 + data.D / state.tau2) - rho * data.A / state.tau2
+        assert np.linalg.eigvalsh(omega)[0] < 0.0
+        with pytest.raises(NotPositiveDefiniteError):
+            draw_eta(data, state, CarHyper(), Rng(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=connected_graphs())
+    def test_general_band_rebuilds_adjacency(self, a):
+        data = CarData(y=np.zeros(1), X=np.ones((1, 1)), area=[0], A=a)
+        k, b, band = data.k, data.bandwidth, data.a_band
+        assert band.shape == (3 * b + 1, k)
+        p, q = np.nonzero(np.abs(np.subtract.outer(np.arange(k), np.arange(k))) <= b)
+        rebuilt = np.zeros((k, k))
+        rebuilt[p, q] = band[2 * b + p - q, q]
+        np.testing.assert_array_equal(rebuilt, a[np.ix_(data.order, data.order)])
+        # Nothing else is stored: the fill-in rows, the diagonal row and
+        # the corners outside the matrix are zero, and b is tight.
+        assert band.sum() == a.sum()
+        assert np.any(band[b]) and np.any(band[3 * b])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -68,6 +68,11 @@ class TestKnotTable:
         with pytest.raises(DomainError):
             KnotTable(np.array([0.1, 0.2]), np.array([0.0, -1.0]), *windows(3))
 
+    @pytest.mark.parametrize("knots", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.nan]])
+    def test_nan_knot_rejected(self, knots):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            KnotTable(np.array(knots), np.array([0.0, -1.0, -2.0]), *windows(3))
+
     def test_log_probs_forced_nonincreasing(self):
         x1, x2 = windows(4)
         kt = KnotTable(np.array([0.1, 0.2, 0.3, 0.4]), np.array([-1.0, -0.5, -0.7, -2.0]), x1, x2)
@@ -226,6 +231,15 @@ class TestStepApprox:
         # Left-closed pieces: value at a knot is that knot's plateau.
         j = knots.size // 2
         assert step_logpdf_unnorm(step, float(knots[j])) == lp[j]
+
+    def test_logpdf_nan_in_nan_out(self, step):
+        assert math.isnan(step_logpdf_unnorm(step, math.nan))
+        mid = float(step.table.knots[1]) / 2.0
+        out = step_logpdf_unnorm(step, np.array([mid, math.nan, 2.0]))
+        assert out[0] == step.table.log_probs[0]
+        assert math.isnan(out[1])
+        assert out[2] == -math.inf
+        assert math.isnan(step_cdf(step, math.nan))
 
     @settings(max_examples=50)
     @given(st.floats(min_value=0.0, max_value=1.0))
