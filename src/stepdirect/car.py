@@ -31,12 +31,16 @@ rho step.
 In the rho step log w = F(rho) + theta rho: F(rho) = (1/2) sum log(1 -
 rho lambda_i) is fixed by the data, and only theta = eta'A eta / (2 tau^2)
 changes between iterations. F is tabulated once per data set on a fixed
-grid, so the step's level knots read F + theta rho from the table, O(grid)
-work with no O(k) term; only the mode search and each candidate's accept
-test evaluate log w, at O(k) a point (and the level knots too, where the
-grid is coarser than their cells). The spectrum of D^{-1} A and the table
-are computed once per data set, on first use. `CarData` holds all of
-this, and is frozen so none of it can go stale.
+grid, with the grid's discrete slopes, and the step carries that table
+under its tilt theta (a TiltedGrid). Its level knots read F + theta rho
+only at the grid points they snap to, about 1,300 of the 38,404, with no
+O(k) term, and the mode search starts from the grid point that one binary
+search of -theta in the slopes gives. Only the mode search and each
+candidate's accept test evaluate log w, at O(k) a point (and the level
+knots too, where the grid is coarser than their cells). X'X, the spectrum
+of D^{-1} A and the table are computed once per data set, the last two on
+first use. `CarData` holds all of this, and is frozen so none of it can
+go stale.
 """
 from __future__ import annotations
 
@@ -59,7 +63,7 @@ from .sampler import DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
-from .target import UniformBase, WeightedTarget, concave_mode
+from .target import TiltedGrid, UniformBase, WeightedTarget, concave_mode
 
 __all__ = [
     "CarData",
@@ -151,7 +155,7 @@ class CarData:
     the model's S, whose row i is the indicator of area[i], so S eta is
     eta[area]. Everything the Gibbs scan derives from S and A is computed
     here once: the row sums D, the outcomes per area, the edge list, the
-    factor order with the band of A in it, and (on first use) the
+    factor order with the band of A in it, X'X, and (on first use) the
     spectrum of D^{-1} A and the rho table.
     """
 
@@ -164,6 +168,7 @@ class CarData:
     edges: np.ndarray = field(init=False)  # (m, 2) area pairs, i < j
     order: np.ndarray = field(init=False)  # area at each position of the factor order
     a_band: np.ndarray = field(init=False)  # general band of A in that order, for dgbtrf
+    xtx: np.ndarray = field(init=False)  # X'X
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
@@ -186,7 +191,7 @@ class CarData:
         values = dict(
             y=y, X=x, A=a, D=a.sum(axis=1), area=area,
             counts=np.bincount(area, minlength=k).astype(float),
-            edges=edges, order=order, a_band=a_band,
+            edges=edges, order=order, a_band=a_band, xtx=x.T @ x,
         )
         for name, value in values.items():
             object.__setattr__(self, name, value)  # the one place the frozen fields are set
@@ -213,8 +218,8 @@ class CarData:
         return car_eigen_precompute(self.A, self.D)
 
     @cached_property
-    def rho_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """rho_grid_table of the spectrum; computed on first use, then kept."""
+    def rho_table(self) -> TiltedGrid:
+        """rho_grid_table of the spectrum, untilted; computed on first use, then kept."""
         return rho_grid_table(self.eigenvalues)
 
     def eta_a_eta(self, eta: np.ndarray) -> float:
@@ -268,21 +273,24 @@ def _rho_log_w(eigenvalues: np.ndarray, drift: float):
         rho = np.asarray(rho, dtype=float)
         t = np.maximum(1.0 - rho[..., None] * lam, 0.0)
         with np.errstate(divide="ignore"):
-            out = 0.5 * np.sum(np.log(t), axis=-1) + rho * drift
+            out = 0.5 * np.log(t).sum(axis=-1) + rho * drift
         return out if out.ndim else float(out)
 
     return log_w
 
 
-def rho_grid_table(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, F): a fixed rho grid and F(rho) = (1/2) sum log(1 - rho lambda_i) on it.
+def rho_grid_table(eigenvalues: np.ndarray) -> TiltedGrid:
+    """F(rho) = (1/2) sum log(1 - rho lambda_i) on a fixed rho grid, as a
+    TiltedGrid with theta = 0.
 
     The grid has spacing min(1 - rho, RHO_GRID_FLAT) / RHO_GRID_PER_EFOLD,
     dense near 1 where F bends sharply, and runs from rho = 0 through the
     largest double below 1 to rho = 1: a level point that rounds to within
     a double of 1 still reads a finite F. F comes from _rho_log_w(lambda,
-    0) itself, RHO_TABLE_BLOCK points at a time, so F + theta grid is,
-    float for float, what rho_target's log_w returns on the grid.
+    0) itself, RHO_TABLE_BLOCK points at a time, so F + theta rho is, float
+    for float, what rho_target's log_w returns at each grid point. The
+    table also keeps its flat tilts (minus its discrete slopes), which
+    every tilt of it shares.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     flat = np.arange(0.0, 1.0 - RHO_GRID_FLAT, RHO_GRID_FLAT / RHO_GRID_PER_EFOLD)
@@ -292,14 +300,14 @@ def rho_grid_table(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = np.unique(np.concatenate((flat, near_one, [1.0])))
     log_f = _rho_log_w(lam, 0.0)
     blocks = [log_f(rho[i : i + RHO_TABLE_BLOCK]) for i in range(0, rho.size, RHO_TABLE_BLOCK)]
-    return rho, np.concatenate(blocks)
+    return TiltedGrid(rho, np.concatenate(blocks))
 
 
 def rho_target(
     eigenvalues: np.ndarray,
     eta_a_eta: float,
     tau2: float,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
+    table: TiltedGrid | None = None,
 ) -> WeightedTarget:
     """Weighted Uniform(0,1) target for the dependence parameter.
 
@@ -307,8 +315,10 @@ def rho_target(
     The eigen-sum term is concave and the drift linear, so the derivative
     has at most one root; the mode is that root or a boundary, found by
     concave_mode. ``table`` is rho_grid_table(eigenvalues): when given,
-    the target carries log w on its grid, F + theta grid, and the mode
-    search starts from the grid's argmax.
+    the target carries it tilted by the drift theta, so log w on the grid
+    is read as F + theta rho at the points used and never formed in full,
+    and the mode search starts from the grid's peak (TiltedGrid.peak), one
+    binary search in the table's flat tilts.
     """
     if tau2 <= 0:
         raise DomainError("tau2 must be positive")
@@ -317,19 +327,18 @@ def rho_target(
     log_w = _rho_log_w(lam, drift)
     grid = x0 = None
     if table is not None:
-        rho, log_f = table
-        grid = (rho, log_f + rho * drift)
-        x0 = float(rho[np.argmax(grid[1])])
+        grid = table.tilted(drift)
+        x0 = float(grid.x[grid.peak()])
 
     def slope(r: float):
         ratio = lam / (1.0 - r * lam)
-        return -0.5 * float(np.sum(ratio)) + drift, -0.5 * float(ratio @ ratio)
+        return -0.5 * float(ratio.sum()) + drift, -0.5 * float(ratio @ ratio)
 
     x_mode = concave_mode(slope, 0.0, RHO_MAX, x0)
     return WeightedTarget(
         log_w=log_w,
         x_mode=x_mode,
-        log_c=float(log_w(np.asarray(x_mode))),
+        log_c=log_w(x_mode),
         base=UniformBase(0.0, 1.0),
         name="car-rho",
         grid=grid,
@@ -341,7 +350,7 @@ def rho_target(
 
 def draw_beta_car(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> np.ndarray:
     resid = data.y - state.eta[data.area]
-    omega = data.X.T @ data.X / state.sigma2 + np.eye(data.d) / hyper.sigma_beta2
+    omega = data.xtx / state.sigma2 + np.eye(data.d) / hyper.sigma_beta2
     return rng.mvn_precision(omega, data.X.T @ resid / state.sigma2)
 
 

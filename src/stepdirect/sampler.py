@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, SamplerStallError
 from .rngstats import Rng
-# step_logpdf_unnorm and step_quantile are not called here, but stay
-# importable from this module: perfbench/spans.py wraps them by name.
+# step_logpdf_unnorm is not called here, but stays importable from this
+# module: perfbench/spans.py wraps it by name.
 from .stepfn import (
     KnotTable,
     StepApprox,
@@ -39,7 +39,7 @@ from .stepfn import (
     step_quantile,
     step_quantile_many,
 )
-from .target import WeightedTarget
+from .target import UniformBase, WeightedTarget
 
 __all__ = [
     "SamplerConfig",
@@ -131,7 +131,8 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
 
     Level knots (``knot_method="level"``) come from ``level_knots``: two
     log_w calls and no endpoint solve, with the head knot at u = 0 and
-    u_hi = 1 in the table.
+    u_hi = 1 in the table. On a uniform base the CDF is summed from the
+    window widths, in linear space.
 
     The greedy and equal knots cover a descent window [u_lo, u_hi], both in
     closed form with no search. u_lo is find_u_lo's: the smaller of w at
@@ -145,7 +146,11 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
     insertion can split it like any other.
     """
     if config.knot_method == "level":
-        return build_step(level_knots(target))
+        table = level_knots(target)
+        base = target.base
+        # On a uniform base each height is a window width over the base's.
+        heights = (table.x2 - table.x1) / (base.hi - base.lo) if isinstance(base, UniformBase) else None
+        return build_step(table, heights)
     u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo)
     if config.knot_method == "equal":
@@ -222,11 +227,7 @@ class DirectSampler:
                 accept[live] = self.target.log_w(x[live]) > np.log(u[live]) + self.target.log_c
         rejected = u[~accept]
         report.n_rejected += rejected.size
-        if report.n_rejected > MAX_REJECTS:
-            raise SamplerStallError(
-                f"exceeded {MAX_REJECTS} rejections after {report.n_draws} draws; "
-                f"bound={self.rejection_bound():.3g}, knots={table.knots.size}"
-            )
+        self._check_stall(report.n_rejected, report.n_draws)
         room = MAX_KNOTS - table.knots.size
         if self.config.adapt and rejected.size and room > 0:
             u_new = rejected[:room]
@@ -236,19 +237,51 @@ class DirectSampler:
             report.knots_inserted += inserted
         return u[accept], x[accept]
 
+    def _check_stall(self, n_rejected: int, n_draws: int) -> None:
+        """Raise SamplerStallError past MAX_REJECTS rejections in one call."""
+        if n_rejected > MAX_REJECTS:
+            raise SamplerStallError(
+                f"exceeded {MAX_REJECTS} rejections after {n_draws} draws; "
+                f"bound={self.rejection_bound():.3g}, knots={self.step.table.knots.size}"
+            )
+
     def draw(self, rng: Rng) -> DirectDrawReport:
-        """One exact draw from the weighted target: blocks of one candidate
-        until one is accepted, two uniforms (u, then x) per candidate."""
-        report = AggregateReport()
+        """One exact draw from the weighted target: candidates one at a time
+        until one is accepted, two uniforms (u, then x) per candidate.
+
+        An adaptive sampler proposes blocks of one through ``_propose``, so
+        that a rejected u becomes a knot. A non-adaptive one runs each
+        candidate on Python floats with the same uniforms, the same
+        quantile map and the same accept rule, log w(x) > log u + log c.
+        """
+        if self.config.adapt:
+            report = AggregateReport()
+            while True:
+                u, x = self._propose(1, rng, report)
+                if x.size:
+                    return DirectDrawReport(
+                        x=float(x[0]),
+                        u_accepted=float(u[0]),
+                        n_rejected=report.n_rejected,
+                        knots_inserted=report.knots_inserted,
+                    )
+        uniform, target, step = rng.generator.uniform, self.target, self.step
+        table, log_c, truncated_draw = step.table, target.log_c, target.base.truncated_draw
+        knots, last = table.knots, table.knots.size - 2
+        n_rejected = 0
         while True:
-            u, x = self._propose(1, rng, report)
-            if x.size:
-                return DirectDrawReport(
-                    x=float(x[0]),
-                    u_accepted=float(u[0]),
-                    n_rejected=report.n_rejected,
-                    knots_inserted=report.knots_inserted,
-                )
+            u = step_quantile(step, uniform())
+            v = uniform()
+            # u's piece (u >= 0 = u_0); a u at u_N stays on the last piece.
+            j = min(int(knots.searchsorted(u, side="right")) - 1, last)
+            # A piece whose window holds no support point rejects without a draw.
+            if table.log_probs[j] > -math.inf:
+                x = float(truncated_draw(float(table.x1[j]), float(table.x2[j]), v))
+                log_u = np.log(u) if u > 0.0 else -math.inf
+                if target.log_w(x) > log_u + log_c:
+                    return DirectDrawReport(x=x, u_accepted=u, n_rejected=n_rejected, knots_inserted=0)
+            n_rejected += 1
+            self._check_stall(n_rejected, 0)
 
     def sample(self, n: int, rng: Rng):
         """n exact draws, proposed in vectorized blocks.

@@ -134,9 +134,9 @@ class KnotTable:
         x2 = np.asarray(self.x2, dtype=float)
         if u.ndim != 1 or not u.shape == lp.shape == x1.shape == x2.shape or u.size < 2:
             raise DomainError("knot table needs matching 1-d arrays with >= 2 knots")
-        if not np.all(u[1:] > u[:-1]):  # False against NaN as well
+        if not (u[1:] > u[:-1]).all():  # False against NaN as well
             raise DomainError("knots must be strictly ascending")
-        if not np.all(lp[1:] <= lp[:-1]):
+        if not (lp[1:] <= lp[:-1]).all():
             # A height rises (or is NaN): re-index each knot to the running
             # minimum's knot, which is the knot itself where its height is
             # the minimum so far.
@@ -342,28 +342,29 @@ def _level_points(target: WeightedTarget, x: np.ndarray, sign: np.ndarray):
 
     Without a grid, log w comes from one log_w call at x. On a target with
     a grid, each point snaps to its nearest grid point on its own side of
-    x_mode, and log w is read from the grid: the snap keeps each side's
-    points in order and may repeat one. Raises ModeError where log w
-    exceeds log_c by more than rounding.
+    x_mode, and log w is read at those grid points only (``log_w_at``): the
+    snap keeps each side's points in order and may repeat one. Raises
+    ModeError where log w exceeds log_c by more than rounding.
     """
-    if target.grid is None:
+    grid = target.grid
+    if grid is None:
         log_w = np.asarray(target.log_w(x), dtype=float)
     else:
-        grid_x, grid_log_w = target.grid
+        grid_x = grid.x
         # The grid spans the support, so i is the first grid point at or
-        # above x, or the one before it where that is nearer (-1 at x = lo,
-        # which the clip below maps to 0).
-        i = np.searchsorted(grid_x, x)
+        # above x (at least 1), or the one before it where that is nearer.
+        i = grid_x.searchsorted(x)
+        np.maximum(i, 1, out=i)
         i -= x - grid_x[i - 1] < grid_x[i] - x
-        m = target.x_mode
-        right = int(np.searchsorted(grid_x, m, side="right"))  # first grid point past the mode
+        m, last = target.x_mode, grid_x.size - 1
+        right = int(grid_x.searchsorted(m, side="right"))  # first grid point past the mode
         left = right - 1 - (grid_x[right - 1] == m)  # last grid point before it
         # A side of length 0 (x_mode at a support end) snaps to the end.
-        i = np.clip(np.where(sign > 0, np.maximum(i, right), np.minimum(i, left)), 0, grid_x.size - 1)
-        x, log_w = grid_x[i], grid_log_w[i]
+        i = np.where(sign > 0, np.maximum(i, min(right, last)), np.minimum(i, max(left, 0)))
+        x, log_w = grid_x[i], grid.log_w_at(i)
     limit = target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
-    if np.any(log_w > limit):
-        worst = np.unravel_index(np.argmax(log_w), log_w.shape)
+    if (log_w > limit).any():
+        worst = np.unravel_index(log_w.argmax(), log_w.shape)
         raise ModeError(
             f"log w({x[worst]!r}) = {log_w[worst]!r} exceeds log_c = {target.log_c!r}: "
             f"x_mode = {target.x_mode!r} is not the maximizer of w"
@@ -374,11 +375,11 @@ def _level_points(target: WeightedTarget, x: np.ndarray, sign: np.ndarray):
 def _grid_resolves(grid_x: np.ndarray, m: float, scales, lengths) -> bool:
     """Whether the grid spacing at the mode, and one scale out on each side
     of nonzero length, is at most GRID_CELL_SHARE of that side's cell."""
-    at = np.array([m, m - scales[0], m, m + scales[1]])
-    k = np.clip(np.searchsorted(grid_x, at), 1, grid_x.size - 1)
-    spacing = (grid_x[k] - grid_x[k - 1]).reshape(2, 2).max(axis=1)
-    fine = spacing <= GRID_CELL_SHARE * np.array(scales) / LEVEL_CELLS
-    return bool(np.all(fine | (np.array(lengths) == 0)))
+    scales, lengths = np.asarray(scales), np.asarray(lengths)
+    k = grid_x.searchsorted(m + SIDE_SIGNS * np.array([[0.0, scales[0]], [0.0, scales[1]]]))
+    np.minimum(np.maximum(k, 1, out=k), grid_x.size - 1, out=k)
+    spacing = (grid_x[k] - grid_x[k - 1]).max(axis=1)
+    return bool(((spacing <= GRID_CELL_SHARE * scales / LEVEL_CELLS) | (lengths == 0)).all())
 
 
 def level_knots(target: WeightedTarget) -> KnotTable:
@@ -427,27 +428,36 @@ def level_knots(target: WeightedTarget) -> KnotTable:
         probe = SIDE_SIGNS * (x - m)  # the distances of the grid points read
     dropped = log_w <= log_c - SCALE_DROP
     scales = np.where(dropped.any(axis=1), np.where(dropped, probe, np.inf).min(axis=1), lengths)
-    if target.grid is not None and not _grid_resolves(target.grid[0], m, scales, lengths):
+    if target.grid is not None and not _grid_resolves(target.grid.x, m, scales, lengths):
         return level_knots(replace(target, grid=None))
     left = _side_points(m, -1.0, base.lo, scales[0], lengths[0])
     right = _side_points(m, 1.0, base.hi, scales[1], lengths[1])
     n_left = left.size
-    sign = np.ones(n_left + right.size)
-    sign[:n_left] = -1.0
-    x, log_w = _level_points(target, np.concatenate((left, right)), sign)
+    x, log_w = _level_points(target, np.concatenate((left, right)), SIDE_SIGNS.repeat((n_left, right.size)))
 
+    below = log_w[log_w < log_c]
+    u = np.empty(below.size + 2)
+    u[0], u[-1] = 0.0, 1.0
     with np.errstate(under="ignore"):
-        levels = np.sort(np.exp(log_w[log_w < log_c] - log_c))
-    # The distinct levels in (0, 1): each above the one before it, the first above 0.
-    u = np.concatenate(([0.0], levels[(np.diff(levels, prepend=0.0) > 0.0) & (levels < 1.0)], [1.0]))
+        np.exp(below - log_c, out=u[1:-1])
+    u[1:-1].sort()
+    # 0, the distinct levels in (0, 1) and 1: each entry above the one before it.
+    u = u[np.concatenate(([True], u[1:] > u[:-1]))]
     thr = np.log(u[1:]) + log_c
     k = np.arange(thr.size)
-    window, hull = [], []
+    n_u = u.size
+    # Row 0 holds lower ends and row 1 upper ends: the knots' windows, then
+    # the hulls of pieces 0 .. n_u - 3, then two empty windows at the mode,
+    # as the last piece gets no lower bound (it ends at u = 1, where P(A_u)
+    # falls to 0) and the last knot has no piece. One log_prob gives all.
+    ends = np.empty((2, 2 * n_u))
+    ends[:, 0] = base.lo, base.hi
+    ends[:, -2:] = m
     # In a stable argsort of two ascending runs, an entry of the second run
     # lands after the entries of the first that are at or below it. So the
     # k-th threshold's place in the merge, less k, counts a run's entries at
     # or below thr_k where the run goes first, and below it where thr does.
-    for side in (slice(0, n_left), slice(n_left, None)):
+    for row, side in enumerate((slice(0, n_left), slice(n_left, None))):
         # The side's points outward from the mode, where log w = log_c.
         xs = np.concatenate(([m], x[side]))
         lw = np.concatenate(([log_c], log_w[side]))
@@ -456,22 +466,24 @@ def level_knots(target: WeightedTarget) -> KnotTable:
         # at or below thr (the support end if none).
         merge = np.concatenate((np.minimum.accumulate(lw)[::-1], thr)).argsort(kind="stable")
         n_at_or_below = (merge >= n).nonzero()[0] - k
-        window.append(xs[np.minimum(n - n_at_or_below, n - 1)])
+        ends[row, 1:n_u] = xs[np.minimum(n - n_at_or_below, n - 1)]
         # Hull: the last point outward with log w at or above thr (the mode
         # if none), where the running maximum from the support end inward
         # falls below thr.
         merge = np.concatenate((thr, np.maximum.accumulate(lw[::-1]))).argsort(kind="stable")
         n_below = (merge < thr.size).nonzero()[0] - k
-        hull.append(xs[n - 1 - n_below[:-1]])
-    x1 = np.concatenate(([base.lo], window[0]))
-    x2 = np.concatenate(([base.hi], window[1]))
-    # The last piece ends at u = 1, where P(A_u) falls to 0.
-    lows = np.concatenate((base.log_prob(*hull), [-np.inf, -np.inf]))
-    return KnotTable(u, base.log_prob(x1, x2), x1, x2, lows)
+        ends[row, n_u:-2] = xs[n - 1 - n_below[:-1]]
+    log_p = base.log_prob(ends[0], ends[1])
+    return KnotTable(u, log_p[:n_u], ends[0, :n_u], ends[1, :n_u], log_p[n_u:])
 
 
-def build_step(kt: KnotTable) -> StepApprox:
+def build_step(kt: KnotTable, heights: np.ndarray | None = None) -> StepApprox:
     """Normalize the step function and precompute its CDF at the knots.
+
+    ``heights``, where given, are the pieces' heights exp(log_probs) in
+    linear space, known not to underflow: on a uniform base, window widths
+    over the base's width. The CDF is then summed from them directly;
+    otherwise it is summed in log space from log_probs.
 
     Raises DomainError unless the first knot is u = 0, so that the pieces
     cover every u in [0, u_N) and the CDF starts at H(0) = 0.
@@ -479,13 +491,24 @@ def build_step(kt: KnotTable) -> StepApprox:
     u = kt.knots
     if u[0] != 0.0:
         raise DomainError(f"a step envelope starts at a head knot at u = 0, not at u = {u[0]!r}")
-    with np.errstate(divide="ignore"):
-        terms = kt.log_probs[:-1] + np.log(np.diff(u))
-    log_a = log_sum_exp(terms)
-    if math.isinf(log_a):
-        raise DegenerateTargetError("step function has zero total mass")
-    cdf = np.minimum(np.concatenate(([0.0], np.cumsum(np.exp(terms - log_a)))), 1.0)
-    cdf[-1] = 1.0
+    cdf = np.empty(u.size)
+    cdf[0] = 0.0
+    if heights is None:
+        with np.errstate(divide="ignore"):
+            terms = kt.log_probs[:-1] + np.log(u[1:] - u[:-1])
+        log_a = log_sum_exp(terms)
+        if math.isinf(log_a):
+            raise DegenerateTargetError("step function has zero total mass")
+        np.minimum(np.exp(terms - log_a).cumsum(), 1.0, out=cdf[1:])
+        cdf[-1] = 1.0
+    else:
+        # Partial sums of the areas over their total: they ascend to 1.
+        (heights[:-1] * (u[1:] - u[:-1])).cumsum(out=cdf[1:])
+        total = float(cdf[-1])
+        if not total > 0.0:
+            raise DegenerateTargetError("step function has zero total mass")
+        cdf[1:] /= total
+        log_a = math.log(total)
     return StepApprox(table=kt, log_a=log_a, grid_cdf=cdf)
 
 
@@ -504,8 +527,11 @@ def step_quantile_many(s: StepApprox, phi) -> np.ndarray:
 
 
 def step_quantile(s: StepApprox, phi: float) -> float:
-    """Scalar quantile H^{-1}(phi)."""
-    return float(step_quantile_many(s, float(phi))[0])
+    """Scalar quantile H^{-1}(phi): step_quantile_many's map on one float,
+    with no array made around it. Rejects NaN as well as phi outside [0, 1]."""
+    if not 0.0 <= phi <= 1.0:
+        raise DomainError("phi must lie in [0, 1]")
+    return float(np.interp(phi, s.grid_cdf, s.table.knots))
 
 
 def step_logpdf_unnorm(s: StepApprox, u):

@@ -12,9 +12,10 @@ stay on the log scale. The sampler draws x on a stored window and keeps it
 only if w(x) > u c, so a window that is slightly too wide costs a little
 acceptance but never exactness.
 
-A target whose log w is a fixed function plus a linear term may also carry
-log w tabulated on a fixed grid (``WeightedTarget.grid``), and
-``concave_mode`` finds the mode of a log w with decreasing derivative.
+A target whose log w is a fixed function plus a linear term, F(x) + theta
+x, may also carry F tabulated on a fixed grid together with theta
+(``TiltedGrid``, on ``WeightedTarget.grid``), and ``concave_mode`` finds
+the mode of a log w with decreasing derivative.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .logspace import log1mexp
 __all__ = [
     "UniformBase",
     "GeometricBase",
+    "TiltedGrid",
     "WeightedTarget",
     "concave_mode",
     "integer_window",
@@ -45,6 +47,10 @@ ENDPOINT_TOL = 1e-10
 # MODE_TOL * (1 + |x|) ends the search.
 MODE_TOL = 1e-14
 MODE_MAX_STEPS = 500
+
+# TiltedGrid.peak compares the tilted values this many points either side
+# of the step where its binary search on the flat tilts lands.
+PEAK_REACH = 2
 
 
 def integer_window(x1, x2):
@@ -79,10 +85,9 @@ class UniformBase:
 
     def log_prob(self, x1, x2):
         """log P(x1 < X < x2) with endpoints inside the support."""
-        x1 = np.asarray(x1, float)
-        x2 = np.asarray(x2, float)
+        # fmax maps a width that is negative or NaN to 0, whose log is -inf.
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x2 > x1, np.log(np.maximum(x2 - x1, 0.0)) - self._log_width, -np.inf)
+            out = np.log(np.fmax(np.subtract(x2, x1, dtype=float), 0.0)) - self._log_width
         return out if out.ndim else float(out)
 
     def truncated_draw(self, x1, x2, v):
@@ -150,20 +155,81 @@ class GeometricBase:
         return out if out.ndim else float(out)
 
 
+@dataclass(frozen=True)
+class TiltedGrid:
+    """log w on fixed points as a fixed table plus a tilt: f_i + theta x_i.
+
+    ``x`` ascends and spans the support, and ``f`` is the fixed part of
+    log w at each x_i; (x, f) is computed once, and only ``theta`` changes
+    from one target to the next (``tilted``). No array of tilted values is
+    formed: a reader takes f[i] + theta * x[i] at the indices it uses
+    (``log_w_at``), which must be, float for float, what the target's
+    log_w returns at x[i].
+
+    ``flat_tilts[i]`` is the tilt -(f[i+1] - f[i]) / (x[i+1] - x[i]) under
+    which the step from x_i to x_{i+1} is level. Left out, it is computed
+    from (x, f); ``tilted`` passes it on, so a tilt costs no O(n) work. For
+    a concave f the flat tilts ascend, and ``peak`` finds the largest
+    tilted value from them by one binary search.
+    """
+
+    x: np.ndarray
+    f: np.ndarray
+    theta: float = 0.0
+    flat_tilts: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.flat_tilts is None:
+            x, f = np.asarray(self.x, dtype=float), np.asarray(self.f, dtype=float)
+            if not (x.ndim == 1 and x.shape == f.shape and x.size >= 2 and np.all(x[1:] > x[:-1])):
+                raise DomainError("a tilted grid needs ascending points x, at least two, with one f each")
+            # A step with f = -inf at both ends gets a NaN flat tilt.
+            # searchsorted orders NaN above every number, so the tilts stay
+            # in order where such steps lie at the right end, as on the rho
+            # table next to rho = 1.
+            with np.errstate(invalid="ignore"):
+                flat_tilts = (f[:-1] - f[1:]) / (x[1:] - x[:-1])
+            for name, value in (("x", x), ("f", f), ("flat_tilts", flat_tilts)):
+                object.__setattr__(self, name, value)
+
+    def tilted(self, theta: float) -> TiltedGrid:
+        """The same table under tilt theta."""
+        return TiltedGrid(self.x, self.f, float(theta), self.flat_tilts)
+
+    def log_w_at(self, i):
+        """log w at the grid points x[i]: f[i] + theta * x[i]."""
+        return self.f[i] + self.theta * self.x[i]
+
+    def peak(self) -> int:
+        """Index of the largest tilted value, the first of equal ones, as
+        np.argmax of f + theta x gives it where the tilted values rise to
+        one peak and fall after it (f concave).
+
+        The steps still rising under theta are those whose flat tilt is
+        below it, so one searchsorted counts them. Rounding can leave
+        neighbouring flat tilts out of order, or disagree with the sign of
+        the step between the tilted values themselves, so the peak is then
+        taken among the few tilted values around that count.
+        """
+        i = int(self.flat_tilts.searchsorted(self.theta))
+        lo = max(i - PEAK_REACH, 0)
+        return lo + int(self.log_w_at(slice(lo, i + PEAK_REACH + 1)).argmax())
+
+
 @dataclass
 class WeightedTarget:
     """Everything the direct sampler needs from one univariate target.
 
-    ``log_w`` must accept numpy arrays (a continuous extension is expected
-    even for integer support) and attain its maximum ``log_c`` at
-    ``x_mode``. The support is the base's: continuous on [base.lo,
-    base.hi] or the integers {0, 1, ...}. Instances are immutable in
-    practice and safe to share.
+    ``log_w`` must accept numpy arrays and Python floats (a continuous
+    extension is expected even for integer support) and attain its
+    maximum ``log_c`` at ``x_mode``. The support is the base's: continuous
+    on [base.lo, base.hi] or the integers {0, 1, ...}. Instances are
+    immutable in practice and safe to share.
 
-    ``grid``, when given, is log w tabulated at fixed points: a pair
-    (x, log w) with x ascending and spanning the support, and each log w
-    the value ``log_w`` itself returns at that x. ``level_knots`` then
-    reads its points from the grid instead of calling ``log_w``.
+    ``grid``, when given, is a ``TiltedGrid``: log w at fixed points x_i
+    spanning the support, read as f_i + theta x_i, each the value ``log_w``
+    itself returns at x_i. ``level_knots`` then reads its points from the
+    grid, at the indices it snaps to, instead of calling ``log_w``.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]
@@ -171,7 +237,7 @@ class WeightedTarget:
     log_c: float
     base: UniformBase | GeometricBase
     name: str = ""
-    grid: tuple[np.ndarray, np.ndarray] | None = None
+    grid: TiltedGrid | None = None
 
     @property
     def discrete(self) -> bool:

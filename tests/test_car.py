@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stepdirect.car
@@ -34,6 +34,7 @@ from stepdirect.errors import DomainError, NotPositiveDefiniteError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, rejection_bound
 from stepdirect.stepfn import build_step, level_knots
+from stepdirect.target import TiltedGrid, concave_mode
 
 
 def cycle_adjacency(k: int) -> np.ndarray:
@@ -331,6 +332,49 @@ class TestRhoTarget:
         assert 0.5 * np.abs(emp - exact).sum() < 0.015
 
 
+class FullGrid:
+    """log w at every grid point, F + theta rho written out as one array:
+    the representation that TiltedGrid replaced, kept as a reference."""
+
+    def __init__(self, table: TiltedGrid, theta: float):
+        self.x = table.x
+        self.values = table.f + table.x * theta
+
+    def log_w_at(self, i):
+        return self.values[i]
+
+
+@dataclasses.dataclass(frozen=True)
+class RecordingGrid(TiltedGrid):
+    """A TiltedGrid that keeps each (points, values) pair it is read at."""
+
+    reads: list = dataclasses.field(default_factory=list)
+
+    def log_w_at(self, i):
+        out = super().log_w_at(i)
+        self.reads.append((self.x[i], out))
+        return out
+
+
+def rho_slope(lam, drift):
+    """rho_target's slope: the first and second derivatives of log w."""
+
+    def slope(r):
+        ratio = lam / (1.0 - r * lam)
+        return -0.5 * float(np.sum(ratio)) + drift, -0.5 * float(ratio @ ratio)
+
+    return slope
+
+
+def _lattice_table(side: int):
+    a = lattice_adjacency(side)
+    eig = car_eigen_precompute(a, a.sum(axis=1))
+    return eig, rho_grid_table(eig)
+
+
+TILTED_TABLES = {side: _lattice_table(side) for side in (6, 12)}
+
+
 class TestRhoTable:
     """Level knots read from the data's rho table instead of calling log_w."""
 
@@ -349,8 +393,10 @@ class TestRhoTable:
         bounds, plain_bounds = [], []
         for eta_a_eta, tau2 in drifts:
             target = rho_target(eig, eta_a_eta, tau2, table)
-            grid_x, grid_log_w = target.grid
-            assert np.array_equal(grid_log_w, target.log_w(grid_x))
+            grid = target.grid
+            tilted = grid.log_w_at(np.arange(grid.x.size))
+            assert np.array_equal(tilted, target.log_w(grid.x))
+            assert grid.peak() == np.argmax(tilted)
             kt = level_knots(target)
             assert np.array_equal(kt.log_probs, target.base.log_prob(kt.x1, kt.x2))
             with np.errstate(divide="ignore"):
@@ -378,10 +424,47 @@ class TestRhoTable:
 
     def test_grid_spans_the_support(self):
         eig = car_eigen_precompute(lattice_adjacency(4), lattice_adjacency(4).sum(axis=1))
-        grid, log_f = rho_grid_table(eig)
+        table = rho_grid_table(eig)
+        grid, log_f = table.x, table.f
+        assert table.theta == 0.0
         assert grid[0] == 0.0 and grid[-1] == 1.0 and grid[-2] == np.nextafter(1.0, 0.0)
         assert np.all(np.diff(grid) > 0.0)
         assert np.array_equal(log_f, rho_target(eig, 0.0, 1.0).log_w(grid))
+        # The flat tilts are the table's discrete slopes, negated (NaN where
+        # F is -inf at both ends of a step, as it may be next to rho = 1).
+        with np.errstate(invalid="ignore"):
+            slopes = np.diff(log_f) / np.diff(grid)
+        assert np.array_equal(table.flat_tilts, -slopes, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lattice=st.sampled_from([6, 12]),
+        eta_a_eta=st.floats(min_value=-50.0, max_value=3000.0),
+        tau2=st.floats(min_value=0.05, max_value=10.0),
+    )
+    @example(lattice=6, eta_a_eta=-5.0, tau2=1.0)
+    @example(lattice=12, eta_a_eta=3000.0, tau2=0.05)
+    def test_tilted_reads_match_full_array(self, lattice, eta_a_eta, tau2):
+        eig, table = TILTED_TABLES[lattice]
+        drift = eta_a_eta / (2.0 * tau2)
+        target = rho_target(eig, eta_a_eta, tau2, table)
+        grid = target.grid
+        assert grid.theta == drift and grid.flat_tilts is table.flat_tilts
+        # Every value the level knots read equals log_w at its point.
+        recording = RecordingGrid(grid.x, grid.f, grid.theta, grid.flat_tilts)
+        kt = level_knots(dataclasses.replace(target, grid=recording))
+        assert recording.reads
+        for x, log_w in recording.reads:
+            assert np.array_equal(log_w, target.log_w(x))
+        # The table is, bit for bit, the one read from F + theta rho written out in full.
+        full = FullGrid(table, drift)
+        ref = level_knots(dataclasses.replace(target, grid=full))
+        for name in ("knots", "log_probs", "x1", "x2", "log_lows"):
+            assert np.array_equal(getattr(kt, name), getattr(ref, name)), name
+        # The mode search starts at the full array's argmax, so it ends at the same mode.
+        start = int(np.argmax(full.values))
+        assert grid.peak() == start
+        assert target.x_mode == concave_mode(rho_slope(eig, drift), 0.0, RHO_MAX, float(table.x[start]))
 
 
 class TestConjugateDraws:
@@ -398,6 +481,15 @@ class TestConjugateDraws:
             rho=0.5,
         )
         return data, state, CarHyper()
+
+    def test_beta_draw_reads_the_kept_gram_matrix(self, setup):
+        # X'X is formed once per data set; the draw is the one from X'X formed afresh.
+        data, state, hyper = setup
+        assert np.array_equal(data.xtx, data.X.T @ data.X)
+        resid = data.y - state.eta[data.area]
+        omega = data.X.T @ data.X / state.sigma2 + np.eye(data.d) / hyper.sigma_beta2
+        want = Rng(5).mvn_precision(omega, data.X.T @ resid / state.sigma2)
+        assert np.array_equal(draw_beta_car(data, state, hyper, Rng(5)), want)
 
     def test_beta_mean_matches_normal_equations(self, setup):
         data, state, hyper = setup

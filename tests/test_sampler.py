@@ -299,14 +299,14 @@ class TestGibbsStepCalls:
         return pstats.Stats(profile).total_calls
 
     def test_nu_step(self):
-        # 346 calls.
-        assert self.calls(draw_nu_direct, NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)) <= 380
+        # 232 calls.
+        assert self.calls(draw_nu_direct, NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)) <= 255
 
     def test_rho_step(self):
-        # 409 calls, on the 6x6 lattice with its rho table.
+        # 220 calls, on the 6x6 lattice with its rho table.
         data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
         state = CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
-        assert self.calls(draw_rho_direct, data, state) <= 449
+        assert self.calls(draw_rho_direct, data, state) <= 242
 
 
 class _CountingGenerator:
@@ -334,6 +334,27 @@ class TestDraw:
             n_rejected += sampler.draw(rng).n_rejected
             assert counter.n_uniforms == 2 * (n_rejected + n_draws)
         assert n_rejected > 0
+
+    @pytest.mark.parametrize("name", ["greedy", "rho-level"])
+    def test_scalar_draw_matches_sample_of_one(self, name):
+        # A non-adaptive draw runs one candidate at a time on floats, and
+        # sample(1) runs _propose on arrays. On the same stream they take
+        # the same uniforms, reject the same candidates and return the same x.
+        if name == "greedy":
+            sampler = DirectSampler(quadratic_target(scale=2000.0), SamplerConfig(n_init_knots=1, adapt=False))
+        else:
+            sampler = DirectSampler(continuous_targets()[3], RHO_SAMPLER_CONFIG)
+        scalar, block = Rng(11), Rng(11)
+        scalar.generator = _CountingGenerator(scalar.generator)
+        block.generator = _CountingGenerator(block.generator)
+        n_rejected = 0
+        for _ in range(40):
+            report = sampler.draw(scalar)
+            x, aggregate = sampler.sample(1, block)
+            assert report.x == x[0] and report.n_rejected == aggregate.n_rejected
+            assert scalar.generator.n_uniforms == block.generator.n_uniforms
+            n_rejected += report.n_rejected
+        assert n_rejected > 0 or name == "rho-level"
 
     def test_one_endpoint_solve_per_candidate(self):
         # The accept test needs no solve; only a rejected candidate that
@@ -454,17 +475,25 @@ class TestSampleBlocks:
         x1[empty] = x2[empty] = target.x_mode
         step = build_step(KnotTable(knots, np.where(empty, -np.inf, log_p), x1, x2))
         sampler = DirectSampler(target, SamplerConfig(adapt=False), step=step)
-        propose = stepdirect.sampler.step_quantile_many
-        calls = []
+        # The scalar draw maps each uniform by step_quantile, a block by step_quantile_many.
+        for name, on_empty in (("step_quantile", 0.95), ("step_quantile_many", np.full(1, 0.95))):
+            quantile = getattr(stepdirect.sampler, name)
+            calls = []
 
-        def first_on_empty_piece(s, phi):
-            calls.append(1)
-            return np.full(np.size(phi), 0.95) if len(calls) == 1 else propose(s, phi)
+            def first_on_empty_piece(s, phi, quantile=quantile, on_empty=on_empty, calls=calls):
+                calls.append(1)
+                return on_empty if len(calls) == 1 else quantile(s, phi)
 
-        monkeypatch.setattr(stepdirect.sampler, "step_quantile_many", first_on_empty_piece)
-        report = sampler.draw(Rng(4))
-        assert report.n_rejected >= 1
-        assert target.log_w(report.x) > math.log(report.u_accepted) + target.log_c
+            monkeypatch.setattr(stepdirect.sampler, name, first_on_empty_piece)
+            if name == "step_quantile":
+                report = sampler.draw(Rng(4))
+                assert report.n_rejected >= 1
+                assert target.log_w(report.x) > math.log(report.u_accepted) + target.log_c
+            else:
+                draws, aggregate = sampler.sample(1, Rng(4))
+                assert aggregate.n_rejected >= 1
+                assert draws[0] == report.x
+            monkeypatch.undo()
 
     def test_zero_draws(self):
         draws, report = DirectSampler(quadratic_target()).sample(0, Rng(0))

@@ -37,7 +37,7 @@ from stepdirect.stepfn import (
     step_quantile_many,
     total_rect_area,
 )
-from stepdirect.target import ENDPOINT_TOL, UniformBase, WeightedTarget
+from stepdirect.target import ENDPOINT_TOL, TiltedGrid, UniformBase, WeightedTarget
 from stepdirect.treg import NuTargetParams, nu_target
 from tests.test_target import quadratic_target
 
@@ -334,6 +334,12 @@ class TestLevelKnots:
         # The quantile reads step_cdf's map backwards.
         phi = np.linspace(0.0, 1.0, 101)
         assert np.allclose(step_cdf(step, step_quantile_many(step, phi)), phi, rtol=0.0, atol=1e-12)
+        # The linear-space CDF from the window widths is the log-space one up
+        # to the rounding of ~n additions, with n the knot count (<= 1e4 here).
+        linear = build_step(table, (table.x2 - table.x1) / (target.base.hi - target.base.lo))
+        assert np.allclose(linear.grid_cdf, step.grid_cdf, rtol=0.0, atol=1e4 * np.finfo(float).eps)
+        assert linear.log_a == pytest.approx(step.log_a, rel=0.0, abs=1e4 * np.finfo(float).eps)
+        assert linear.grid_cdf[0] == 0.0 and linear.grid_cdf[-1] == 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -374,11 +380,14 @@ class TestLevelKnots:
         # The check runs on the values read from the grid: a grid point next
         # to the mode that reads above log_c is caught without a log_w call.
         target = rho_target(self.EIG6, 20.0, 1.0, rho_grid_table(self.EIG6))
-        grid_x, grid_log_w = target.grid
-        bumped = grid_log_w.copy()
-        bumped[np.searchsorted(grid_x, target.x_mode)] = target.log_c + 1e-6
+        grid = target.grid
+        i = np.searchsorted(grid.x, target.x_mode)
+        bumped_f = grid.f.copy()
+        bumped_f[i] = target.log_c + 1e-6 - grid.theta * grid.x[i]
+        bumped = TiltedGrid(grid.x, bumped_f, grid.theta)
+        assert bumped.log_w_at(i) > target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
         with pytest.raises(ModeError, match="not the maximizer"):
-            level_knots(replace(target, grid=(grid_x, bumped), log_w=None))
+            level_knots(replace(target, grid=bumped, log_w=None))
 
 
 def reference_side_distances(scale: float, length: float) -> np.ndarray:
@@ -411,7 +420,7 @@ def reference_level_knots(target: WeightedTarget):
         probe = sign * (x - m)
     dropped = log_w <= log_c - SCALE_DROP
     scales = [float(probe[i][dropped[i]].min()) if np.any(dropped[i]) else lengths[i] for i in range(2)]
-    if target.grid is not None and not _grid_resolves(target.grid[0], m, scales, lengths):
+    if target.grid is not None and not _grid_resolves(target.grid.x, m, scales, lengths):
         return reference_level_knots(replace(target, grid=None))
     grids = [np.empty(0), np.empty(0)]
     for side in range(2):
