@@ -56,7 +56,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.special import ndtr, ndtri
 
-from .chains import ChainOutput
+from .chains import ChainOutput, run_chain
 from .errors import DomainError, NotPositiveDefiniteError
 from .rngstats import Rng, sym_eigenvalues
 from .sampler import DirectSampler, SamplerConfig
@@ -256,14 +256,17 @@ class CarState:
 
 
 def car_eigen_precompute(a: np.ndarray, d_row_sums: np.ndarray) -> np.ndarray:
-    """Eigenvalues of D^{-1} A, descending.
+    """Eigenvalues of D^{-1} A, descending, capped at 1.
 
     D^{-1} A is similar to the symmetric D^{-1/2} A D^{-1/2}, so a
-    symmetric eigensolver yields its (all-real) spectrum.
+    symmetric eigensolver yields its (all-real) spectrum. D^{-1} A is
+    row-stochastic, so its largest eigenvalue is exactly 1; the solver can
+    round it above, which would put log(1 - rho lambda) at -inf just below
+    rho = 1.
     """
     d_inv_sqrt = 1.0 / np.sqrt(np.asarray(d_row_sums, dtype=float))
     sym = d_inv_sqrt[:, None] * np.asarray(a, dtype=float) * d_inv_sqrt[None, :]
-    return sym_eigenvalues(sym)
+    return np.minimum(sym_eigenvalues(sym), 1.0)
 
 
 def _rho_log_w(eigenvalues: np.ndarray, drift: float):
@@ -464,8 +467,6 @@ def car_gibbs_run(
     Saves every `thin`-th state after `burnin`; extras carry the
     per-iteration rho rejection counts (direct) or MH rejection flags.
     """
-    if iters < 0 or burnin < 0 or thin < 1:
-        raise DomainError("need iters >= 0, burnin >= 0, thin >= 1")
     if rho_method not in ("direct", "mh"):
         raise DomainError(f"unknown rho method {rho_method!r}")
     if config is None:
@@ -482,31 +483,22 @@ def car_gibbs_run(
         + [f"eta_{i}" for i in range(data.k)]
         + ["sigma2", "tau2", "rho"]
     )
-    saved = []
-    rho_rejects = np.zeros(iters, dtype=int)
-    for it in range(iters):
+
+    def scan() -> int:
         state.beta = draw_beta_car(data, state, hyper, rng)
         state.eta = draw_eta(data, state, hyper, rng)
         state.sigma2 = draw_sigma2_car(data, state, hyper, rng)
         state.tau2 = draw_tau2(data, state, hyper, rng)
         if rho_method == "direct":
             state.rho, report = draw_rho_direct(data, state, rng, config)
-            rho_rejects[it] = report.n_rejected
-        else:
-            state.rho, accepted = draw_rho_mh(data, state, rng, sigma_prop)
-            rho_rejects[it] = 0 if accepted else 1
-        if it >= burnin and (it - burnin) % thin == 0:
-            saved.append(
-                np.concatenate((state.beta, state.eta, [state.sigma2, state.tau2, state.rho]))
-            )
-    draws = np.asarray(saved) if saved else np.empty((0, len(names)))
-    return ChainOutput(
-        names=names,
-        draws=draws,
-        burnin=burnin,
-        thin=thin,
-        extras={"rho_rejects": rho_rejects, "rho_method": rho_method},
-    )
+            return report.n_rejected
+        state.rho, accepted = draw_rho_mh(data, state, rng, sigma_prop)
+        return 0 if accepted else 1
+
+    def row() -> np.ndarray:
+        return np.concatenate((state.beta, state.eta, [state.sigma2, state.tau2, state.rho]))
+
+    return run_chain(scan, row, names, iters, burnin, thin, "rho_rejects", {"rho_method": rho_method})
 
 
 # -- data construction -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Column-oriented storage for MCMC output."""
+"""The Gibbs chain loop and column-oriented storage for its output."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -8,7 +8,7 @@ import numpy as np
 from .errors import DomainError
 from .rngstats import SummaryRow, summarize
 
-__all__ = ["ChainOutput", "mc_standard_error"]
+__all__ = ["ChainOutput", "mc_standard_error", "run_chain"]
 
 
 @dataclass
@@ -35,6 +35,27 @@ class ChainOutput:
 
     def summaries(self) -> dict[str, SummaryRow]:
         return {name: summarize(self.draws[:, j]) for j, name in enumerate(self.names)}
+
+
+def run_chain(scan, row, names, iters, burnin, thin, rejects_name, extras) -> ChainOutput:
+    """Run a Gibbs chain for ``iters`` iterations and save every ``thin``-th
+    state after ``burnin``.
+
+    ``scan()`` updates the chain's state in place by one iteration and
+    returns that iteration's reject count; ``row()`` returns the state's
+    saved values in ``names`` order. The counts go to
+    ``extras[rejects_name]``, one per iteration, ahead of ``extras``.
+    """
+    if iters < 0 or burnin < 0 or thin < 1:
+        raise DomainError("need iters >= 0, burnin >= 0, thin >= 1")
+    rejects = np.zeros(iters, dtype=int)
+    saved = []
+    for it in range(iters):
+        rejects[it] = scan()
+        if it >= burnin and (it - burnin) % thin == 0:
+            saved.append(row())
+    draws = np.asarray(saved) if saved else np.empty((0, len(names)))
+    return ChainOutput(names, draws, burnin, thin, {rejects_name: rejects, **extras})
 
 
 def mc_standard_error(draws) -> float:

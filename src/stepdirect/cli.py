@@ -11,6 +11,7 @@ import argparse
 import csv
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 from pathlib import Path
 
@@ -292,14 +293,8 @@ def cmd_nu_compare(args) -> int:
         _draws, rejected = treg_mod.geweke_sample_many(p, args.n_draws, rng)
         return [p.A, "geweke", "", args.n_draws, rejected]
 
-    n_workers = args.threads or 1
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=args.threads or 1) as pool:
+        rows = list(pool.map(run_cell, cells))
     _write_csv(out / "rejections.csv", ["A", "method", "n_knots", "n_draws", "n_rejected"], rows)
     return 0
 

@@ -154,6 +154,7 @@ def cmp_target(params: CmpParams, override_decomp: CmpDecomposition | None = Non
 
 _ORACLE_BLOCK = 16384
 _ORACLE_MAX_TERMS = 10_000_000
+_ORACLE_TAIL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,13 @@ class CmpPmfTable:
         return int(np.searchsorted(self._log_cdf, math.log(phi), side="left"))
 
 
-def cmp_pmf_oracle(params: CmpParams, tail_eps: float = 1e-12) -> CmpPmfTable:
+def cmp_pmf_oracle(params: CmpParams) -> CmpPmfTable:
     """Sum the series Z = sum lambda^x / (x!)^nu term by term in log space.
 
     Stops once terms are decreasing and the newest term is below
-    tail_eps times the running sum; raises if 10^7 terms do not suffice.
+    _ORACLE_TAIL_EPS times the running sum; raises if 10^7 terms do not
+    suffice.
     """
-    if tail_eps <= 0:
-        raise DomainError("tail_eps must be positive")
     log_lam = math.log(params.lam)
     blocks: list[np.ndarray] = []
     log_z = -math.inf
@@ -210,7 +210,7 @@ def cmp_pmf_oracle(params: CmpParams, tail_eps: float = 1e-12) -> CmpPmfTable:
         blocks.append(t)
         log_z = float(np.logaddexp(log_z, log_sum_exp(t)))
         start += _ORACLE_BLOCK
-        if t[-1] < t[-2] and t[-1] < math.log(tail_eps) + log_z:
+        if t[-1] < t[-2] and t[-1] < math.log(_ORACLE_TAIL_EPS) + log_z:
             break
     else:
         raise OracleError(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["log1mexp", "log_diff_exp", "log_add_exp", "log_sum_exp"]
+__all__ = ["log1mexp", "log_diff_exp", "log_sum_exp"]
 
 _LOG_HALF = float(np.log(0.5))
 
@@ -45,12 +45,6 @@ def log_diff_exp(a, b):
         diff = np.where(both_inf, -np.inf, b - np.where(both_inf, 0.0, a))
         out = np.where(both_inf, -np.inf, a + log1mexp(np.minimum(diff, 0.0)))
     return out if out.ndim else float(out)
-
-
-def log_add_exp(a, b):
-    """log(exp(a) + exp(b)) elementwise."""
-    out = np.logaddexp(a, b)
-    return out if np.ndim(out) else float(out)
 
 
 def log_sum_exp(a) -> float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DomainError,
@@ -57,11 +58,6 @@ class Rng:
             raise DomainError(f"uniform requires a < b, got [{a}, {b})")
         return self.generator.uniform(a, b, size=size)
 
-    def normal(self, mean: float = 0.0, sd: float = 1.0, size=None):
-        if sd <= 0:
-            raise DomainError("normal requires sd > 0")
-        return self.generator.normal(mean, sd, size=size)
-
     def gamma(self, shape: float, rate: float, size=None):
         if shape <= 0 or rate <= 0:
             raise DomainError("gamma requires shape > 0 and rate > 0")
@@ -103,8 +99,6 @@ class Rng:
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("precision matrix is not positive definite") from exc
         # mean = Omega^{-1} b via two triangular solves.
-        from scipy.linalg import solve_triangular
-
         half = solve_triangular(lower, b, lower=True)
         mean = solve_triangular(lower.T, half, lower=False)
         z = self.generator.standard_normal(b.shape[0])
@@ -124,10 +118,6 @@ class SymMatrix:
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(m).max())):
             raise DomainError("matrix is not symmetric")
         object.__setattr__(self, "values", 0.5 * (m + m.T))
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
 
 
 def sym_eigenvalues(m: SymMatrix | np.ndarray) -> np.ndarray:

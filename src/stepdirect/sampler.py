@@ -7,9 +7,12 @@ mass. A candidate u on piece j draws x from the base truncated to window
 j and is accepted iff log w(x) > log u + log c: with probability
 P(A_u) / h(u), and then x follows the base truncated to A_u, so accepted
 x are exact variates from the weighted target. No candidate solves for
-A_u. Optionally the rejected u of a block become new knots, solved in one
-call and inserted with one rebuild, tightening the envelope as sampling
-runs.
+A_u. ``draw`` runs candidates one at a time on Python floats and
+``sample`` runs them in vectorized blocks, with the same uniforms and the
+same accept rule. Optionally the rejected u become new knots through one
+helper, tightening the envelope as sampling runs: ``draw`` inserts each
+before its next candidate, ``sample`` a block's in one solve and one
+rebuild.
 """
 from __future__ import annotations
 
@@ -208,8 +211,8 @@ class DirectSampler:
         window holds no support point (quantile round-off onto a zero-mass
         piece) is rejected without a draw. Rejections are counted on
         ``report``, and more than MAX_REJECTS in total raise
-        SamplerStallError. In adaptive mode the rejected u become knots,
-        each solved from its piece's window, which already brackets A_u.
+        SamplerStallError. In adaptive mode the rejected u become knots
+        (``_insert``).
         """
         v_u = rng.generator.uniform(size=m)
         v_x = rng.generator.uniform(size=m)
@@ -228,14 +231,22 @@ class DirectSampler:
         rejected = u[~accept]
         report.n_rejected += rejected.size
         self._check_stall(report.n_rejected, report.n_draws)
-        room = MAX_KNOTS - table.knots.size
-        if self.config.adapt and rejected.size and room > 0:
-            u_new = rejected[:room]
-            j_new = j[~accept][:room]
-            x1, x2, log_p = self.target.superlevel(u_new, (table.x1[j_new], table.x2[j_new]))
-            self.step, inserted = insert_knot(self.step, u_new, log_p, x1, x2)
-            report.knots_inserted += inserted
+        if self.config.adapt and rejected.size:
+            report.knots_inserted += self._insert(rejected, j[~accept])
         return u[accept], x[accept]
+
+    def _insert(self, u, j) -> int:
+        """Insert rejected candidates u, on pieces j, as knots while the
+        table has fewer than MAX_KNOTS; return how many went in. Each A_u is
+        solved from its piece's window, which already brackets it."""
+        table = self.step.table
+        room = MAX_KNOTS - table.knots.size
+        if room <= 0:
+            return 0
+        u, j = np.atleast_1d(u)[:room], np.atleast_1d(j)[:room]
+        x1, x2, log_p = self.target.superlevel(u, (table.x1[j], table.x2[j]))
+        self.step, inserted = insert_knot(self.step, u, log_p, x1, x2)
+        return inserted
 
     def _check_stall(self, n_rejected: int, n_draws: int) -> None:
         """Raise SamplerStallError past MAX_REJECTS rejections in one call."""
@@ -246,42 +257,34 @@ class DirectSampler:
             )
 
     def draw(self, rng: Rng) -> DirectDrawReport:
-        """One exact draw from the weighted target: candidates one at a time
-        until one is accepted, two uniforms (u, then x) per candidate.
+        """One exact draw from the weighted target.
 
-        An adaptive sampler proposes blocks of one through ``_propose``, so
-        that a rejected u becomes a knot. A non-adaptive one runs each
-        candidate on Python floats with the same uniforms, the same
-        quantile map and the same accept rule, log w(x) > log u + log c.
+        Runs candidates one at a time on Python floats until one is
+        accepted. Each takes two uniforms, u then x, and the quantile map
+        and accept rule of ``sample``: log w(x) > log u + log c. In adaptive
+        mode each rejected u becomes a knot before the next candidate, so on
+        the same stream a draw equals ``sample(1)``.
         """
-        if self.config.adapt:
-            report = AggregateReport()
-            while True:
-                u, x = self._propose(1, rng, report)
-                if x.size:
-                    return DirectDrawReport(
-                        x=float(x[0]),
-                        u_accepted=float(u[0]),
-                        n_rejected=report.n_rejected,
-                        knots_inserted=report.knots_inserted,
-                    )
-        uniform, target, step = rng.generator.uniform, self.target, self.step
-        table, log_c, truncated_draw = step.table, target.log_c, target.base.truncated_draw
-        knots, last = table.knots, table.knots.size - 2
-        n_rejected = 0
+        uniform, target, adapt = rng.generator.uniform, self.target, self.config.adapt
+        log_c, truncated_draw = target.log_c, target.base.truncated_draw
+        n_rejected = knots_inserted = 0
         while True:
+            step = self.step
+            table = step.table
             u = step_quantile(step, uniform())
             v = uniform()
             # u's piece (u >= 0 = u_0); a u at u_N stays on the last piece.
-            j = min(int(knots.searchsorted(u, side="right")) - 1, last)
+            j = min(int(table.knots.searchsorted(u, side="right")) - 1, table.knots.size - 2)
             # A piece whose window holds no support point rejects without a draw.
             if table.log_probs[j] > -math.inf:
                 x = float(truncated_draw(float(table.x1[j]), float(table.x2[j]), v))
                 log_u = np.log(u) if u > 0.0 else -math.inf
                 if target.log_w(x) > log_u + log_c:
-                    return DirectDrawReport(x=x, u_accepted=u, n_rejected=n_rejected, knots_inserted=0)
+                    return DirectDrawReport(x=x, u_accepted=u, n_rejected=n_rejected, knots_inserted=knots_inserted)
             n_rejected += 1
             self._check_stall(n_rejected, 0)
+            if adapt:
+                knots_inserted += self._insert(u, j)
 
     def sample(self, n: int, rng: Rng):
         """n exact draws, proposed in vectorized blocks.

@@ -158,10 +158,6 @@ class KnotTable:
         object.__setattr__(self, "x2", x2)
         object.__setattr__(self, "log_lows", lows)
 
-    @property
-    def n_intervals(self) -> int:
-        return self.knots.size - 1
-
 
 @dataclass(frozen=True)
 class StepApprox:

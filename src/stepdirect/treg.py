@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.special import digamma, gammaln, zeta
 
-from .chains import ChainOutput
+from .chains import ChainOutput, run_chain
 from .errors import DomainError
 from .rngstats import Rng
 from .sampler import DirectSampler, SamplerConfig
@@ -317,8 +317,6 @@ def treg_gibbs_run(
     Saves beta, sigma^2, and nu every `thin`-th state after `burnin`;
     extras carry per-iteration nu rejection counts.
     """
-    if iters < 0 or burnin < 0 or thin < 1:
-        raise DomainError("need iters >= 0, burnin >= 0, thin >= 1")
     if nu_method not in ("direct", "geweke"):
         raise DomainError(f"unknown nu method {nu_method!r}")
     if config is None:
@@ -330,9 +328,8 @@ def treg_gibbs_run(
         nu=min(max(5.0, hyper.a_nu * 2.0), hyper.b_nu),
     )
     names = [f"beta_{j}" for j in range(data.d)] + ["sigma2", "nu"]
-    saved = []
-    nu_rejects = np.zeros(iters, dtype=int)
-    for it in range(iters):
+
+    def scan() -> int:
         state.beta = draw_beta_t(data, state, hyper, rng)
         state.s = draw_s(data, state, hyper, rng)
         state.sigma2 = draw_sigma2_t(data, state, hyper, rng)
@@ -344,19 +341,14 @@ def treg_gibbs_run(
         )
         if nu_method == "direct":
             state.nu, report = draw_nu_direct(p, rng, config)
-            nu_rejects[it] = report.n_rejected
-        else:
-            state.nu, nu_rejects[it] = draw_nu_geweke(p, rng)
-        if it >= burnin and (it - burnin) % thin == 0:
-            saved.append(np.concatenate((state.beta, [state.sigma2, state.nu])))
-    draws = np.asarray(saved) if saved else np.empty((0, len(names)))
-    return ChainOutput(
-        names=names,
-        draws=draws,
-        burnin=burnin,
-        thin=thin,
-        extras={"nu_rejects": nu_rejects, "nu_method": nu_method},
-    )
+            return report.n_rejected
+        state.nu, rejects = draw_nu_geweke(p, rng)
+        return rejects
+
+    def row() -> np.ndarray:
+        return np.concatenate((state.beta, [state.sigma2, state.nu]))
+
+    return run_chain(scan, row, names, iters, burnin, thin, "nu_rejects", {"nu_method": nu_method})
 
 
 # -- synthetic data and basis ----------------------------------------------

@@ -422,6 +422,16 @@ class TestRhoTable:
         car_gibbs_run(data, CarHyper(), 5, 0, 1, "direct", Rng(21))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("side", [4, 5, 8, 10])
+    def test_finite_below_one(self, side):
+        # eigvalsh can round the Perron root of D^-1 A above 1 on these
+        # lattices; capped at 1, F stays finite at every grid point below 1.
+        a = lattice_adjacency(side)
+        eig = car_eigen_precompute(a, a.sum(axis=1))
+        assert eig[0] <= 1.0
+        table = rho_grid_table(eig)
+        assert np.all(np.isfinite(table.f[table.x < 1.0]))
+
     def test_grid_spans_the_support(self):
         eig = car_eigen_precompute(lattice_adjacency(4), lattice_adjacency(4).sum(axis=1))
         table = rho_grid_table(eig)

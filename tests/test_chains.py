@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stepdirect.chains import ChainOutput, mc_standard_error
+from stepdirect.chains import ChainOutput, mc_standard_error, run_chain
 from stepdirect.errors import DomainError
 from stepdirect.rngstats import Rng
 
@@ -41,3 +41,40 @@ class TestMcStandardError:
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
             mc_standard_error([1.0, 2.0, 3.0])
+
+
+class TestRunChain:
+    @staticmethod
+    def run(iters, burnin, thin):
+        """A chain whose state is its iteration count; odd iterations reject once."""
+        calls = []
+
+        def scan():
+            calls.append(len(calls))
+            return calls[-1] % 2
+
+        out = run_chain(
+            scan, lambda: [calls[-1], 2.0 * calls[-1]], ["it", "twice"], iters, burnin, thin,
+            "x_rejects", {"x_method": "counting"},
+        )
+        return out, calls
+
+    def test_saves_every_thin_th_state_after_burnin(self):
+        out, calls = self.run(20, 5, 3)
+        assert calls == list(range(20))
+        assert out.column("it").tolist() == [5, 8, 11, 14, 17]
+        assert out.column("twice").tolist() == [10, 16, 22, 28, 34]
+        assert (out.burnin, out.thin) == (5, 3)
+        assert out.extras["x_rejects"].tolist() == [i % 2 for i in range(20)]
+        assert list(out.extras) == ["x_rejects", "x_method"] and out.extras["x_method"] == "counting"
+
+    @pytest.mark.parametrize("iters", [0, 1, 5])
+    def test_nothing_saved_within_burnin(self, iters):
+        out, calls = self.run(iters, 5, 3)
+        assert len(calls) == iters and out.extras["x_rejects"].size == iters
+        assert out.draws.shape == (0, 2) and out.n_saved == 0
+
+    @pytest.mark.parametrize("iters, burnin, thin", [(-1, 0, 1), (5, -1, 1), (5, 0, 0)])
+    def test_bad_arguments_rejected(self, iters, burnin, thin):
+        with pytest.raises(DomainError):
+            self.run(iters, burnin, thin)

@@ -261,6 +261,16 @@ class TestNuCompare:
         assert rows[0] == ["A", "method", "n_knots", "n_draws", "n_rejected"]
         assert len(rows) == 7  # two A values, (two direct + one geweke) each
 
+    def test_thread_count_does_not_change_the_counts(self, tmp_path):
+        # Each cell owns its stream, so the rows do not depend on the workers.
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            args = ["nu-compare", "--n", "20", "--a-values", "12,15", "--n-knots-values", "5,20"]
+            assert main(args + ["--n-draws", "500", "--threads", threads, "--out", str(out)]) == 0
+            outputs.append((out / "rejections.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_infeasible_a_exits_with_error(self, tmp_path, capsys):
         code = main(
             [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scipy.special import logsumexp
 
-from stepdirect.logspace import log1mexp, log_add_exp, log_diff_exp, log_sum_exp
+from stepdirect.logspace import log1mexp, log_diff_exp, log_sum_exp
 
 
 class TestLog1mexp:
@@ -66,19 +66,6 @@ class TestLogDiffExp:
         assert math.exp(log_diff_exp(a, b)) == pytest.approx(
             math.exp(a) - math.exp(b), rel=1e-9
         )
-
-
-class TestLogAddExp:
-    def test_doubling(self):
-        assert log_add_exp(math.log(1.0), math.log(1.0)) == pytest.approx(math.log(2.0))
-
-    def test_neg_inf_identity(self):
-        assert log_add_exp(-math.inf, 0.3) == pytest.approx(0.3)
-
-    def test_vectorized(self):
-        out = log_add_exp(np.array([0.0, -math.inf]), np.array([0.0, -math.inf]))
-        assert out[0] == pytest.approx(math.log(2.0))
-        assert out[1] == -math.inf
 
 
 class TestLogSumExp:

@@ -31,6 +31,7 @@ from stepdirect.rngstats import Rng
 from stepdirect.sampler import (
     DirectSampler,
     SamplerConfig,
+    build_envelope,
     build_sampler,
     rejection_bound,
 )
@@ -335,26 +336,38 @@ class TestDraw:
             assert counter.n_uniforms == 2 * (n_rejected + n_draws)
         assert n_rejected > 0
 
-    @pytest.mark.parametrize("name", ["greedy", "rho-level"])
+    @pytest.mark.parametrize("name", ["greedy", "rho-level", "adaptive-greedy", "adaptive-cmp"])
     def test_scalar_draw_matches_sample_of_one(self, name):
-        # A non-adaptive draw runs one candidate at a time on floats, and
-        # sample(1) runs _propose on arrays. On the same stream they take
-        # the same uniforms, reject the same candidates and return the same x.
+        # draw runs one candidate at a time on floats, and sample(1) runs
+        # _propose on arrays. Started from one built step on the same
+        # stream, they take the same uniforms, reject the same candidates,
+        # insert the same knots and return the same x.
         if name == "greedy":
-            sampler = DirectSampler(quadratic_target(scale=2000.0), SamplerConfig(n_init_knots=1, adapt=False))
+            target, config = quadratic_target(scale=2000.0), SamplerConfig(n_init_knots=1, adapt=False)
+        elif name == "rho-level":
+            target, config = continuous_targets()[3], RHO_SAMPLER_CONFIG
+        elif name == "adaptive-greedy":
+            target, config = quadratic_target(scale=2000.0), SamplerConfig(n_init_knots=1)
         else:
-            sampler = DirectSampler(continuous_targets()[3], RHO_SAMPLER_CONFIG)
+            target, config = cmp_target(CmpParams(2.0, 0.2)), SamplerConfig(n_init_knots=3)
+        step = build_envelope(target, config)
+        drawn, sampled = DirectSampler(target, config, step), DirectSampler(target, config, step)
         scalar, block = Rng(11), Rng(11)
         scalar.generator = _CountingGenerator(scalar.generator)
         block.generator = _CountingGenerator(block.generator)
-        n_rejected = 0
+        n_rejected = knots_inserted = 0
         for _ in range(40):
-            report = sampler.draw(scalar)
-            x, aggregate = sampler.sample(1, block)
-            assert report.x == x[0] and report.n_rejected == aggregate.n_rejected
+            report = drawn.draw(scalar)
+            x, aggregate = sampled.sample(1, block)
+            assert report.x == x[0]
+            assert (report.n_rejected, report.knots_inserted) == (aggregate.n_rejected, aggregate.knots_inserted)
             assert scalar.generator.n_uniforms == block.generator.n_uniforms
             n_rejected += report.n_rejected
+            knots_inserted += report.knots_inserted
+        for field in ("knots", "log_probs", "x1", "x2", "log_lows"):
+            assert np.array_equal(getattr(drawn.step.table, field), getattr(sampled.step.table, field))
         assert n_rejected > 0 or name == "rho-level"
+        assert (knots_inserted > 0) == config.adapt
 
     def test_one_endpoint_solve_per_candidate(self):
         # The accept test needs no solve; only a rejected candidate that
