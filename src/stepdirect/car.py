@@ -13,20 +13,24 @@ target, so the direct sampler draws rho exactly; a truncated-normal
 Metropolis-Hastings step is included as a baseline.
 
 Cost per iteration. S is held as each outcome's area index, so S'S =
-diag(counts), S'r is a bincount and S eta is eta[area]; the quadratic
-forms eta'A eta and eta'(D - rho A) eta come from the edge list. The eta
-conditional is then a Gaussian Markov random field whose precision
-diag(counts)/sigma^2 + (D - rho A)/tau^2 has the band of A: it is factored
-by a band LU and drawn in O(k b^2) for k areas at bandwidth b (Rue 2001,
-fast sampling of Gaussian Markov random fields), b = grid_side on a
-lattice. The precision is strictly diagonally dominant for 0 <= rho < 1,
-so the LU's partial pivoting swaps no rows, and its U is the Cholesky
-factor up to a diagonal scale. (LAPACK's band Cholesky would do too, but
-at this bandwidth it makes one threaded rank-1 update per row, which
-costs more in thread overhead than in flops.) The areas are factored in
-reverse Cuthill-McKee order where that strictly narrows the band, and in
-their own order otherwise. An iteration costs O(n d + k b^2) outside the
-rho step.
+diag(counts), S'r is a bincount and S eta is eta[area]; A is held as a
+sparse CSR array and an edge list, so no k x k array is formed, and the
+quadratic forms eta'A eta and eta'(D - rho A) eta come from the edge
+list. The eta conditional is then a Gaussian Markov random field whose
+precision diag(counts)/sigma^2 + (D - rho A)/tau^2 has the band of A: it
+is factored by a band LU and drawn in O(k b^2) for k areas at bandwidth
+b (Rue 2001, fast sampling of Gaussian Markov random fields), b =
+grid_side on a lattice. The precision is strictly diagonally dominant
+for 0 <= rho < 1, so the LU's partial pivoting swaps no rows, and its U
+is the Cholesky factor up to a diagonal scale. (LAPACK's band Cholesky
+would do too, but at this bandwidth it makes one threaded rank-1 update
+per row, which costs more in thread overhead than in flops.) The areas
+are factored in reverse Cuthill-McKee order where that strictly narrows
+the band, and in their own order otherwise. An iteration costs
+O(n d + k b^2) outside the rho step. car_synthetic draws its prior eta
+by the same band LU, and the spectrum below comes from the same band by
+a banded eigensolver, so neither the data nor a chain depends on the
+BLAS thread count.
 
 In the rho step log w = F(rho) + theta rho: F(rho) = (1/2) sum log(1 -
 rho lambda_i) is fixed by the data, and only theta = eta'A eta / (2 tau^2)
@@ -51,14 +55,15 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 from scipy.linalg.lapack import dgbtrf, dtbtrs
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_array, csr_array, issparse, triu
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.special import ndtr, ndtri
 
 from .chains import ChainOutput, run_chain
 from .errors import DomainError, NotPositiveDefiniteError
-from .rngstats import Rng, sym_eigenvalues
+from .rngstats import Rng
 from .sampler import DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
@@ -99,42 +104,59 @@ RHO_GRID_PER_EFOLD = 1024
 RHO_TABLE_BLOCK = 256
 
 
-def _validate_adjacency(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _validate_adjacency(a) -> csr_array:
+    """A, dense or sparse, as a CSR array with sorted indices and only its 1 entries stored.
+
+    Raises DomainError unless A is square, 0/1, symmetric, free of self
+    loops and free of isolated areas. Duplicate sparse entries add up.
+    """
+    if not issparse(a):
+        a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("adjacency matrix must be square")
-    bad = np.argwhere((a != 0.0) & (a != 1.0))
+    a = csr_array(a, dtype=float, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    entries = a.tocoo()
+    i, j, v = entries.row, entries.col, entries.data
+    bad = np.flatnonzero(v != 1.0)
     if bad.size:
-        i, j = bad[0]
-        raise DomainError(f"adjacency entries must be 0/1; found {a[i, j]} at ({i}, {j})")
-    if np.any(np.diag(a) != 0.0):
-        i = int(np.argmax(np.diag(a) != 0.0))
-        raise DomainError(f"adjacency diagonal must be zero; area {i} has a self loop")
-    bad = np.argwhere(a != a.T)
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(f"adjacency must be symmetric; mismatch at ({i}, {j})")
-    if np.any(a.sum(axis=1) == 0.0):
-        i = int(np.argmax(a.sum(axis=1) == 0.0))
-        raise DomainError(f"area {i} has no neighbors")
+        e = bad[0]
+        raise DomainError(f"adjacency entries must be 0/1; found {v[e]} at ({i[e]}, {j[e]})")
+    if np.any(i == j):
+        raise DomainError(f"adjacency diagonal must be zero; area {i[np.argmax(i == j)]} has a self loop")
+    mismatch = (a != a.T).tocoo()
+    if mismatch.nnz:
+        raise DomainError(f"adjacency must be symmetric; mismatch at ({mismatch.row[0]}, {mismatch.col[0]})")
+    degrees = np.diff(a.indptr)
+    if np.any(degrees == 0):
+        raise DomainError(f"area {int(np.argmax(degrees == 0))} has no neighbors")
     return a
 
 
-def _band_order(k: int, edges: np.ndarray):
-    """(order, band of A in that order) for the banded eta draw.
+def _adjacency_from_edges(k: int, i, j) -> csr_array:
+    """The k x k adjacency of the undirected edges (i[e], j[e]), each listed once."""
+    ones = np.ones(2 * len(i))
+    return coo_array((ones, (np.r_[i, j], np.r_[j, i])), shape=(k, k)).tocsr()
 
-    order[p] is the area factored at position p: reverse Cuthill-McKee
+
+def _band_layout(a: csr_array):
+    """(edges, order, band of A in that order) of a validated A, for the band LU and spectrum.
+
+    edges holds the (m, 2) area pairs i < j in row-major order. order[p]
+    is the area factored at position p: reverse Cuthill-McKee
     where it strictly narrows the band, else the areas' own order. The
     band is A's 0/1 pattern in LAPACK general-band storage for dgbtrf with
     b sub- and b superdiagonals, b the bandwidth: shape (3b + 1, k),
     band[2b + p - q, q] = A at positions (p, q) for |p - q| <= b, a zero
     diagonal row 2b, and b zero rows on top that the factor's fill-in would
-    use. It is Fortran-ordered, so a scaled copy goes to LAPACK as it is,
-    and boolean, so it costs a byte an entry.
+    use. Rows 2b to 3b are then the lower band in symmetric band storage.
+    It is Fortran-ordered, so a scaled copy goes to LAPACK as it is, and
+    boolean, so it costs a byte an entry.
     """
-    i, j = edges.T
-    graph = coo_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(k, k)).tocsr()
-    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    k, upper = a.shape[0], triu(a, k=1, format="coo")
+    i, j = upper.row, upper.col
+    order = reverse_cuthill_mckee(a, symmetric_mode=True)
     pos = np.empty(k, dtype=int)
     pos[order] = np.arange(k)
     if not np.max(np.abs(pos[i] - pos[j])) < np.max(j - i):
@@ -144,7 +166,32 @@ def _band_order(k: int, edges: np.ndarray):
     band = np.zeros((3 * width + 1, k), dtype=bool, order="F")
     band[2 * width - (hi - lo), hi] = True
     band[2 * width + (hi - lo), lo] = True
-    return order, band
+    return np.column_stack((i, j)), order, band
+
+
+def _band_gmrf_draw(order, a_band, diag, off, linear, rng: Rng) -> np.ndarray:
+    """Draw from N(Omega^{-1} b, Omega^{-1}), Omega = diag(diag) + off A, by a band LU in order.
+
+    a_band is A's band from _band_layout, and b = linear. Omega must be
+    symmetric and strictly diagonally dominant: then partial pivoting swaps
+    no rows, Omega = L U with L unit lower and U = diag(u) L', and
+    R = diag(u)^{-1/2} U is the Cholesky factor. The draw is
+    U^{-1}(L^{-1} b + diag(u)^{1/2} z) = Omega^{-1} b + R^{-1} z, with z the
+    k standard normals drawn from rng. A row swap or a pivot u_i <= 0
+    raises NotPositiveDefiniteError.
+    """
+    k, b = order.size, (a_band.shape[0] - 1) // 3
+    band = a_band * off
+    band[2 * b] = diag[order]
+    lu, piv, info = dgbtrf(band, b, b, overwrite_ab=1)
+    u = lu[2 * b]
+    if info != 0 or np.any(piv != np.arange(k)) or not np.all(u > 0.0):
+        raise NotPositiveDefiniteError("precision matrix is not positive definite")
+    half, _ = dtbtrs(lu[2 * b :], linear[order], uplo="L", diag="U")  # L in lower band storage
+    half += np.sqrt(u) * rng.generator.standard_normal(k)
+    out = np.empty(k)
+    out[order], _ = dtbtrs(lu[b : 2 * b + 1], half)  # U in upper band storage
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,13 +203,14 @@ class CarData:
     eta[area]. Everything the Gibbs scan derives from S and A is computed
     here once: the row sums D, the outcomes per area, the edge list, the
     factor order with the band of A in it, X'X, and (on first use) the
-    spectrum of D^{-1} A and the rho table.
+    spectrum of D^{-1} A and the rho table. ``A`` may be passed dense or
+    sparse; it is kept as a CSR array, so no k x k array is stored.
     """
 
     y: np.ndarray
     X: np.ndarray
     area: np.ndarray  # area index of each outcome
-    A: np.ndarray
+    A: csr_array
     D: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)  # outcomes per area
     edges: np.ndarray = field(init=False)  # (m, 2) area pairs, i < j
@@ -186,8 +234,7 @@ class CarData:
             i = int(np.argmin(valid))
             raise DomainError(f"outcome {i} has area {area[i]}, not an integer in [0, {k})")
         area = area.astype(int)
-        edges = np.argwhere(np.triu(a) > 0)
-        order, a_band = _band_order(k, edges)
+        edges, order, a_band = _band_layout(a)
         values = dict(
             y=y, X=x, A=a, D=a.sum(axis=1), area=area,
             counts=np.bincount(area, minlength=k).astype(float),
@@ -234,8 +281,9 @@ class CarHyper:
     m_tau: float = 1000.0
 
     def __post_init__(self):
-        if min(self.sigma_beta2, self.m_sigma, self.m_tau) <= 0:
-            raise DomainError("hyperparameters must be positive")
+        # inf bounds are allowed (no truncation); NaN fails the comparison.
+        if not all(v > 0 for v in (self.sigma_beta2, self.m_sigma, self.m_tau)):
+            raise DomainError(f"hyperparameters must be positive numbers: {self}")
 
 
 @dataclass
@@ -255,18 +303,28 @@ class CarState:
             raise DomainError("rho must lie in [0, 1)")
 
 
-def car_eigen_precompute(a: np.ndarray, d_row_sums: np.ndarray) -> np.ndarray:
-    """Eigenvalues of D^{-1} A, descending, capped at 1.
+def car_eigen_precompute(a, d_row_sums: np.ndarray) -> np.ndarray:
+    """Eigenvalues of D^{-1} A, descending, capped at 1; A dense or sparse.
 
     D^{-1} A is similar to the symmetric D^{-1/2} A D^{-1/2}, so a
-    symmetric eigensolver yields its (all-real) spectrum. D^{-1} A is
-    row-stochastic, so its largest eigenvalue is exactly 1; the solver can
-    round it above, which would put log(1 - rho lambda) at -inf just below
-    rho = 1.
+    symmetric eigensolver yields its (all-real) spectrum. It runs on the
+    lower band of that matrix in _band_layout's order, b + 1 rows of k, in
+    O(k^2 b) time (the reduction to tridiagonal form) with no k x k array.
+    D^{-1} A is row-stochastic, so its largest eigenvalue is exactly 1, and
+    it is set to 1: the solver can round it below, or above, which would put
+    log(1 - rho lambda) at -inf just below rho = 1. Any other eigenvalue
+    that rounds above 1 is capped at 1.
     """
-    d_inv_sqrt = 1.0 / np.sqrt(np.asarray(d_row_sums, dtype=float))
-    sym = d_inv_sqrt[:, None] * np.asarray(a, dtype=float) * d_inv_sqrt[None, :]
-    return np.minimum(sym_eigenvalues(sym), 1.0)
+    a = _validate_adjacency(a)
+    _, order, band = _band_layout(a)
+    k, b = order.size, (band.shape[0] - 1) // 3
+    d_inv_sqrt = 1.0 / np.sqrt(np.asarray(d_row_sums, dtype=float)[order])
+    # lower[r, q] holds positions (q + r, q); the clip only touches entries past the corner, which are 0.
+    below = np.minimum(np.arange(k) + np.arange(b + 1)[:, None], k - 1)
+    lower = band[2 * b :] * d_inv_sqrt * d_inv_sqrt[below]
+    eig = np.minimum(eigvals_banded(lower, lower=True)[::-1], 1.0)
+    eig[0] = 1.0
+    return eig
 
 
 def _rho_log_w(eigenvalues: np.ndarray, drift: float):
@@ -363,28 +421,13 @@ def draw_eta(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> np.nd
     Omega = diag(counts)/sigma^2 + (D - rho A)/tau^2 and b = S'r/sigma^2 with
     r = y - X beta. For 0 <= rho < 1, Omega is symmetric and strictly
     diagonally dominant (row i holds D_i/tau^2 or more on the diagonal and
-    rho D_i/tau^2 off it, with D_i >= 1), so elimination with partial
-    pivoting swaps no rows: Omega = L U with L unit lower and U = diag(u) L',
-    and diag(u)^{-1/2} U is the Cholesky factor. The draw is
-    U^{-1}(L^{-1} b + diag(u)^{1/2} z) for z ~ N(0, I): the dense draw, up to
-    round-off, in the identity order. A row swap or a pivot u_i <= 0, which
-    a positive definite, diagonally dominant Omega never gives, raises
-    NotPositiveDefiniteError.
+    rho D_i/tau^2 off it, with D_i >= 1), which _band_gmrf_draw needs. In
+    the identity order the draw is the dense one, up to round-off.
     """
     resid = data.y - data.X @ state.beta
     linear = np.bincount(data.area, weights=resid, minlength=data.k) / state.sigma2
-    order, b = data.order, data.bandwidth
-    band = data.a_band * (-state.rho / state.tau2)
-    band[2 * b] = data.counts[order] / state.sigma2 + data.D[order] / state.tau2
-    lu, piv, info = dgbtrf(band, b, b, overwrite_ab=1)
-    u = lu[2 * b]
-    if info != 0 or np.any(piv != np.arange(data.k)) or not np.all(u > 0.0):
-        raise NotPositiveDefiniteError("precision matrix is not positive definite")
-    half, _ = dtbtrs(lu[2 * b :], linear[order], uplo="L", diag="U")  # L in lower band storage
-    half += np.sqrt(u) * rng.generator.standard_normal(data.k)
-    eta = np.empty(data.k)
-    eta[order], _ = dtbtrs(lu[b : 2 * b + 1], half)  # U in upper band storage
-    return eta
+    diag = data.counts / state.sigma2 + data.D / state.tau2
+    return _band_gmrf_draw(data.order, data.a_band, diag, -state.rho / state.tau2, linear, rng)
 
 
 def draw_sigma2_car(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> float:
@@ -504,20 +547,14 @@ def car_gibbs_run(
 # -- data construction -----------------------------------------------------
 
 
-def lattice_adjacency(grid_side: int) -> np.ndarray:
-    """Rook adjacency of a grid_side x grid_side lattice."""
+def lattice_adjacency(grid_side: int) -> csr_array:
+    """Rook adjacency of a grid_side x grid_side lattice, as a CSR array."""
     if grid_side < 2:
         raise DomainError("grid_side must be >= 2")
-    k = grid_side * grid_side
-    a = np.zeros((k, k))
-    for r in range(grid_side):
-        for c in range(grid_side):
-            i = r * grid_side + c
-            if c + 1 < grid_side:
-                a[i, i + 1] = a[i + 1, i] = 1.0
-            if r + 1 < grid_side:
-                a[i, i + grid_side] = a[i + grid_side, i] = 1.0
-    return a
+    cell = np.arange(grid_side * grid_side).reshape(grid_side, grid_side)
+    i = np.r_[cell[:, :-1].ravel(), cell[:-1, :].ravel()]  # right, then down
+    j = np.r_[cell[:, 1:].ravel(), cell[1:, :].ravel()]
+    return _adjacency_from_edges(cell.size, i, j)
 
 
 def car_synthetic(
@@ -549,8 +586,9 @@ def car_synthetic(
         cols.append(rng.generator.standard_normal(n))
     x = np.column_stack(cols)
     area = np.repeat(np.arange(k), n_rep)
-    d_row = a.sum(axis=1)
-    eta = rng.mvn_precision((np.diag(d_row) - rho * a) / tau2, np.zeros(k))
+    # The prior precision (D - rho A)/tau^2 is draw_eta's with no outcomes and b = 0.
+    _, order, band = _band_layout(a)
+    eta = _band_gmrf_draw(order, band, a.sum(axis=1) / tau2, -rho / tau2, np.zeros(k), rng)
     y = x @ beta + eta[area] + rng.generator.standard_normal(n) * math.sqrt(sigma2)
     return CarData(y=y, X=x, area=area, A=a)
 
@@ -558,22 +596,26 @@ def car_synthetic(
 def car_dump_csv(data: CarData, out_dir) -> None:
     """Write y.csv (area, y), x.csv, and adjacency.csv (edge list)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "y.csv", "w", newline="") as fh:
+    write_csv(out / "y.csv", ["area", "y"], zip(data.area, data.y))
+    write_csv(out / "x.csv", [f"x_{j}" for j in range(data.d)], data.X)
+    write_csv(out / "adjacency.csv", ["i", "j"], data.edges)
+
+
+def csv_cell(v) -> str:
+    """A value as write_csv writes it: floats by repr, so they read back exactly."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows of values to path, making its directory if needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["area", "y"])
-        for area, v in zip(data.area, data.y):
-            w.writerow([int(area), repr(float(v))])
-    with open(out / "x.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x_{j}" for j in range(data.d)])
-        for row in data.X:
-            w.writerow([repr(float(v)) for v in row])
-    with open(out / "adjacency.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j"])
-        for i, j in data.edges:
-            w.writerow([int(i), int(j)])
+        w.writerow(header)
+        for row in rows:
+            w.writerow([csv_cell(v) for v in row])
 
 
 def read_csv(path, kinds=float, header=None) -> tuple[list[str], list[list]]:
@@ -622,9 +664,9 @@ def car_load_csv(y_path, x_path, adjacency_path) -> CarData:
     for line_no, (area, _) in enumerate(outcomes, start=2):
         if not 0 <= area < k:
             raise DomainError(f"{y_path}:{line_no}: area index {area} out of range for k={k}")
-    a = np.zeros((k, k))
-    i, j = np.array(edges).T
-    a[i, j] = a[j, i] = 1.0
+    # An edge may be listed twice or both ways round; it is one edge.
+    i, j = np.unique(np.sort(np.array(edges), axis=1), axis=0).T
+    a = _adjacency_from_edges(k, i, j)
     area = np.array([r[0] for r in outcomes], dtype=int)
     y = np.array([r[1] for r in outcomes], dtype=float)
     return CarData(y=y, X=np.array(x), area=area, A=a)

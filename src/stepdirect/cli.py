@@ -8,7 +8,6 @@ it never perturbs the artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,8 @@ import numpy as np
 from . import car as car_mod
 from . import cmp as cmp_mod
 from . import treg as treg_mod
-from .errors import StepDirectError
+from .car import csv_cell, read_csv, write_csv
+from .errors import DomainError, StepDirectError
 from .rngstats import Rng, summarize
 from .sampler import DirectSampler, SamplerConfig, build_sampler
 from .stepfn import MIDPOINT_KINDS, knot_table_rows
@@ -35,21 +35,6 @@ def _version() -> str:
         return "unknown"
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
 def _write_config(out: Path, args: argparse.Namespace) -> None:
     out.mkdir(parents=True, exist_ok=True)
     # The output directory is where the run lands, not part of its
@@ -59,7 +44,7 @@ def _write_config(out: Path, args: argparse.Namespace) -> None:
     pairs["version"] = _version()
     with open(out / "config.txt", "w") as fh:
         for k, v in sorted(pairs.items()):
-            fh.write(f"{k}={_fmt(v)}\n")
+            fh.write(f"{k}={csv_cell(v)}\n")
 
 
 def _write_chain(out: Path, args, chain, params, rejects_name: str):
@@ -69,28 +54,26 @@ def _write_chain(out: Path, args, chain, params, rejects_name: str):
     per-iteration rejection counts stored under ``rejects_name``.
     """
     its = [args.burnin + i * args.thin for i in range(chain.n_saved)]
-    _write_csv(
+    write_csv(
         out / "draws.csv",
         ["iter"] + chain.names,
         [[it] + list(row) for it, row in zip(its, chain.draws)],
     )
     summaries = [(n, summarize(chain.column(n))) for n in (params if chain.n_saved else [])]
-    _write_csv(
+    write_csv(
         out / "summary.csv",
         ["param", "mean", "sd", "q025", "q975"],
         [[n, s.mean, s.sd, s.q025, s.q975] for n, s in summaries],
     )
     rejects = chain.extras[rejects_name]
-    _write_csv(out / "diagnostics.csv", ["iter", rejects_name], list(enumerate(rejects.tolist())))
+    write_csv(out / "diagnostics.csv", ["iter", rejects_name], list(enumerate(rejects.tolist())))
     return rejects
 
 
 # -- cmp subcommands -------------------------------------------------------
 
 
-def cmd_cmp_sample(args) -> int:
-    out = Path(args.out)
-    _write_config(out, args)
+def cmd_cmp_sample(args, out: Path) -> int:
     params = cmp_mod.CmpParams(args.lam, args.nu)
     config = SamplerConfig(
         n_init_knots=args.n_knots, midpoint_kind=args.midpoint, omega=args.omega
@@ -108,14 +91,14 @@ def cmd_cmp_sample(args) -> int:
     emp = counts / max(args.n_draws, 1)
     tv = 0.5 * float(np.sum(np.abs(emp - exact)))
     keep = (exact >= 1e-12) | (emp > 0)
-    _write_csv(
+    write_csv(
         out / "pmf.csv",
         ["x", "pmf_empirical", "pmf_exact"],
         [[x, emp[x], exact[x]] for x in np.flatnonzero(keep)],
     )
-    _write_csv(out / "draws.csv", ["x"], [[int(x)] for x in draws])
+    write_csv(out / "draws.csv", ["x"], [[int(x)] for x in draws])
     diag = sampler.diagnostics
-    _write_csv(
+    write_csv(
         out / "report.csv",
         ["n_draws", "n_rejected", "knots_inserted", "u_lo", "u_hi", "rejection_bound", "tv"],
         [[report.n_draws, report.n_rejected, report.knots_inserted, diag.u_lo, diag.u_hi, diag.rejection_bound, tv]],
@@ -123,9 +106,7 @@ def cmd_cmp_sample(args) -> int:
     return 0
 
 
-def cmd_cmp_step_diag(args) -> int:
-    out = Path(args.out)
-    _write_config(out, args)
+def cmd_cmp_step_diag(args, out: Path) -> int:
     if args.method == "equal":
         config = SamplerConfig(n_init_knots=args.n_knots, knot_method="equal", omega=args.omega)
     else:
@@ -133,8 +114,8 @@ def cmd_cmp_step_diag(args) -> int:
         config = SamplerConfig(n_init_knots=args.n_knots, midpoint_kind=kind, omega=args.omega)
     target = cmp_mod.cmp_target(cmp_mod.CmpParams(args.lam, args.nu))
     step, diag = build_sampler(target, config)
-    _write_csv(out / "knots.csv", ["j", "u", "log_prob", "rect_area"], knot_table_rows(step.table))
-    _write_csv(
+    write_csv(out / "knots.csv", ["j", "u", "log_prob", "rect_area"], knot_table_rows(step.table))
+    write_csv(
         out / "report.csv",
         ["u_lo", "u_hi", "total_rect_area", "rejection_bound", "n_knots"],
         [[diag.u_lo, diag.u_hi, diag.rect_area, diag.rejection_bound, diag.n_knots]],
@@ -145,9 +126,7 @@ def cmd_cmp_step_diag(args) -> int:
 # -- car subcommand --------------------------------------------------------
 
 
-def cmd_car(args) -> int:
-    out = Path(args.out)
-    _write_config(out, args)
+def cmd_car(args, out: Path) -> int:
     hyper = car_mod.CarHyper(args.sigma_beta2, args.m_sigma, args.m_tau)
     if args.mode == "synthetic":
         data = car_mod.car_synthetic(
@@ -176,7 +155,7 @@ def cmd_car(args) -> int:
     rejects = _write_chain(out, args, chain, params, "rho_rejects")
     total = int(rejects.sum())
     frac = total / max(args.iters, 1)
-    _write_csv(
+    write_csv(
         out / "report.csv",
         ["rho_method", "iters", "total_rho_rejects", "rejects_per_iter"],
         [[args.rho_method, args.iters, total, frac]],
@@ -194,9 +173,7 @@ def _gibbs_config(args, library_config: SamplerConfig) -> SamplerConfig:
 # -- treg subcommands ------------------------------------------------------
 
 
-def cmd_treg(args) -> int:
-    out = Path(args.out)
-    _write_config(out, args)
+def cmd_treg(args, out: Path) -> int:
     hyper = treg_mod.TregHyper(
         sigma_beta2=args.sigma_beta2,
         a_sigma=args.a_sigma,
@@ -213,7 +190,7 @@ def cmd_treg(args) -> int:
         basis = treg_mod.CubicBasis(r, args.n_internal_knots)
         data = treg_mod.TregData(y=sim.y, X=basis.design(r))
     else:
-        header, body = car_mod.read_csv(args.data_csv)
+        header, body = read_csv(args.data_csv)
         mat = np.array(body)
         if header == ["y", "r"]:
             r = mat[:, 1]
@@ -234,7 +211,7 @@ def cmd_treg(args) -> int:
         config=_gibbs_config(args, treg_mod.NU_SAMPLER_CONFIG),
     )
     rejects = _write_chain(out, args, chain, chain.names, "nu_rejects")
-    _write_csv(
+    write_csv(
         out / "report.csv",
         ["nu_method", "iters", "total_nu_rejects"],
         [[args.nu_method, args.iters, int(rejects.sum())]],
@@ -257,16 +234,16 @@ def _write_curve(path, chain, basis, r, rng: Rng, synthetic: bool) -> None:
     mu_lo, mu_hi = np.quantile(mu_draws, [0.025, 0.975], axis=1)
     yp_lo, yp_hi = np.quantile(ypred, [0.025, 0.975], axis=1)
     mu_true = treg_mod.mean_curve(grid) if synthetic else np.full(grid.size, np.nan)
-    _write_csv(
+    write_csv(
         path,
         ["r", "mu_true", "mu_hat_q025", "mu_hat_q975", "ypred_q025", "ypred_q975"],
         list(zip(grid, mu_true, mu_lo, mu_hi, yp_lo, yp_hi)),
     )
 
 
-def cmd_nu_compare(args) -> int:
-    out = Path(args.out)
-    _write_config(out, args)
+def cmd_nu_compare(args, out: Path) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise DomainError(f"--threads must be at least 1, got {args.threads}")
     a_values = [float(v) for v in args.a_values.split(",") if v]
     n_values = [int(v) for v in args.n_knots_values.split(",") if v]
     for a in a_values:
@@ -295,7 +272,7 @@ def cmd_nu_compare(args) -> int:
 
     with ThreadPoolExecutor(max_workers=args.threads or 1) as pool:
         rows = list(pool.map(run_cell, cells))
-    _write_csv(out / "rejections.csv", ["A", "method", "n_knots", "n_draws", "n_rejected"], rows)
+    write_csv(out / "rejections.csv", ["A", "method", "n_knots", "n_draws", "n_rejected"], rows)
     return 0
 
 
@@ -393,7 +370,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        out = Path(args.out)
+        _write_config(out, args)
+        code = args.func(args, out)
     except StepDirectError as exc:
         print(f"stepdirect: error: {exc}", file=sys.stderr)
         return 3

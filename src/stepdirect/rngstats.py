@@ -1,9 +1,11 @@
-"""Seedable random generation, truncated draws, and dense linear algebra.
+"""Seedable random generation, truncated draws, and posterior summaries.
 
 Streams are derived from a (seed, stream) pair through ``SeedSequence`` so
 that chains can run in parallel with reproducible, pairwise-independent
 generators. All distribution draws validate their parameters and raise
-:class:`~stepdirect.errors.DomainError` on violations.
+:class:`~stepdirect.errors.DomainError` on violations. The one dense
+factorization is the d x d Gaussian draw of the conjugate beta steps; the
+CAR model's k x k work is banded and lives in ``car``.
 """
 from __future__ import annotations
 
@@ -21,9 +23,7 @@ from .errors import (
 
 __all__ = [
     "Rng",
-    "SymMatrix",
     "SummaryRow",
-    "sym_eigenvalues",
     "summarize",
 ]
 
@@ -87,12 +87,12 @@ class Rng:
         x = rate / special.gammainccinv(shape, u)
         return float(min(x, hi))
 
-    def mvn_precision(self, precision: "SymMatrix | np.ndarray", linear) -> np.ndarray:
+    def mvn_precision(self, precision: np.ndarray, linear) -> np.ndarray:
         """Draw from N(Omega^{-1} b, Omega^{-1}) given (Omega, b).
 
         Factorizes Omega once; the inverse is never formed explicitly.
         """
-        omega = precision.values if isinstance(precision, SymMatrix) else np.asarray(precision, float)
+        omega = np.asarray(precision, dtype=float)
         b = np.asarray(linear, dtype=float)
         try:
             lower = np.linalg.cholesky(omega)
@@ -103,28 +103,6 @@ class Rng:
         mean = solve_triangular(lower.T, half, lower=False)
         z = self.generator.standard_normal(b.shape[0])
         return mean + solve_triangular(lower.T, z, lower=False)
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric matrix; symmetry is enforced at construction."""
-
-    values: np.ndarray
-
-    def __init__(self, values):
-        m = np.asarray(values, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("SymMatrix requires a square matrix")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(m).max())):
-            raise DomainError("matrix is not symmetric")
-        object.__setattr__(self, "values", 0.5 * (m + m.T))
-
-
-def sym_eigenvalues(m: SymMatrix | np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix, descending."""
-    values = m.values if isinstance(m, SymMatrix) else SymMatrix(m).values
-    eig = np.linalg.eigvalsh(values)
-    return eig[::-1].copy()
 
 
 @dataclass(frozen=True)

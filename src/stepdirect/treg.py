@@ -89,8 +89,8 @@ class TregHyper:
     b_nu: float = 200.0
 
     def __post_init__(self):
-        if min(self.sigma_beta2, self.a_sigma, self.b_sigma, self.a_nu, self.b_nu) <= 0:
-            raise DomainError("hyperparameters must be positive")
+        if not all(v > 0 for v in (self.sigma_beta2, self.a_sigma, self.b_sigma, self.a_nu, self.b_nu)):
+            raise DomainError(f"hyperparameters must be positive numbers: {self}")
         if not self.a_nu < self.b_nu:
             raise DomainError("need a_nu < b_nu")
 

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.sparse import coo_array, csr_array, csr_matrix
 
 import stepdirect.car
 from stepdirect.car import (
@@ -65,7 +73,7 @@ def dense_eta_draw(data: CarData, state: CarState, rng: Rng) -> np.ndarray:
     """
     s = np.eye(data.k)[data.area]
     resid = data.y - data.X @ state.beta
-    omega = s.T @ s / state.sigma2 + (np.diag(data.D) - state.rho * data.A) / state.tau2
+    omega = s.T @ s / state.sigma2 + (np.diag(data.D) - state.rho * data.A.toarray()) / state.tau2
     linear = s.T @ resid / state.sigma2
     p = data.order
     eta = np.empty(data.k)
@@ -75,8 +83,8 @@ def dense_eta_draw(data: CarData, state: CarState, rng: Rng) -> np.ndarray:
 
 def relabeled(data: CarData, labels) -> CarData:
     """The same data with area i renamed labels[i]."""
-    a = np.zeros_like(data.A)
-    a[np.ix_(labels, labels)] = data.A
+    a = np.zeros((data.k, data.k))
+    a[np.ix_(labels, labels)] = data.A.toarray()
     return CarData(y=data.y, X=data.X, area=labels[data.area], A=a)
 
 
@@ -111,7 +119,7 @@ def rho_quadrature_cdf(eigenvalues, drift, grid_size=200_001):
 
 class TestLattice:
     def test_shape_and_degrees(self):
-        a = lattice_adjacency(3)
+        a = lattice_adjacency(3).toarray()
         assert a.shape == (9, 9)
         deg = a.sum(axis=1)
         assert set(deg) == {2.0, 3.0, 4.0}
@@ -131,19 +139,19 @@ class TestAdjacencyValidation:
         self.base(lattice_adjacency(2))
 
     def test_rejects_self_loop(self):
-        a = lattice_adjacency(2)
+        a = lattice_adjacency(2).toarray()
         a[0, 0] = 1.0
         with pytest.raises(DomainError):
             self.base(a)
 
     def test_rejects_asymmetric(self):
-        a = lattice_adjacency(2)
+        a = lattice_adjacency(2).toarray()
         a[0, 1] = 0.0
         with pytest.raises(DomainError):
             self.base(a)
 
     def test_rejects_nonbinary(self):
-        a = lattice_adjacency(2)
+        a = lattice_adjacency(2).toarray()
         a[0, 1] = a[1, 0] = 0.5
         with pytest.raises(DomainError):
             self.base(a)
@@ -153,6 +161,39 @@ class TestAdjacencyValidation:
         a[0, 1] = a[1, 0] = 1.0
         with pytest.raises(DomainError):
             self.base(a)
+
+    def test_sparse_input_matches_dense(self):
+        dense = random_adjacency(12, 0.3, seed=5)
+        want = self.base(dense)
+        assert isinstance(want.A, csr_array)
+        for a in (csr_array(dense), coo_array(dense), csr_matrix(dense)):
+            got = self.base(a)
+            assert isinstance(got.A, csr_array)
+            np.testing.assert_array_equal(got.A.toarray(), dense)
+            for name in ("D", "edges", "order", "a_band"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_sparse_stored_zero_is_no_edge_and_duplicates_add_up(self):
+        i, j = [0, 1, 1, 2, 0, 2], [1, 0, 2, 1, 2, 0]
+        with_zero = coo_array(([1.0, 1.0, 1.0, 1.0, 0.0, 0.0], (i, j)), shape=(3, 3))
+        np.testing.assert_array_equal(self.base(with_zero).edges, [[0, 1], [1, 2]])
+        twice = coo_array((np.ones(6), (i[:4] + [0, 1], j[:4] + [1, 0])), shape=(3, 3))
+        with pytest.raises(DomainError, match=re.escape("found 2.0 at (0, 1)")):
+            self.base(twice)
+
+    def test_nonsquare_rejected(self):
+        with pytest.raises(DomainError, match="square"):
+            self.base(np.ones((2, 3)))
+
+
+class TestHyper:
+    def test_nan_rejected_inf_allowed(self):
+        for name in ("sigma_beta2", "m_sigma", "m_tau"):
+            with pytest.raises(DomainError, match="must be positive"):
+                CarHyper(**{name: math.nan})
+            with pytest.raises(DomainError, match="must be positive"):
+                CarHyper(**{name: 0.0})
+        assert CarHyper(m_sigma=math.inf, m_tau=math.inf).m_tau == math.inf
 
 
 class TestAreaIndicator:
@@ -244,7 +285,7 @@ class TestBandedEta:
         data = CarData(y=np.zeros(1), X=np.ones((1, 1)), area=[0], A=lattice_adjacency(4))
         state = CarState(beta=[0.0], eta=np.zeros(data.k), sigma2=1000.0, tau2=1.0, rho=0.5)
         state.rho = rho  # outside [0, 1), past CarState's check
-        omega = np.diag(data.counts / state.sigma2 + data.D / state.tau2) - rho * data.A / state.tau2
+        omega = np.diag(data.counts / state.sigma2 + data.D / state.tau2) - rho * data.A.toarray() / state.tau2
         assert np.linalg.eigvalsh(omega)[0] < 0.0
         with pytest.raises(NotPositiveDefiniteError):
             draw_eta(data, state, CarHyper(), Rng(0))
@@ -263,6 +304,10 @@ class TestBandedEta:
         # the corners outside the matrix are zero, and b is tight.
         assert band.sum() == a.sum()
         assert np.any(band[b]) and np.any(band[3 * b])
+        # The edge list is in the row-major order of the dense upper triangle,
+        # so eta'A eta sums its terms in that order.
+        np.testing.assert_array_equal(data.edges, np.argwhere(np.triu(a) > 0))
+        np.testing.assert_array_equal(data.D, a.sum(axis=1))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -289,6 +334,20 @@ class TestBandedEta:
         assert_draws_match_dense(data, state, seed)
 
 
+def dense_spectrum(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of D^{-1} A, descending and capped at 1, by a dense symmetric eigensolver."""
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return np.minimum(np.linalg.eigvalsh(d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :])[::-1], 1.0)
+
+
+def shuffled_lattice(side: int) -> np.ndarray:
+    a = lattice_adjacency(side).toarray()
+    labels = np.random.default_rng(0).permutation(a.shape[0])
+    out = np.zeros_like(a)
+    out[np.ix_(labels, labels)] = a
+    return out
+
+
 class TestEigenPrecompute:
     def test_row_stochastic_spectrum(self):
         a = lattice_adjacency(4)
@@ -296,6 +355,19 @@ class TestEigenPrecompute:
         assert eig[0] == pytest.approx(1.0, abs=1e-10)
         assert eig.min() >= -1.0 - 1e-10
         assert np.all(np.diff(eig) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "a",
+        [lattice_adjacency(4), lattice_adjacency(6), lattice_adjacency(20), shuffled_lattice(20)],
+        ids=["lattice-4", "lattice-6", "lattice-20", "shuffled-20"],
+    )
+    def test_banded_spectrum_matches_dense(self, a):
+        dense = a.toarray() if hasattr(a, "toarray") else a
+        eig = car_eigen_precompute(a, dense.sum(axis=1))
+        assert np.max(np.abs(eig - dense_spectrum(dense))) <= 1e-14
+        # Dense and sparse adjacency give the same spectrum, bit for bit.
+        assert np.array_equal(car_eigen_precompute(dense, dense.sum(axis=1)), eig)
+        assert np.array_equal(car_eigen_precompute(csr_array(dense), dense.sum(axis=1)), eig)
 
 
 class TestRhoTarget:
@@ -516,7 +588,7 @@ class TestConjugateDraws:
         rng = Rng(5)
         draws = np.array([draw_eta(data, state, hyper, rng) for _ in range(4000)])
         resid = data.y - data.X @ state.beta
-        prec = (np.diag(data.D) - state.rho * data.A) / state.tau2
+        prec = (np.diag(data.D) - state.rho * data.A.toarray()) / state.tau2
         s = np.eye(data.k)[data.area]
         omega = s.T @ s / state.sigma2 + prec
         mean = np.linalg.solve(omega, s.T @ resid / state.sigma2)
@@ -531,7 +603,7 @@ class TestConjugateDraws:
         draws = np.array([draw_sigma2_car(data, state, hyper, rng) for _ in range(20_000)])
         assert draws.mean() == pytest.approx(rate / (shape - 1.0), rel=0.05)
 
-        quad = float(state.eta @ (np.diag(data.D) - state.rho * data.A) @ state.eta)
+        quad = float(state.eta @ (np.diag(data.D) - state.rho * data.A.toarray()) @ state.eta)
         shape, rate = 0.5 * data.k, 0.5 * quad
         draws = np.array([draw_tau2(data, state, hyper, rng) for _ in range(20_000)])
         assert draws.mean() == pytest.approx(rate / (shape - 1.0), rel=0.05)
@@ -614,13 +686,50 @@ class TestSyntheticAndCsv:
         with pytest.raises(DomainError):
             car_synthetic(3, beta=[1.0], sigma2=1.0, tau2=1.0, rho=0.5, rng=Rng(0), n_rep=0)
 
+    def test_prior_eta_is_the_dense_r_inverse_z(self):
+        # car_synthetic draws X's random column, then z for eta, then the
+        # noise, from one stream; eta is R^{-1} z with R'R = (D - rho A)/tau^2.
+        side, beta, sigma2, tau2, rho, n_rep = 20, [1.0, 0.5], 0.5, 1.3, 0.9, 2
+        data = car_synthetic(side, beta, sigma2, tau2, rho, Rng(40), n_rep=n_rep)
+        a = lattice_adjacency(side).toarray()
+        k = a.shape[0]
+        gen = Rng(40).generator
+        x1, z, noise = gen.standard_normal(k * n_rep), gen.standard_normal(k), gen.standard_normal(k * n_rep)
+        r = np.linalg.cholesky((np.diag(a.sum(axis=1)) - rho * a) / tau2).T
+        eta = solve_triangular(r, z, lower=False)
+        np.testing.assert_array_equal(data.X[:, 1], x1)
+        want = data.X @ beta + eta[data.area] + noise * math.sqrt(sigma2)
+        assert np.max(np.abs(data.y - want)) <= 1e-13 * np.max(np.abs(eta))
+
+    def test_set_up_allocates_no_k_by_k_array(self):
+        # One 1600 x 1600 float array is 20.5 MB; the band LU's working
+        # arrays at bandwidth 40 come to about 2 MB.
+        car_synthetic(3, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(41))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            data = car_synthetic(40, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(41), n_rep=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.k == 1600
+        assert peak < 4e6
+
+    def test_repeated_and_reversed_edges_are_one_edge(self, tmp_path):
+        (tmp_path / "y.csv").write_text("area,y\n0,0.5\n1,1.5\n2,-0.5\n")
+        (tmp_path / "x.csv").write_text("x_0\n1.0\n1.0\n1.0\n")
+        (tmp_path / "adjacency.csv").write_text("i,j\n0,1\n1,0\n1,2\n1,2\n")
+        data = car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")
+        np.testing.assert_array_equal(data.edges, [[0, 1], [1, 2]])
+        np.testing.assert_array_equal(data.A.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(data.D, [1.0, 2.0, 1.0])
+
     def test_csv_round_trip(self, tmp_path):
         data = car_synthetic(3, beta=[1.0, 0.5], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(15), n_rep=2)
         car_dump_csv(data, tmp_path)
         loaded = car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")
         np.testing.assert_allclose(loaded.y, data.y, rtol=1e-12)
         np.testing.assert_allclose(loaded.X, data.X, rtol=1e-12)
-        np.testing.assert_array_equal(loaded.A, data.A)
+        np.testing.assert_array_equal(loaded.A.toarray(), data.A.toarray())
         np.testing.assert_array_equal(np.eye(loaded.k)[loaded.area], np.eye(data.k)[data.area])
 
     @pytest.mark.parametrize(
@@ -659,3 +768,32 @@ class TestSyntheticAndCsv:
         (tmp_path / "x.csv").write_text("\n" * (data.n + 1))
         with pytest.raises(DomainError, match="empty design file"):
             car_load_csv(tmp_path / "y.csv", tmp_path / "x.csv", tmp_path / "adjacency.csv")
+
+
+THREAD_SCRIPT = """
+import hashlib
+from stepdirect.car import CarHyper, car_gibbs_run, car_synthetic
+from stepdirect.rngstats import Rng
+
+data = car_synthetic(20, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(4, 1), n_rep=4)
+chain = car_gibbs_run(data, CarHyper(), 150, 0, 1, "direct", Rng(4, 2))
+for array in (data.y, data.X, data.eigenvalues, chain.draws, chain.extras["rho_rejects"]):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_data_and_chain_do_not_depend_on_the_thread_count(self):
+        # Two processes, one after the other: OpenBLAS reads its thread
+        # count when it loads, so each count needs a fresh interpreter.
+        package_root = str(Path(stepdirect.car.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(run.stdout.split())
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]

@@ -172,7 +172,20 @@ class TestCar:
         assert f"stepdirect: error: {tmp_path / 'data' / 'y.csv'}:2: " in capsys.readouterr().err
 
 
+    def test_nan_hyperparameter_exits_3(self, tmp_path, capsys):
+        base = ["car", "--grid-side", "2", "--iters", "3", "--burnin", "0"]
+        assert main(base + ["--m-sigma", "nan", "--out", str(tmp_path / "nan")]) == 3
+        assert "stepdirect: error: hyperparameters must be positive" in capsys.readouterr().err
+        # An infinite bound means no truncation, and stays allowed.
+        assert main(base + ["--m-sigma", "inf", "--m-tau", "inf", "--out", str(tmp_path / "inf")]) == 0
+
+
 class TestTreg:
+    def test_nan_hyperparameter_exits_3(self, tmp_path, capsys):
+        code = main(["treg", "--n", "20", "--iters", "3", "--burnin", "0", "--sigma-beta2", "nan", "--out", str(tmp_path)])
+        assert code == 3
+        assert "stepdirect: error: hyperparameters must be positive" in capsys.readouterr().err
+
     def test_synthetic_run_and_rerun(self, tmp_path):
         args = [
             "treg",
@@ -270,6 +283,13 @@ class TestNuCompare:
             assert main(args + ["--n-draws", "500", "--threads", threads, "--out", str(out)]) == 0
             outputs.append((out / "rejections.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["-1", "0"])
+    def test_threads_below_one_exit_3(self, tmp_path, capsys, threads):
+        args = ["nu-compare", "--n", "20", "--a-values", "12", "--n-knots-values", "5", "--n-draws", "100"]
+        assert main(args + ["--threads", threads, "--out", str(tmp_path)]) == 3
+        assert f"stepdirect: error: --threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "rejections.csv").exists()
 
     def test_infeasible_a_exits_with_error(self, tmp_path, capsys):
         code = main(

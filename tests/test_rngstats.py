@@ -9,7 +9,7 @@ from stepdirect.errors import (
     InfeasibleTruncationError,
     NotPositiveDefiniteError,
 )
-from stepdirect.rngstats import Rng, SymMatrix, summarize, sym_eigenvalues
+from stepdirect.rngstats import Rng, summarize
 
 
 class TestRng:
@@ -87,27 +87,9 @@ class TestMvnPrecision:
         assert np.allclose(draws.mean(axis=0), cov @ b, atol=0.02)
         assert np.allclose(np.cov(draws.T), cov, atol=0.02)
 
-    def test_accepts_sym_matrix(self):
-        out = Rng(0).mvn_precision(SymMatrix(np.eye(3)), np.zeros(3))
-        assert out.shape == (3,)
-
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             Rng(0).mvn_precision(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
-
-
-class TestSymMatrix:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DomainError):
-            SymMatrix(np.ones((2, 3)))
-
-    def test_eigenvalues_descending(self):
-        eig = sym_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.array_equal(eig, [3.0, 2.0, -1.0])
 
 
 class TestSummarize:

@@ -189,6 +189,13 @@ class TestConjugateDraws:
         assert draws.mean() == pytest.approx(2.0 / (2.0 - 1.0), rel=0.1)
 
 
+class TestHyper:
+    @pytest.mark.parametrize("name", ["sigma_beta2", "a_sigma", "b_sigma", "a_nu", "b_nu"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(DomainError, match="must be positive"):
+            TregHyper(**{name: math.nan})
+
+
 class TestGibbsRun:
     def test_shapes_and_extras(self):
         sim = treg_synthetic(30, Rng(11))
