@@ -6,7 +6,8 @@ are carried as log values. Each knot u_j also carries the window
 (x1_j, x2_j) that its height is the base mass of; the window contains A_u
 for every u on the piece [u_j, u_{j+1}), so the sampler can draw x on it
 without solving for A_u. Each piece also carries a lower bound on
-P(A_u) over the piece, from which the rejection bound is computed. An
+P(A_u) over the piece, from which the rejection bound is computed (a
+level table computes these on first read). An
 envelope starts at a head knot u_0 = 0 whose window is the whole support,
 and one np.interp map, read either way, gives its CDF and quantile.
 
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import InitVar, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -116,18 +119,20 @@ class KnotTable:
     caught.
 
     ``log_lows[j]`` is a lower bound on log P(A_u) over piece j (the last
-    entry, which has no piece, is -inf). Left out, it is the next knot's
-    height, which is what solved knots give. Lows are capped at their
-    piece's height.
+    entry, which has no piece, is -inf), from ``lows`` capped at the
+    piece's height. Left out, it is the next knot's height, which is what
+    solved knots give. A level table gives a zero-argument function
+    instead, called on the first read of ``log_lows``, so a table that is
+    only drawn from never computes its lows.
     """
 
     knots: np.ndarray
     log_probs: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    log_lows: np.ndarray | None = None
+    lows: InitVar[np.ndarray | Callable[[], np.ndarray] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, lows):
         u = np.asarray(self.knots, dtype=float)
         lp = np.asarray(self.log_probs, dtype=float)
         x1 = np.asarray(self.x1, dtype=float)
@@ -143,20 +148,32 @@ class KnotTable:
             idx = np.arange(u.size)
             src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), idx, 0))
             lp, x1, x2 = lp[src], x1[src], x2[src]
-        lows = np.empty_like(lp)
-        if self.log_lows is None:
-            lows[:-1] = lp[1:]
-        else:
-            given = np.asarray(self.log_lows, dtype=float)
-            if given.shape != u.shape:
+        if not (lows is None or callable(lows)):
+            lows = np.asarray(lows, dtype=float)
+            if lows.shape != u.shape:
                 raise DomainError("log_lows must match the knots")
-            np.minimum(given[:-1], lp[:-1], out=lows[:-1])
-        lows[-1] = -np.inf
         object.__setattr__(self, "knots", u)
         object.__setattr__(self, "log_probs", lp)
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "log_lows", lows)
+        object.__setattr__(self, "_lows", lows if callable(lows) else _capped_lows(lp, lows))
+
+    @property
+    def log_lows(self) -> np.ndarray:
+        if callable(self._lows):
+            object.__setattr__(self, "_lows", _capped_lows(self.log_probs, self._lows()))
+        return self._lows
+
+
+def _capped_lows(log_probs: np.ndarray, given: np.ndarray | None) -> np.ndarray:
+    """KnotTable.log_lows from the lows given (the next heights if None)."""
+    lows = np.empty_like(log_probs)
+    if given is None:
+        lows[:-1] = log_probs[1:]
+    else:
+        np.minimum(given[:-1], log_probs[:-1], out=lows[:-1])
+    lows[-1] = -np.inf
+    return lows
 
 
 @dataclass(frozen=True)
@@ -399,7 +416,10 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     contains A_u for every u >= u_j. The lower bound of piece j is the base
     mass of the hull of the grid points with log w at or above
     log u_{j+1} + log c, which lies inside A_u for every u < u_{j+1}; the
-    last piece, which ends at u = 1, gets none.
+    last piece, which ends at u = 1, gets none. Only the rejection bound
+    reads these, so the table computes them (``_level_lows``) on the first
+    read of its ``log_lows``: a Gibbs step that builds a table, draws once
+    and drops it never does.
 
     No level is searched for. The thresholds log u_j + log c ascend, and on
     each side the running minimum of log w outward from the mode and the
@@ -442,35 +462,48 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     thr = np.log(u[1:]) + log_c
     k = np.arange(thr.size)
     n_u = u.size
-    # Row 0 holds lower ends and row 1 upper ends: the knots' windows, then
-    # the hulls of pieces 0 .. n_u - 3, then two empty windows at the mode,
-    # as the last piece gets no lower bound (it ends at u = 1, where P(A_u)
-    # falls to 0) and the last knot has no piece. One log_prob gives all.
-    ends = np.empty((2, 2 * n_u))
+    # Row 0 holds the windows' lower ends and row 1 their upper ends.
+    ends = np.empty((2, n_u))
     ends[:, 0] = base.lo, base.hi
-    ends[:, -2:] = m
     # In a stable argsort of two ascending runs, an entry of the second run
     # lands after the entries of the first that are at or below it. So the
     # k-th threshold's place in the merge, less k, counts a run's entries at
     # or below thr_k where the run goes first, and below it where thr does.
+    sides = []
     for row, side in enumerate((slice(0, n_left), slice(n_left, None))):
         # The side's points outward from the mode, where log w = log_c.
         xs = np.concatenate(([m], x[side]))
         lw = np.concatenate(([log_c], log_w[side]))
+        sides.append((xs, lw))
         n = xs.size
         # Window: the first point outward whose running minimum of log w is
         # at or below thr (the support end if none).
         merge = np.concatenate((np.minimum.accumulate(lw)[::-1], thr)).argsort(kind="stable")
         n_at_or_below = (merge >= n).nonzero()[0] - k
-        ends[row, 1:n_u] = xs[np.minimum(n - n_at_or_below, n - 1)]
-        # Hull: the last point outward with log w at or above thr (the mode
-        # if none), where the running maximum from the support end inward
-        # falls below thr.
+        ends[row, 1:] = xs[np.minimum(n - n_at_or_below, n - 1)]
+    log_p = base.log_prob(ends[0], ends[1])
+    return KnotTable(u, log_p, ends[0], ends[1], partial(_level_lows, base, thr, sides))
+
+
+def _level_lows(base, thr: np.ndarray, sides) -> np.ndarray:
+    """The lower bounds of a level table's pieces (see level_knots), from
+    its thresholds and each side's (points, log w) outward from the mode.
+
+    Piece j's bound is the base mass of its hull: on each side, the last
+    point outward with log w at or above thr_j (the mode if none), where
+    the running maximum from the support end inward falls below thr_j. The
+    last piece, which ends at u = 1 where P(A_u) falls to 0, and the last
+    knot, which has no piece, get -inf.
+    """
+    k = np.arange(thr.size)
+    hull = np.empty((2, thr.size - 1))
+    for row, (xs, lw) in enumerate(sides):
         merge = np.concatenate((thr, np.maximum.accumulate(lw[::-1]))).argsort(kind="stable")
         n_below = (merge < thr.size).nonzero()[0] - k
-        ends[row, n_u:-2] = xs[n - 1 - n_below[:-1]]
-    log_p = base.log_prob(ends[0], ends[1])
-    return KnotTable(u, log_p[:n_u], ends[0, :n_u], ends[1, :n_u], log_p[n_u:])
+        hull[row] = xs[xs.size - 1 - n_below[:-1]]
+    lows = np.full(thr.size + 1, -np.inf)
+    lows[:-2] = base.log_prob(hull[0], hull[1])
+    return lows
 
 
 def build_step(kt: KnotTable, heights: np.ndarray | None = None) -> StepApprox:

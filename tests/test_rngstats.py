@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from stepdirect.errors import (
     DomainError,
@@ -90,6 +91,38 @@ class TestMvnPrecision:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             Rng(0).mvn_precision(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+
+    @pytest.mark.parametrize("entry", [(0, 0, np.nan), (1, 0, np.nan), (1, 1, np.nan), (0, 0, np.inf)])
+    def test_nonfinite_precision_raises(self, entry):
+        # np.linalg.cholesky returns NaN for a NaN matrix without raising.
+        i, j, value = entry
+        omega = np.eye(2)
+        omega[i, j] = omega[j, i] = value
+        with pytest.raises(NotPositiveDefiniteError):
+            Rng(0).mvn_precision(omega, np.zeros(2))
+
+    @pytest.mark.parametrize("b", [[np.nan, 0.0], [0.0, -np.inf], [0.0, 0.0, 0.0], [[0.0], [0.0]]])
+    def test_bad_linear_term_raises(self, b):
+        with pytest.raises(DomainError):
+            Rng(0).mvn_precision(np.eye(2), np.array(b))
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_matches_solve_triangular_draw(self, d):
+        # The draw as three scipy.linalg.solve_triangular calls, with the
+        # same factor and the same normals.
+        def reference(rng, omega, b):
+            lower = np.linalg.cholesky(omega)
+            half = solve_triangular(lower, b, lower=True)
+            mean = solve_triangular(lower.T, half, lower=False)
+            return mean + solve_triangular(lower.T, rng.generator.standard_normal(d), lower=False)
+
+        g = np.random.default_rng(d)
+        for seed in range(50):
+            a = g.standard_normal((d, d + 2))
+            omega, b = a @ a.T + 0.1 * np.eye(d), 10.0 * g.standard_normal(d)
+            ours, theirs = Rng(seed), Rng(seed)
+            assert np.array_equal(ours.mvn_precision(omega, b), reference(theirs, omega, b))
+            assert ours.generator.bit_generator.state == theirs.generator.bit_generator.state
 
 
 class TestSummarize:

@@ -300,11 +300,11 @@ class TestGibbsStepCalls:
         return pstats.Stats(profile).total_calls
 
     def test_nu_step(self):
-        # 232 calls.
+        # 225 calls.
         assert self.calls(draw_nu_direct, NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)) <= 255
 
     def test_rho_step(self):
-        # 220 calls, on the 6x6 lattice with its rho table.
+        # 213 calls, on the 6x6 lattice with its rho table.
         data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
         state = CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
         assert self.calls(draw_rho_direct, data, state) <= 242

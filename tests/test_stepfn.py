@@ -8,10 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepdirect.car import car_eigen_precompute, lattice_adjacency, rho_grid_table, rho_target
+import stepdirect.stepfn
+from stepdirect.car import (
+    CarHyper,
+    CarState,
+    car_eigen_precompute,
+    car_gibbs_run,
+    car_synthetic,
+    draw_rho_direct,
+    lattice_adjacency,
+    rho_grid_table,
+    rho_target,
+)
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import BracketError, DomainError, ModeError
-from stepdirect.sampler import SamplerConfig, build_sampler
+from stepdirect.rngstats import Rng
+from stepdirect.sampler import DirectSampler, SamplerConfig, build_sampler, rejection_bound
 from stepdirect.stepfn import (
     LEVEL_CELLS,
     LEVEL_GROWTH,
@@ -38,7 +50,17 @@ from stepdirect.stepfn import (
     total_rect_area,
 )
 from stepdirect.target import ENDPOINT_TOL, TiltedGrid, UniformBase, WeightedTarget
-from stepdirect.treg import NuTargetParams, nu_target
+from stepdirect.treg import (
+    NU_SAMPLER_CONFIG,
+    CubicBasis,
+    NuTargetParams,
+    TregData,
+    TregHyper,
+    draw_nu_direct,
+    nu_target,
+    treg_gibbs_run,
+    treg_synthetic,
+)
 from tests.test_target import quadratic_target
 
 
@@ -527,6 +549,74 @@ class TestLevelKnotsMatchReference:
         assert np.any(np.diff(lw) > 0.0)
         assert lw.max() > target.log_c
         self.check(target)
+
+
+class TestDeferredLows:
+    """A level table computes its pieces' lower bounds (``_level_lows``) on
+    the first read of ``log_lows``, which only the rejection bound makes."""
+
+    @pytest.fixture(scope="class")
+    def car6(self):
+        return car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
+
+    @staticmethod
+    def level_targets(car6):
+        return [
+            nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)),
+            rho_target(car6.eigenvalues, 7.4, 1.0, car6.rho_table),
+            quadratic_target(0.3, 50.0),
+        ]
+
+    def test_gibbs_steps_and_chains_never_compute(self, monkeypatch, car6):
+        def fail(*args):
+            raise AssertionError("a level table computed its lower bounds")
+
+        monkeypatch.setattr(stepdirect.stepfn, "_level_lows", fail)
+        draw_nu_direct(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0), Rng(1))
+        state = CarState(beta=np.zeros(2), eta=np.full(car6.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
+        draw_rho_direct(car6, state, Rng(1))
+        sim = treg_synthetic(200, Rng(1, 1))
+        data = TregData(y=sim.y, X=CubicBasis(sim.r, 6).design(sim.r))
+        treg_gibbs_run(data, TregHyper(), 20, 0, 1, "direct", Rng(1, 2))
+        car_gibbs_run(car6, CarHyper(), 20, 0, 1, "direct", Rng(1, 3))
+
+    def test_reads_match_reference(self, car6):
+        # log_lows, the bound, the diagnostics and the rows equal those of
+        # the same step with reference_level_knots's lows given up front.
+        for target in self.level_targets(car6):
+            sampler = DirectSampler(target, NU_SAMPLER_CONFIG)
+            ref = reference_level_knots(target)
+            eager = replace(sampler.step, table=KnotTable(*ref))
+            assert np.array_equal(sampler.step.table.log_lows, ref[4])
+            assert sampler.rejection_bound() == rejection_bound(eager)
+            assert sampler.diagnostics == DirectSampler(target, NU_SAMPLER_CONFIG, eager).diagnostics
+            assert knot_table_rows(sampler.step.table) == knot_table_rows(eager.table)
+
+    def test_reading_between_draws_changes_nothing(self, car6):
+        for target in self.level_targets(car6):
+            for adapt in (False, True):
+                config = SamplerConfig(knot_method="level", adapt=adapt)
+                quiet, read = DirectSampler(target, config), DirectSampler(target, config)
+                rng_quiet, rng_read = Rng(5), Rng(5)
+                for _ in range(30):
+                    x = quiet.draw(rng_quiet).x
+                    _ = read.diagnostics, read.rejection_bound(), read.step.table.log_lows
+                    assert read.draw(rng_read).x == x
+                assert rng_quiet.generator.bit_generator.state == rng_read.generator.bit_generator.state
+
+    def test_adaptive_insertion_keeps_reference_lows(self, car6):
+        # Each knot inserted into a level table keeps the reference low of
+        # the piece it splits, capped at its own height.
+        target = self.level_targets(car6)[0]
+        knots, _, _, _, lows = reference_level_knots(target)
+        sampler = DirectSampler(target, SamplerConfig(knot_method="level"))
+        _, report = sampler.sample(3000, Rng(9))
+        table = sampler.step.table
+        assert report.knots_inserted > 0
+        piece = np.searchsorted(knots, table.knots, side="right") - 1
+        want = np.minimum(lows[np.minimum(piece, knots.size - 1)], table.log_probs)
+        want[-1] = -np.inf
+        assert np.array_equal(table.log_lows, want)
 
 
 class TestKnotTableRows:
