@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -375,27 +376,32 @@ def rho_target(
     log w(rho) = (1/2) sum log(1 - rho lambda_i) + rho eta'A eta / (2 tau^2).
     The eigen-sum term is concave and the drift linear, so the derivative
     has at most one root; the mode is that root or a boundary, found by
-    concave_mode. ``table`` is rho_grid_table(eigenvalues): when given,
-    the target carries it tilted by the drift theta, so log w on the grid
-    is read as F + theta rho at the points used and never formed in full,
-    and the mode search starts from the grid's peak (TiltedGrid.peak), one
-    binary search in the table's flat tilts.
+    concave_mode; at theta <= 0 it is 0 exactly. ``table`` is
+    rho_grid_table(eigenvalues): when given, the target carries it tilted
+    by the drift theta, so log w on the grid is read as F + theta rho at
+    the points used and never formed in full, and the mode search starts
+    from the grid's peak (TiltedGrid.peak), one binary search in the
+    table's flat tilts. Raises DomainError unless 0 < tau2 < inf and theta is finite.
     """
-    if tau2 <= 0:
-        raise DomainError("tau2 must be positive")
+    if not 0.0 < tau2 < math.inf:
+        raise DomainError(f"tau2 must be positive and finite, not {tau2!r}")
     lam = np.asarray(eigenvalues, dtype=float)
     drift = float(eta_a_eta) / (2.0 * tau2)
+    if not math.isfinite(drift):
+        raise DomainError(f"the drift eta_a_eta / (2 tau2) is not finite: eta_a_eta = {eta_a_eta!r}, tau2 = {tau2!r}")
     log_w = _rho_log_w(lam, drift)
-    grid = x0 = None
-    if table is not None:
-        grid = table.tilted(drift)
-        x0 = float(grid.x[grid.peak()])
+    grid = None if table is None else table.tilted(drift)
 
     def slope(r: float):
         ratio = lam / (1.0 - r * lam)
         return -0.5 * float(ratio.sum()) + drift, -0.5 * float(ratio @ ratio)
 
-    x_mode = concave_mode(slope, 0.0, RHO_MAX, x0)
+    # The slope at 0 is theta - tr(D^-1 A) / 2 with a trace of 0, which the
+    # float sum misses by its rounding (at most k eps, as |lambda| <= 1).
+    if drift - 0.5 * float(lam.sum()) <= lam.size * sys.float_info.epsilon:
+        x_mode = 0.0
+    else:
+        x_mode = concave_mode(slope, 0.0, RHO_MAX, None if grid is None else float(grid.x[grid.peak()]))
     return WeightedTarget(
         log_w=log_w,
         x_mode=x_mode,

@@ -1,18 +1,19 @@
 """Rejection sampler driven by the step-function envelope.
 
-Candidates u come from the normalized step density via its quantile
-function. Each knot of the envelope stores a window that contains A_u for
-every u on its piece, with the piece's height equal to the window's base
-mass. A candidate u on piece j draws x from the base truncated to window
-j and is accepted iff log w(x) > log u + log c: with probability
-P(A_u) / h(u), and then x follows the base truncated to A_u, so accepted
-x are exact variates from the weighted target. No candidate solves for
-A_u. ``draw`` runs candidates one at a time on Python floats and
-``sample`` runs them in vectorized blocks, with the same uniforms and the
-same accept rule. Optionally the rejected u become new knots through one
-helper, tightening the envelope as sampling runs: ``draw`` inserts each
-before its next candidate, ``sample`` a block's in one solve and one
-rebuild.
+A candidate is a pair (u, x) uniform on the region under the envelope: u
+with the step density h(u) / a, and x from the base on a window of u's
+piece that contains A_u, with base mass h(u). The envelope makes it from
+two uniforms: a knot table (``StepApprox``) draws u by its quantile
+function and then x, and a level envelope (``LevelEnvelope``) draws x
+from its cells and then u under x's cell. The candidate is accepted iff
+log w(x) > log u + log c: with probability P(A_u) / h(u), and then x
+follows the base truncated to A_u, so accepted x are exact variates from
+the weighted target. No candidate solves for A_u. ``draw`` runs
+candidates one at a time on Python floats and ``sample`` runs them in
+vectorized blocks, with the same uniforms and the same accept rule.
+Optionally the rejected u become new knots through one helper, tightening
+the envelope as sampling runs: ``draw`` inserts each before its next
+candidate, ``sample`` a block's in one solve and one rebuild.
 """
 from __future__ import annotations
 
@@ -24,10 +25,12 @@ import numpy as np
 
 from .errors import DomainError, SamplerStallError
 from .rngstats import Rng
-# step_logpdf_unnorm is not called here, but stays importable from this
-# module: perfbench/spans.py wraps it by name.
+# step_logpdf_unnorm, step_quantile and step_quantile_many are not called
+# here (the envelopes propose), but stay importable from this module:
+# perfbench/spans.py wraps them by name.
 from .stepfn import (
     KnotTable,
+    LevelEnvelope,
     StepApprox,
     build_step,
     check_knot_rule,
@@ -35,14 +38,16 @@ from .stepfn import (
     find_u_hi,
     find_u_lo,
     insert_knot,
-    level_knots,
+    level_envelope,
     log_total_rect_area,
     select_knots,
     step_logpdf_unnorm,
     step_quantile,
     step_quantile_many,
 )
-from .target import UniformBase, WeightedTarget
+from .target import WeightedTarget
+
+Envelope = StepApprox | LevelEnvelope
 
 __all__ = [
     "SamplerConfig",
@@ -110,58 +115,52 @@ class AggregateReport:
     knots_inserted: int = 0
 
 
-def rejection_bound(step: StepApprox) -> float:
+def rejection_bound(step: Envelope) -> float:
     """Computable upper bound on the rejection probability:
     sum_j (h_j - low_j)(u_{j+1} - u_j) / a, with low_j the table's lower
     bound on P(A_u) over piece j."""
     return _diagnostics(step).rejection_bound
 
 
-def _diagnostics(step: StepApprox) -> BuildDiagnostics:
+def _diagnostics(step: Envelope) -> BuildDiagnostics:
     """Window, rectangle area, bound and knot count of a built envelope."""
+    knots = step.table.knots
     log_area = log_total_rect_area(step.table)
     return BuildDiagnostics(
-        u_lo=step.u_lo,
-        u_hi=step.u_hi,
+        u_lo=float(knots[1]),
+        u_hi=float(knots[-1]),
         log_rect_area=log_area,
         rejection_bound=float(min(1.0, math.exp(log_area - step.log_a))),
-        n_knots=step.table.knots.size,
+        n_knots=knots.size,
     )
 
 
-def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig()) -> StepApprox:
+def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig()) -> Envelope:
     """Select knots and build the envelope.
 
-    Level knots (``knot_method="level"``) come from ``level_knots``: two
-    log_w calls and no endpoint solve, with the head knot at u = 0 and
-    u_hi = 1 in the table. On a uniform base the CDF is summed from the
-    window widths, in linear space.
+    Level knots (``knot_method="level"``) give ``level_envelope``'s cells:
+    two log_w calls and no endpoint solve. Their knot table, from u = 0 to
+    u_hi = 1, is built only when read.
 
     The greedy and equal knots cover a descent window [u_lo, u_hi], both in
     closed form with no search. u_lo is find_u_lo's: the smaller of w at
     the two support ends over c (w = 0 at an infinite end), floored at
     DESCENT_TOL, or at u_hi / 2 where that is lower. u_hi is find_u_hi's:
     1 on a continuous base, where w attains c at x_mode, and the largest
-    w(k) / c on integer support, past which A_u is empty. The built table gains a leading knot at u = 0
-    carrying the full support as its window and log P(A_0) as its height,
-    so the envelope piece on [0, u_lo) dominates P(A_u) whatever u_lo is.
+    w(k) / c on integer support, past which A_u is empty. The table gains a
+    head knot at u = 0 with the full support as its window and log P(A_0)
+    as its height, so the piece on [0, u_lo) dominates P(A_u) whatever u_lo is.
     The extra rectangle is counted in the rejection bound, and adaptive
     insertion can split it like any other.
     """
     if config.knot_method == "level":
-        table = level_knots(target)
-        base = target.base
-        # On a uniform base each height is a window width over the base's.
-        heights = (table.x2 - table.x1) / (base.hi - base.lo) if isinstance(base, UniformBase) else None
-        return build_step(table, heights)
+        return level_envelope(target)
     u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo)
     if config.knot_method == "equal":
         table = equal_spaced_knots(target, u_lo, u_hi, config.n_init_knots)
     else:
-        table = select_knots(
-            target, u_lo, u_hi, config.n_init_knots, config.midpoint_kind, config.omega
-        )
+        table = select_knots(target, u_lo, u_hi, config.n_init_knots, config.midpoint_kind, config.omega)
     x1_0, x2_0, log_p0 = target.superlevel(0.0)
     table = KnotTable(
         np.concatenate(([0.0], table.knots)),
@@ -185,7 +184,7 @@ class DirectSampler:
     samplers across threads, each with its own Rng.
     """
 
-    def __init__(self, target: WeightedTarget, config: SamplerConfig = SamplerConfig(), step: StepApprox | None = None):
+    def __init__(self, target: WeightedTarget, config: SamplerConfig = SamplerConfig(), step: Envelope | None = None):
         self.target = target
         self.config = config
         self.step = build_envelope(target, config) if step is None else step
@@ -206,44 +205,38 @@ class DirectSampler:
     def _propose(self, m: int, rng: Rng, report: AggregateReport):
         """Propose m candidates; return the accepted (u, x) in order.
 
-        Takes two uniforms per candidate, all m for u and then all m for x,
-        and evaluates log w once per candidate. A candidate on a piece whose
-        window holds no support point (quantile round-off onto a zero-mass
-        piece) is rejected without a draw. Rejections are counted on
-        ``report``, and more than MAX_REJECTS in total raise
+        Takes two uniforms per candidate, all m of the first and then all m
+        of the second, which the envelope turns into (u, x), and evaluates
+        log w once per candidate. A candidate whose x is NaN (its window
+        holds no support point) is rejected without one. Rejections are
+        counted on ``report``, and more than MAX_REJECTS in total raise
         SamplerStallError. In adaptive mode the rejected u become knots
         (``_insert``).
         """
-        v_u = rng.generator.uniform(size=m)
-        v_x = rng.generator.uniform(size=m)
-        table = self.step.table
-        u = step_quantile_many(self.step, v_u)
-        # u's piece (u >= 0 = u_0); a u at u_N stays on the last piece.
-        j = np.minimum(np.searchsorted(table.knots, u, side="right") - 1, table.knots.size - 2)
-        live = ~np.isneginf(table.log_probs[j])
-        x = np.zeros(m)
+        uniform, target = rng.generator.uniform, self.target
+        u, x = self.step.propose_many(target.base, uniform(size=m), uniform(size=m))
+        live = ~np.isnan(x)
         accept = np.zeros(m, dtype=bool)
-        if np.any(live):
-            jl = j[live]
-            x[live] = self.target.base.truncated_draw(table.x1[jl], table.x2[jl], v_x[live])
-            with np.errstate(divide="ignore"):
-                accept[live] = self.target.log_w(x[live]) > np.log(u[live]) + self.target.log_c
+        with np.errstate(divide="ignore"):
+            accept[live] = target.log_w(x[live]) > np.log(u[live]) + target.log_c
         rejected = u[~accept]
         report.n_rejected += rejected.size
         self._check_stall(report.n_rejected, report.n_draws)
         if self.config.adapt and rejected.size:
-            report.knots_inserted += self._insert(rejected, j[~accept])
+            report.knots_inserted += self._insert(rejected)
         return u[accept], x[accept]
 
-    def _insert(self, u, j) -> int:
-        """Insert rejected candidates u, on pieces j, as knots while the
-        table has fewer than MAX_KNOTS; return how many went in. Each A_u is
-        solved from its piece's window, which already brackets it."""
+    def _insert(self, u) -> int:
+        """Insert rejected candidates u as knots while the table has fewer
+        than MAX_KNOTS; return how many went in. Each A_u is solved from its
+        piece's window, which brackets it. A level envelope gives way here to
+        the StepApprox of its table with the new knots."""
         table = self.step.table
         room = MAX_KNOTS - table.knots.size
         if room <= 0:
             return 0
-        u, j = np.atleast_1d(u)[:room], np.atleast_1d(j)[:room]
+        u = np.atleast_1d(u)[:room]
+        j = np.minimum(table.knots.searchsorted(u, side="right") - 1, table.knots.size - 2)
         x1, x2, log_p = self.target.superlevel(u, (table.x1[j], table.x2[j]))
         self.step, inserted = insert_knot(self.step, u, log_p, x1, x2)
         return inserted
@@ -260,31 +253,24 @@ class DirectSampler:
         """One exact draw from the weighted target.
 
         Runs candidates one at a time on Python floats until one is
-        accepted. Each takes two uniforms, u then x, and the quantile map
-        and accept rule of ``sample``: log w(x) > log u + log c. In adaptive
-        mode each rejected u becomes a knot before the next candidate, so on
-        the same stream a draw equals ``sample(1)``.
+        accepted, each from two uniforms and with the accept rule of
+        ``sample``: log w(x) > log u + log c. In adaptive mode each rejected
+        u becomes a knot before the next candidate, so on the same stream a
+        draw equals ``sample(1)``.
         """
         uniform, target, adapt = rng.generator.uniform, self.target, self.config.adapt
-        log_c, truncated_draw = target.log_c, target.base.truncated_draw
+        log_w, log_c, base = target.log_w, target.log_c, target.base
         n_rejected = knots_inserted = 0
         while True:
-            step = self.step
-            table = step.table
-            u = step_quantile(step, uniform())
-            v = uniform()
-            # u's piece (u >= 0 = u_0); a u at u_N stays on the last piece.
-            j = min(int(table.knots.searchsorted(u, side="right")) - 1, table.knots.size - 2)
-            # A piece whose window holds no support point rejects without a draw.
-            if table.log_probs[j] > -math.inf:
-                x = float(truncated_draw(float(table.x1[j]), float(table.x2[j]), v))
+            u, x = self.step.propose(base, uniform(), uniform())
+            if x == x:  # a NaN x rejects without a log_w call
                 log_u = np.log(u) if u > 0.0 else -math.inf
-                if target.log_w(x) > log_u + log_c:
+                if log_w(x) > log_u + log_c:
                     return DirectDrawReport(x=x, u_accepted=u, n_rejected=n_rejected, knots_inserted=knots_inserted)
             n_rejected += 1
             self._check_stall(n_rejected, 0)
             if adapt:
-                knots_inserted += self._insert(u, j)
+                knots_inserted += self._insert(u)
 
     def sample(self, n: int, rng: Rng):
         """n exact draws, proposed in vectorized blocks.

@@ -1,33 +1,31 @@
-"""Step-function envelope for the descent of P(A_u).
+"""Step-function envelopes h(u) >= P(A_u) for the descent of P(A_u).
 
-Builds the piecewise-constant unnormalized density over u together with
-its piecewise-linear CDF and quantile function. All knot probabilities
-are carried as log values. Each knot u_j also carries the window
-(x1_j, x2_j) that its height is the base mass of; the window contains A_u
-for every u on the piece [u_j, u_{j+1}), so the sampler can draw x on it
-without solving for A_u. Each piece also carries a lower bound on
-P(A_u) over the piece, from which the rejection bound is computed (a
-level table computes these on first read). An
-envelope starts at a head knot u_0 = 0 whose window is the whole support,
-and one np.interp map, read either way, gives its CDF and quantile.
+The region under an envelope, x in a window of u that contains A_u, is
+what a sampler draws a candidate (u, x) from, with two uniforms. A knot
+table (``StepApprox``) holds it in u: ascending knots from a head knot
+u_0 = 0, each with the window (x1_j, x2_j) that its height is the log base
+mass of, which contains A_u for every u on the piece [u_j, u_{j+1}). One
+np.interp map, read either way, gives the piecewise-linear CDF of u and its
+quantile. Each piece also carries a lower bound on P(A_u), from which the
+rejection bound is computed. The paper's greedy rectangle splitting and
+equal spacing place knots in u over a descent window [u_lo, u_hi], which
+find_u_lo and find_u_hi give in closed form, and solve each knot for its
+window; the sampler prepends the head knot.
 
-Knots come from one of three rules. The paper's greedy rectangle
-splitting and equal spacing place knots in u over a descent window
-[u_lo, u_hi], which find_u_lo and find_u_hi give in closed form, and
-solve each knot for its window; the sampler prepends the head knot. Level
-knots (``level_knots``, continuous bases only) need no solve: log w is
-tabulated once on a grid of x around the mode, and the knots are the
-grid's levels w(x_i) / c, so the outer grid bracket of each level is a
-window that contains A_u for every u on its piece (the table or ziggurat
-construction for unimodal densities).
+A level envelope (``LevelEnvelope``, from ``level_envelope`` on a
+continuous base) needs no solve: log w is tabulated once on points around
+the mode, and the region is stored as cells in x, each as high as the
+lowest w / c from the mode out to it (the table or ziggurat construction
+for unimodal densities). A candidate takes x from the cells' masses, then
+u uniformly under x's cell: the same region, so u has density h(u) / a and
+x given u is uniform on u's window. Its knot table is built only when read.
 """
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import InitVar, dataclass, replace
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -36,18 +34,19 @@ from .logspace import log_diff_exp, log_sum_exp
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
-from .target import WeightedTarget
+from .target import UniformBase, WeightedTarget
 
 __all__ = [
     "KnotTable",
     "StepApprox",
+    "LevelEnvelope",
     "MIDPOINT_KINDS",
     "check_knot_rule",
     "find_u_lo",
     "find_u_hi",
     "select_knots",
     "equal_spaced_knots",
-    "level_knots",
+    "level_envelope",
     "build_step",
     "step_cdf",
     "step_quantile",
@@ -67,7 +66,7 @@ MIDPOINT_KINDS = ("arithmetic", "geometric", "hybrid")
 # below the floor too.
 DESCENT_TOL = 1e-10
 
-# Level tables (see level_knots). 64 cells per scale left the rho Gibbs
+# Level envelopes (see level_envelope). 64 cells per scale left the rho Gibbs
 # step above its 1% rejection gate; 128 keeps it near 0.4%.
 SCALE_PROBES = 60
 SCALE_DROP = 0.5
@@ -121,16 +120,14 @@ class KnotTable:
     ``log_lows[j]`` is a lower bound on log P(A_u) over piece j (the last
     entry, which has no piece, is -inf), from ``lows`` capped at the
     piece's height. Left out, it is the next knot's height, which is what
-    solved knots give. A level table gives a zero-argument function
-    instead, called on the first read of ``log_lows``, so a table that is
-    only drawn from never computes its lows.
+    solved knots give.
     """
 
     knots: np.ndarray
     log_probs: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    lows: InitVar[np.ndarray | Callable[[], np.ndarray] | None] = None
+    lows: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, lows):
         u = np.asarray(self.knots, dtype=float)
@@ -148,32 +145,17 @@ class KnotTable:
             idx = np.arange(u.size)
             src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), idx, 0))
             lp, x1, x2 = lp[src], x1[src], x2[src]
-        if not (lows is None or callable(lows)):
+        log_lows = np.empty_like(lp)
+        if lows is None:
+            log_lows[:-1] = lp[1:]
+        else:
             lows = np.asarray(lows, dtype=float)
             if lows.shape != u.shape:
                 raise DomainError("log_lows must match the knots")
-        object.__setattr__(self, "knots", u)
-        object.__setattr__(self, "log_probs", lp)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "_lows", lows if callable(lows) else _capped_lows(lp, lows))
-
-    @property
-    def log_lows(self) -> np.ndarray:
-        if callable(self._lows):
-            object.__setattr__(self, "_lows", _capped_lows(self.log_probs, self._lows()))
-        return self._lows
-
-
-def _capped_lows(log_probs: np.ndarray, given: np.ndarray | None) -> np.ndarray:
-    """KnotTable.log_lows from the lows given (the next heights if None)."""
-    lows = np.empty_like(log_probs)
-    if given is None:
-        lows[:-1] = log_probs[1:]
-    else:
-        np.minimum(given[:-1], log_probs[:-1], out=lows[:-1])
-    lows[-1] = -np.inf
-    return lows
+            np.minimum(lows[:-1], lp[:-1], out=log_lows[:-1])
+        log_lows[-1] = -np.inf
+        for name, value in (("knots", u), ("log_probs", lp), ("x1", x1), ("x2", x2), ("log_lows", log_lows)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -190,13 +172,93 @@ class StepApprox:
     grid_cdf: np.ndarray
 
     @property
-    def u_lo(self) -> float:
-        """Start of the descent grid: the first knot above the head knot at 0."""
-        return float(self.table.knots[1])
-
-    @property
     def u_hi(self) -> float:
         return float(self.table.knots[-1])
+
+    def propose(self, base, v_u: float, v_x: float):
+        """One candidate (u, x) from two uniforms: u = H^-1(v_u), then x from
+        the base on u's piece's window by v_x; NaN, with no draw, where that
+        window holds no support point (quantile round-off onto it)."""
+        table = self.table
+        u = step_quantile(self, v_u)
+        # u's piece (u >= 0 = u_0); a u at u_N stays on the last piece.
+        j = min(int(table.knots.searchsorted(u, side="right")) - 1, table.knots.size - 2)
+        if not table.log_probs[j] > -math.inf:
+            return u, math.nan
+        return u, float(base.truncated_draw(float(table.x1[j]), float(table.x2[j]), v_x))
+
+    def propose_many(self, base, v_u: np.ndarray, v_x: np.ndarray):
+        """``propose`` on arrays of uniforms."""
+        table = self.table
+        u = step_quantile_many(self, v_u)
+        j = np.minimum(table.knots.searchsorted(u, side="right") - 1, table.knots.size - 2)
+        live = table.log_probs[j] > -np.inf
+        x = np.full(u.size, np.nan)
+        j = j[live]
+        x[live] = base.truncated_draw(table.x1[j], table.x2[j], v_x[live])
+        return u, x
+
+
+@dataclass(frozen=True)
+class LevelEnvelope:
+    """A level envelope as cells in x (see level_envelope).
+
+    ``bounds`` ascend from base.lo through x_mode, at ``bounds[n_left]``,
+    to base.hi, with log w at each in ``log_w``. Cell i, from bounds[i] to
+    bounds[i + 1], has height ``heights[i]`` in [0, 1]; the heights rise to
+    1 next to the mode and fall after it, so the cells above a level u form
+    one window, whose base mass is h(u). ``cdf`` is the share of the cells'
+    mass, height times width, below each bound, and ``log_a`` the log of
+    that mass over the base's width. ``table``, the same envelope in u, is
+    built on first read, which only the rejection bound, the knot rows and
+    adaptive insertion make: a Gibbs step that draws once never builds it.
+    """
+
+    base: UniformBase
+    bounds: np.ndarray
+    heights: np.ndarray
+    cdf: np.ndarray
+    log_a: float
+    n_left: int
+    log_w: np.ndarray
+    log_c: float
+
+    def propose(self, base, v_u: float, v_x: float):
+        """One candidate (u, x) from two uniforms, in StepApprox.propose's
+        order: x = np.interp(v_x, cdf, bounds), then u = v_u times the height
+        of x's cell. ``base`` is unused: the cells are its uniform density."""
+        # side="right" skips cells of zero mass, whose cdf entries repeat.
+        i = int(self.cdf.searchsorted(v_x, side="right")) - 1
+        return v_u * float(self.heights[i]), float(np.interp(v_x, self.cdf, self.bounds))
+
+    def propose_many(self, base, v_u: np.ndarray, v_x: np.ndarray):
+        """``propose`` on arrays of uniforms."""
+        i = self.cdf.searchsorted(v_x, side="right") - 1
+        return v_u * self.heights[i], np.interp(v_x, self.cdf, self.bounds)
+
+    @cached_property
+    def table(self) -> KnotTable:
+        """The envelope as a KnotTable, comparing levels in u as the cells do.
+
+        Knot u_j's window is, on each side, the cells from the mode out to
+        the first whose height is at or below u_j. Piece j's lower bound is
+        the base mass of the hull of the points with w / c at or above
+        u_{j+1}, which lies inside A_u for every u below u_{j+1}; the last
+        piece, which ends at u = 1 where P(A_u) falls to 0, gets none.
+        """
+        b, h, n_left, base = self.bounds, self.heights, self.n_left, self.base
+        levels = np.unique(h)
+        u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
+        x1 = b[h[:n_left].searchsorted(u, side="right")]
+        x2 = b[n_left + (-h[n_left:]).searchsorted(-u)]
+        # The largest w / c from each support end inward, up to the mode.
+        q = np.exp(self.log_w - self.log_c)
+        reach_left = np.maximum.accumulate(q[: n_left + 1])
+        reach_right = np.maximum.accumulate(q[n_left:][::-1])[::-1]
+        top, lows = u[1:-1], np.full(u.size, -np.inf)
+        hull_hi = b[n_left - 1 + (-reach_right).searchsorted(-top, side="right")]
+        lows[:-2] = base.log_prob(b[reach_left.searchsorted(top)], hull_hi)
+        return KnotTable(u, base.log_prob(x1, x2), x1, x2, lows)
 
 
 def _mid(kind: str, lo: float, hi: float) -> float:
@@ -347,6 +409,8 @@ def _side_points(m: float, sign: float, end: float, scale: float, length: float)
     points = np.empty(d.size + 1)
     points[:-1] = m + sign * d
     points[-1] = end
+    # Rounding can carry m + sign d past the end; the cell bounds must ascend.
+    (np.minimum if sign > 0 else np.maximum)(points, end, out=points)
     return points
 
 
@@ -357,7 +421,8 @@ def _level_points(target: WeightedTarget, x: np.ndarray, sign: np.ndarray):
     a grid, each point snaps to its nearest grid point on its own side of
     x_mode, and log w is read at those grid points only (``log_w_at``): the
     snap keeps each side's points in order and may repeat one. Raises
-    ModeError where log w exceeds log_c by more than rounding.
+    ModeError where log w exceeds log_c by more than rounding, and
+    DomainError where it is NaN.
     """
     grid = target.grid
     if grid is None:
@@ -376,7 +441,10 @@ def _level_points(target: WeightedTarget, x: np.ndarray, sign: np.ndarray):
         i = np.where(sign > 0, np.maximum(i, min(right, last)), np.minimum(i, max(left, 0)))
         x, log_w = grid_x[i], grid.log_w_at(i)
     limit = target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
-    if (log_w > limit).any():
+    if not (log_w <= limit).all():
+        nan = np.isnan(log_w)
+        if nan.any():
+            raise DomainError(f"{target.name or 'target'}: log w({x[nan][0]!r}) is NaN")
         worst = np.unravel_index(log_w.argmax(), log_w.shape)
         raise ModeError(
             f"log w({x[worst]!r}) = {log_w[worst]!r} exceeds log_c = {target.log_c!r}: "
@@ -395,8 +463,8 @@ def _grid_resolves(grid_x: np.ndarray, m: float, scales, lengths) -> bool:
     return bool(((spacing <= GRID_CELL_SHARE * scales / LEVEL_CELLS) | (lengths == 0)).all())
 
 
-def level_knots(target: WeightedTarget) -> KnotTable:
-    """Knots at the levels of one tabulation of log w, with no endpoint solve.
+def level_envelope(target: WeightedTarget) -> LevelEnvelope:
+    """The envelope of one tabulation of log w, as cells in x, with no endpoint solve.
 
     Two log_w calls. The first probes x_mode -/+ L 2^-k (k < SCALE_PROBES,
     L the side's length) and takes as the side's scale s the smallest
@@ -409,27 +477,16 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     for the cells (see _grid_resolves), the target is built as if it had
     no grid.
 
-    The knots are u = 0, whose window is the whole support, every distinct
-    tabulated level w(x_i) / c below 1, and u = 1. Knot u_j's window ends,
-    on each side, at the first grid point outward with log w at or below
-    log u_j + log c, or at the support end. As w is unimodal, that window
-    contains A_u for every u >= u_j. The lower bound of piece j is the base
-    mass of the hull of the grid points with log w at or above
-    log u_{j+1} + log c, which lies inside A_u for every u < u_{j+1}; the
-    last piece, which ends at u = 1, gets none. Only the rejection bound
-    reads these, so the table computes them (``_level_lows``) on the first
-    read of its ``log_lows``: a Gibbs step that builds a table, draws once
-    and drops it never does.
+    The cell bounds are the tabulated points of both sides, x_mode and the
+    support ends, ascending. A cell's height is exp(m - log c), with m the
+    running minimum of log w from the mode out to the cell's inner end. As
+    w is unimodal, w / c is at most that height on the cell, so the cells
+    above a level u form a window that contains A_u. No level is sorted or
+    searched for: one running minimum per side, then one cumsum.
 
-    No level is searched for. The thresholds log u_j + log c ascend, and on
-    each side the running minimum of log w outward from the mode and the
-    running maximum inward from the support end are monotone. One stable
-    merge of the thresholds with each of these runs counts, for all levels
-    at once, the points before the window end and before the hull end, with
-    the ties a binary search would give.
-
-    Raises DomainError on an integer base, and ModeError where a tabulated
-    or grid log w exceeds log_c by more than MODE_SLACK (1 + |log_c|).
+    Raises DomainError on an integer base, ModeError where a tabulated or
+    grid log w exceeds log_c by more than MODE_SLACK (1 + |log_c|), and
+    DegenerateTargetError where the cells have no mass.
     """
     if target.discrete:
         raise DomainError(
@@ -445,74 +502,32 @@ def level_knots(target: WeightedTarget) -> KnotTable:
     dropped = log_w <= log_c - SCALE_DROP
     scales = np.where(dropped.any(axis=1), np.where(dropped, probe, np.inf).min(axis=1), lengths)
     if target.grid is not None and not _grid_resolves(target.grid.x, m, scales, lengths):
-        return level_knots(replace(target, grid=None))
+        return level_envelope(replace(target, grid=None))
     left = _side_points(m, -1.0, base.lo, scales[0], lengths[0])
     right = _side_points(m, 1.0, base.hi, scales[1], lengths[1])
     n_left = left.size
     x, log_w = _level_points(target, np.concatenate((left, right)), SIDE_SIGNS.repeat((n_left, right.size)))
-
-    below = log_w[log_w < log_c]
-    u = np.empty(below.size + 2)
-    u[0], u[-1] = 0.0, 1.0
-    with np.errstate(under="ignore"):
-        np.exp(below - log_c, out=u[1:-1])
-    u[1:-1].sort()
-    # 0, the distinct levels in (0, 1) and 1: each entry above the one before it.
-    u = u[np.concatenate(([True], u[1:] > u[:-1]))]
-    thr = np.log(u[1:]) + log_c
-    k = np.arange(thr.size)
-    n_u = u.size
-    # Row 0 holds the windows' lower ends and row 1 their upper ends.
-    ends = np.empty((2, n_u))
-    ends[:, 0] = base.lo, base.hi
-    # In a stable argsort of two ascending runs, an entry of the second run
-    # lands after the entries of the first that are at or below it. So the
-    # k-th threshold's place in the merge, less k, counts a run's entries at
-    # or below thr_k where the run goes first, and below it where thr does.
-    sides = []
-    for row, side in enumerate((slice(0, n_left), slice(n_left, None))):
-        # The side's points outward from the mode, where log w = log_c.
-        xs = np.concatenate(([m], x[side]))
-        lw = np.concatenate(([log_c], log_w[side]))
-        sides.append((xs, lw))
-        n = xs.size
-        # Window: the first point outward whose running minimum of log w is
-        # at or below thr (the support end if none).
-        merge = np.concatenate((np.minimum.accumulate(lw)[::-1], thr)).argsort(kind="stable")
-        n_at_or_below = (merge >= n).nonzero()[0] - k
-        ends[row, 1:] = xs[np.minimum(n - n_at_or_below, n - 1)]
-    log_p = base.log_prob(ends[0], ends[1])
-    return KnotTable(u, log_p, ends[0], ends[1], partial(_level_lows, base, thr, sides))
+    # The points ascending, with x_mode (log w = log_c) between the sides.
+    bounds = np.concatenate((x[:n_left][::-1], [m], x[n_left:]))
+    log_w = np.concatenate((log_w[:n_left][::-1], [log_c], log_w[n_left:]))
+    # log w at each cell's inner end, then its running minimum outward.
+    inner = np.concatenate((log_w[1 : n_left + 1], log_w[n_left:-1]))
+    left_inner, right_inner = inner[:n_left][::-1], inner[n_left:]
+    np.minimum.accumulate(left_inner, out=left_inner)
+    np.minimum.accumulate(right_inner, out=right_inner)
+    heights = np.exp(inner - log_c)
+    cdf = np.empty(bounds.size)
+    cdf[0] = 0.0
+    (heights * (bounds[1:] - bounds[:-1])).cumsum(out=cdf[1:])
+    total = float(cdf[-1])
+    if not total > 0.0:
+        raise DegenerateTargetError("step function has zero total mass")
+    cdf /= total
+    return LevelEnvelope(base, bounds, heights, cdf, math.log(total / (base.hi - base.lo)), n_left, log_w, log_c)
 
 
-def _level_lows(base, thr: np.ndarray, sides) -> np.ndarray:
-    """The lower bounds of a level table's pieces (see level_knots), from
-    its thresholds and each side's (points, log w) outward from the mode.
-
-    Piece j's bound is the base mass of its hull: on each side, the last
-    point outward with log w at or above thr_j (the mode if none), where
-    the running maximum from the support end inward falls below thr_j. The
-    last piece, which ends at u = 1 where P(A_u) falls to 0, and the last
-    knot, which has no piece, get -inf.
-    """
-    k = np.arange(thr.size)
-    hull = np.empty((2, thr.size - 1))
-    for row, (xs, lw) in enumerate(sides):
-        merge = np.concatenate((thr, np.maximum.accumulate(lw[::-1]))).argsort(kind="stable")
-        n_below = (merge < thr.size).nonzero()[0] - k
-        hull[row] = xs[xs.size - 1 - n_below[:-1]]
-    lows = np.full(thr.size + 1, -np.inf)
-    lows[:-2] = base.log_prob(hull[0], hull[1])
-    return lows
-
-
-def build_step(kt: KnotTable, heights: np.ndarray | None = None) -> StepApprox:
-    """Normalize the step function and precompute its CDF at the knots.
-
-    ``heights``, where given, are the pieces' heights exp(log_probs) in
-    linear space, known not to underflow: on a uniform base, window widths
-    over the base's width. The CDF is then summed from them directly;
-    otherwise it is summed in log space from log_probs.
+def build_step(kt: KnotTable) -> StepApprox:
+    """Normalize the step function and precompute its CDF at the knots, in log space.
 
     Raises DomainError unless the first knot is u = 0, so that the pieces
     cover every u in [0, u_N) and the CDF starts at H(0) = 0.
@@ -520,24 +535,15 @@ def build_step(kt: KnotTable, heights: np.ndarray | None = None) -> StepApprox:
     u = kt.knots
     if u[0] != 0.0:
         raise DomainError(f"a step envelope starts at a head knot at u = 0, not at u = {u[0]!r}")
+    with np.errstate(divide="ignore"):
+        terms = kt.log_probs[:-1] + np.log(u[1:] - u[:-1])
+    log_a = log_sum_exp(terms)
+    if math.isinf(log_a):
+        raise DegenerateTargetError("step function has zero total mass")
     cdf = np.empty(u.size)
     cdf[0] = 0.0
-    if heights is None:
-        with np.errstate(divide="ignore"):
-            terms = kt.log_probs[:-1] + np.log(u[1:] - u[:-1])
-        log_a = log_sum_exp(terms)
-        if math.isinf(log_a):
-            raise DegenerateTargetError("step function has zero total mass")
-        np.minimum(np.exp(terms - log_a).cumsum(), 1.0, out=cdf[1:])
-        cdf[-1] = 1.0
-    else:
-        # Partial sums of the areas over their total: they ascend to 1.
-        (heights[:-1] * (u[1:] - u[:-1])).cumsum(out=cdf[1:])
-        total = float(cdf[-1])
-        if not total > 0.0:
-            raise DegenerateTargetError("step function has zero total mass")
-        cdf[1:] /= total
-        log_a = math.log(total)
+    np.minimum(np.exp(terms - log_a).cumsum(), 1.0, out=cdf[1:])
+    cdf[-1] = 1.0
     return StepApprox(table=kt, log_a=log_a, grid_cdf=cdf)
 
 

@@ -121,6 +121,8 @@ class NuTargetParams:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
+        if not math.isfinite(self.A):
+            raise DomainError(f"A must be finite, not {self.A!r}")
         if self.A < 0.5 * self.n - 1e-9:
             raise DomainError(f"A = {self.A} violates the lower bound n/2 = {self.n / 2}")
         if not 0.0 < self.a_nu < self.b_nu:

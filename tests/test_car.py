@@ -41,7 +41,7 @@ from stepdirect.car import (
 from stepdirect.errors import DomainError, NotPositiveDefiniteError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, rejection_bound
-from stepdirect.stepfn import build_step, level_knots
+from stepdirect.stepfn import level_envelope
 from stepdirect.target import TiltedGrid, concave_mode
 
 
@@ -390,6 +390,17 @@ class TestRhoTarget:
         with pytest.raises(DomainError):
             rho_target(np.array([1.0, -1.0]), 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "eta_a_eta, tau2, named",
+        [(math.inf, 1.0, "eta_a_eta = inf"), (-math.inf, 1.0, "eta_a_eta = -inf"), (math.nan, 1.0, "eta_a_eta = nan"),
+         (1e308, 1e-300, "tau2 = 1e-300"), (1.0, math.inf, "tau2"), (1.0, math.nan, "tau2")],
+    )
+    def test_non_finite_inputs_raise_at_once(self, eta_a_eta, tau2, named):
+        # A non-finite drift fails here, naming its input, not as a sampler
+        # stall after 10^6 rejections.
+        with pytest.raises(DomainError, match=re.escape(named)):
+            rho_target(np.array([1.0, -1.0]), eta_a_eta, tau2)
+
     def test_direct_draws_match_quadrature(self):
         a = cycle_adjacency(4)
         eig = car_eigen_precompute(a, a.sum(axis=1))
@@ -469,15 +480,16 @@ class TestRhoTable:
             tilted = grid.log_w_at(np.arange(grid.x.size))
             assert np.array_equal(tilted, target.log_w(grid.x))
             assert grid.peak() == np.argmax(tilted)
-            kt = level_knots(target)
+            envelope = level_envelope(target)
+            kt = envelope.table
             assert np.array_equal(kt.log_probs, target.base.log_prob(kt.x1, kt.x2))
-            with np.errstate(divide="ignore"):
-                thr = np.log(kt.knots) + target.log_c
+            # Levels are compared in u: w / c at each window's interior ends
+            # is at or below its knot.
             for ends in (kt.x1, kt.x2):
                 inside = (ends > 0.0) & (ends < 1.0)
-                assert np.all(target.log_w(ends[inside]) <= thr[inside])
-            bounds.append(rejection_bound(build_step(kt)))
-            plain_bounds.append(rejection_bound(build_step(level_knots(dataclasses.replace(target, grid=None)))))
+                assert np.all(np.exp(target.log_w(ends[inside]) - target.log_c) <= kt.knots[inside])
+            bounds.append(rejection_bound(envelope))
+            plain_bounds.append(rejection_bound(level_envelope(dataclasses.replace(target, grid=None))))
         # One target's bound moves by a few percent when its level points
         # shift by a fraction of a cell, with or without the table; summed
         # over several drifts the table may loosen it by at most 5%.
@@ -534,19 +546,25 @@ class TestRhoTable:
         assert grid.theta == drift and grid.flat_tilts is table.flat_tilts
         # Every value the level knots read equals log_w at its point.
         recording = RecordingGrid(grid.x, grid.f, grid.theta, grid.flat_tilts)
-        kt = level_knots(dataclasses.replace(target, grid=recording))
+        envelope = level_envelope(dataclasses.replace(target, grid=recording))
         assert recording.reads
         for x, log_w in recording.reads:
             assert np.array_equal(log_w, target.log_w(x))
-        # The table is, bit for bit, the one read from F + theta rho written out in full.
+        # The cells and their table are, bit for bit, those read from F +
+        # theta rho written out in full.
         full = FullGrid(table, drift)
-        ref = level_knots(dataclasses.replace(target, grid=full))
+        ref = level_envelope(dataclasses.replace(target, grid=full))
+        for name in ("bounds", "heights", "cdf", "log_w"):
+            assert np.array_equal(getattr(envelope, name), getattr(ref, name)), name
         for name in ("knots", "log_probs", "x1", "x2", "log_lows"):
-            assert np.array_equal(getattr(kt, name), getattr(ref, name)), name
-        # The mode search starts at the full array's argmax, so it ends at the same mode.
+            assert np.array_equal(getattr(envelope.table, name), getattr(ref.table, name)), name
+        # The mode search starts at the full array's argmax, so it ends at
+        # the same mode, except that a slope at 0 within the rounding of the
+        # spectrum's sum gives 0 exactly.
         start = int(np.argmax(full.values))
         assert grid.peak() == start
-        assert target.x_mode == concave_mode(rho_slope(eig, drift), 0.0, RHO_MAX, float(table.x[start]))
+        mode = concave_mode(rho_slope(eig, drift), 0.0, RHO_MAX, float(table.x[start]))
+        assert target.x_mode == mode or (target.x_mode == 0.0 and mode < 1e-14)
 
 
 class TestConjugateDraws:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ from stepdirect.stepfn import (
     find_u_lo,
     insert_knot,
     knot_table_rows,
-    level_knots,
+    level_envelope,
     log_total_rect_area,
     select_knots,
     step_cdf,
@@ -327,14 +328,21 @@ class TestInsertKnot:
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-class TestLevelKnots:
-    """Knots at the tabulated levels w(x_i) / c, checked against the solver."""
+def lattice_spectrum(side: int) -> np.ndarray:
+    a = lattice_adjacency(side)
+    return car_eigen_precompute(a, a.sum(axis=1))
 
-    EIG6 = car_eigen_precompute(lattice_adjacency(6), lattice_adjacency(6).sum(axis=1))
+
+class TestLevelKnots:
+    """Level envelopes, as cells and as knots at the cells' heights,
+    checked against the solver."""
+
+    EIG6 = lattice_spectrum(6)
 
     @staticmethod
     def check(target):
-        table = level_knots(target)
+        level = level_envelope(target)
+        table = level.table
         step = build_step(table)
         u = table.knots
         assert u[0] == 0.0 and u[-1] == 1.0
@@ -343,25 +351,36 @@ class TestLevelKnots:
         # reaches at least to the solver's window, which lies within one
         # solver tolerance outside A_u. Each piece's lower bound lies under
         # P(A_u) there. log w is unimodal only up to its rounding, so pieces
-        # that reach within 1e-9 of u = 1 are left out.
+        # that reach within 1e-9 of u = 1 are left out. Levels are compared
+        # in u, so levels below the smallest normal double, which have no
+        # relative precision, are left out too, and so is u = 0, where the
+        # solver's A_0 is the whole support by convention while the cells
+        # leave out those whose w / c underflows to 0.
         x1, x2, log_p = target.superlevel(u)
-        j = np.flatnonzero(u[1:] < 1.0 - 1e-9)
-        for end in (j, j + 1):
-            assert np.all(table.x1[j] <= x1[end] + ENDPOINT_TOL * (1.0 + np.abs(x1[end])))
-            assert np.all(table.x2[j] >= x2[end] - ENDPOINT_TOL * (1.0 + np.abs(x2[end])))
-            assert np.all(table.log_lows[j] <= log_p[end] + 1e-8)
-        grid = np.concatenate((np.linspace(0.0, 1.0, 2001), u))
+        normal = u >= sys.float_info.min
+        j = np.flatnonzero(normal[1:] & (u[1:] < 1.0 - 1e-9))
+        for piece, end in ((j[normal[j]], j[normal[j]]), (j, j + 1)):
+            assert np.all(table.x1[piece] <= x1[end] + ENDPOINT_TOL * (1.0 + np.abs(x1[end])))
+            assert np.all(table.x2[piece] >= x2[end] - ENDPOINT_TOL * (1.0 + np.abs(x2[end])))
+            assert np.all(table.log_lows[piece] <= log_p[end] + 1e-8)
+        grid = np.concatenate((np.linspace(0.0, 1.0, 2001)[1:], u[normal]))
         envelope = np.exp(step_logpdf_unnorm(step, grid))
         assert np.all(envelope >= np.exp(target.log_prob_Au(grid)) - 1e-9)
         # The quantile reads step_cdf's map backwards.
         phi = np.linspace(0.0, 1.0, 101)
         assert np.allclose(step_cdf(step, step_quantile_many(step, phi)), phi, rtol=0.0, atol=1e-12)
-        # The linear-space CDF from the window widths is the log-space one up
-        # to the rounding of ~n additions, with n the knot count (<= 1e4 here).
-        linear = build_step(table, (table.x2 - table.x1) / (target.base.hi - target.base.lo))
-        assert np.allclose(linear.grid_cdf, step.grid_cdf, rtol=0.0, atol=1e4 * np.finfo(float).eps)
-        assert linear.log_a == pytest.approx(step.log_a, rel=0.0, abs=1e4 * np.finfo(float).eps)
-        assert linear.grid_cdf[0] == 0.0 and linear.grid_cdf[-1] == 1.0
+        # The cells ascend through x_mode over the support, and their CDF from 0 to 1.
+        base, bounds, cdf = target.base, level.bounds, level.cdf
+        assert bounds[0] == base.lo and bounds[-1] == base.hi and bounds[level.n_left] == target.x_mode
+        assert np.all(np.diff(bounds) >= 0.0) and np.all(np.diff(cdf) >= 0.0)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        # The cells and the table are one envelope: at every knot, the base
+        # mass of the cells higher than it is the table's height, and the
+        # two areas a agree.
+        widths = np.diff(bounds) / (base.hi - base.lo)
+        h = np.array([widths[level.heights > v].sum() for v in u])
+        assert np.allclose(h, np.exp(table.log_probs), rtol=1e-12, atol=0.0)
+        assert math.exp(level.log_a - step.log_a) == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -396,7 +415,14 @@ class TestLevelKnots:
             log_w=quadratic_target().log_w, x_mode=0.6, log_c=-5.0 * 0.09, base=UniformBase(0.0, 1.0)
         )
         with pytest.raises(ModeError, match="not the maximizer"):
-            level_knots(target)
+            level_envelope(target)
+
+    def test_nan_log_w_raises(self):
+        target = quadratic_target()
+        log_w = target.log_w
+        target = replace(target, log_w=lambda x: np.where(np.asarray(x) > 0.9, np.nan, log_w(x)))
+        with pytest.raises(DomainError, match="is NaN"):
+            level_envelope(target)
 
     def test_grid_value_above_log_c_raises(self):
         # The check runs on the values read from the grid: a grid point next
@@ -409,7 +435,7 @@ class TestLevelKnots:
         bumped = TiltedGrid(grid.x, bumped_f, grid.theta)
         assert bumped.log_w_at(i) > target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
         with pytest.raises(ModeError, match="not the maximizer"):
-            level_knots(replace(target, grid=bumped, log_w=None))
+            level_envelope(replace(target, grid=bumped, log_w=None))
 
 
 def reference_side_distances(scale: float, length: float) -> np.ndarray:
@@ -425,11 +451,12 @@ def reference_side_distances(scale: float, length: float) -> np.ndarray:
     return np.append(d[d < length], length)
 
 
-def reference_level_knots(target: WeightedTarget):
-    """level_knots's table built with one binary search per level, side and
-    bound, and KnotTable's running-minimum re-index applied to it.
+def reference_level_envelope(target: WeightedTarget) -> dict:
+    """level_envelope's cells and knot table, built side by side outward
+    from the mode: a running minimum per side for the cells, and one binary
+    search per level, side and bound for the table.
 
-    Returns (knots, log_probs, x1, x2, log_lows) as KnotTable stores them.
+    Returns the arrays named as LevelEnvelope and KnotTable store them.
     """
     base, m, log_c = target.base, target.x_mode, target.log_c
     ends = (base.lo, base.hi)
@@ -443,35 +470,46 @@ def reference_level_knots(target: WeightedTarget):
     dropped = log_w <= log_c - SCALE_DROP
     scales = [float(probe[i][dropped[i]].min()) if np.any(dropped[i]) else lengths[i] for i in range(2)]
     if target.grid is not None and not _grid_resolves(target.grid.x, m, scales, lengths):
-        return reference_level_knots(replace(target, grid=None))
+        return reference_level_envelope(replace(target, grid=None))
     grids = [np.empty(0), np.empty(0)]
     for side in range(2):
         if lengths[side] > 0:
             d = reference_side_distances(scales[side], lengths[side])
             grids[side] = np.append(m + signs[side] * d[:-1], ends[side])
+            grids[side] = np.minimum(grids[side], ends[side]) if side else np.maximum(grids[side], ends[side])
     n_left = grids[0].size
     x, log_w = _level_points(target, np.concatenate(grids), np.repeat(signs, [n_left, grids[1].size]))
+    # Each side's points outward from the mode, where log w = log_c, and the
+    # heights of its cells: the running minimum of w / c out to each cell's inner end.
     sides = [
         (np.append(m, xs), np.append(log_c, lw))
         for xs, lw in zip(np.split(x, [n_left]), np.split(log_w, [n_left]))
     ]
-    with np.errstate(under="ignore"):
-        levels = np.unique(np.exp(log_w[log_w < log_c] - log_c))
+    cells = [np.exp(np.minimum.accumulate(lw)[:-1] - log_c) for _, lw in sides]
+    bounds = np.concatenate((sides[0][0][::-1], sides[1][0][1:]))
+    heights = np.concatenate((cells[0][::-1], cells[1]))
+    cdf = np.append(0.0, np.cumsum(heights * np.diff(bounds)))
+    levels = np.unique(heights)
     u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
-    thr = np.log(u[1:]) + log_c
     window, hull = [], []
-    for x, lw in sides:
-        first = np.searchsorted(-np.minimum.accumulate(lw), -thr, side="left")
-        window.append(x[np.minimum(first, x.size - 1)])
-        last = np.searchsorted(-np.maximum.accumulate(lw[::-1])[::-1], -thr, side="right") - 1
-        hull.append(x[last])
-    x1 = np.append(base.lo, window[0])
-    x2 = np.append(base.hi, window[1])
-    lows = np.append(base.log_prob(hull[0][:-1], hull[1][:-1]), [-np.inf, -np.inf])
-    lp = base.log_prob(x1, x2)
-    src = np.maximum.accumulate(np.where(lp <= np.minimum.accumulate(lp), np.arange(u.size), 0))
-    lp = lp[src]
-    return u, lp, x1[src], x2[src], np.append(np.minimum(lows[:-1], lp[:-1]), -np.inf)
+    for (xs, lw), h in zip(sides, cells):
+        # The window ends at the first cell outward that is not above u.
+        window.append(xs[np.searchsorted(-h, -u, side="left")])
+        # The hull ends at the last point outward with w / c at or above the next knot.
+        reach = np.maximum.accumulate(np.exp(lw - log_c)[::-1])[::-1]
+        hull.append(xs[np.searchsorted(-reach, -u[1:-1], side="right") - 1])
+    lp = base.log_prob(window[0], window[1])
+    lows = np.append(base.log_prob(hull[0], hull[1]), -np.inf)
+    return {
+        "bounds": bounds,
+        "heights": heights,
+        "cdf": cdf / cdf[-1],
+        "knots": u,
+        "log_probs": lp,
+        "x1": window[0],
+        "x2": window[1],
+        "log_lows": np.append(np.minimum(lows, lp[:-1]), -np.inf),
+    }
 
 
 def wiggle_target(center: float, curvature: float, step: float, amplitude: float, period: float) -> WeightedTarget:
@@ -489,16 +527,19 @@ def wiggle_target(center: float, curvature: float, step: float, amplitude: float
 
 
 class TestLevelKnotsMatchReference:
-    """level_knots builds reference_level_knots's table, array for array."""
+    """level_envelope builds reference_level_envelope's cells and table, array for array."""
 
-    EIG6 = TestLevelKnots.EIG6
-    TABLE6 = rho_grid_table(EIG6)
+    SPECTRA = {side: lattice_spectrum(side) for side in (4, 6, 8, 12)}
+    TABLES = {side: rho_grid_table(eig) for side, eig in SPECTRA.items()}
 
     @staticmethod
     def check(target):
-        table = level_knots(target)
-        for name, want in zip(("knots", "log_probs", "x1", "x2", "log_lows"), reference_level_knots(target)):
-            assert np.array_equal(getattr(table, name), want), name
+        envelope = level_envelope(target)
+        ref = reference_level_envelope(target)
+        for name in ("bounds", "heights", "cdf"):
+            assert np.array_equal(getattr(envelope, name), ref[name]), name
+        for name in ("knots", "log_probs", "x1", "x2", "log_lows"):
+            assert np.array_equal(getattr(envelope.table, name), ref[name]), name
 
     @settings(max_examples=40, deadline=None)
     @given(center=st.floats(min_value=0.0, max_value=1.0), scale=st.floats(min_value=0.5, max_value=5000.0))
@@ -525,9 +566,13 @@ class TestLevelKnotsMatchReference:
     )
     @example(eta_a_eta=-5.0, tau2=1.0, tabulated=True)
     @example(eta_a_eta=-5.0, tau2=1.0, tabulated=False)
-    def test_rho(self, eta_a_eta, tau2, tabulated):
-        target = rho_target(self.EIG6, eta_a_eta, tau2, self.TABLE6 if tabulated else None)
-        # A drift at or below 0 puts the mode at rho = 0, which leaves the left side empty.
+    @example(eta_a_eta=0.0, tau2=1.0, tabulated=True)
+    @example(eta_a_eta=0.0, tau2=1.0, tabulated=False)
+    @pytest.mark.parametrize("side", [4, 6, 8, 12])
+    def test_rho(self, side, eta_a_eta, tau2, tabulated):
+        target = rho_target(self.SPECTRA[side], eta_a_eta, tau2, self.TABLES[side] if tabulated else None)
+        # A drift at or below 0 puts the mode at rho = 0 exactly, since the
+        # spectrum's trace is 0, which leaves the left side empty.
         assert eta_a_eta > 0.0 or target.x_mode == 0.0
         self.check(target)
 
@@ -552,8 +597,9 @@ class TestLevelKnotsMatchReference:
 
 
 class TestDeferredLows:
-    """A level table computes its pieces' lower bounds (``_level_lows``) on
-    the first read of ``log_lows``, which only the rejection bound makes."""
+    """A level envelope builds its knot table, with the pieces' lower
+    bounds, on the first read of ``table``, which only the rejection bound,
+    the knot rows and adaptive insertion make."""
 
     @pytest.fixture(scope="class")
     def car6(self):
@@ -568,10 +614,10 @@ class TestDeferredLows:
         ]
 
     def test_gibbs_steps_and_chains_never_compute(self, monkeypatch, car6):
-        def fail(*args):
-            raise AssertionError("a level table computed its lower bounds")
+        def fail(envelope):
+            raise AssertionError("a level envelope built its knot table")
 
-        monkeypatch.setattr(stepdirect.stepfn, "_level_lows", fail)
+        monkeypatch.setattr(stepdirect.stepfn.LevelEnvelope, "table", property(fail))
         draw_nu_direct(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0), Rng(1))
         state = CarState(beta=np.zeros(2), eta=np.full(car6.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
         draw_rho_direct(car6, state, Rng(1))
@@ -581,16 +627,19 @@ class TestDeferredLows:
         car_gibbs_run(car6, CarHyper(), 20, 0, 1, "direct", Rng(1, 3))
 
     def test_reads_match_reference(self, car6):
-        # log_lows, the bound, the diagnostics and the rows equal those of
-        # the same step with reference_level_knots's lows given up front.
+        # The table, the bound, the diagnostics and the rows are those of
+        # reference_level_envelope's table over the envelope's own area a.
         for target in self.level_targets(car6):
             sampler = DirectSampler(target, NU_SAMPLER_CONFIG)
-            ref = reference_level_knots(target)
-            eager = replace(sampler.step, table=KnotTable(*ref))
-            assert np.array_equal(sampler.step.table.log_lows, ref[4])
-            assert sampler.rejection_bound() == rejection_bound(eager)
-            assert sampler.diagnostics == DirectSampler(target, NU_SAMPLER_CONFIG, eager).diagnostics
-            assert knot_table_rows(sampler.step.table) == knot_table_rows(eager.table)
+            ref = reference_level_envelope(target)
+            table = KnotTable(*(ref[name] for name in ("knots", "log_probs", "x1", "x2", "log_lows")))
+            assert np.array_equal(sampler.step.table.log_lows, ref["log_lows"])
+            bound = min(1.0, math.exp(log_total_rect_area(table) - sampler.step.log_a))
+            assert sampler.rejection_bound() == bound
+            diag = sampler.diagnostics
+            assert (diag.u_lo, diag.u_hi, diag.n_knots) == (table.knots[1], 1.0, table.knots.size)
+            assert (diag.log_rect_area, diag.rejection_bound) == (log_total_rect_area(table), bound)
+            assert knot_table_rows(sampler.step.table) == knot_table_rows(table)
 
     def test_reading_between_draws_changes_nothing(self, car6):
         for target in self.level_targets(car6):
@@ -605,10 +654,11 @@ class TestDeferredLows:
                 assert rng_quiet.generator.bit_generator.state == rng_read.generator.bit_generator.state
 
     def test_adaptive_insertion_keeps_reference_lows(self, car6):
-        # Each knot inserted into a level table keeps the reference low of
-        # the piece it splits, capped at its own height.
+        # Each knot inserted into a level envelope's table keeps the
+        # reference low of the piece it splits, capped at its own height.
         target = self.level_targets(car6)[0]
-        knots, _, _, _, lows = reference_level_knots(target)
+        ref = reference_level_envelope(target)
+        knots, lows = ref["knots"], ref["log_lows"]
         sampler = DirectSampler(target, SamplerConfig(knot_method="level"))
         _, report = sampler.sample(3000, Rng(9))
         table = sampler.step.table

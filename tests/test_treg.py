@@ -76,6 +76,12 @@ class TestNuTarget:
         with pytest.raises(DomainError):
             NuTargetParams(n=0, A=6.0, a_nu=0.01, b_nu=200.0)
 
+    @pytest.mark.parametrize("a_const", [math.nan, math.inf, -math.inf])
+    def test_non_finite_a_rejected(self, a_const):
+        # NaN would pass the A >= n/2 check, and A = inf would give log_c = -inf.
+        with pytest.raises(DomainError, match="A must be finite"):
+            NuTargetParams(n=10, A=a_const, a_nu=0.01, b_nu=200.0)
+
     def test_mode_matches_grid_argmax(self):
         rng = Rng(0).generator
         for _ in range(50):
