@@ -267,21 +267,45 @@ def _mid(kind: str, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _u_top(target: WeightedTarget) -> float:
-    """The smallest u with A_u empty: 1 on a continuous base, where w
-    attains c at x_mode, and on integer support the largest w(k) / c, which
-    for a unimodal w is at floor(x_mode) or ceil(x_mode). Capped at 1, since
-    log w at a large integer mode can round above log_c."""
-    if not target.discrete:
-        return 1.0
+def _top_level(target: WeightedTarget):
+    """(u_top, x1, x2): the smallest u with A_u empty, and the window of the
+    points where w / c reaches it.
+
+    On a continuous base that is 1 and (x_mode, x_mode): w attains c at
+    x_mode. On integer support u_top is the largest w(k) / c, which for a
+    unimodal w is at floor(x_mode) or ceil(x_mode), from one log_w call,
+    and the window holds the one or two of them where it is reached. u_top
+    is capped at 1, since log w at a large integer mode can round above
+    log_c.
+    """
     m = target.x_mode
-    log_top = float(np.max(target.log_w(np.array([math.floor(m), math.ceil(m)])))) - target.log_c
+    if not target.discrete:
+        return 1.0, m, m
+    k = np.array([math.floor(m), math.ceil(m)], dtype=float)
+    log_w = target.log_w(k)
+    log_top = float(np.max(log_w)) - target.log_c
     u_top = min(1.0, math.exp(log_top))
     if not u_top >= sys.float_info.min:
         raise DomainError(
             f"the top integer level w(k) / c = exp({log_top:.6g}) is below the smallest normal double"
         )
-    return u_top
+    top = k[log_w == log_w.max()]
+    return u_top, float(top[0]) - 1.0, float(top[-1]) + 1.0
+
+
+def _knot_table(target: WeightedTarget, u, x1, x2, log_p) -> KnotTable:
+    """The KnotTable of solved knots u ascending to u_hi, where a last knot
+    at u_top on integer support (see _top_level) gets the window of the top
+    integers and their mass. A_u is empty there, but that knot has no
+    piece: its height is the lower bound of P(A_u) on the piece below it,
+    where A_u holds the top integers. The greedy split keys read the solved
+    height, so the knots are placed before it is replaced."""
+    if target.discrete:
+        u_top, top_1, top_2 = _top_level(target)
+        if u[-1] == u_top:
+            x1[-1], x2[-1] = top_1, top_2
+            log_p[-1] = target.base.log_prob(top_1, top_2)
+    return KnotTable(u, log_p, x1, x2)
 
 
 def find_u_lo(target: WeightedTarget) -> float:
@@ -305,18 +329,18 @@ def find_u_lo(target: WeightedTarget) -> float:
         log_drop = -math.inf
     if not log_drop < 0.0:
         raise DegenerateTargetError("w at both support ends reaches its maximum; w has no descent")
-    return max(min(DESCENT_TOL, 0.5 * _u_top(target)), math.exp(log_drop))
+    return max(min(DESCENT_TOL, 0.5 * _top_level(target)[0]), math.exp(log_drop))
 
 
 def find_u_hi(target: WeightedTarget, u_lo: float) -> float:
-    """Smallest u with A_u empty, in closed form (see _u_top): 1 on a
+    """Smallest u with A_u empty, in closed form (see _top_level): 1 on a
     continuous base, and on integer support one log_w call at the two
     integers next to x_mode. Raises BracketError where A_u is already empty
     at u_lo.
     """
     if not 0.0 < u_lo < 1.0:
         raise DomainError("u_lo must lie in (0, 1)")
-    u_hi = _u_top(target)
+    u_hi = _top_level(target)[0]
     if not u_lo < u_hi:
         raise BracketError("P(A_u) is already zero at u_lo")
     return u_hi
@@ -373,7 +397,7 @@ def select_knots(
         lp = np.insert(lp, j + 1, lp_new)
         x1 = np.insert(x1, j + 1, x1_new)
         x2 = np.insert(x2, j + 1, x2_new)
-    return KnotTable(u, lp, x1, x2)
+    return _knot_table(target, u, x1, x2, lp)
 
 
 def equal_spaced_knots(
@@ -387,8 +411,7 @@ def equal_spaced_knots(
     if u_lo <= 0.0:
         raise DomainError("u_lo must be positive")
     u = np.linspace(u_lo, u_hi, n_intervals + 1)
-    x1, x2, lp = target.superlevel(u)
-    return KnotTable(u, lp, x1, x2)
+    return _knot_table(target, u, *target.superlevel(u))
 
 
 def _side_points(m: float, sign: float, end: float, scale: float, length: float) -> np.ndarray:
@@ -611,7 +634,7 @@ def insert_knot(s: StepApprox, u, log_p, x1, x2):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     parent = np.clip(np.searchsorted(t.knots, u, side="right") - 1, 0, t.knots.size - 1)
     u, log_p, x1, x2, lows = (
-        np.concatenate((old, np.broadcast_to(np.asarray(new, dtype=float), u.shape)))
+        np.concatenate((old, np.atleast_1d(new)))
         for old, new in (
             (t.knots, u), (t.log_probs, log_p), (t.x1, x1), (t.x2, x2), (t.log_lows, t.log_lows[parent])
         )

@@ -4,13 +4,16 @@ A weighted target bundles everything the generic sampler needs from one
 distribution f(x) proportional to w(x) g(x): the log weight and its maximum,
 the base distribution g, and a solver for the superlevel set
 A_u = {x : log w(x) > log u + log c}. The solver returns an open window
-(x1, x2) that contains A_u: each end is the outside end of the solver's
-final bracket, where log w is at or below the threshold. The base
-distribution owns the support: given a window it returns the window's log
-probability and draws from g truncated to it, so every probability can
-stay on the log scale. The sampler draws x on a stored window and keeps it
-only if w(x) > u c, so a window that is slightly too wide costs a little
-acceptance but never exactness.
+(x1, x2) that contains A_u. On a continuous base each end is the outside
+end of the solver's final bracket, where log w is at or below the
+threshold, within a relative 1e-10 of the crossing. On integer support the
+brackets are narrowed only to a few integers each, log w is read at those
+integers, and each end is an integer: the integers inside the window are
+exactly those in A_u. The base distribution owns the support: given a
+window it returns the window's log probability and draws from g truncated
+to it, so every probability can stay on the log scale. The sampler draws x
+on a stored window and keeps it only if w(x) > u c, so a window that is
+slightly too wide costs a little acceptance but never exactness.
 
 A target whose log w is a fixed function plus a linear term, F(x) + theta
 x, may also carry F tabulated on a fixed grid together with theta
@@ -42,6 +45,11 @@ __all__ = [
 # absolute width of 1e-10 is out of reach once |x| >~ 1e6, where adjacent
 # doubles lie ~1.2e-10 apart.
 ENDPOINT_TOL = 1e-10
+
+# On integer support the solver stops once a bracket is at most this wide,
+# and then reads log w at the integers inside every bracket in one call.
+ENUMERATE_WIDTH = 32
+ENUMERATE_STEPS = np.arange(ENUMERATE_WIDTH, dtype=float)
 
 # Relative stop of concave_mode: a Newton or bisection step of at most
 # MODE_TOL * (1 + |x|) ends the search.
@@ -250,10 +258,13 @@ class WeightedTarget:
 
         Thresholds are passed on the log scale; -inf yields the full
         support. Accepts scalars or arrays. When the threshold reaches
-        log_c the interval collapses to (x_mode, x_mode). w is unimodal, so
-        the set is one interval with one crossing on each side of the mode,
-        and both sides are solved together: one ``log_w`` call at the
-        outside ends of all brackets, then one ``_bisect_crossing`` loop.
+        log_c the set is empty and the window collapses onto x_mode (on
+        integer support onto floor(x_mode)). w is unimodal, so the set is
+        one interval with one crossing on each side of the mode, and both
+        sides are solved together: one ``log_w`` call at the outside ends
+        of all brackets, then one ``_bisect_crossing`` loop. On integer
+        support each end is an integer, and the integers strictly inside
+        (x1, x2) are exactly those k with log w(k) above the threshold.
 
         A bracket's outside end is the end of ``outside`` on its side where
         that lies strictly inside the support; ``outside`` optionally gives,
@@ -266,32 +277,39 @@ class WeightedTarget:
         """
         thr = np.atleast_1d(np.asarray(log_threshold, dtype=float))
         scalar = np.ndim(log_threshold) == 0
-        lo, hi = self.base.lo, self.base.hi
-        # Row 0 is the side below the mode, row 1 the side above it. For
-        # integer support the window is the open interval's interior, so a
-        # boundary point with w above the threshold must sit strictly
+        lo, hi, discrete = self.base.lo, self.base.hi, self.discrete
+        # For integer support the window is the open interval's interior, so
+        # a boundary point with w above the threshold must sit strictly
         # inside: the open end lies one unit past it.
-        pad = 1.0 if self.discrete else 0.0
-        end_open = np.array([[lo - pad], [hi + pad]])
-        x = np.full((2,) + thr.shape, self.x_mode)
+        pad = 1.0 if discrete else 0.0
+        x1 = np.full(thr.shape, float(math.floor(self.x_mode)) if discrete else self.x_mode)
+        x2 = x1.copy()
         full = np.isneginf(thr)
-        x[:, full] = end_open
+        x1[full] = lo - pad
+        x2[full] = hi + pad
         work = (thr < self.log_c) & ~full
-        if np.any(work):
-            t = np.broadcast_to(thr[work], (2, np.count_nonzero(work)))
+        n = int(np.count_nonzero(work))
+        if n:
+            # Brackets [:n] are the side below the mode, [n:] the side above it.
+            t = thr[work]
+            t = np.concatenate((t, t))
             inf_hi = hi == math.inf
             top = max(2.0 * abs(self.x_mode), self.x_mode + 8.0) if inf_hi else hi
-            ends = np.array([lo, top])
-            o = np.repeat(ends[:, None], t.shape[1], axis=1)
-            known = np.zeros(t.shape, dtype=bool)
+            o = np.empty(2 * n)
+            o[:n], o[n:] = lo, top
+            known = np.zeros(2 * n, dtype=bool)
             if outside is not None:
-                start = np.stack([np.broadcast_to(np.asarray(s, float), thr.shape)[work] for s in outside])
+                start = np.concatenate(
+                    [np.asarray(s, float)[work] if np.ndim(s) else np.full(n, float(s)) for s in outside]
+                )
                 known = (start > lo) & (start < hi)
                 o[known] = start[known]
-            grow = ~known & np.array([[False], [inf_hi]])
-            log_ends = self.log_w(np.concatenate((ends, o[known])))
-            log_o = np.repeat(log_ends[:2, None], t.shape[1], axis=1)
+            log_ends = self.log_w(np.concatenate(((lo, top), o[known])))
+            log_o = np.empty(2 * n)
+            log_o[:n], log_o[n:] = log_ends[0], log_ends[1]
             log_o[known] = log_ends[2:]
+            grow = ~known
+            grow[: n if inf_hi else 2 * n] = False
             for _ in range(200):
                 open_mask = grow & (log_o > t)
                 if not np.any(open_mask):
@@ -301,13 +319,13 @@ class WeightedTarget:
             else:
                 raise DomainError("failed to bracket the right superlevel endpoint")
             solve = ~(log_o > t)
-            side = np.where(solve, o, end_open)
+            side = np.empty(2 * n)
+            side[:n], side[n:] = lo - pad, hi + pad
             if np.any(solve):
                 side[solve] = _bisect_crossing(
-                    self.log_w, t[solve], o[solve], self.x_mode, log_o[solve], self.log_c
+                    self.log_w, t[solve], o[solve], self.x_mode, log_o[solve], self.log_c, discrete
                 )
-            x[:, work] = side
-        x1, x2 = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
+            x1[work], x2[work] = side[:n], side[n:]
         if scalar:
             return float(x1[0]), float(x2[0])
         return x1, x2
@@ -317,8 +335,10 @@ class WeightedTarget:
     def superlevel(self, u, outside=None):
         """(x1, x2, log_p): an open window (x1, x2) that contains A_u =
         {x : w(x) > u c}, and its log base probability, from one endpoint
-        solve. log w is at or below log u + log c at each interior end, and
-        the window reaches past A_u by at most one solver tolerance.
+        solve. log w is at or below log u + log c at each interior end. On
+        a continuous base the window reaches past A_u by at most one solver
+        tolerance; on integer support its ends are integers and the
+        integers inside it are exactly A_u, so log_p is log P(A_u).
         ``outside`` optionally gives windows known to contain A_u, such as
         the stored windows of u's pieces; their interior ends start the
         solve (see ``interval_endpoints``). Rejects u outside [0, 1], NaN
@@ -334,9 +354,10 @@ class WeightedTarget:
         return x1, x2, self.base.log_prob(x1, x2)
 
     def log_prob_Au(self, u):
-        """log base probability of the window superlevel(u) returns: an
-        upper bound on log P(A_u), by the mass within one solver tolerance
-        of its ends."""
+        """log base probability of the window superlevel(u) returns: on a
+        continuous base an upper bound on log P(A_u), by the mass within
+        one solver tolerance of its ends, and log P(A_u) on integer
+        support."""
         return self.superlevel(u)[2]
 
     def truncated_draw(self, u, rng):
@@ -391,7 +412,7 @@ def concave_mode(slope, lo: float, hi: float, x0: float | None = None) -> float:
     raise NonConvergenceError(f"mode search did not converge in [{a!r}, {b!r}]")
 
 
-def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside):
+def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside, discrete=False):
     """Points where log_w crosses thr, bracketed by outside and inside points.
 
     Vectorized over thr: log_w is at or below thr at ``outside`` and above
@@ -401,21 +422,28 @@ def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside):
     that point is not finite or not strictly inside (log_w may be -inf at
     an end), and makes it the new end b. The old b becomes a when the
     crossing lies between the two; otherwise a stays and its distance
-    log_w - thr is halved, so a fixed end cannot stall the secant. Stops
-    once every bracket has |inside - outside| <= ENDPOINT_TOL * (1 +
-    |inside|) and returns each bracket's outside end, where log_w is at or
-    below thr, so the window the ends bound contains the superlevel set.
+    log_w - thr is halved, so a fixed end cannot stall the secant.
+
+    On a continuous base the loop stops once every bracket has |inside -
+    outside| <= ENDPOINT_TOL * (1 + |inside|) and returns each bracket's
+    outside end, where log_w is at or below thr, so the window the ends
+    bound contains the superlevel set. On integer support (``discrete``)
+    it stops once every bracket is at most ENUMERATE_WIDTH wide, and
+    ``_integer_crossing`` ends each at an integer.
     """
-    a = np.broadcast_to(np.asarray(outside, dtype=float), thr.shape)
-    b = np.broadcast_to(np.asarray(inside, dtype=float), thr.shape)
+    a = outside
+    b = inside
     g_a = log_w_outside - thr
     g_b = log_w_inside - thr
     b_above = np.ones(thr.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(200):
             d = b - a
-            x_in = np.where(b_above, b, a)
-            if np.all(np.abs(d) <= ENDPOINT_TOL * (1.0 + np.abs(x_in))):
+            if discrete:
+                done = np.all(np.abs(d) <= ENUMERATE_WIDTH)
+            else:
+                done = np.all(np.abs(d) <= ENDPOINT_TOL * (1.0 + np.abs(np.where(b_above, b, a))))
+            if done:
                 break
             # The secant point is b - t d; t outside (0, 1), or NaN, bisects.
             t = g_b / (g_b - g_a)
@@ -426,4 +454,36 @@ def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside):
             a = np.where(crossed, b, a)
             g_a = np.where(crossed, g_b, 0.5 * g_a)
             b, g_b, b_above = x, g_x, x_above
+    if discrete:
+        return _integer_crossing(log_w, thr, np.where(b_above, a, b), np.where(b_above, b, a))
     return np.where(b_above, a, b)
+
+
+def _integer_crossing(log_w, thr, outside, inside):
+    """Integer ends of brackets at most ENUMERATE_WIDTH wide, from one log_w call.
+
+    log_w is read at every integer strictly between each bracket's outside
+    and inside points, all brackets in one call. A bracket's end is the
+    integer just outside the outermost of them that reads above thr, where
+    the first integer at or past the inside point counts as above. So each
+    end reads at or below thr, or lies at or past the outside point, which
+    does; for a unimodal w the integers between the two ends of a window
+    are exactly those above thr. Raises NonConvergenceError where a bracket
+    still holds more integers than that, which the 200 steps of
+    _bisect_crossing did not narrow.
+    """
+    # Mirror the side above the mode (s = -1), so that y runs from the
+    # outside inward on both sides.
+    s = np.where(inside > outside, 1.0, -1.0)
+    start = np.floor(s * outside) + 1.0
+    n = np.ceil(s * inside) - start  # integers strictly inside
+    if not np.all(n <= ENUMERATE_WIDTH):
+        raise NonConvergenceError(f"endpoint brackets still hold up to {np.nanmax(n):.0f} integers")
+    y = start[:, None] + ENUMERATE_STEPS
+    read = ENUMERATE_STEPS < n[:, None]
+    log_w_y = np.full(y.shape, -np.inf)
+    if read.any():
+        log_w_y[read] = log_w((s[:, None] * y)[read])
+    above = log_w_y > thr[:, None]
+    first = np.where(above.any(axis=1), above.argmax(axis=1), n)
+    return s * (start + first - 1.0)

@@ -355,6 +355,22 @@ class TestGibbsStepCalls:
         assert self.calls(draw_rho_direct, data, state) <= 179
 
 
+class TestSampleWork:
+    """log_w calls of a bulk adaptive sample: a cost that needs no timer and
+    does not change with the machine's load. The bound is the count with
+    Python 3.11 and numpy 2.4 plus 10%."""
+
+    def test_cmp_sample(self):
+        # 167 calls: 101 to build the envelope, 66 to sample 10,000 draws
+        # and insert their 213 rejections as knots.
+        target = cmp_target(CmpParams(2.0, 0.05))
+        calls = []
+        log_w = target.log_w
+        target.log_w = lambda x: calls.append(np.size(x)) or log_w(x)
+        DirectSampler(target).sample(10_000, Rng(1))
+        assert len(calls) <= 183
+
+
 class _CountingGenerator:
     """Generator stand-in that counts the uniforms handed out."""
 

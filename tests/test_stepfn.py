@@ -50,7 +50,7 @@ from stepdirect.stepfn import (
     step_quantile_many,
     total_rect_area,
 )
-from stepdirect.target import ENDPOINT_TOL, TiltedGrid, UniformBase, WeightedTarget
+from stepdirect.target import ENDPOINT_TOL, GeometricBase, TiltedGrid, UniformBase, WeightedTarget, integer_window
 from stepdirect.treg import (
     NU_SAMPLER_CONFIG,
     CubicBasis,
@@ -62,7 +62,7 @@ from stepdirect.treg import (
     treg_gibbs_run,
     treg_synthetic,
 )
-from tests.test_target import quadratic_target
+from tests.test_target import lopsided_log_w, quadratic_target
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +148,7 @@ class TestDescentWindow:
 
     def test_discrete_target_window(self):
         # A_u is empty at u_hi and holds an integer just below it, checked
-        # on the integers themselves: log_prob_Au reads the solver's outer
-        # window, which at u_hi still holds the integer 1.
+        # on the integers themselves.
         target = cmp_target(CmpParams(2.0, 2.0))
         u_lo = find_u_lo(target)
         u_hi = find_u_hi(target, u_lo)
@@ -157,6 +156,48 @@ class TestDescentWindow:
         log_w = target.log_w(np.arange(3 * math.ceil(target.x_mode) + 51, dtype=float))
         assert not np.any(log_w > math.log(u_hi) + target.log_c)
         assert np.any(log_w > math.log(u_hi * (1.0 - 1e-12)) + target.log_c)
+
+
+class TestTopKnot:
+    """On integer support A_u is empty at u_hi, but the u_hi knot carries
+    the window of the top integer(s): its height is the lower bound of
+    P(A_u) on the last piece, and on the pieces adaptation splits from it."""
+
+    TARGETS = {
+        "cmp(2, 0.05)": lambda: cmp_target(CmpParams(2.0, 0.05)),
+        "cmp(2, 5)": lambda: cmp_target(CmpParams(2.0, 5.0)),
+        # log w(10) reads 1 ulp below log w(11), so 11 is the one top integer.
+        "cmp(10, 1)": lambda: cmp_target(CmpParams(10.0, 1.0)),
+        # w(2) = w(3) exactly.
+        "cmp(3, 1)": lambda: cmp_target(CmpParams(3.0, 1.0)),
+        # log w(4) = log w(5) = -0.25.
+        "tie at 4, 5": lambda: WeightedTarget(
+            log_w=lopsided_log_w(4.5, 1.0, 1.0), x_mode=4.5, log_c=0.0, base=GeometricBase(0.5)
+        ),
+    }
+
+    @pytest.mark.parametrize("method", ["greedy", "equal"])
+    @pytest.mark.parametrize("name", list(TARGETS))
+    def test_u_hi_knot_holds_top_integers(self, name, method):
+        target = self.TARGETS[name]()
+        ks = np.arange(max(math.floor(target.x_mode) - 3, 0), math.ceil(target.x_mode) + 4, dtype=float)
+        log_w = target.log_w(ks)
+        top = ks[log_w == log_w.max()]
+        sampler = DirectSampler(target, SamplerConfig(knot_method=method))
+        table = sampler.step.table
+        u_hi = table.knots[-1]
+        assert u_hi == find_u_hi(target, find_u_lo(target))
+        assert math.isinf(target.log_prob_Au(u_hi))
+        assert integer_window(table.x1[-1], table.x2[-1]) == (top[0], top[-1])
+        log_top = target.base.log_prob(top[0] - 1.0, top[-1] + 1.0)
+        assert table.log_probs[-1] == log_top and table.log_lows[-2] == log_top
+        # The pieces split from the last one keep its finite lower bound
+        # (on CMP(2, 0.05) and CMP(10, 1) rejections split it; elsewhere its
+        # height is its low, and every candidate on it is accepted).
+        u_last = table.knots[-2]
+        sampler.sample(5_000, Rng(3))
+        split = sampler.step.table
+        assert np.all(np.isfinite(split.log_lows[:-1][split.knots[:-1] >= u_last]))
 
 
 class TestKnotSelection:

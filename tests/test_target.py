@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import digamma
@@ -12,11 +12,10 @@ from scipy.special import digamma
 import stepdirect.target
 from stepdirect.car import RHO_MAX, rho_grid_table, rho_target
 from stepdirect.cmp import MAX_LOG_MODE, CmpDecomposition, CmpParams, _drift, cmp_mode, cmp_target
-from stepdirect.errors import DomainError, EmptySetError
+from stepdirect.errors import DomainError, EmptySetError, NonConvergenceError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, SamplerConfig
 from stepdirect.target import (
-    ENDPOINT_TOL,
     GeometricBase,
     UniformBase,
     WeightedTarget,
@@ -244,6 +243,10 @@ class TestWeightedTargetDiscrete:
         assert np.all(target.log_w(draws) > math.log(0.3) + target.log_c)
 
 
+# Integers either side of each window end that check_integer_ends reads.
+INTEGER_BAND = 64
+
+
 def lopsided_log_w(mode: float, left: float, right: float):
     """log w = -left (x - mode)^2 below the mode, -right (x - mode)^2 above."""
 
@@ -278,14 +281,15 @@ class TestEndpointSolver:
             log_c=0.0,
             base=GeometricBase(0.5),
         )
-        # At -25 the set contains x = 0 (log w(0) = -20.25), so the left
-        # endpoint moves one unit past it; the right crossing at 14.5 lies
-        # beyond the first doubling bracket at 12.5.
+        # The ends are integers: the continuous crossings of -1 are 3.5 and
+        # 6.5, so the window holds 4, 5, 6. At -25 the set contains x = 0
+        # (log w(0) = -20.25), so the left end is the open end -1; the right
+        # crossing at 14.5 lies beyond the first doubling bracket at 12.5.
         thr = np.array([-1.0, -25.0])
         x1, x2 = target.interval_endpoints(thr)
-        assert x1 == pytest.approx([3.5, -1.0], abs=1e-9)
-        assert x2 == pytest.approx([6.5, 14.5], abs=1e-9)
-        assert target.interval_endpoints(-1.0) == pytest.approx((3.5, 6.5), abs=1e-9)
+        assert np.array_equal(x1, [3.0, -1.0]) and np.array_equal(x2, [7.0, 15.0])
+        assert target.interval_endpoints(-1.0) == (3.0, 7.0)
+        assert [integer_window(x1, x2)[i].tolist() for i in (0, 1)] == [[4.0, 0.0], [6.0, 14.0]]
 
     def test_doubling_that_never_brackets_raises(self):
         # log w falls by 1e-250 per unit, so the doubled bracket toward the
@@ -298,6 +302,12 @@ class TestEndpointSolver:
         )
         with pytest.raises(DomainError, match="failed to bracket the right superlevel endpoint"):
             target.interval_endpoints(np.array([-1.0, -2.0]))
+
+    def test_integer_bracket_left_too_wide_raises(self):
+        # A bracket that still holds more integers than one read covers
+        # (past the solver's step cap) is refused, not cut short.
+        with pytest.raises(NonConvergenceError, match="hold up to 100 integers"):
+            stepdirect.target._integer_crossing(lambda x: -x, np.array([-1.0]), np.array([100.5]), np.array([0.5]))
 
 
 def reference_crossing(log_w, thr, outside, inside, *_known_log_w):
@@ -408,8 +418,11 @@ class TestSuperlevelSolve:
         n_scratch = len(calls)
         stored = target.superlevel(u, outside)
         assert len(calls) - n_scratch < n_scratch
+        # Both solves end at the same integers, and so give the same windows.
         for x, x_ref in zip(stored[:2], scratch[:2]):
-            assert np.all(np.abs(x - x_ref) <= ENDPOINT_TOL * (1.0 + np.abs(x_ref)))
+            assert np.array_equal(x, np.floor(x)) and np.array_equal(x, x_ref)
+        for end, end_ref in zip(integer_window(*stored[:2]), integer_window(*scratch[:2])):
+            assert np.array_equal(end, end_ref)
 
     @pytest.mark.parametrize("name", ["nu A=120.0", "nu A=400.0", "rho drift=1.0", "rho drift=12.0"])
     def test_continuous_endpoints_match_reference(self, name, monkeypatch):
@@ -425,6 +438,65 @@ class TestSuperlevelSolve:
         ref = integer_window(*self.reference_window(target, self.U_GRID, monkeypatch))
         new = integer_window(*target.superlevel(self.U_GRID)[:2])
         assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+
+    @staticmethod
+    def check_integer_ends(target, seed):
+        """At 40 random u, half of each side started from the stored window
+        of a smaller u: each interior end is an integer with log w at or
+        below the threshold, and the integers inside the window are those
+        that read above it, by enumeration within INTEGER_BAND of each end
+        and at 512 points across the window."""
+        gen = np.random.default_rng(seed)
+        u = 10.0 ** gen.uniform(-12.0, 0.0, size=40)
+        thr = np.log(u) + target.log_c
+        stored_x1, stored_x2, _ = target.superlevel(u * gen.uniform(size=u.size))
+        stored = gen.uniform(size=(2, u.size)) < 0.5
+        starts = (np.where(stored[0], stored_x1, target.base.lo), np.where(stored[1], stored_x2, target.base.hi))
+        x1, x2, log_p = target.superlevel(u, starts)
+        for a, b, t in zip(x1, x2, thr):
+            ends = np.array([e for e in (a, b) if target.base.lo <= e < math.inf])
+            assert np.array_equal(ends, np.floor(ends))
+            assert np.all(target.log_w(ends) <= t)
+            ks = np.concatenate((
+                np.arange(a - INTEGER_BAND, a + INTEGER_BAND + 1),
+                np.arange(b - INTEGER_BAND, b + INTEGER_BAND + 1),
+                np.round(np.linspace(a, b, 512)),
+            ))
+            ks = ks[ks >= 0.0]
+            assert np.array_equal((ks > a) & (ks < b), target.log_w(ks) > t)
+        assert np.array_equal(log_p, target.base.log_prob(x1, x2))
+
+    # Modes up to e^16 (about 8.9e6). Further out, cmp_log_weight's rounding
+    # (tens of ulps of log_c) can exceed the change of log w between an
+    # integer and a point a fraction of a unit past it, so a bracket's
+    # non-integer inside point can read above where the integer next to it
+    # reads below (at mode 8.3e7 a window held an integer reading 3.7e-8
+    # below its threshold).
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(min_value=0.05, max_value=50.0),
+        nu=st.floats(min_value=0.02, max_value=10.0),
+        decomp=st.sampled_from(list(CmpDecomposition)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_cmp_integer_ends_match_enumeration(self, lam, nu, decomp, seed):
+        params = CmpParams(lam, nu)
+        assume(_drift(params, decomp) / nu <= 16.0)
+        self.check_integer_ends(cmp_target(params, decomp), seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.floats(min_value=0.0, max_value=60.0),
+        left=st.floats(min_value=0.0, max_value=3.0),
+        right=st.floats(min_value=0.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_lopsided_integer_ends_match_enumeration(self, mode, left, right, seed):
+        # Curvatures 10^-left and 10^-right on the geometric base.
+        target = WeightedTarget(
+            log_w=lopsided_log_w(mode, 10.0**-left, 10.0**-right), x_mode=mode, log_c=0.0, base=GeometricBase(0.5)
+        )
+        self.check_integer_ends(target, seed)
 
     @given(
         lam=st.floats(min_value=1.0, max_value=5.0),
