@@ -34,17 +34,17 @@ BLAS thread count.
 
 In the rho step log w = F(rho) + theta rho: F(rho) = (1/2) sum log(1 -
 rho lambda_i) is fixed by the data, and only theta = eta'A eta / (2 tau^2)
-changes between iterations. F is tabulated once per data set on a fixed
-grid, with the grid's discrete slopes, and the step carries that table
-under its tilt theta (a TiltedGrid). Its level knots read F + theta rho
-only at the grid points they snap to, about 1,300 of the 38,404, with no
-O(k) term, and the mode search starts from the grid point that one binary
-search of -theta in the slopes gives. Only the mode search and each
-candidate's accept test evaluate log w, at O(k) a point (and the level
-knots too, where the grid is coarser than their cells). X'X, the spectrum
-of D^{-1} A and the table are computed once per data set, the last two on
-first use. `CarData` holds all of this, and is frozen so none of it can
-go stale.
+changes between iterations. F is concave. It is tabulated once per data
+set on a fixed grid, with the grid's discrete slopes and upper bounds on F
+between grid points from its chords, and the step carries that table
+under its tilt theta (a TiltedGrid). Its level envelope reads lower and
+upper bounds on log w at its points, about 1,300, by np.interp on the
+table, with no O(k) term, and the mode search starts from the grid point
+that one binary search of -theta in the slopes gives. Only the mode
+search and each candidate's accept test evaluate log w, at O(k) a point.
+X'X, the spectrum of D^{-1} A and the table are computed once per data
+set, the last two on first use. `CarData` holds all of this, and is
+frozen so none of it can go stale.
 """
 from __future__ import annotations
 
@@ -347,12 +347,12 @@ def rho_grid_table(eigenvalues: np.ndarray) -> TiltedGrid:
 
     The grid has spacing min(1 - rho, RHO_GRID_FLAT) / RHO_GRID_PER_EFOLD,
     dense near 1 where F bends sharply, and runs from rho = 0 through the
-    largest double below 1 to rho = 1: a level point that rounds to within
-    a double of 1 still reads a finite F. F comes from _rho_log_w(lambda,
-    0) itself, RHO_TABLE_BLOCK points at a time, so F + theta rho is, float
-    for float, what rho_target's log_w returns at each grid point. The
-    table also keeps its flat tilts (minus its discrete slopes), which
-    every tilt of it shares.
+    largest double below 1 to rho = 1, where F is -inf. F comes from
+    _rho_log_w(lambda, 0) itself, RHO_TABLE_BLOCK points at a time, so F +
+    theta rho is, float for float, what rho_target's log_w returns at each
+    grid point. The table also keeps its flat tilts (minus its discrete
+    slopes) and its upper bounds on F between grid points, which every
+    tilt of it shares.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     flat = np.arange(0.0, 1.0 - RHO_GRID_FLAT, RHO_GRID_FLAT / RHO_GRID_PER_EFOLD)
@@ -378,8 +378,8 @@ def rho_target(
     has at most one root; the mode is that root or a boundary, found by
     concave_mode; at theta <= 0 it is 0 exactly. ``table`` is
     rho_grid_table(eigenvalues): when given, the target carries it tilted
-    by the drift theta, so log w on the grid is read as F + theta rho at
-    the points used and never formed in full, and the mode search starts
+    by the drift theta, so bounds on log w are read from the table at the
+    points used and never formed in full, and the mode search starts
     from the grid's peak (TiltedGrid.peak), one binary search in the
     table's flat tilts. Raises DomainError unless 0 < tau2 < inf and theta is finite.
     """

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -73,10 +73,6 @@ SCALE_DROP = 0.5
 LEVEL_CELLS = 128
 LEVEL_SPAN = 7
 LEVEL_GROWTH = 1.15
-# A target's grid stands in for log_w only where its spacing, next to the
-# mode and one scale out on each side, is at most this share of a level
-# cell; snapping then moves a point by at most a quarter of a cell.
-GRID_CELL_SHARE = 0.5
 # Fixed arrays of the level construction, computed once: the probe
 # distances as shares of a side's length, and the near and far distances of
 # _side_points in cells. The far ones are running sums of LEVEL_GROWTH^k;
@@ -204,7 +200,8 @@ class LevelEnvelope:
     """A level envelope as cells in x (see level_envelope).
 
     ``bounds`` ascend from base.lo through x_mode, at ``bounds[n_left]``,
-    to base.hi, with log w at each in ``log_w``. Cell i, from bounds[i] to
+    to base.hi, with a lower bound on log w at each in ``log_w`` (log w
+    itself where the target has no grid). Cell i, from bounds[i] to
     bounds[i + 1], has height ``heights[i]`` in [0, 1]; the heights rise to
     1 next to the mode and fall after it, so the cells above a level u form
     one window, whose base mass is h(u). ``cdf`` is the share of the cells'
@@ -242,12 +239,14 @@ class LevelEnvelope:
 
         Knot u_j's window is, on each side, the cells from the mode out to
         the first whose height is at or below u_j. Piece j's lower bound is
-        the base mass of the hull of the points with w / c at or above
-        u_{j+1}, which lies inside A_u for every u below u_{j+1}; the last
-        piece, which ends at u = 1 where P(A_u) falls to 0, gets none.
+        the base mass of the hull of the points whose lower bound on w / c
+        is at or above u_{j+1}, which lies inside A_u for every u below
+        u_{j+1}; the last piece, which ends at u = 1 where P(A_u) falls to
+        0, gets none. The knots are the cells' levels in both bounds, so a
+        point that sets a height counts for the pieces below its lower one.
         """
         b, h, n_left, base = self.bounds, self.heights, self.n_left, self.base
-        levels = np.unique(h)
+        levels = np.unique(np.concatenate((h, np.exp(_cell_levels(self.log_w, n_left) - self.log_c))))
         u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
         x1 = b[h[:n_left].searchsorted(u, side="right")]
         x2 = b[n_left + (-h[n_left:]).searchsorted(-u)]
@@ -437,53 +436,36 @@ def _side_points(m: float, sign: float, end: float, scale: float, length: float)
     return points
 
 
-def _level_points(target: WeightedTarget, x: np.ndarray, sign: np.ndarray):
-    """(x, log w) at points x, each on the side of x_mode that sign gives (-1 left, +1 right).
-
-    Without a grid, log w comes from one log_w call at x. On a target with
-    a grid, each point snaps to its nearest grid point on its own side of
-    x_mode, and log w is read at those grid points only (``log_w_at``): the
-    snap keeps each side's points in order and may repeat one. Raises
-    ModeError where log w exceeds log_c by more than rounding, and
-    DomainError where it is NaN.
-    """
-    grid = target.grid
-    if grid is None:
-        log_w = np.asarray(target.log_w(x), dtype=float)
+def _level_points(target: WeightedTarget, x: np.ndarray):
+    """(lo, hi): bounds on log w at points x, read from the target's grid
+    (``TiltedGrid.bounds``) with no log_w call, or both log w itself, one
+    array from one log_w call, without a grid. Raises ModeError where lo
+    exceeds log_c by more than rounding, and DomainError where it is NaN."""
+    if target.grid is None:
+        lo = hi = np.asarray(target.log_w(x), dtype=float)
     else:
-        grid_x = grid.x
-        # The grid spans the support, so i is the first grid point at or
-        # above x (at least 1), or the one before it where that is nearer.
-        i = grid_x.searchsorted(x)
-        np.maximum(i, 1, out=i)
-        i -= x - grid_x[i - 1] < grid_x[i] - x
-        m, last = target.x_mode, grid_x.size - 1
-        right = int(grid_x.searchsorted(m, side="right"))  # first grid point past the mode
-        left = right - 1 - (grid_x[right - 1] == m)  # last grid point before it
-        # A side of length 0 (x_mode at a support end) snaps to the end.
-        i = np.where(sign > 0, np.maximum(i, min(right, last)), np.minimum(i, max(left, 0)))
-        x, log_w = grid_x[i], grid.log_w_at(i)
+        lo, hi = target.grid.bounds(x)
     limit = target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
-    if not (log_w <= limit).all():
-        nan = np.isnan(log_w)
+    if not (lo <= limit).all():
+        nan = np.isnan(lo)
         if nan.any():
             raise DomainError(f"{target.name or 'target'}: log w({x[nan][0]!r}) is NaN")
-        worst = np.unravel_index(log_w.argmax(), log_w.shape)
+        worst = np.unravel_index(lo.argmax(), lo.shape)
         raise ModeError(
-            f"log w({x[worst]!r}) = {log_w[worst]!r} exceeds log_c = {target.log_c!r}: "
+            f"log w({x[worst]!r}) = {lo[worst]!r} exceeds log_c = {target.log_c!r}: "
             f"x_mode = {target.x_mode!r} is not the maximizer of w"
         )
-    return x, log_w
+    return lo, hi
 
 
-def _grid_resolves(grid_x: np.ndarray, m: float, scales, lengths) -> bool:
-    """Whether the grid spacing at the mode, and one scale out on each side
-    of nonzero length, is at most GRID_CELL_SHARE of that side's cell."""
-    scales, lengths = np.asarray(scales), np.asarray(lengths)
-    k = grid_x.searchsorted(m + SIDE_SIGNS * np.array([[0.0, scales[0]], [0.0, scales[1]]]))
-    np.minimum(np.maximum(k, 1, out=k), grid_x.size - 1, out=k)
-    spacing = (grid_x[k] - grid_x[k - 1]).max(axis=1)
-    return bool(((spacing <= GRID_CELL_SHARE * scales / LEVEL_CELLS) | (lengths == 0)).all())
+def _cell_levels(log_w: np.ndarray, n_left: int) -> np.ndarray:
+    """Each cell's level: the running minimum of log_w, given at the cell
+    bounds, from the mode at bounds[n_left] out to the cell's inner end."""
+    inner = np.concatenate((log_w[1 : n_left + 1], log_w[n_left:-1]))
+    left_inner, right_inner = inner[:n_left][::-1], inner[n_left:]
+    np.minimum.accumulate(left_inner, out=left_inner)
+    np.minimum.accumulate(right_inner, out=right_inner)
+    return inner
 
 
 def level_envelope(target: WeightedTarget) -> LevelEnvelope:
@@ -494,21 +476,19 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     probed distance at which log w has dropped by SCALE_DROP nats, or L.
     The second tabulates each side on cells of s / LEVEL_CELLS out to
     LEVEL_SPAN s, then cells growing by LEVEL_GROWTH, and the support end.
-    On a target with a grid both steps read log w from it instead, at the
-    grid point nearest each point on its side of the mode, and call no
-    log_w; the construction below is the same. Where the grid is too coarse
-    for the cells (see _grid_resolves), the target is built as if it had
-    no grid.
+    On a target with a grid both steps read bounds on log w at the same
+    points from it instead (see _level_points), and call no log_w.
 
     The cell bounds are the tabulated points of both sides, x_mode and the
     support ends, ascending. A cell's height is exp(m - log c), with m the
-    running minimum of log w from the mode out to the cell's inner end. As
-    w is unimodal, w / c is at most that height on the cell, so the cells
-    above a level u form a window that contains A_u. No level is sorted or
-    searched for: one running minimum per side, then one cumsum.
+    running minimum of the upper bounds from the mode out to the cell's
+    inner end. As w is unimodal, w / c is at most that height on the cell,
+    so the cells above a level u form a window that contains A_u. No level
+    is sorted or searched for: one running minimum per side, then one
+    cumsum. The lower bounds are kept for the knot table's.
 
-    Raises DomainError on an integer base, ModeError where a tabulated or
-    grid log w exceeds log_c by more than MODE_SLACK (1 + |log_c|), and
+    Raises DomainError on an integer base, ModeError where a lower bound
+    on log w exceeds log_c by more than MODE_SLACK (1 + |log_c|), and
     DegenerateTargetError where the cells have no mass.
     """
     if target.discrete:
@@ -519,26 +499,17 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     base, m, log_c = target.base, target.x_mode, target.log_c
     lengths = np.array([m - base.lo, base.hi - m])
     probe = lengths[:, None] * PROBE_SHARES
-    x, log_w = _level_points(target, m + SIDE_SIGNS * probe, SIDE_SIGNS)
-    if target.grid is not None:
-        probe = SIDE_SIGNS * (x - m)  # the distances of the grid points read
-    dropped = log_w <= log_c - SCALE_DROP
+    dropped = _level_points(target, m + SIDE_SIGNS * probe)[0] <= log_c - SCALE_DROP
     scales = np.where(dropped.any(axis=1), np.where(dropped, probe, np.inf).min(axis=1), lengths)
-    if target.grid is not None and not _grid_resolves(target.grid.x, m, scales, lengths):
-        return level_envelope(replace(target, grid=None))
     left = _side_points(m, -1.0, base.lo, scales[0], lengths[0])
     right = _side_points(m, 1.0, base.hi, scales[1], lengths[1])
     n_left = left.size
-    x, log_w = _level_points(target, np.concatenate((left, right)), SIDE_SIGNS.repeat((n_left, right.size)))
+    lo, hi = _level_points(target, np.concatenate((left, right)))
     # The points ascending, with x_mode (log w = log_c) between the sides.
-    bounds = np.concatenate((x[:n_left][::-1], [m], x[n_left:]))
-    log_w = np.concatenate((log_w[:n_left][::-1], [log_c], log_w[n_left:]))
-    # log w at each cell's inner end, then its running minimum outward.
-    inner = np.concatenate((log_w[1 : n_left + 1], log_w[n_left:-1]))
-    left_inner, right_inner = inner[:n_left][::-1], inner[n_left:]
-    np.minimum.accumulate(left_inner, out=left_inner)
-    np.minimum.accumulate(right_inner, out=right_inner)
-    heights = np.exp(inner - log_c)
+    bounds = np.concatenate((left[::-1], [m], right))
+    lo = np.concatenate((lo[:n_left][::-1], [log_c], lo[n_left:]))
+    hi = np.concatenate((hi[:n_left][::-1], [log_c], hi[n_left:]))
+    heights = np.exp(_cell_levels(hi, n_left) - log_c)
     cdf = np.empty(bounds.size)
     cdf[0] = 0.0
     (heights * (bounds[1:] - bounds[:-1])).cumsum(out=cdf[1:])
@@ -546,7 +517,7 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     if not total > 0.0:
         raise DegenerateTargetError("step function has zero total mass")
     cdf /= total
-    return LevelEnvelope(base, bounds, heights, cdf, math.log(total / (base.hi - base.lo)), n_left, log_w, log_c)
+    return LevelEnvelope(base, bounds, heights, cdf, math.log(total / (base.hi - base.lo)), n_left, lo, log_c)
 
 
 def build_step(kt: KnotTable) -> StepApprox:

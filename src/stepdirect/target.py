@@ -15,10 +15,11 @@ to it, so every probability can stay on the log scale. The sampler draws x
 on a stored window and keeps it only if w(x) > u c, so a window that is
 slightly too wide costs a little acceptance but never exactness.
 
-A target whose log w is a fixed function plus a linear term, F(x) + theta
-x, may also carry F tabulated on a fixed grid together with theta
-(``TiltedGrid``, on ``WeightedTarget.grid``), and ``concave_mode`` finds
-the mode of a log w with decreasing derivative.
+A target whose log w is a fixed concave function plus a linear term,
+F(x) + theta x, may also carry F tabulated on a fixed grid together with
+theta (``TiltedGrid``, on ``WeightedTarget.grid``), which bounds log w
+between its points, and ``concave_mode`` finds the mode of a log w with
+decreasing derivative.
 """
 from __future__ import annotations
 
@@ -55,6 +56,10 @@ ENUMERATE_STEPS = np.arange(ENUMERATE_WIDTH, dtype=float)
 # MODE_TOL * (1 + |x|) ends the search.
 MODE_TOL = 1e-14
 MODE_MAX_STEPS = 500
+
+# TiltedGrid.f_up sits this far, relative to 1 + |f|, above the chord
+# bounds on F, for the rounding of the table and of log w between its points.
+GRID_SLACK = 1e-9
 
 # TiltedGrid.peak compares the tilted values this many points either side
 # of the step where its binary search on the flat tilts lands.
@@ -165,63 +170,84 @@ class GeometricBase:
 
 @dataclass(frozen=True)
 class TiltedGrid:
-    """log w on fixed points as a fixed table plus a tilt: f_i + theta x_i.
+    """log w as a fixed concave table plus a tilt: F(x) + theta x.
 
-    ``x`` ascends and spans the support, and ``f`` is the fixed part of
-    log w at each x_i; (x, f) is computed once, and only ``theta`` changes
-    from one target to the next (``tilted``). No array of tilted values is
-    formed: a reader takes f[i] + theta * x[i] at the indices it uses
-    (``log_w_at``), which must be, float for float, what the target's
-    log_w returns at x[i].
+    ``x`` ascends and spans the support, and ``f`` is F at each x_i, finite
+    but at the last point, which may be -inf (F(1) on the rho table). Only
+    ``theta`` changes from one target to the next (``tilted``), and no
+    array of tilted values is formed: ``bounds`` reads log w through the
+    table, exactly at grid points, where f[i] + theta * x[i] must be, float
+    for float, what the target's log_w returns.
 
-    ``flat_tilts[i]`` is the tilt -(f[i+1] - f[i]) / (x[i+1] - x[i]) under
-    which the step from x_i to x_{i+1} is level. Left out, it is computed
-    from (x, f); ``tilted`` passes it on, so a tilt costs no O(n) work. For
-    a concave f the flat tilts ascend, and ``peak`` finds the largest
-    tilted value from them by one binary search.
+    ``flat_tilts[i]`` = -(f[i+1] - f[i]) / (x[i+1] - x[i]) is the tilt under
+    which the step from x_i to x_{i+1} is level; F is concave, so they
+    ascend. On a step F lies above its chord and below both neighbouring
+    chords extended (only the left one into f = -inf), and ``f_up[i]`` is
+    f[i] raised by the largest gap between the two on the steps next to
+    x_i, plus GRID_SLACK (1 + |f[i]|). Both are computed once from (x, f),
+    and ``tilted`` passes them on. Raises DomainError where f is not finite
+    or not concave.
     """
 
     x: np.ndarray
     f: np.ndarray
     theta: float = 0.0
     flat_tilts: np.ndarray | None = None
+    f_up: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.flat_tilts is None:
+        if self.f_up is None:
             x, f = np.asarray(self.x, dtype=float), np.asarray(self.f, dtype=float)
-            if not (x.ndim == 1 and x.shape == f.shape and x.size >= 2 and np.all(x[1:] > x[:-1])):
-                raise DomainError("a tilted grid needs ascending points x, at least two, with one f each")
-            # A step with f = -inf at both ends gets a NaN flat tilt.
-            # searchsorted orders NaN above every number, so the tilts stay
-            # in order where such steps lie at the right end, as on the rho
-            # table next to rho = 1.
-            with np.errstate(invalid="ignore"):
-                flat_tilts = (f[:-1] - f[1:]) / (x[1:] - x[:-1])
-            for name, value in (("x", x), ("f", f), ("flat_tilts", flat_tilts)):
+            if not (x.ndim == 1 and x.shape == f.shape and x.size >= 3 and np.all(x[1:] > x[:-1])):
+                raise DomainError("a tilted grid needs ascending points x, at least three, with one f each")
+            if not (np.isfinite(f[:-1]).all() and f[-1] < math.inf):
+                raise DomainError("a tilted grid needs f finite at every point, or -inf at the last")
+            h = x[1:] - x[:-1]
+            flat_tilts = (f[:-1] - f[1:]) / h
+            # The fall in slope at each point; the ends have no chord outside.
+            drop = np.full(x.size, math.inf)
+            np.subtract(flat_tilts[1:], flat_tilts[:-1], out=drop[1:-1])
+            if not (drop >= 0.0).all():
+                rise = x[(drop < 0.0).argmax()]
+                raise DomainError(f"a tilted grid needs a concave f: its slope rises at x = {rise!r}")
+            # The extended chords leave a step's chord at its two ends with
+            # slopes drop_i and -drop_{i+1}, so they cross at the gap
+            # h / (1 / drop_i + 1 / drop_{i+1}).
+            with np.errstate(divide="ignore"):
+                gap = h / (1.0 / drop[:-1] + 1.0 / drop[1:])
+            ends = f.copy()
+            if f[-1] == -math.inf:
+                gap[-1] = 0.0
+                ends[-1] = f[-2] - flat_tilts[-2] * h[-1]
+            lift = np.append(gap, 0.0)
+            np.maximum(lift[1:], gap, out=lift[1:])
+            f_up = ends + lift + GRID_SLACK * (1.0 + np.abs(ends))
+            for name, value in (("x", x), ("f", f), ("flat_tilts", flat_tilts), ("f_up", f_up)):
                 object.__setattr__(self, name, value)
 
     def tilted(self, theta: float) -> TiltedGrid:
-        """The same table under tilt theta."""
-        return TiltedGrid(self.x, self.f, float(theta), self.flat_tilts)
+        """The same table under tilt theta, at no O(n) cost."""
+        return TiltedGrid(self.x, self.f, float(theta), self.flat_tilts, self.f_up)
 
-    def log_w_at(self, i):
-        """log w at the grid points x[i]: f[i] + theta * x[i]."""
-        return self.f[i] + self.theta * self.x[i]
+    def bounds(self, x):
+        """(lo, hi) at points x: the chords of f and of f_up by np.interp, each
+        plus theta x. lo <= log w <= hi, lo up to the rounding of log w, and
+        lo is log w itself at grid points."""
+        tilt = self.theta * x
+        return np.interp(x, self.x, self.f) + tilt, np.interp(x, self.x, self.f_up) + tilt
 
     def peak(self) -> int:
-        """Index of the largest tilted value, the first of equal ones, as
-        np.argmax of f + theta x gives it where the tilted values rise to
-        one peak and fall after it (f concave).
+        """Index of the largest tilted value f + theta x, the first of equal
+        ones, as np.argmax gives it.
 
         The steps still rising under theta are those whose flat tilt is
-        below it, so one searchsorted counts them. Rounding can leave
-        neighbouring flat tilts out of order, or disagree with the sign of
-        the step between the tilted values themselves, so the peak is then
-        taken among the few tilted values around that count.
+        below it, so one searchsorted counts them. Rounding can make a step
+        between the tilted values disagree in sign with its flat tilt, so
+        the peak is taken among the few tilted values around that count.
         """
         i = int(self.flat_tilts.searchsorted(self.theta))
-        lo = max(i - PEAK_REACH, 0)
-        return lo + int(self.log_w_at(slice(lo, i + PEAK_REACH + 1)).argmax())
+        near = slice(max(i - PEAK_REACH, 0), i + PEAK_REACH + 1)
+        return near.start + int((self.f[near] + self.theta * self.x[near]).argmax())
 
 
 @dataclass
@@ -234,10 +260,10 @@ class WeightedTarget:
     on [base.lo, base.hi] or the integers {0, 1, ...}. Instances are
     immutable in practice and safe to share.
 
-    ``grid``, when given, is a ``TiltedGrid``: log w at fixed points x_i
-    spanning the support, read as f_i + theta x_i, each the value ``log_w``
-    itself returns at x_i. ``level_knots`` then reads its points from the
-    grid, at the indices it snaps to, instead of calling ``log_w``.
+    ``grid``, when given, is a ``TiltedGrid``: log w = F(x) + theta x with
+    F concave, tabulated at fixed points x_i spanning the support and exact
+    there. ``level_envelope`` then reads bounds on log w at its points from
+    the grid (``TiltedGrid.bounds``) instead of calling ``log_w``.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]

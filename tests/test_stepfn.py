@@ -33,7 +33,6 @@ from stepdirect.stepfn import (
     SCALE_DROP,
     SCALE_PROBES,
     KnotTable,
-    _grid_resolves,
     _level_points,
     build_step,
     equal_spaced_knots,
@@ -466,17 +465,16 @@ class TestLevelKnots:
             level_envelope(target)
 
     def test_grid_value_above_log_c_raises(self):
-        # The check runs on the values read from the grid: a grid point next
-        # to the mode that reads above log_c is caught without a log_w call.
+        # The check runs on the lower bounds read from the grid: a table
+        # raised by a constant, which keeps it concave, reads above log_c
+        # next to the mode, and is caught without a log_w call.
         target = rho_target(self.EIG6, 20.0, 1.0, rho_grid_table(self.EIG6))
         grid = target.grid
-        i = np.searchsorted(grid.x, target.x_mode)
-        bumped_f = grid.f.copy()
-        bumped_f[i] = target.log_c + 1e-6 - grid.theta * grid.x[i]
-        bumped = TiltedGrid(grid.x, bumped_f, grid.theta)
-        assert bumped.log_w_at(i) > target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
+        raised = TiltedGrid(grid.x, grid.f + 1e-6, grid.theta)
+        lo, _ = raised.bounds(np.array([target.x_mode]))
+        assert lo[0] > target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
         with pytest.raises(ModeError, match="not the maximizer"):
-            level_envelope(replace(target, grid=bumped, log_w=None))
+            level_envelope(replace(target, grid=raised, log_w=None))
 
 
 def reference_side_distances(scale: float, length: float) -> np.ndarray:
@@ -495,7 +493,10 @@ def reference_side_distances(scale: float, length: float) -> np.ndarray:
 def reference_level_envelope(target: WeightedTarget) -> dict:
     """level_envelope's cells and knot table, built side by side outward
     from the mode: a running minimum per side for the cells, and one binary
-    search per level, side and bound for the table.
+    search per level, side and bound for the table. Log w is read as
+    level_envelope reads it, a lower and an upper bound at each point (both
+    log w where the target has no grid): the cells from the upper bounds,
+    the hulls from the lower ones, and the knots from the levels of both.
 
     Returns the arrays named as LevelEnvelope and KnotTable store them.
     """
@@ -504,14 +505,8 @@ def reference_level_envelope(target: WeightedTarget) -> dict:
     lengths = (m - base.lo, base.hi - m)
     signs = (-1.0, 1.0)
     probe = np.array(lengths)[:, None] * 2.0 ** -np.arange(SCALE_PROBES)
-    sign = np.array(signs)[:, None]
-    x, log_w = _level_points(target, m + sign * probe, sign)
-    if target.grid is not None:
-        probe = sign * (x - m)
-    dropped = log_w <= log_c - SCALE_DROP
+    dropped = _level_points(target, m + np.array(signs)[:, None] * probe)[0] <= log_c - SCALE_DROP
     scales = [float(probe[i][dropped[i]].min()) if np.any(dropped[i]) else lengths[i] for i in range(2)]
-    if target.grid is not None and not _grid_resolves(target.grid.x, m, scales, lengths):
-        return reference_level_envelope(replace(target, grid=None))
     grids = [np.empty(0), np.empty(0)]
     for side in range(2):
         if lengths[side] > 0:
@@ -519,24 +514,28 @@ def reference_level_envelope(target: WeightedTarget) -> dict:
             grids[side] = np.append(m + signs[side] * d[:-1], ends[side])
             grids[side] = np.minimum(grids[side], ends[side]) if side else np.maximum(grids[side], ends[side])
     n_left = grids[0].size
-    x, log_w = _level_points(target, np.concatenate(grids), np.repeat(signs, [n_left, grids[1].size]))
-    # Each side's points outward from the mode, where log w = log_c, and the
-    # heights of its cells: the running minimum of w / c out to each cell's inner end.
+    x = np.concatenate(grids)
+    lo, hi = _level_points(target, x)
+    # Each side's points outward from the mode, where log w = log_c, with
+    # both bounds, and the levels of its cells: the running minimum of each
+    # bound on w / c out to each cell's inner end.
     sides = [
-        (np.append(m, xs), np.append(log_c, lw))
-        for xs, lw in zip(np.split(x, [n_left]), np.split(log_w, [n_left]))
+        (np.append(m, xs), np.append(log_c, lw), np.append(log_c, uw))
+        for xs, lw, uw in zip(np.split(x, [n_left]), np.split(lo, [n_left]), np.split(hi, [n_left]))
     ]
-    cells = [np.exp(np.minimum.accumulate(lw)[:-1] - log_c) for _, lw in sides]
+    cells = [np.exp(np.minimum.accumulate(uw)[:-1] - log_c) for _, _, uw in sides]
+    low_cells = [np.exp(np.minimum.accumulate(lw)[:-1] - log_c) for _, lw, _ in sides]
     bounds = np.concatenate((sides[0][0][::-1], sides[1][0][1:]))
     heights = np.concatenate((cells[0][::-1], cells[1]))
     cdf = np.append(0.0, np.cumsum(heights * np.diff(bounds)))
-    levels = np.unique(heights)
+    levels = np.unique(np.concatenate(cells + low_cells))
     u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
     window, hull = [], []
-    for (xs, lw), h in zip(sides, cells):
+    for (xs, lw, _), h in zip(sides, cells):
         # The window ends at the first cell outward that is not above u.
         window.append(xs[np.searchsorted(-h, -u, side="left")])
-        # The hull ends at the last point outward with w / c at or above the next knot.
+        # The hull ends at the last point outward with a lower bound on w / c
+        # at or above the next knot.
         reach = np.maximum.accumulate(np.exp(lw - log_c)[::-1])[::-1]
         hull.append(xs[np.searchsorted(-reach, -u[1:-1], side="right") - 1])
     lp = base.log_prob(window[0], window[1])
