@@ -65,7 +65,7 @@ from scipy.special import ndtr, ndtri
 from .chains import ChainOutput, run_chain
 from .errors import DomainError, NotPositiveDefiniteError
 from .rngstats import Rng
-from .sampler import DirectSampler, SamplerConfig
+from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
@@ -78,7 +78,6 @@ __all__ = [
     "car_eigen_precompute",
     "rho_grid_table",
     "rho_target",
-    "RHO_SAMPLER_CONFIG",
     "draw_beta_car",
     "draw_eta",
     "draw_sigma2_car",
@@ -450,18 +449,11 @@ def draw_tau2(data: CarData, state: CarState, hyper: CarHyper, rng: Rng) -> floa
 # -- rho updates -----------------------------------------------------------
 
 
-# The Gibbs step builds a fresh envelope for each draw and drops it after
-# one accepted value. Level knots build it from the data's rho table with
-# no log_w call and no endpoint solve, and the envelope does not adapt,
-# since a knot inserted into it would never be used.
-RHO_SAMPLER_CONFIG = SamplerConfig(knot_method="level", adapt=False)
-
-
 def draw_rho_direct(
     data: CarData,
     state: CarState,
     rng: Rng,
-    config: SamplerConfig = RHO_SAMPLER_CONFIG,
+    config: SamplerConfig = GIBBS_STEP_CONFIG,
 ):
     """Exact draw of rho from its conditional; returns (rho, report)."""
     target = rho_target(data.eigenvalues, data.eta_a_eta(state.eta), state.tau2, data.rho_table)
@@ -507,7 +499,7 @@ def car_gibbs_run(
     thin: int,
     rho_method: str,
     rng: Rng,
-    config: SamplerConfig | None = None,
+    config: SamplerConfig = GIBBS_STEP_CONFIG,
     sigma_prop: float = 0.05,
     init: CarState | None = None,
 ) -> ChainOutput:
@@ -518,8 +510,6 @@ def car_gibbs_run(
     """
     if rho_method not in ("direct", "mh"):
         raise DomainError(f"unknown rho method {rho_method!r}")
-    if config is None:
-        config = RHO_SAMPLER_CONFIG
     state = init or CarState(
         beta=np.zeros(data.d),
         eta=np.zeros(data.k),

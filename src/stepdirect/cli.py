@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from importlib import metadata
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import treg as treg_mod
 from .car import csv_cell, read_csv, write_csv
 from .errors import DomainError, StepDirectError
 from .rngstats import Rng, summarize
-from .sampler import DirectSampler, SamplerConfig, build_sampler
+from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig, build_sampler
 from .stepfn import MIDPOINT_KINDS, knot_table_rows
 
 __all__ = ["main"]
@@ -148,7 +149,7 @@ def cmd_car(args, out: Path) -> int:
         args.thin,
         args.rho_method,
         Rng(args.seed, 0),
-        config=_gibbs_config(args, car_mod.RHO_SAMPLER_CONFIG),
+        config=replace(GIBBS_STEP_CONFIG, knot_method=args.knot_method, n_init_knots=args.n_knots),
         sigma_prop=args.sigma_prop,
     )
     params = [n for n in chain.names if not n.startswith("eta_")]
@@ -161,13 +162,6 @@ def cmd_car(args, out: Path) -> int:
         [[args.rho_method, args.iters, total, frac]],
     )
     return 0
-
-
-def _gibbs_config(args, library_config: SamplerConfig) -> SamplerConfig:
-    """The library's Gibbs config for level knots; --n-knots otherwise."""
-    if args.knot_method == "level":
-        return library_config
-    return SamplerConfig(n_init_knots=args.n_knots, knot_method=args.knot_method)
 
 
 # -- treg subcommands ------------------------------------------------------
@@ -208,7 +202,7 @@ def cmd_treg(args, out: Path) -> int:
         args.thin,
         args.nu_method,
         Rng(args.seed, 0),
-        config=_gibbs_config(args, treg_mod.NU_SAMPLER_CONFIG),
+        config=replace(GIBBS_STEP_CONFIG, knot_method=args.knot_method, n_init_knots=args.n_knots),
     )
     rejects = _write_chain(out, args, chain, chain.names, "nu_rejects")
     write_csv(

@@ -51,6 +51,7 @@ Envelope = StepApprox | LevelEnvelope
 
 __all__ = [
     "SamplerConfig",
+    "GIBBS_STEP_CONFIG",
     "DirectDrawReport",
     "BuildDiagnostics",
     "DirectSampler",
@@ -85,6 +86,13 @@ class SamplerConfig:
         if self.knot_method not in ("greedy", "equal", "level"):
             raise DomainError(f"unknown knot method {self.knot_method!r}")
         check_knot_rule(self.midpoint_kind, self.omega)
+
+
+# A Gibbs step (rho in car, nu in treg) builds a fresh envelope for each
+# draw and drops it after one accepted value. Level knots build it from
+# the target's grid or two log_w calls, with no endpoint solve, and it does
+# not adapt, since a knot inserted into it would never be used.
+GIBBS_STEP_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,9 @@ class StepApprox:
         return u, float(base.truncated_draw(float(table.x1[j]), float(table.x2[j]), v_x))
 
     def propose_many(self, base, v_u: np.ndarray, v_x: np.ndarray):
-        """``propose`` on arrays of uniforms."""
+        """``propose`` on arrays of uniforms. A body of its own: it masks the
+        candidates whose window holds no support point, which on floats
+        would give 0-d arrays."""
         table = self.table
         u = step_quantile_many(self, v_u)
         j = np.minimum(table.knots.searchsorted(u, side="right") - 1, table.knots.size - 2)
@@ -220,18 +222,17 @@ class LevelEnvelope:
     log_w: np.ndarray
     log_c: float
 
-    def propose(self, base, v_u: float, v_x: float):
-        """One candidate (u, x) from two uniforms, in StepApprox.propose's
+    def propose(self, base, v_u, v_x):
+        """Candidates (u, x) from two uniforms, in StepApprox.propose's
         order: x = np.interp(v_x, cdf, bounds), then u = v_u times the height
-        of x's cell. ``base`` is unused: the cells are its uniform density."""
+        of x's cell. ``base`` is unused: the cells are its uniform density.
+        One body serves floats (``draw``) and arrays (``sample``): no cell
+        is empty of support, so no candidate is masked."""
         # side="right" skips cells of zero mass, whose cdf entries repeat.
-        i = int(self.cdf.searchsorted(v_x, side="right")) - 1
-        return v_u * float(self.heights[i]), float(np.interp(v_x, self.cdf, self.bounds))
-
-    def propose_many(self, base, v_u: np.ndarray, v_x: np.ndarray):
-        """``propose`` on arrays of uniforms."""
         i = self.cdf.searchsorted(v_x, side="right") - 1
         return v_u * self.heights[i], np.interp(v_x, self.cdf, self.bounds)
+
+    propose_many = propose
 
     @cached_property
     def table(self) -> KnotTable:

@@ -24,7 +24,7 @@ decreasing derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -185,49 +185,51 @@ class TiltedGrid:
     chords extended (only the left one into f = -inf), and ``f_up[i]`` is
     f[i] raised by the largest gap between the two on the steps next to
     x_i, plus GRID_SLACK (1 + |f[i]|). Both are computed once from (x, f),
-    and ``tilted`` passes them on. Raises DomainError where f is not finite
-    or not concave.
+    never passed in, and ``tilted`` shares them. Raises DomainError where f
+    is not finite or not concave.
     """
 
     x: np.ndarray
     f: np.ndarray
     theta: float = 0.0
-    flat_tilts: np.ndarray | None = None
-    f_up: np.ndarray | None = None
+    flat_tilts: np.ndarray = field(init=False)
+    f_up: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.f_up is None:
-            x, f = np.asarray(self.x, dtype=float), np.asarray(self.f, dtype=float)
-            if not (x.ndim == 1 and x.shape == f.shape and x.size >= 3 and np.all(x[1:] > x[:-1])):
-                raise DomainError("a tilted grid needs ascending points x, at least three, with one f each")
-            if not (np.isfinite(f[:-1]).all() and f[-1] < math.inf):
-                raise DomainError("a tilted grid needs f finite at every point, or -inf at the last")
-            h = x[1:] - x[:-1]
-            flat_tilts = (f[:-1] - f[1:]) / h
-            # The fall in slope at each point; the ends have no chord outside.
-            drop = np.full(x.size, math.inf)
-            np.subtract(flat_tilts[1:], flat_tilts[:-1], out=drop[1:-1])
-            if not (drop >= 0.0).all():
-                rise = x[(drop < 0.0).argmax()]
-                raise DomainError(f"a tilted grid needs a concave f: its slope rises at x = {rise!r}")
-            # The extended chords leave a step's chord at its two ends with
-            # slopes drop_i and -drop_{i+1}, so they cross at the gap
-            # h / (1 / drop_i + 1 / drop_{i+1}).
-            with np.errstate(divide="ignore"):
-                gap = h / (1.0 / drop[:-1] + 1.0 / drop[1:])
-            ends = f.copy()
-            if f[-1] == -math.inf:
-                gap[-1] = 0.0
-                ends[-1] = f[-2] - flat_tilts[-2] * h[-1]
-            lift = np.append(gap, 0.0)
-            np.maximum(lift[1:], gap, out=lift[1:])
-            f_up = ends + lift + GRID_SLACK * (1.0 + np.abs(ends))
-            for name, value in (("x", x), ("f", f), ("flat_tilts", flat_tilts), ("f_up", f_up)):
-                object.__setattr__(self, name, value)
+        x, f = np.asarray(self.x, dtype=float), np.asarray(self.f, dtype=float)
+        if not (x.ndim == 1 and x.shape == f.shape and x.size >= 3 and np.all(x[1:] > x[:-1])):
+            raise DomainError("a tilted grid needs ascending points x, at least three, with one f each")
+        if not (np.isfinite(f[:-1]).all() and f[-1] < math.inf):
+            raise DomainError("a tilted grid needs f finite at every point, or -inf at the last")
+        h = x[1:] - x[:-1]
+        flat_tilts = (f[:-1] - f[1:]) / h
+        # The fall in slope at each point; the ends have no chord outside.
+        drop = np.full(x.size, math.inf)
+        np.subtract(flat_tilts[1:], flat_tilts[:-1], out=drop[1:-1])
+        if not (drop >= 0.0).all():
+            rise = x[(drop < 0.0).argmax()]
+            raise DomainError(f"a tilted grid needs a concave f: its slope rises at x = {rise!r}")
+        # The extended chords leave a step's chord at its two ends with
+        # slopes drop_i and -drop_{i+1}, so they cross at the gap
+        # h / (1 / drop_i + 1 / drop_{i+1}).
+        with np.errstate(divide="ignore"):
+            gap = h / (1.0 / drop[:-1] + 1.0 / drop[1:])
+        ends = f.copy()
+        if f[-1] == -math.inf:
+            gap[-1] = 0.0
+            ends[-1] = f[-2] - flat_tilts[-2] * h[-1]
+        lift = np.append(gap, 0.0)
+        np.maximum(lift[1:], gap, out=lift[1:])
+        f_up = ends + lift + GRID_SLACK * (1.0 + np.abs(ends))
+        for name, value in (("x", x), ("f", f), ("flat_tilts", flat_tilts), ("f_up", f_up)):
+            object.__setattr__(self, name, value)
 
     def tilted(self, theta: float) -> TiltedGrid:
-        """The same table under tilt theta, at no O(n) cost."""
-        return TiltedGrid(self.x, self.f, float(theta), self.flat_tilts, self.f_up)
+        """The same table under tilt theta, at no O(n) cost: it shares this
+        table's checked arrays, which no constructor argument can replace."""
+        grid = object.__new__(type(self))
+        object.__setattr__(grid, "__dict__", self.__dict__ | {"theta": float(theta)})
+        return grid
 
     def bounds(self, x):
         """(lo, hi) at points x: the chords of f and of f_up by np.interp, each

@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.special import digamma, gammaln, zeta
 
 from .chains import ChainOutput, run_chain
 from .errors import DomainError
 from .rngstats import Rng
-from .sampler import DirectSampler, SamplerConfig
+from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
@@ -39,7 +38,6 @@ __all__ = [
     "compute_A",
     "nu_log_weight",
     "nu_target",
-    "NU_SAMPLER_CONFIG",
     "draw_nu_direct",
     "nu_direct_sample",
     "geweke_nu_star",
@@ -179,14 +177,7 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
     )
 
 
-# The Gibbs step builds a fresh envelope for each draw and drops it after
-# one accepted value. Level knots build it from two log_w calls with no
-# endpoint solve, and the envelope does not adapt, since a knot inserted
-# into it would never be used.
-NU_SAMPLER_CONFIG = SamplerConfig(knot_method="level", adapt=False)
-
-
-def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = NU_SAMPLER_CONFIG):
+def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = GIBBS_STEP_CONFIG):
     """One exact draw of nu; returns (nu, DirectDrawReport). The default
     config builds what the Gibbs step builds."""
     sampler = DirectSampler(nu_target(p), config)
@@ -311,7 +302,7 @@ def treg_gibbs_run(
     thin: int,
     nu_method: str,
     rng: Rng,
-    config: SamplerConfig | None = None,
+    config: SamplerConfig = GIBBS_STEP_CONFIG,
     init: TregState | None = None,
 ) -> ChainOutput:
     """Gibbs scan beta, s, sigma^2, nu for `iters` iterations.
@@ -321,8 +312,6 @@ def treg_gibbs_run(
     """
     if nu_method not in ("direct", "geweke"):
         raise DomainError(f"unknown nu method {nu_method!r}")
-    if config is None:
-        config = NU_SAMPLER_CONFIG
     state = init or TregState(
         beta=np.linalg.lstsq(data.X, data.y, rcond=None)[0],
         sigma2=1.0,
@@ -414,6 +403,10 @@ class CubicBasis:
         return self.knots.size - 4
 
     def design(self, r) -> np.ndarray:
+        # Imported here: scipy.interpolate also loads scipy.optimize, which
+        # nothing else in the package needs.
+        from scipy.interpolate import BSpline
+
         r = np.clip(np.asarray(r, dtype=float), self.lo, self.hi)
         return np.asarray(BSpline.design_matrix(r, self.knots, 3).todense())
 

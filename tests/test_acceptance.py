@@ -15,7 +15,6 @@ import pytest
 from scipy import stats
 
 from stepdirect.car import (
-    RHO_SAMPLER_CONFIG,
     CarHyper,
     car_eigen_precompute,
     car_gibbs_run,
@@ -32,7 +31,7 @@ from stepdirect.cmp import (
     cmp_target,
 )
 from stepdirect.rngstats import Rng, summarize
-from stepdirect.sampler import DirectSampler, SamplerConfig, build_sampler
+from stepdirect.sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig, build_sampler
 from stepdirect.stepfn import (
     equal_spaced_knots,
     find_u_hi,
@@ -42,7 +41,6 @@ from stepdirect.stepfn import (
     total_rect_area,
 )
 from stepdirect.treg import (
-    NU_SAMPLER_CONFIG,
     NuTargetParams,
     TregData,
     TregHyper,
@@ -221,7 +219,7 @@ def _registered_targets():
             (
                 f"rho drift={eta_a_eta / (2 * tau2)}",
                 rho_target(eig, eta_a_eta, tau2),
-                RHO_SAMPLER_CONFIG,
+                GIBBS_STEP_CONFIG,
             )
         )
     for a_const in (120.0, 400.0):
@@ -229,7 +227,7 @@ def _registered_targets():
             (
                 f"nu A={a_const}",
                 nu_target(NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0)),
-                NU_SAMPLER_CONFIG,
+                GIBBS_STEP_CONFIG,
             )
         )
     return entries
@@ -331,7 +329,7 @@ class TestRhoStepExactness:
         eta_a_eta = float(eta @ a @ eta)
         drift = eta_a_eta / (2.0 * tau2)
         target = rho_target(eig, eta_a_eta, tau2)
-        draws, _ = DirectSampler(target, RHO_SAMPLER_CONFIG).sample(100_000, Rng(9))
+        draws, _ = DirectSampler(target, GIBBS_STEP_CONFIG).sample(100_000, Rng(9))
 
         def log_density(rho):
             return 0.5 * np.sum(np.log(1.0 - rho[:, None] * eig), axis=1) + rho * drift

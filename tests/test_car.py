@@ -19,7 +19,6 @@ from scipy.sparse import coo_array, csr_array, csr_matrix
 import stepdirect.car
 from stepdirect.car import (
     RHO_MAX,
-    RHO_SAMPLER_CONFIG,
     CarData,
     CarHyper,
     CarState,
@@ -40,7 +39,7 @@ from stepdirect.car import (
 )
 from stepdirect.errors import DomainError, NotPositiveDefiniteError
 from stepdirect.rngstats import Rng
-from stepdirect.sampler import DirectSampler, rejection_bound
+from stepdirect.sampler import GIBBS_STEP_CONFIG, DirectSampler, rejection_bound
 from stepdirect.stepfn import level_envelope
 from stepdirect.target import TiltedGrid, concave_mode
 
@@ -406,7 +405,7 @@ class TestRhoTarget:
         eig = car_eigen_precompute(a, a.sum(axis=1))
         drift = 4.0
         target = rho_target(eig, eta_a_eta=2.0 * drift, tau2=1.0)
-        draws, _ = DirectSampler(target, RHO_SAMPLER_CONFIG).sample(20_000, Rng(2))
+        draws, _ = DirectSampler(target, GIBBS_STEP_CONFIG).sample(20_000, Rng(2))
         rho, cdf = rho_quadrature_cdf(eig, drift)
         qs = np.linspace(0.05, 0.95, 19)
         edges = np.interp(qs, cdf, rho)
@@ -568,6 +567,15 @@ class TestRhoTable:
             with pytest.raises(DomainError, match="finite"):
                 TiltedGrid(table.x, broken)
 
+    def test_derived_arrays_are_not_arguments(self):
+        # flat_tilts and f_up come from (x, f) alone: an f_up passed in
+        # unchecked could put hi below log w and the draws off, silently.
+        _eig, table = TILTED_TABLES[6]
+        with pytest.raises(TypeError):
+            TiltedGrid(table.x, table.f, 0.0, table.flat_tilts, table.f_up)
+        with pytest.raises(TypeError):
+            TiltedGrid(table.x, table.f, f_up=table.f_up - 1.0)
+
     def test_level_envelope_reads_only_the_table_at_40x40(self, monkeypatch):
         # From 40x40 up a level cell next to the mode can be narrower than
         # the table's spacing; the envelope still calls no log_w.
@@ -625,7 +633,7 @@ class TestRhoTable:
         assert grid.f_up is table.f_up
         # Every point the level envelope reads has lo <= log w <= hi, lo up
         # to the rounding of log w.
-        recording = RecordingGrid(grid.x, grid.f, grid.theta, grid.flat_tilts, grid.f_up)
+        recording = RecordingGrid(grid.x, grid.f, grid.theta)
         envelope = level_envelope(dataclasses.replace(target, grid=recording))
         assert recording.reads
         for x, lo, hi in recording.reads:

@@ -1,18 +1,18 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stepdirect.car
 import stepdirect.treg
-from stepdirect.car import RHO_SAMPLER_CONFIG, car_dump_csv, car_synthetic
+from stepdirect.car import car_dump_csv, car_synthetic
 from stepdirect.cli import build_parser, main
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.rngstats import Rng
-from stepdirect.sampler import DirectSampler, SamplerConfig
-from stepdirect.treg import NU_SAMPLER_CONFIG
+from stepdirect.sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig
 
 
 def read_csv(path):
@@ -87,13 +87,14 @@ class TestThreadsFlag:
 
 
 class TestGibbsConfig:
-    """car and treg run the library's Gibbs step unless told otherwise."""
+    """car and treg run the library's Gibbs step, with the knot flags applied
+    to it: no method adapts an envelope that is used for one draw."""
 
     @pytest.mark.parametrize(
         "command, module, run, library",
         [
-            ("car", stepdirect.car, "car_gibbs_run", RHO_SAMPLER_CONFIG),
-            ("treg", stepdirect.treg, "treg_gibbs_run", NU_SAMPLER_CONFIG),
+            ("car", stepdirect.car, "car_gibbs_run", GIBBS_STEP_CONFIG),
+            ("treg", stepdirect.treg, "treg_gibbs_run", GIBBS_STEP_CONFIG),
         ],
     )
     def test_default_is_library_config(self, command, module, run, library, tmp_path, monkeypatch):
@@ -109,7 +110,11 @@ class TestGibbsConfig:
         assert main(base + ["--out", str(tmp_path / "a")]) == 0
         equal = ["--knot-method", "equal", "--n-knots", "50"]
         assert main(base + equal + ["--out", str(tmp_path / "b")]) == 0
-        assert configs == [library, SamplerConfig(n_init_knots=50, knot_method="equal")]
+        # --n-knots (default 200) reaches every method; level knots ignore it.
+        assert configs == [
+            replace(library, n_init_knots=200),
+            replace(library, n_init_knots=50, knot_method="equal"),
+        ]
 
 
 class TestCar:

@@ -16,7 +16,6 @@ import stepdirect.search
 import stepdirect.stepfn
 import stepdirect.treg
 from stepdirect.car import (
-    RHO_SAMPLER_CONFIG,
     CarState,
     car_eigen_precompute,
     car_synthetic,
@@ -29,6 +28,7 @@ from stepdirect.errors import DegenerateTargetError, DomainError, SamplerStallEr
 from stepdirect.logspace import log_sum_exp
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import (
+    GIBBS_STEP_CONFIG,
     DirectSampler,
     SamplerConfig,
     build_envelope,
@@ -38,7 +38,6 @@ from stepdirect.sampler import (
 from stepdirect.stepfn import DESCENT_TOL, KnotTable, build_step, find_u_hi, find_u_lo, step_logpdf_unnorm
 from stepdirect.target import UniformBase, WeightedTarget, integer_window
 from stepdirect.treg import (
-    NU_SAMPLER_CONFIG,
     NuTargetParams,
     draw_nu_direct,
     geweke_nu_star,
@@ -112,19 +111,19 @@ class TestBuildSampler:
         log_w, endpoints = target.log_w, target.interval_endpoints
         target.log_w = lambda x: calls.append(np.size(x)) or log_w(x)
         target.interval_endpoints = lambda *args: solves.append(args) or endpoints(*args)
-        build_sampler(target, NU_SAMPLER_CONFIG)
+        build_sampler(target, GIBBS_STEP_CONFIG)
         assert len(calls) == 2 and solves == []
 
     @pytest.mark.parametrize("name", ["rho drift=1.0", "rho drift=12.0", "nu A=120.0", "nu A=400.0"])
     def test_gibbs_configs_start_at_descent_tol(self, name):
-        # The Gibbs configs use level knots, whose u_lo is the smallest
+        # The Gibbs config uses level knots, whose u_lo is the smallest
         # positive cell height, with no DESCENT_TOL floor: at or above the
         # smallest positive tabulated level w(x_i) / c, as a cell's height is
         # the lowest level from the mode out to its inner end. On the nu
         # targets it lies far below that floor; on the rho targets w(1) = 0
         # gives no knot, and the next level is far above it.
         target, cfg = {n: (t, c) for n, t, c in _registered_targets()}[name]
-        assert cfg in (NU_SAMPLER_CONFIG, RHO_SAMPLER_CONFIG) and cfg.knot_method == "level"
+        assert cfg == GIBBS_STEP_CONFIG
         tables = []
         log_w = target.log_w
 
@@ -172,10 +171,10 @@ class TestBuildSampler:
         summed = stepdirect.sampler.log_total_rect_area
         monkeypatch.setattr(stepdirect.sampler, "log_total_rect_area", lambda kt: calls.append(kt) or summed(kt))
         target = nu_target(NuTargetParams(n=200, A=180.0, a_nu=0.01, b_nu=200.0))
-        sampler = DirectSampler(target, NU_SAMPLER_CONFIG)
+        sampler = DirectSampler(target, GIBBS_STEP_CONFIG)
         sampler.draw(Rng(0))
         assert calls == []
-        assert sampler.diagnostics == build_sampler(target, NU_SAMPLER_CONFIG)[1]
+        assert sampler.diagnostics == build_sampler(target, GIBBS_STEP_CONFIG)[1]
         assert len(calls) == 2
 
     def test_diagnostics_consistent(self):
@@ -270,7 +269,7 @@ class TestLevelEnvelope:
         # (h_j - h_{j+1}) du in place of (h_j - low_j) du falls below it
         # on both targets.
         target = nu_target(NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0))
-        step, diag = build_sampler(target, NU_SAMPLER_CONFIG)
+        step, diag = build_sampler(target, GIBBS_STEP_CONFIG)
         rejection = -math.expm1(log_weight_mass(target) - step.log_a)
         assert 0.0 < rejection <= diag.rejection_bound
 
@@ -280,7 +279,7 @@ class TestLevelEnvelope:
             target = nu_target(NuTargetParams(n=200, A=180.0, a_nu=0.01, b_nu=200.0))
         else:
             target = continuous_targets()[3]
-        draws, _ = DirectSampler(target, NU_SAMPLER_CONFIG).sample(100_000, Rng(21))
+        draws, _ = DirectSampler(target, GIBBS_STEP_CONFIG).sample(100_000, Rng(21))
         grid = np.linspace(target.base.lo, target.base.hi, 400_001)
         with np.errstate(divide="ignore"):
             density = np.exp(target.log_w(grid) - target.log_c)
@@ -295,7 +294,7 @@ class TestLevelEnvelope:
         # against the independent truncated-exponential rejection sampler.
         p = NuTargetParams(n=200, A=a_const, a_nu=0.01, b_nu=200.0)
         n = 100_000
-        direct, report = DirectSampler(nu_target(p), NU_SAMPLER_CONFIG).sample(n, Rng(31))
+        direct, report = DirectSampler(nu_target(p), GIBBS_STEP_CONFIG).sample(n, Rng(31))
         baseline, _ = geweke_sample_many(p, n, Rng(32))
         assert stats.ks_2samp(direct, baseline).pvalue > 0.01
         assert report.n_rejected / (n + report.n_rejected) < 0.01
@@ -311,9 +310,9 @@ class TestLevelEnvelope:
             a = lattice_adjacency(6)
             target = rho_target(car_eigen_precompute(a, a.sum(axis=1)), -4.0, 1.0)
             assert target.x_mode == 0.0
-        envelope = build_envelope(target, NU_SAMPLER_CONFIG)
+        envelope = build_envelope(target, GIBBS_STEP_CONFIG)
         assert envelope.n_left == (envelope.bounds.size - 1 if name == "nu mode at b_nu" else 0)
-        draws, _ = DirectSampler(target, NU_SAMPLER_CONFIG).sample(100_000, Rng(33))
+        draws, _ = DirectSampler(target, GIBBS_STEP_CONFIG).sample(100_000, Rng(33))
         # Binned TV against quadrature of w over 20 equal-probability bins.
         grid = np.linspace(target.base.lo, target.base.hi, 400_001)
         with np.errstate(divide="ignore"):
@@ -345,11 +344,11 @@ class TestGibbsStepCalls:
         return pstats.Stats(profile).total_calls
 
     def test_nu_step(self):
-        # 171 calls.
+        # 172 calls.
         assert self.calls(draw_nu_direct, NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)) <= 188
 
     def test_rho_step(self):
-        # 163 calls, on the 6x6 lattice with its rho table.
+        # 170 calls, on the 6x6 lattice with its rho table.
         data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
         state = CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
         assert self.calls(draw_rho_direct, data, state) <= 179
@@ -406,7 +405,7 @@ class TestDraw:
         if name == "greedy":
             target, config = quadratic_target(scale=2000.0), SamplerConfig(n_init_knots=1, adapt=False)
         elif name == "rho-level":
-            target, config = continuous_targets()[3], RHO_SAMPLER_CONFIG
+            target, config = continuous_targets()[3], GIBBS_STEP_CONFIG
         elif name == "adaptive-greedy":
             target, config = quadratic_target(scale=2000.0), SamplerConfig(n_init_knots=1)
         else:

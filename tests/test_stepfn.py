@@ -24,7 +24,7 @@ from stepdirect.car import (
 from stepdirect.cmp import CmpParams, cmp_target
 from stepdirect.errors import BracketError, DomainError, ModeError
 from stepdirect.rngstats import Rng
-from stepdirect.sampler import DirectSampler, SamplerConfig, build_sampler, rejection_bound
+from stepdirect.sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig, build_sampler, rejection_bound
 from stepdirect.stepfn import (
     LEVEL_CELLS,
     LEVEL_GROWTH,
@@ -51,7 +51,6 @@ from stepdirect.stepfn import (
 )
 from stepdirect.target import ENDPOINT_TOL, GeometricBase, TiltedGrid, UniformBase, WeightedTarget, integer_window
 from stepdirect.treg import (
-    NU_SAMPLER_CONFIG,
     CubicBasis,
     NuTargetParams,
     TregData,
@@ -670,7 +669,7 @@ class TestDeferredLows:
         # The table, the bound, the diagnostics and the rows are those of
         # reference_level_envelope's table over the envelope's own area a.
         for target in self.level_targets(car6):
-            sampler = DirectSampler(target, NU_SAMPLER_CONFIG)
+            sampler = DirectSampler(target, GIBBS_STEP_CONFIG)
             ref = reference_level_envelope(target)
             table = KnotTable(*(ref[name] for name in ("knots", "log_probs", "x1", "x2", "log_lows")))
             assert np.array_equal(sampler.step.table.log_lows, ref["log_lows"])

@@ -10,9 +10,8 @@ from scipy import stats
 
 from stepdirect.errors import DomainError
 from stepdirect.rngstats import Rng
-from stepdirect.sampler import SamplerConfig
+from stepdirect.sampler import GIBBS_STEP_CONFIG, SamplerConfig
 from stepdirect.treg import (
-    NU_SAMPLER_CONFIG,
     CubicBasis,
     NuTargetParams,
     TregData,
@@ -98,7 +97,7 @@ class TestNuTarget:
 
     def test_direct_draws_match_quadrature(self):
         p = NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0)
-        draws, _ = nu_direct_sample(p, 20_000, Rng(1), NU_SAMPLER_CONFIG)
+        draws, _ = nu_direct_sample(p, 20_000, Rng(1), GIBBS_STEP_CONFIG)
         nu, cdf = nu_quadrature_cdf(p)
         qs = np.linspace(0.05, 0.95, 19)
         edges = np.interp(qs, cdf, nu)
@@ -114,7 +113,7 @@ class TestNuTarget:
 
     def test_scalar_draw_defaults_to_the_gibbs_envelope(self):
         p = NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0)
-        assert draw_nu_direct(p, Rng(3)) == draw_nu_direct(p, Rng(3), NU_SAMPLER_CONFIG)
+        assert draw_nu_direct(p, Rng(3)) == draw_nu_direct(p, Rng(3), GIBBS_STEP_CONFIG)
         assert draw_nu_direct(p, Rng(3)) != draw_nu_direct(p, Rng(3), SamplerConfig())
 
 
@@ -148,7 +147,7 @@ class TestGewekeSampler:
 
     def test_scalar_and_bulk_agree_with_direct(self, p):
         d1, _ = geweke_sample_many(p, 10_000, Rng(4))
-        d2, _ = nu_direct_sample(p, 10_000, Rng(5), NU_SAMPLER_CONFIG)
+        d2, _ = nu_direct_sample(p, 10_000, Rng(5), GIBBS_STEP_CONFIG)
         assert stats.ks_2samp(d1, d2).pvalue > 0.01
 
     def test_scalar_draw_in_box(self, p):
