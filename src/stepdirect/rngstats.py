@@ -48,16 +48,7 @@ class Rng:
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
-    def spawn(self, stream: int) -> "Rng":
-        """Independent stream with the same seed."""
-        return Rng(self.seed, stream)
-
     # -- scalar / vector draws -------------------------------------------
-
-    def uniform(self, a: float = 0.0, b: float = 1.0, size=None):
-        if not a < b:
-            raise DomainError(f"uniform requires a < b, got [{a}, {b})")
-        return self.generator.uniform(a, b, size=size)
 
     def gamma(self, shape: float, rate: float, size=None):
         if shape <= 0 or rate <= 0:

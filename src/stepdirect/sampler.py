@@ -153,9 +153,8 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
     The greedy and equal knots cover a descent window [u_lo, u_hi], both in
     closed form with no search. u_lo is find_u_lo's: the smaller of w at
     the two support ends over c (w = 0 at an infinite end), floored at
-    DESCENT_TOL, or at u_hi / 2 where that is lower. u_hi is find_u_hi's:
-    1 on a continuous base, where w attains c at x_mode, and the largest
-    w(k) / c on integer support, past which A_u is empty. The table gains a
+    DESCENT_TOL. u_hi is find_u_hi's: 1 on every base, since c is the
+    largest w on the support, attained at x_mode. The table gains a
     head knot at u = 0 with the full support as its window and log P(A_0)
     as its height, so the piece on [0, u_lo) dominates P(A_u) whatever u_lo is.
     The extra rectangle is counted in the rejection bound, and adaptive

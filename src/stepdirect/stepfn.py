@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BracketError, DegenerateTargetError, DomainError, ModeError
+from .errors import DegenerateTargetError, DomainError, ModeError
 from .logspace import log_diff_exp, log_sum_exp
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
@@ -60,9 +60,8 @@ __all__ = [
 
 MIDPOINT_KINDS = ("arithmetic", "geometric", "hybrid")
 
-# Floor of find_u_lo: the greedy and equal knots start no lower than this,
-# or than half of u_hi where A_u empties below it on integer support. The
-# head knot at u = 0 carries P(A_0), so the envelope dominates P(A_u)
+# Floor of find_u_lo: the greedy and equal knots start no lower than this.
+# The head knot at u = 0 carries P(A_0), so the envelope dominates P(A_u)
 # below the floor too.
 DESCENT_TOL = 1e-10
 
@@ -267,44 +266,16 @@ def _mid(kind: str, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _top_level(target: WeightedTarget):
-    """(u_top, x1, x2): the smallest u with A_u empty, and the window of the
-    points where w / c reaches it.
-
-    On a continuous base that is 1 and (x_mode, x_mode): w attains c at
-    x_mode. On integer support u_top is the largest w(k) / c, which for a
-    unimodal w is at floor(x_mode) or ceil(x_mode), from one log_w call,
-    and the window holds the one or two of them where it is reached. u_top
-    is capped at 1, since log w at a large integer mode can round above
-    log_c.
-    """
-    m = target.x_mode
-    if not target.discrete:
-        return 1.0, m, m
-    k = np.array([math.floor(m), math.ceil(m)], dtype=float)
-    log_w = target.log_w(k)
-    log_top = float(np.max(log_w)) - target.log_c
-    u_top = min(1.0, math.exp(log_top))
-    if not u_top >= sys.float_info.min:
-        raise DomainError(
-            f"the top integer level w(k) / c = exp({log_top:.6g}) is below the smallest normal double"
-        )
-    top = k[log_w == log_w.max()]
-    return u_top, float(top[0]) - 1.0, float(top[-1]) + 1.0
-
-
 def _knot_table(target: WeightedTarget, u, x1, x2, log_p) -> KnotTable:
     """The KnotTable of solved knots u ascending to u_hi, where a last knot
-    at u_top on integer support (see _top_level) gets the window of the top
-    integers and their mass. A_u is empty there, but that knot has no
+    at u = 1 on integer support gets the window of the integers that read
+    at log c, ties kept, and their mass. A_1 is empty, but that knot has no
     piece: its height is the lower bound of P(A_u) on the piece below it,
-    where A_u holds the top integers. The greedy split keys read the solved
+    where A_u holds those integers. The greedy split keys read the solved
     height, so the knots are placed before it is replaced."""
-    if target.discrete:
-        u_top, top_1, top_2 = _top_level(target)
-        if u[-1] == u_top:
-            x1[-1], x2[-1] = top_1, top_2
-            log_p[-1] = target.base.log_prob(top_1, top_2)
+    if target.discrete and u[-1] == 1.0:
+        x1[-1], x2[-1] = target.interval_endpoints(np.nextafter(target.log_c, -np.inf))
+        log_p[-1] = target.base.log_prob(x1[-1], x2[-1])
     return KnotTable(u, log_p, x1, x2)
 
 
@@ -315,11 +286,9 @@ def find_u_lo(target: WeightedTarget) -> float:
     passes the smaller of w at the two support ends over c: one log_w call
     at the two ends gives the drop in closed form. An infinite end counts
     as w = 0 there, without a log_w call, so on a geometric base the drop
-    is at u = 0. A drop below the floor is returned as the floor; the
-    envelope stays valid regardless because the built step carries P(A_0)
-    on the leading piece. The floor is DESCENT_TOL, or half of find_u_hi's
-    result where that is lower: on integer support A_u can empty below
-    DESCENT_TOL (CMP(2, 200) has w(1) / c = 5.1e-11).
+    is at u = 0 and no log_w is called. A drop below the floor is returned
+    as the floor; the envelope stays valid regardless because the built
+    step carries P(A_0) on the leading piece.
     """
     base = target.base
     ends = np.array([base.lo, base.hi])
@@ -329,21 +298,15 @@ def find_u_lo(target: WeightedTarget) -> float:
         log_drop = -math.inf
     if not log_drop < 0.0:
         raise DegenerateTargetError("w at both support ends reaches its maximum; w has no descent")
-    return max(min(DESCENT_TOL, 0.5 * _top_level(target)[0]), math.exp(log_drop))
+    return max(DESCENT_TOL, math.exp(log_drop))
 
 
 def find_u_hi(target: WeightedTarget, u_lo: float) -> float:
-    """Smallest u with A_u empty, in closed form (see _top_level): 1 on a
-    continuous base, and on integer support one log_w call at the two
-    integers next to x_mode. Raises BracketError where A_u is already empty
-    at u_lo.
-    """
+    """Smallest u with A_u empty: 1 on every base, as c is the largest w on
+    the support, attained at x_mode."""
     if not 0.0 < u_lo < 1.0:
         raise DomainError("u_lo must lie in (0, 1)")
-    u_hi = _top_level(target)[0]
-    if not u_lo < u_hi:
-        raise BracketError("P(A_u) is already zero at u_lo")
-    return u_hi
+    return 1.0
 
 
 def select_knots(

@@ -262,6 +262,13 @@ class WeightedTarget:
     on [base.lo, base.hi] or the integers {0, 1, ...}. Instances are
     immutable in practice and safe to share.
 
+    On integer support c is the largest w on the support, not that of the
+    extension: given the extension's mode, the target reads log w at
+    floor(x_mode) and ceil(x_mode) in one call and keeps the first
+    maximizer and its log w as ``x_mode`` and ``log_c``, so that, w being
+    unimodal, every w(k) / c is at most 1 and A_u empties at u = 1.
+    Raises DomainError where neither reads finite.
+
     ``grid``, when given, is a ``TiltedGrid``: log w = F(x) + theta x with
     F concave, tabulated at fixed points x_i spanning the support and exact
     there. ``level_envelope`` then reads bounds on log w at its points from
@@ -275,6 +282,18 @@ class WeightedTarget:
     name: str = ""
     grid: TiltedGrid | None = None
 
+    def __post_init__(self):
+        if not self.base.discrete:
+            return
+        k = np.array([math.floor(self.x_mode), math.ceil(self.x_mode)], dtype=float)
+        log_w = np.asarray(self.log_w(k), dtype=float)
+        top = int(np.argmax(np.where(np.isfinite(log_w), log_w, -np.inf)))
+        if not math.isfinite(log_w[top]):
+            raise DomainError(
+                f"{self.name or 'target'}: log w is not finite at either integer next to x_mode = {self.x_mode!r}"
+            )
+        self.x_mode, self.log_c = float(k[top]), float(log_w[top])
+
     @property
     def discrete(self) -> bool:
         return self.base.discrete
@@ -286,13 +305,13 @@ class WeightedTarget:
 
         Thresholds are passed on the log scale; -inf yields the full
         support. Accepts scalars or arrays. When the threshold reaches
-        log_c the set is empty and the window collapses onto x_mode (on
-        integer support onto floor(x_mode)). w is unimodal, so the set is
-        one interval with one crossing on each side of the mode, and both
-        sides are solved together: one ``log_w`` call at the outside ends
-        of all brackets, then one ``_bisect_crossing`` loop. On integer
-        support each end is an integer, and the integers strictly inside
-        (x1, x2) are exactly those k with log w(k) above the threshold.
+        log_c the set is empty and the window collapses onto x_mode. w is
+        unimodal, so the set is one interval with one crossing on each side
+        of the mode, and both sides are solved together: one ``log_w`` call
+        at the outside ends of all brackets, then one ``_bisect_crossing``
+        loop. On integer support each end is an integer, and the integers
+        strictly inside (x1, x2) are exactly those k with log w(k) above the
+        threshold.
 
         A bracket's outside end is the end of ``outside`` on its side where
         that lies strictly inside the support; ``outside`` optionally gives,
@@ -310,7 +329,7 @@ class WeightedTarget:
         # a boundary point with w above the threshold must sit strictly
         # inside: the open end lies one unit past it.
         pad = 1.0 if discrete else 0.0
-        x1 = np.full(thr.shape, float(math.floor(self.x_mode)) if discrete else self.x_mode)
+        x1 = np.full(thr.shape, self.x_mode)
         x2 = x1.copy()
         full = np.isneginf(thr)
         x1[full] = lo - pad

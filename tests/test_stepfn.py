@@ -22,7 +22,7 @@ from stepdirect.car import (
     rho_target,
 )
 from stepdirect.cmp import CmpParams, cmp_target
-from stepdirect.errors import BracketError, DomainError, ModeError
+from stepdirect.errors import DomainError, ModeError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig, build_sampler, rejection_bound
 from stepdirect.stepfn import (
@@ -49,7 +49,7 @@ from stepdirect.stepfn import (
     step_quantile_many,
     total_rect_area,
 )
-from stepdirect.target import ENDPOINT_TOL, GeometricBase, TiltedGrid, UniformBase, WeightedTarget, integer_window
+from stepdirect.target import ENDPOINT_TOL, GeometricBase, TiltedGrid, UniformBase, WeightedTarget
 from stepdirect.treg import (
     CubicBasis,
     NuTargetParams,
@@ -135,10 +135,12 @@ class TestDescentWindow:
         assert u_lo == pytest.approx(math.exp(-5.0 * 0.49), abs=1e-8)
 
     def test_find_u_hi_needs_mass_at_u_lo(self):
-        # This discrete target's superlevel set empties just below u = 1.
+        # c is w at the top integer, so on integer support too A_u holds mass
+        # at every u_lo below 1, and u_hi = 1 ends the window above it.
         target = cmp_target(CmpParams(2.0, 5.0))
-        with pytest.raises(BracketError):
-            find_u_hi(target, 1.0 - 1e-12)
+        u_lo = 1.0 - 1e-12
+        assert target.log_prob_Au(u_lo) > -math.inf
+        assert find_u_hi(target, u_lo) == 1.0
 
     def test_find_u_hi_domain(self, quad):
         with pytest.raises(DomainError):
@@ -157,37 +159,43 @@ class TestDescentWindow:
 
 
 class TestTopKnot:
-    """On integer support A_u is empty at u_hi, but the u_hi knot carries
-    the window of the top integer(s): its height is the lower bound of
-    P(A_u) on the last piece, and on the pieces adaptation splits from it."""
+    """On integer support A_u is empty at u_hi = 1, but the u = 1 knot
+    carries the window of the integers that read at log c, ties kept, from
+    one solve at the threshold just below log c: its height is the lower
+    bound of P(A_u) on the last piece, and on the pieces adaptation splits
+    from it."""
 
+    # Each target with the window of its top integers.
     TARGETS = {
-        "cmp(2, 0.05)": lambda: cmp_target(CmpParams(2.0, 0.05)),
-        "cmp(2, 5)": lambda: cmp_target(CmpParams(2.0, 5.0)),
+        "cmp(2, 0.05)": (lambda: cmp_target(CmpParams(2.0, 0.05)), (1048595.0, 1048597.0)),
+        "cmp(2, 5)": (lambda: cmp_target(CmpParams(2.0, 5.0)), (0.0, 2.0)),
         # log w(10) reads 1 ulp below log w(11), so 11 is the one top integer.
-        "cmp(10, 1)": lambda: cmp_target(CmpParams(10.0, 1.0)),
-        # w(2) = w(3) exactly.
-        "cmp(3, 1)": lambda: cmp_target(CmpParams(3.0, 1.0)),
+        "cmp(10, 1)": (lambda: cmp_target(CmpParams(10.0, 1.0)), (10.0, 12.0)),
+        # w(3) = w(4) exactly.
+        "cmp(3, 1)": (lambda: cmp_target(CmpParams(3.0, 1.0)), (2.0, 5.0)),
         # log w(4) = log w(5) = -0.25.
-        "tie at 4, 5": lambda: WeightedTarget(
-            log_w=lopsided_log_w(4.5, 1.0, 1.0), x_mode=4.5, log_c=0.0, base=GeometricBase(0.5)
+        "tie at 4, 5": (
+            lambda: WeightedTarget(
+                log_w=lopsided_log_w(4.5, 1.0, 1.0), x_mode=4.5, log_c=0.0, base=GeometricBase(0.5)
+            ),
+            (3.0, 6.0),
         ),
     }
 
     @pytest.mark.parametrize("method", ["greedy", "equal"])
     @pytest.mark.parametrize("name", list(TARGETS))
     def test_u_hi_knot_holds_top_integers(self, name, method):
-        target = self.TARGETS[name]()
-        ks = np.arange(max(math.floor(target.x_mode) - 3, 0), math.ceil(target.x_mode) + 4, dtype=float)
-        log_w = target.log_w(ks)
-        top = ks[log_w == log_w.max()]
+        make, window = self.TARGETS[name]
+        target = make()
+        assert target.interval_endpoints(np.nextafter(target.log_c, -np.inf)) == window
+        top = np.arange(window[0] + 1.0, window[1])
+        assert np.all(target.log_w(top) == target.log_c)
+        assert np.all(target.log_w(np.array(window)) < target.log_c)
         sampler = DirectSampler(target, SamplerConfig(knot_method=method))
         table = sampler.step.table
-        u_hi = table.knots[-1]
-        assert u_hi == find_u_hi(target, find_u_lo(target))
-        assert math.isinf(target.log_prob_Au(u_hi))
-        assert integer_window(table.x1[-1], table.x2[-1]) == (top[0], top[-1])
-        log_top = target.base.log_prob(top[0] - 1.0, top[-1] + 1.0)
+        assert table.knots[-1] == 1.0 and math.isinf(target.log_prob_Au(1.0))
+        assert (table.x1[-1], table.x2[-1]) == window
+        log_top = target.base.log_prob(*window)
         assert table.log_probs[-1] == log_top and table.log_lows[-2] == log_top
         # The pieces split from the last one keep its finite lower bound
         # (on CMP(2, 0.05) and CMP(10, 1) rejections split it; elsewhere its

@@ -228,11 +228,23 @@ class TestWeightedTargetDiscrete:
         assert 0.0 in draws
 
     def test_window_shrinks_to_mode(self):
+        # x_mode is the integer where w is largest, so just below log_c the
+        # window holds it alone, and at log_c it collapses onto it.
         target = cmp_target(CmpParams(2.0, 2.0))
-        thr_hi = target.log_c - 1e-9
-        x1, x2 = target.interval_endpoints(thr_hi)
-        assert x2 - x1 < 2.0
-        assert x1 <= target.x_mode <= x2
+        m = target.x_mode
+        assert target.interval_endpoints(target.log_c - 1e-9) == (m - 1.0, m + 1.0)
+        assert target.interval_endpoints(target.log_c) == (m, m)
+
+    def test_mode_without_a_finite_weight_raises(self):
+        # c is read at the integers next to x_mode, so one must read finite.
+        for value in (-np.inf, np.nan):
+            with pytest.raises(DomainError, match="not finite at either integer next to x_mode = 2.5"):
+                WeightedTarget(
+                    log_w=lambda x, value=value: np.full(np.shape(x), value),
+                    x_mode=2.5,
+                    log_c=0.0,
+                    base=GeometricBase(0.5),
+                )
 
     def test_draws_match_support(self):
         target = cmp_target(CmpParams(2.0, 0.5))
