@@ -10,7 +10,8 @@ log w(x) > log u + log c: with probability P(A_u) / h(u), and then x
 follows the base truncated to A_u, so accepted x are exact variates from
 the weighted target. No candidate solves for A_u. ``draw`` runs
 candidates one at a time on Python floats and ``sample`` runs them in
-vectorized blocks, with the same uniforms and the same accept rule.
+vectorized blocks, with the same uniforms, the same accept rule and the
+envelope's one ``propose`` for both.
 Optionally the rejected u become new knots through one helper, tightening
 the envelope as sampling runs: ``draw`` inserts each before its next
 candidate, ``sample`` a block's in one solve and one rebuild.
@@ -26,8 +27,8 @@ import numpy as np
 from .errors import DomainError, SamplerStallError
 from .rngstats import Rng
 # step_logpdf_unnorm, step_quantile and step_quantile_many are not called
-# here (the envelopes propose), but stay importable from this module:
-# perfbench/spans.py wraps them by name.
+# here, nor by the envelopes' propose, but stay importable from this
+# module: perfbench/spans.py wraps them by name.
 from .stepfn import (
     KnotTable,
     LevelEnvelope,
@@ -209,29 +210,29 @@ class DirectSampler:
     def rejection_bound(self) -> float:
         return rejection_bound(self.step)
 
-    def _propose(self, m: int, rng: Rng, report: AggregateReport):
-        """Propose m candidates; return the accepted (u, x) in order.
+    def _propose(self, m: int, rng: Rng, report: AggregateReport, since: int):
+        """Propose m candidates; return the accepted x in order and the
+        rejections since the last accepted draw, given ``since`` before it.
 
         Takes two uniforms per candidate, all m of the first and then all m
         of the second, which the envelope turns into (u, x), and evaluates
-        log w once per candidate. A candidate whose x is NaN (its window
-        holds no support point) is rejected without one. Rejections are
-        counted on ``report``, and more than MAX_REJECTS in total raise
-        SamplerStallError. In adaptive mode the rejected u become knots
-        (``_insert``).
+        log w once per candidate. Rejections are counted on ``report``;
+        more than MAX_REJECTS since the last accepted draw, counted at the
+        block's end, raise SamplerStallError. In adaptive mode the rejected
+        u become knots (``_insert``).
         """
         uniform, target = rng.generator.uniform, self.target
-        u, x = self.step.propose_many(target.base, uniform(size=m), uniform(size=m))
-        live = ~np.isnan(x)
-        accept = np.zeros(m, dtype=bool)
+        u, x = self.step.propose(target.base, uniform(size=m), uniform(size=m))
         with np.errstate(divide="ignore"):
-            accept[live] = target.log_w(x[live]) > np.log(u[live]) + target.log_c
+            accept = target.log_w(x) > np.log(u) + target.log_c
         rejected = u[~accept]
         report.n_rejected += rejected.size
-        self._check_stall(report.n_rejected, report.n_draws)
+        x = x[accept]
+        since = int(accept[::-1].argmax()) if x.size else since + m
+        self._check_stall(since, report.n_draws + x.size)
         if self.config.adapt and rejected.size:
             report.knots_inserted += self._insert(rejected)
-        return u[accept], x[accept]
+        return x, since
 
     def _insert(self, u) -> int:
         """Insert rejected candidates u as knots while the table has fewer
@@ -249,10 +250,10 @@ class DirectSampler:
         return inserted
 
     def _check_stall(self, n_rejected: int, n_draws: int) -> None:
-        """Raise SamplerStallError past MAX_REJECTS rejections in one call."""
+        """Raise SamplerStallError past MAX_REJECTS rejections in a row."""
         if n_rejected > MAX_REJECTS:
             raise SamplerStallError(
-                f"exceeded {MAX_REJECTS} rejections after {n_draws} draws; "
+                f"exceeded {MAX_REJECTS} rejections since the last accepted draw ({n_draws} accepted); "
                 f"bound={self.rejection_bound():.3g}, knots={self.step.table.knots.size}"
             )
 
@@ -270,10 +271,9 @@ class DirectSampler:
         n_rejected = knots_inserted = 0
         while True:
             u, x = self.step.propose(base, uniform(), uniform())
-            if x == x:  # a NaN x rejects without a log_w call
-                log_u = np.log(u) if u > 0.0 else -math.inf
-                if log_w(x) > log_u + log_c:
-                    return DirectDrawReport(x=x, u_accepted=u, n_rejected=n_rejected, knots_inserted=knots_inserted)
+            log_u = np.log(u) if u > 0.0 else -math.inf
+            if log_w(x) > log_u + log_c:
+                return DirectDrawReport(x=x, u_accepted=u, n_rejected=n_rejected, knots_inserted=knots_inserted)
             n_rejected += 1
             self._check_stall(n_rejected, 0)
             if adapt:
@@ -292,10 +292,11 @@ class DirectSampler:
         report = AggregateReport()
         out = np.empty(n, dtype=float)
         block = 64 if self.config.adapt else n
+        since = 0
         while report.n_draws < n:
             m = min(n - report.n_draws, max(block, 1))
             block *= 2
-            _u, x = self._propose(m, rng, report)
+            x, since = self._propose(m, rng, report, since)
             out[report.n_draws : report.n_draws + x.size] = x
             report.n_draws += x.size
         return out, report

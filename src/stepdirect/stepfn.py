@@ -6,11 +6,13 @@ table (``StepApprox``) holds it in u: ascending knots from a head knot
 u_0 = 0, each with the window (x1_j, x2_j) that its height is the log base
 mass of, which contains A_u for every u on the piece [u_j, u_{j+1}). One
 np.interp map, read either way, gives the piecewise-linear CDF of u and its
-quantile. Each piece also carries a lower bound on P(A_u), from which the
-rejection bound is computed. The paper's greedy rectangle splitting and
-equal spacing place knots in u over a descent window [u_lo, u_hi], which
-find_u_lo and find_u_hi give in closed form, and solve each knot for its
-window; the sampler prepends the head knot.
+quantile. Each piece has mass (build_step cuts a tail of empty ones), so
+one ``propose`` maps floats and arrays of uniforms to (u, x). Each piece
+also carries a lower bound on P(A_u), from which the rejection bound is
+computed. The paper's greedy rectangle splitting and equal spacing place
+knots in u over a descent window [u_lo, u_hi], which find_u_lo and
+find_u_hi give in closed form, and solve each knot for its window; the
+sampler prepends the head knot.
 
 A level envelope (``LevelEnvelope``, from ``level_envelope`` on a
 continuous base) needs no solve: log w is tabulated once on points around
@@ -166,34 +168,15 @@ class StepApprox:
     log_a: float
     grid_cdf: np.ndarray
 
-    @property
-    def u_hi(self) -> float:
-        return float(self.table.knots[-1])
-
-    def propose(self, base, v_u: float, v_x: float):
-        """One candidate (u, x) from two uniforms: u = H^-1(v_u), then x from
-        the base on u's piece's window by v_x; NaN, with no draw, where that
-        window holds no support point (quantile round-off onto it)."""
+    def propose(self, base, v_u, v_x):
+        """Candidates (u, x) from two uniforms, floats (``draw``) or arrays
+        (``sample``): u = H^-1(v_u), unchecked as uniforms lie in [0, 1), then
+        x from the base on u's piece's window, which holds support, by v_x."""
         table = self.table
-        u = step_quantile(self, v_u)
+        u = np.interp(v_u, self.grid_cdf, table.knots)
         # u's piece (u >= 0 = u_0); a u at u_N stays on the last piece.
-        j = min(int(table.knots.searchsorted(u, side="right")) - 1, table.knots.size - 2)
-        if not table.log_probs[j] > -math.inf:
-            return u, math.nan
-        return u, float(base.truncated_draw(float(table.x1[j]), float(table.x2[j]), v_x))
-
-    def propose_many(self, base, v_u: np.ndarray, v_x: np.ndarray):
-        """``propose`` on arrays of uniforms. A body of its own: it masks the
-        candidates whose window holds no support point, which on floats
-        would give 0-d arrays."""
-        table = self.table
-        u = step_quantile_many(self, v_u)
         j = np.minimum(table.knots.searchsorted(u, side="right") - 1, table.knots.size - 2)
-        live = table.log_probs[j] > -np.inf
-        x = np.full(u.size, np.nan)
-        j = j[live]
-        x[live] = base.truncated_draw(table.x1[j], table.x2[j], v_x[live])
-        return u, x
+        return u, base.truncated_draw(table.x1[j], table.x2[j], v_x)
 
 
 @dataclass(frozen=True)
@@ -224,14 +207,10 @@ class LevelEnvelope:
     def propose(self, base, v_u, v_x):
         """Candidates (u, x) from two uniforms, in StepApprox.propose's
         order: x = np.interp(v_x, cdf, bounds), then u = v_u times the height
-        of x's cell. ``base`` is unused: the cells are its uniform density.
-        One body serves floats (``draw``) and arrays (``sample``): no cell
-        is empty of support, so no candidate is masked."""
+        of x's cell. ``base`` is unused: the cells are its uniform density."""
         # side="right" skips cells of zero mass, whose cdf entries repeat.
         i = self.cdf.searchsorted(v_x, side="right") - 1
         return v_u * self.heights[i], np.interp(v_x, self.cdf, self.bounds)
-
-    propose_many = propose
 
     @cached_property
     def table(self) -> KnotTable:
@@ -488,7 +467,9 @@ def build_step(kt: KnotTable) -> StepApprox:
     """Normalize the step function and precompute its CDF at the knots, in log space.
 
     Raises DomainError unless the first knot is u = 0, so that the pieces
-    cover every u in [0, u_N) and the CDF starts at H(0) = 0.
+    cover every u in [0, u_N) and the CDF starts at H(0) = 0. Heights do
+    not rise, so pieces of zero mass form a tail: the table ends at the
+    first one's knot, and every piece holds support to draw x from.
     """
     u = kt.knots
     if u[0] != 0.0:
@@ -498,7 +479,11 @@ def build_step(kt: KnotTable) -> StepApprox:
     log_a = log_sum_exp(terms)
     if math.isinf(log_a):
         raise DegenerateTargetError("step function has zero total mass")
-    cdf = np.empty(u.size)
+    if kt.log_probs[-2] == -np.inf:
+        n = int(np.argmax(kt.log_probs == -np.inf)) + 1
+        kt = KnotTable(u[:n], kt.log_probs[:n], kt.x1[:n], kt.x2[:n], kt.log_lows[:n])
+        terms = terms[: n - 1]
+    cdf = np.empty(terms.size + 1)
     cdf[0] = 0.0
     np.minimum(np.exp(terms - log_a).cumsum(), 1.0, out=cdf[1:])
     cdf[-1] = 1.0
@@ -510,21 +495,19 @@ def step_cdf(s: StepApprox, u):
     return np.interp(u, s.table.knots, s.grid_cdf)
 
 
+def step_quantile(s: StepApprox, phi):
+    """Quantile H^{-1}(phi): step_cdf's map, read backwards, on a float or
+    an array. Rejects NaN as well as phi outside [0, 1]."""
+    phi = np.asarray(phi, dtype=float)
+    if not ((phi >= 0) & (phi <= 1)).all():
+        raise DomainError("phi must lie in [0, 1]")
+    u = np.interp(phi, s.grid_cdf, s.table.knots)
+    return u if phi.ndim else float(u)
+
+
 def step_quantile_many(s: StepApprox, phi) -> np.ndarray:
-    """Vectorized quantile H^{-1}(phi): step_cdf's map, read backwards.
-    Rejects NaN as well as phi outside [0, 1]."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if not np.all((phi >= 0) & (phi <= 1)):
-        raise DomainError("phi must lie in [0, 1]")
-    return np.interp(phi, s.grid_cdf, s.table.knots)
-
-
-def step_quantile(s: StepApprox, phi: float) -> float:
-    """Scalar quantile H^{-1}(phi): step_quantile_many's map on one float,
-    with no array made around it. Rejects NaN as well as phi outside [0, 1]."""
-    if not 0.0 <= phi <= 1.0:
-        raise DomainError("phi must lie in [0, 1]")
-    return float(np.interp(phi, s.grid_cdf, s.table.knots))
+    """step_quantile on phi as a 1-d array."""
+    return step_quantile(s, np.atleast_1d(phi))
 
 
 def step_logpdf_unnorm(s: StepApprox, u):

@@ -47,11 +47,6 @@ __all__ = [
 # doubles lie ~1.2e-10 apart.
 ENDPOINT_TOL = 1e-10
 
-# On integer support the solver stops once a bracket is at most this wide,
-# and then reads log w at the integers inside every bracket in one call.
-ENUMERATE_WIDTH = 32
-ENUMERATE_STEPS = np.arange(ENUMERATE_WIDTH, dtype=float)
-
 # Relative stop of concave_mode: a Newton or bisection step of at most
 # MODE_TOL * (1 + |x|) ends the search.
 MODE_TOL = 1e-14
@@ -475,8 +470,13 @@ def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside, d
     outside| <= ENDPOINT_TOL * (1 + |inside|) and returns each bracket's
     outside end, where log_w is at or below thr, so the window the ends
     bound contains the superlevel set. On integer support (``discrete``)
-    it stops once every bracket is at most ENUMERATE_WIDTH wide, and
-    ``_integer_crossing`` ends each at an integer.
+    the ends are integers and each step is rounded up to whole units, so
+    log_w is read only at integers (near a large mode its continuous
+    extension can round below a threshold that the integers on both sides
+    are above), and the loop stops once every bracket is one unit wide:
+    for a unimodal w the integers between the two ends of a window are
+    exactly those above thr. Raises NonConvergenceError where a bracket
+    on integer support is wider after the 200 steps.
     """
     a = outside
     b = inside
@@ -487,50 +487,23 @@ def _bisect_crossing(log_w, thr, outside, inside, log_w_outside, log_w_inside, d
         for _ in range(200):
             d = b - a
             if discrete:
-                done = np.all(np.abs(d) <= ENUMERATE_WIDTH)
+                done = np.all(np.abs(d) <= 1.0)
             else:
                 done = np.all(np.abs(d) <= ENDPOINT_TOL * (1.0 + np.abs(np.where(b_above, b, a))))
             if done:
                 break
             # The secant point is b - t d; t outside (0, 1), or NaN, bisects.
             t = g_b / (g_b - g_a)
-            x = b - np.where((t > 0.0) & (t < 1.0), t, 0.5) * d
+            step = np.where((t > 0.0) & (t < 1.0), t, 0.5) * d
+            if discrete:
+                step = np.sign(d) * np.ceil(np.abs(step))
+            x = b - step
             g_x = log_w(x) - thr
             x_above = g_x > 0.0
             crossed = x_above != b_above
             a = np.where(crossed, b, a)
             g_a = np.where(crossed, g_b, 0.5 * g_a)
             b, g_b, b_above = x, g_x, x_above
-    if discrete:
-        return _integer_crossing(log_w, thr, np.where(b_above, a, b), np.where(b_above, b, a))
+    if discrete and not np.all(np.abs(b - a) <= 1.0):
+        raise NonConvergenceError(f"endpoint brackets still hold up to {np.nanmax(np.abs(b - a)) - 1.0:.3g} integers")
     return np.where(b_above, a, b)
-
-
-def _integer_crossing(log_w, thr, outside, inside):
-    """Integer ends of brackets at most ENUMERATE_WIDTH wide, from one log_w call.
-
-    log_w is read at every integer strictly between each bracket's outside
-    and inside points, all brackets in one call. A bracket's end is the
-    integer just outside the outermost of them that reads above thr, where
-    the first integer at or past the inside point counts as above. So each
-    end reads at or below thr, or lies at or past the outside point, which
-    does; for a unimodal w the integers between the two ends of a window
-    are exactly those above thr. Raises NonConvergenceError where a bracket
-    still holds more integers than that, which the 200 steps of
-    _bisect_crossing did not narrow.
-    """
-    # Mirror the side above the mode (s = -1), so that y runs from the
-    # outside inward on both sides.
-    s = np.where(inside > outside, 1.0, -1.0)
-    start = np.floor(s * outside) + 1.0
-    n = np.ceil(s * inside) - start  # integers strictly inside
-    if not np.all(n <= ENUMERATE_WIDTH):
-        raise NonConvergenceError(f"endpoint brackets still hold up to {np.nanmax(n):.0f} integers")
-    y = start[:, None] + ENUMERATE_STEPS
-    read = ENUMERATE_STEPS < n[:, None]
-    log_w_y = np.full(y.shape, -np.inf)
-    if read.any():
-        log_w_y[read] = log_w((s[:, None] * y)[read])
-    above = log_w_y > thr[:, None]
-    first = np.where(above.any(axis=1), above.argmax(axis=1), n)
-    return s * (start + first - 1.0)

@@ -91,7 +91,7 @@ class TestMode:
     def test_mode_near_one_million_builds(self):
         target = cmp_target(CmpParams(2.0, 0.05))
         assert 1.0e6 < target.x_mode < 1.1e6
-        assert DirectSampler(target).step.u_hi <= 1.0
+        assert DirectSampler(target).step.table.knots[-1] <= 1.0
 
     def test_heights_rising_with_u_raise_typed_error(self):
         # The mode is 4.1e14, below 2^53, but log_c is 2.9e13: log w rounds by

@@ -261,6 +261,28 @@ class TestStepApprox:
         assert step.grid_cdf[-1] == 1.0
         assert np.all(np.diff(step.grid_cdf) >= 0)
 
+    @pytest.mark.parametrize("base", ["uniform", "geometric"])
+    def test_zero_mass_tail_is_cut(self, base):
+        # Heights only fall, so pieces of zero mass form a tail; the built
+        # table ends at the first one's knot, and every candidate's window
+        # holds support. Hand-made: the pieces from u = 0.9 on are empty.
+        target = quadratic_target() if base == "uniform" else cmp_target(CmpParams(2.0, 0.5))
+        knots = np.array([0.0, 0.5, 0.9, 1.0])
+        x1, x2, log_p = target.superlevel(knots)
+        empty = knots >= 0.9
+        x1[empty] = x2[empty] = target.x_mode
+        step = build_step(KnotTable(knots, np.where(empty, -np.inf, log_p), x1, x2))
+        assert np.array_equal(step.table.knots, knots[:3])
+        assert np.array_equal(step.table.log_probs[:2], log_p[:2])
+        assert step.table.log_probs[-1] == -np.inf and step.grid_cdf[-1] == 1.0
+        generator = Rng(4).generator
+        v_u, v_x = generator.uniform(size=(2, 10_000))
+        v_u[:2] = 0.0, np.nextafter(1.0, 0.0)
+        xs = [step.propose(target.base, a, b)[1] for a, b in zip(v_u, v_x)]
+        u, x = step.propose(target.base, v_u, v_x)
+        assert np.array_equal(x, xs) and u.max() < 0.9
+        assert np.isfinite(target.log_w(x)).all()
+
     def test_table_must_start_at_zero(self, quad, quad_window):
         # A table over the descent window alone leaves [0, u_lo) uncovered.
         with pytest.raises(DomainError, match="head knot at u = 0"):
