@@ -32,19 +32,14 @@ by the same band LU, and the spectrum below comes from the same band by
 a banded eigensolver, so neither the data nor a chain depends on the
 BLAS thread count.
 
-In the rho step log w = F(rho) + theta rho: F(rho) = (1/2) sum log(1 -
-rho lambda_i) is fixed by the data, and only theta = eta'A eta / (2 tau^2)
-changes between iterations. F is concave. It is tabulated once per data
-set on a fixed grid, with the grid's discrete slopes and upper bounds on F
-between grid points from its chords, and the step carries that table
-under its tilt theta (a TiltedGrid). Its level envelope reads lower and
-upper bounds on log w at its points, about 1,300, by np.interp on the
-table, with no O(k) term, and the mode search starts from the grid point
-that one binary search of -theta in the slopes gives. Only the mode
-search and each candidate's accept test evaluate log w, at O(k) a point.
-X'X, the spectrum of D^{-1} A and the table are computed once per data
-set, the last two on first use. `CarData` holds all of this, and is
-frozen so none of it can go stale.
+In the rho step log w = F(rho) + theta rho, with F fixed by the data and
+concave, and theta = eta'A eta / (2 tau^2): the rho conditionals are one
+TiltedFamily (``rho_family``). The step's level envelope reads bounds on
+log w at its points, about 1,300, from the family's table of F, with no
+O(k) term; only the mode search and each candidate's accept test evaluate
+log w, at O(k) a point. X'X, the spectrum of D^{-1} A and the table are
+computed once per data set, the last two on first use. `CarData` holds
+all of this, and is frozen so none of it can go stale.
 """
 from __future__ import annotations
 
@@ -52,7 +47,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +64,15 @@ from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
-from .target import TiltedGrid, UniformBase, WeightedTarget, concave_mode
+from .target import TiltedFamily, TiltedGrid, WeightedTarget
 
 __all__ = [
     "CarData",
     "CarHyper",
     "CarState",
     "car_eigen_precompute",
+    "rho_log_weight",
+    "rho_family",
     "rho_grid_table",
     "rho_target",
     "draw_beta_car",
@@ -94,14 +91,11 @@ __all__ = [
 # Largest representable rho: D - rho A stays nonsingular strictly below 1.
 RHO_MAX = 1.0 - 1e-12
 
-# The grid of rho_grid_table has spacing min(1 - rho, RHO_GRID_FLAT) /
+# The rho table's grid has spacing min(1 - rho, RHO_GRID_FLAT) /
 # RHO_GRID_PER_EFOLD: even in rho up to 1 - RHO_GRID_FLAT, then
-# RHO_GRID_PER_EFOLD points per e-fold of 1 - rho. F is tabulated
-# RHO_TABLE_BLOCK points at a time, which bounds the working memory at
-# RHO_TABLE_BLOCK x k doubles.
+# RHO_GRID_PER_EFOLD points per e-fold of 1 - rho, dense where F bends.
 RHO_GRID_FLAT = 0.1
 RHO_GRID_PER_EFOLD = 1024
-RHO_TABLE_BLOCK = 256
 
 
 def _validate_adjacency(a) -> csr_array:
@@ -327,41 +321,42 @@ def car_eigen_precompute(a, d_row_sums: np.ndarray) -> np.ndarray:
     return eig
 
 
-def _rho_log_w(eigenvalues: np.ndarray, drift: float):
+def rho_log_weight(rho, theta: float, eigenvalues: np.ndarray):
+    """log w(rho) = (1/2) sum log(1 - rho lambda_i) + theta rho, vectorized."""
+    rho, lam = np.asarray(rho, dtype=float), np.asarray(eigenvalues, dtype=float)
+    t = np.maximum(1.0 - rho[..., None] * lam, 0.0)
+    with np.errstate(divide="ignore"):
+        out = 0.5 * np.log(t).sum(axis=-1) + rho * theta
+    return out if out.ndim else float(out)
+
+
+def rho_family(eigenvalues: np.ndarray, table: TiltedGrid | None = None) -> TiltedFamily:
+    """The rho conditionals of one spectrum, rho_log_weight for each theta.
+    ``table`` is F from 0 through the largest double below 1 to 1, where F
+    is -inf, tabulated here when not given. The mode search stops at
+    RHO_MAX. Its slope at 0, theta - tr(D^-1 A) / 2 with a trace of 0, is
+    off by the float sum's rounding, at most k eps as |lambda| <= 1: that
+    is the search's slack, so theta <= 0 gives mode 0."""
     lam = np.asarray(eigenvalues, dtype=float)
+    log_w = partial(rho_log_weight, eigenvalues=lam)
 
-    def log_w(rho):
-        rho = np.asarray(rho, dtype=float)
-        t = np.maximum(1.0 - rho[..., None] * lam, 0.0)
-        with np.errstate(divide="ignore"):
-            out = 0.5 * np.log(t).sum(axis=-1) + rho * drift
-        return out if out.ndim else float(out)
+    def slope(rho, theta):
+        ratio = lam / (1.0 - rho * lam)
+        return -0.5 * float(ratio.sum()) + theta, -0.5 * float(ratio @ ratio)
 
-    return log_w
-
-
-def rho_grid_table(eigenvalues: np.ndarray) -> TiltedGrid:
-    """F(rho) = (1/2) sum log(1 - rho lambda_i) on a fixed rho grid, as a
-    TiltedGrid with theta = 0.
-
-    The grid has spacing min(1 - rho, RHO_GRID_FLAT) / RHO_GRID_PER_EFOLD,
-    dense near 1 where F bends sharply, and runs from rho = 0 through the
-    largest double below 1 to rho = 1, where F is -inf. F comes from
-    _rho_log_w(lambda, 0) itself, RHO_TABLE_BLOCK points at a time, so F +
-    theta rho is, float for float, what rho_target's log_w returns at each
-    grid point. The table also keeps its flat tilts (minus its discrete
-    slopes) and its upper bounds on F between grid points, which every
-    tilt of it shares.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
+    shape = dict(mode_hi=RHO_MAX, slack=lam.size * sys.float_info.epsilon)
+    if table is not None:
+        return TiltedFamily(log_w, slope, table, **shape)
     flat = np.arange(0.0, 1.0 - RHO_GRID_FLAT, RHO_GRID_FLAT / RHO_GRID_PER_EFOLD)
     below_one = np.nextafter(1.0, 0.0)
     folds = np.arange(math.ceil(RHO_GRID_PER_EFOLD * math.log(RHO_GRID_FLAT / (1.0 - below_one))) + 1)
     near_one = np.minimum(1.0 - RHO_GRID_FLAT * np.exp(-folds / RHO_GRID_PER_EFOLD), below_one)
-    rho = np.unique(np.concatenate((flat, near_one, [1.0])))
-    log_f = _rho_log_w(lam, 0.0)
-    blocks = [log_f(rho[i : i + RHO_TABLE_BLOCK]) for i in range(0, rho.size, RHO_TABLE_BLOCK)]
-    return TiltedGrid(rho, np.concatenate(blocks))
+    return TiltedFamily.tabulate(log_w, slope, np.unique(np.concatenate((flat, near_one, [1.0]))), **shape)
+
+
+def rho_grid_table(eigenvalues: np.ndarray) -> TiltedGrid:
+    """rho_family's table of F, exact at its points under every tilt."""
+    return rho_family(eigenvalues).table
 
 
 def rho_target(
@@ -370,45 +365,21 @@ def rho_target(
     tau2: float,
     table: TiltedGrid | None = None,
 ) -> WeightedTarget:
-    """Weighted Uniform(0,1) target for the dependence parameter.
+    """Weighted Uniform(0,1) target for the dependence parameter: the member
+    of rho_family(eigenvalues, table) at theta = eta'A eta / (2 tau^2).
 
     log w(rho) = (1/2) sum log(1 - rho lambda_i) + rho eta'A eta / (2 tau^2).
-    The eigen-sum term is concave and the drift linear, so the derivative
-    has at most one root; the mode is that root or a boundary, found by
-    concave_mode; at theta <= 0 it is 0 exactly. ``table`` is
-    rho_grid_table(eigenvalues): when given, the target carries it tilted
-    by the drift theta, so bounds on log w are read from the table at the
-    points used and never formed in full, and the mode search starts
-    from the grid's peak (TiltedGrid.peak), one binary search in the
-    table's flat tilts. Raises DomainError unless 0 < tau2 < inf and theta is finite.
+    The target carries the table tilted by theta, so bounds on log w are
+    read from it at the points used and never formed in full. ``table`` is
+    rho_grid_table(eigenvalues), built here when not given. Raises
+    DomainError unless 0 < tau2 < inf and theta is finite.
     """
     if not 0.0 < tau2 < math.inf:
         raise DomainError(f"tau2 must be positive and finite, not {tau2!r}")
-    lam = np.asarray(eigenvalues, dtype=float)
     drift = float(eta_a_eta) / (2.0 * tau2)
     if not math.isfinite(drift):
         raise DomainError(f"the drift eta_a_eta / (2 tau2) is not finite: eta_a_eta = {eta_a_eta!r}, tau2 = {tau2!r}")
-    log_w = _rho_log_w(lam, drift)
-    grid = None if table is None else table.tilted(drift)
-
-    def slope(r: float):
-        ratio = lam / (1.0 - r * lam)
-        return -0.5 * float(ratio.sum()) + drift, -0.5 * float(ratio @ ratio)
-
-    # The slope at 0 is theta - tr(D^-1 A) / 2 with a trace of 0, which the
-    # float sum misses by its rounding (at most k eps, as |lambda| <= 1).
-    if drift - 0.5 * float(lam.sum()) <= lam.size * sys.float_info.epsilon:
-        x_mode = 0.0
-    else:
-        x_mode = concave_mode(slope, 0.0, RHO_MAX, None if grid is None else float(grid.x[grid.peak()]))
-    return WeightedTarget(
-        log_w=log_w,
-        x_mode=x_mode,
-        log_c=log_w(x_mode),
-        base=UniformBase(0.0, 1.0),
-        name="car-rho",
-        grid=grid,
-    )
+    return rho_family(eigenvalues, table).target(drift, "car-rho")
 
 
 # -- conjugate updates -----------------------------------------------------
@@ -476,7 +447,8 @@ def draw_rho_mh(
     """
     if sigma_prop <= 0:
         raise DomainError("sigma_prop must be positive")
-    log_w = _rho_log_w(data.eigenvalues, data.eta_a_eta(state.eta) / (2.0 * state.tau2))
+    theta = data.eta_a_eta(state.eta) / (2.0 * state.tau2)
+    log_w = partial(rho_log_weight, theta=theta, eigenvalues=data.eigenvalues)
     lo = float(ndtr((0.0 - state.rho) / sigma_prop))
     hi = float(ndtr((1.0 - state.rho) / sigma_prop))
     u = rng.generator.uniform(lo, hi)

@@ -63,6 +63,9 @@ __all__ = [
 
 MAX_KNOTS = 4096
 MAX_REJECTS = 10**6
+# Most candidates a block of ``sample`` proposes, which bounds its memory;
+# the stream does not depend on it.
+MAX_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -214,15 +217,16 @@ class DirectSampler:
         """Propose m candidates; return the accepted x in order and the
         rejections since the last accepted draw, given ``since`` before it.
 
-        Takes two uniforms per candidate, all m of the first and then all m
-        of the second, which the envelope turns into (u, x), and evaluates
-        log w once per candidate. Rejections are counted on ``report``;
+        Takes two uniforms per candidate as a pair (v_u, v_x), as ``draw``
+        does, which the envelope turns into (u, x), and evaluates log w
+        once per candidate. Rejections are counted on ``report``;
         more than MAX_REJECTS since the last accepted draw, counted at the
         block's end, raise SamplerStallError. In adaptive mode the rejected
         u become knots (``_insert``).
         """
         uniform, target = rng.generator.uniform, self.target
-        u, x = self.step.propose(target.base, uniform(size=m), uniform(size=m))
+        v = uniform(size=(m, 2))
+        u, x = self.step.propose(target.base, v[:, 0], v[:, 1])
         with np.errstate(divide="ignore"):
             accept = target.log_w(x) > np.log(u) + target.log_c
         rejected = u[~accept]
@@ -280,22 +284,23 @@ class DirectSampler:
                 knots_inserted += self._insert(u)
 
     def sample(self, n: int, rng: Rng):
-        """n exact draws, proposed in vectorized blocks.
+        """n exact draws, proposed in vectorized blocks of at most MAX_BLOCK.
 
         Rejected candidates in a block are inserted as knots (adaptive
         mode) before the next block is proposed. Adaptive blocks start
         small and double, so early rejections tighten the envelope before
-        the bulk of the candidates is committed.
+        the bulk of the candidates is committed. No block proposes past the
+        n-th acceptance, so without adaptation sample(n) is n ``draw`` calls.
         """
         if n < 0:
             raise DomainError("n must be nonnegative")
         report = AggregateReport()
         out = np.empty(n, dtype=float)
-        block = 64 if self.config.adapt else n
+        block = 64 if self.config.adapt else MAX_BLOCK
         since = 0
         while report.n_draws < n:
-            m = min(n - report.n_draws, max(block, 1))
-            block *= 2
+            m = min(n - report.n_draws, block)
+            block = min(2 * block, MAX_BLOCK)
             x, since = self._propose(m, rng, report, since)
             out[report.n_draws : report.n_draws + x.size] = x
             report.n_draws += x.size

@@ -7,24 +7,24 @@ A_u = {x : log w(x) > log u + log c}. The solver returns an open window
 (x1, x2) that contains A_u. On a continuous base each end is the outside
 end of the solver's final bracket, where log w is at or below the
 threshold, within a relative 1e-10 of the crossing. On integer support the
-brackets are narrowed only to a few integers each, log w is read at those
-integers, and each end is an integer: the integers inside the window are
-exactly those in A_u. The base distribution owns the support: given a
+brackets step in whole units and are narrowed to one, reading log w only
+at integers, so each end is an integer and the integers inside the window
+are exactly those in A_u. The base distribution owns the support: given a
 window it returns the window's log probability and draws from g truncated
 to it, so every probability can stay on the log scale. The sampler draws x
 on a stored window and keeps it only if w(x) > u c, so a window that is
 slightly too wide costs a little acceptance but never exactness.
 
-A target whose log w is a fixed concave function plus a linear term,
-F(x) + theta x, may also carry F tabulated on a fixed grid together with
-theta (``TiltedGrid``, on ``WeightedTarget.grid``), which bounds log w
-between its points, and ``concave_mode`` finds the mode of a log w with
-decreasing derivative.
+Targets whose log w is a fixed concave F plus a linear term, F(x) +
+theta x, form one ``TiltedFamily`` per F: it owns F, its slopes and a
+table of F (``TiltedGrid``), which bounds log w between its points, and
+its member at each theta finds the mode by ``concave_mode``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "UniformBase",
     "GeometricBase",
     "TiltedGrid",
+    "TiltedFamily",
     "WeightedTarget",
     "concave_mode",
     "integer_window",
@@ -55,6 +56,10 @@ MODE_MAX_STEPS = 500
 # TiltedGrid.f_up sits this far, relative to 1 + |f|, above the chord
 # bounds on F, for the rounding of the table and of log w between its points.
 GRID_SLACK = 1e-9
+
+# TiltedFamily.tabulate reads F at this many points per call, so an F of O(k)
+# per point needs TABLE_BLOCK x k doubles of working memory.
+TABLE_BLOCK = 256
 
 # TiltedGrid.peak compares the tilted values this many points either side
 # of the step where its binary search on the flat tilts lands.
@@ -264,10 +269,8 @@ class WeightedTarget:
     unimodal, every w(k) / c is at most 1 and A_u empties at u = 1.
     Raises DomainError where neither reads finite.
 
-    ``grid``, when given, is a ``TiltedGrid``: log w = F(x) + theta x with
-    F concave, tabulated at fixed points x_i spanning the support and exact
-    there. ``level_envelope`` then reads bounds on log w at its points from
-    the grid (``TiltedGrid.bounds``) instead of calling ``log_w``.
+    ``grid``, which ``TiltedFamily.target`` gives, is a ``TiltedGrid``:
+    ``level_envelope`` then reads bounds on log w from it, not ``log_w``.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]
@@ -414,18 +417,52 @@ class WeightedTarget:
         return np.atleast_1d(self.base.truncated_draw(x1, x2, np.asarray(v, dtype=float)))
 
 
-def concave_mode(slope, lo: float, hi: float, x0: float | None = None) -> float:
+@dataclass(frozen=True)
+class TiltedFamily:
+    """The targets log w = F(x) + theta x on Uniform(x[0], x[-1]), one per
+    tilt theta, of one concave F tabulated at fixed points x (``table``, a
+    TiltedGrid with theta = 0).
+
+    ``log_w(x, theta)`` is F(x) + theta x, vectorized over x and a float for
+    a float, with table.f = log_w(table.x, 0) float for float, and
+    ``slope(x, theta)`` is (F'(x) + theta, F''(x)); ``target`` passes theta
+    by name. Its mode search, concave_mode from the tilted table's peak, runs
+    on [x[0], min(x[-1], mode_hi)], allowing ``slack`` for rounding at x[0].
+    """
+
+    log_w: Callable
+    slope: Callable
+    table: TiltedGrid
+    mode_hi: float = math.inf
+    slack: float = 0.0
+
+    @classmethod
+    def tabulate(cls, log_w, slope, x, **shape) -> TiltedFamily:
+        """The family with F tabulated at the points x, TABLE_BLOCK per call."""
+        f = [log_w(x[i : i + TABLE_BLOCK], 0.0) for i in range(0, x.size, TABLE_BLOCK)]
+        return cls(log_w, slope, TiltedGrid(x, np.concatenate(f)), **shape)
+
+    def target(self, theta: float, name: str) -> WeightedTarget:
+        """The member at tilt theta, which carries the table under that tilt."""
+        grid = self.table.tilted(theta)
+        slope, log_w = partial(self.slope, theta=grid.theta), partial(self.log_w, theta=grid.theta)
+        lo, hi, start = float(grid.x[0]), float(grid.x[-1]), float(grid.x[grid.peak()])
+        x_mode = concave_mode(slope, lo, min(hi, self.mode_hi), start, self.slack)
+        return WeightedTarget(log_w, x_mode, log_w(x_mode), UniformBase(lo, hi), name, grid)
+
+
+def concave_mode(slope, lo: float, hi: float, x0: float | None = None, slack: float = 0.0) -> float:
     """Maximizer on [lo, hi] of a log weight whose derivative decreases.
 
     ``slope(x)`` returns (g, h): the first and second derivatives of log w
-    at x. The mode is lo where g(lo) <= 0, hi where g(hi) >= 0, and the root
-    of g otherwise. The root is found by Newton steps from x0 (the midpoint
-    if None), safeguarded as in Numerical Recipes' rtsafe: the bracket
-    [a, b] keeps g(a) > 0 > g(b), and a Newton step that leaves it, or is
-    not below half the last step, is replaced by bisecting it. Stops once a
-    step is at most MODE_TOL (1 + |x|).
+    at x. The mode is lo where g(lo) <= slack, a bound on the rounding of
+    g(lo), hi where g(hi) >= 0, and the root of g otherwise, found by Newton
+    steps from x0 (the midpoint if None), safeguarded as in Numerical
+    Recipes' rtsafe: the bracket [a, b] keeps g(a) > 0 > g(b), and a Newton
+    step that leaves it, or is not below half the last step, is replaced by
+    bisecting it. Stops once a step is at most MODE_TOL (1 + |x|).
     """
-    if slope(lo)[0] <= 0.0:
+    if slope(lo)[0] <= slack:
         return float(lo)
     if slope(hi)[0] >= 0.0:
         return float(hi)

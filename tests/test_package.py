@@ -24,12 +24,31 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def fresh_output(code: str) -> str:
+    """What code prints in a fresh interpreter, which has imported nothing yet."""
+    src = str(Path(stepdirect.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_out_scipy_interpolate():
     # Only CubicBasis.design needs scipy.interpolate, which also loads
     # scipy.optimize; importing the package's entry point must not pay
     # for it. A fresh interpreter, since this one may have loaded it.
-    src = str(Path(stepdirect.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = "import sys, stepdirect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_output(code) == "[]"
+
+
+def test_cli_import_builds_no_table():
+    # The nu and rho tables are built on first use, so importing the
+    # package's entry point builds neither: the nu family's cache is empty,
+    # and no TiltedGrid is made.
+    code = (
+        "import stepdirect.target as target\n"
+        "made, init = [], target.TiltedGrid.__post_init__\n"
+        "target.TiltedGrid.__post_init__ = lambda grid: made.append(grid) or init(grid)\n"
+        "import stepdirect.cli, stepdirect.treg\n"
+        "print(stepdirect.treg.nu_family.cache_info().currsize, len(made))"
+    )
+    assert fresh_output(code) == "0 0"

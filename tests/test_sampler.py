@@ -105,35 +105,38 @@ class TestBuildSampler:
     @pytest.mark.parametrize("target", continuous_targets(), ids=lambda t: t.name)
     def test_level_build_makes_no_solve(self, target):
         # A Gibbs-config build calls log_w twice, for the scale probe and
-        # the table, and solves no endpoint, the head knot included.
+        # the table, or not at all where the target reads its grid (the nu
+        # and rho targets), and solves no endpoint, the head knot included.
         calls, solves = [], []
         log_w, endpoints = target.log_w, target.interval_endpoints
         target.log_w = lambda x: calls.append(np.size(x)) or log_w(x)
         target.interval_endpoints = lambda *args: solves.append(args) or endpoints(*args)
         build_sampler(target, GIBBS_STEP_CONFIG)
-        assert len(calls) == 2 and solves == []
+        assert len(calls) == (2 if target.grid is None else 0) and solves == []
 
     @pytest.mark.parametrize("name", ["rho drift=1.0", "rho drift=12.0", "nu A=120.0", "nu A=400.0"])
-    def test_gibbs_configs_start_at_descent_tol(self, name):
+    def test_gibbs_configs_start_at_descent_tol(self, name, monkeypatch):
         # The Gibbs config uses level knots, whose u_lo is the smallest
-        # positive cell height, with no DESCENT_TOL floor: at or above the
-        # smallest positive tabulated level w(x_i) / c, as a cell's height is
-        # the lowest level from the mode out to its inner end. On the nu
+        # positive cell level, with no DESCENT_TOL floor: at or above the
+        # smallest positive tabulated level w(x_i) / c, and at or below the
+        # smallest positive cell height. The targets read their grids, whose
+        # lower bounds give levels too, as a cell's height is the lowest
+        # upper bound from the mode out to its inner end. On the nu
         # targets it lies far below that floor; on the rho targets w(1) = 0
         # gives no knot, and the next level is far above it.
         target, cfg = {n: (t, c) for n, t, c in _registered_targets()}[name]
         assert cfg == GIBBS_STEP_CONFIG
         tables = []
-        log_w = target.log_w
+        level_points = stepdirect.stepfn._level_points
 
-        def recorded(x):
-            tables.append(log_w(x))
+        def recorded(target, x):
+            tables.append(level_points(target, x))
             return tables[-1]
 
-        target.log_w = recorded
+        monkeypatch.setattr(stepdirect.stepfn, "_level_points", recorded)
         step, diag = build_sampler(target, cfg)
-        levels = np.exp(tables[-1] - target.log_c)
-        assert levels[levels > 0.0].min() <= diag.u_lo == step.heights[step.heights > 0.0].min()
+        levels = np.exp(tables[-1][0] - target.log_c)
+        assert levels[levels > 0.0].min() <= diag.u_lo <= step.heights[step.heights > 0.0].min()
         assert (diag.u_lo < DESCENT_TOL) == name.startswith("nu")
 
     def test_equal_integer_build_solves_three_times(self):
@@ -339,11 +342,11 @@ class TestGibbsStepCalls:
         return sum(entry.callcount for entry in profile.getstats())
 
     def test_nu_step(self):
-        # 175 calls.
+        # 168 calls, with the nu table built.
         assert self.calls(draw_nu_direct, NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)) <= 188
 
     def test_rho_step(self):
-        # 173 calls, on the 6x6 lattice with its rho table.
+        # 174 calls, on the 6x6 lattice with its rho table.
         data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
         state = CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
         assert self.calls(draw_rho_direct, data, state) <= 179
@@ -547,6 +550,31 @@ class TestSampleBlocks:
         assert report.knots_inserted == 2
         assert sampler.step.table.knots.size == size + 2
         assert sum(solves) <= 2
+
+    @pytest.mark.parametrize("max_block", [None, 64])
+    @pytest.mark.parametrize("name", ["cmp", "nu-level"])
+    def test_non_adaptive_sample_is_draws(self, name, max_block, monkeypatch):
+        # Each candidate takes its two uniforms as a pair, in draw and in
+        # sample alike, and no block proposes past the n-th acceptance, so a
+        # non-adaptive sample(n) is n draws bit for bit: in one block, and
+        # with MAX_BLOCK patched small, in many.
+        if max_block is not None:
+            monkeypatch.setattr(stepdirect.sampler, "MAX_BLOCK", max_block)
+        if name == "cmp":
+            target, config = cmp_target(CmpParams(2.0, 0.5)), SamplerConfig(adapt=False)
+        else:
+            target, config = nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)), GIBBS_STEP_CONFIG
+        sampler = DirectSampler(target, config)
+        blocks = []
+        propose = sampler._propose
+        sampler._propose = lambda m, *rest: blocks.append(m) or propose(m, *rest)
+        scalar, block = Rng(13), Rng(13)
+        drawn = [sampler.draw(scalar) for _ in range(5000)]
+        x, report = sampler.sample(5000, block)
+        assert np.array_equal(x, [d.x for d in drawn])
+        assert report.n_rejected == sum(d.n_rejected for d in drawn) > 0
+        assert scalar.generator.uniform() == block.generator.uniform()
+        assert max(blocks) == (5000 if max_block is None else 64) and (len(blocks) > 78) == (max_block is not None)
 
     def test_zero_draws(self):
         draws, report = DirectSampler(quadratic_target()).sample(0, Rng(0))

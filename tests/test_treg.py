@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import stepdirect.treg
 from stepdirect.errors import DomainError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import GIBBS_STEP_CONFIG, SamplerConfig
+from stepdirect.stepfn import level_envelope
 from stepdirect.treg import (
     CubicBasis,
     NuTargetParams,
@@ -30,6 +33,7 @@ from stepdirect.treg import (
     geweke_sample_many,
     mean_curve,
     nu_direct_sample,
+    nu_family,
     nu_log_weight,
     nu_target,
     treg_gibbs_run,
@@ -38,7 +42,8 @@ from stepdirect.treg import (
 
 
 def nu_quadrature_cdf(p: NuTargetParams, grid_size: int = 10_001):
-    nu = np.linspace(p.a_nu, p.b_nu, grid_size)
+    # Log-spaced, as the density at large A is piled up next to a_nu.
+    nu = np.geomspace(p.a_nu, p.b_nu, grid_size)
     log_f = nu_log_weight(nu, p.n, p.A)
     f = np.exp(log_f - log_f.max())
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(nu))))
@@ -95,8 +100,9 @@ class TestNuTarget:
                 target.x_mode in (p.a_nu, p.b_nu)
             )
 
-    def test_direct_draws_match_quadrature(self):
-        p = NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0)
+    @pytest.mark.parametrize("n, a_const", [(5, 3.5), (200, 101.0), (200, 400.0), (2000, 1100.0)])
+    def test_direct_draws_match_quadrature(self, n, a_const):
+        p = NuTargetParams(n=n, A=a_const, a_nu=0.01, b_nu=200.0)
         draws, _ = nu_direct_sample(p, 20_000, Rng(1), GIBBS_STEP_CONFIG)
         nu, cdf = nu_quadrature_cdf(p)
         qs = np.linspace(0.05, 0.95, 19)
@@ -115,6 +121,55 @@ class TestNuTarget:
         p = NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0)
         assert draw_nu_direct(p, Rng(3)) == draw_nu_direct(p, Rng(3), GIBBS_STEP_CONFIG)
         assert draw_nu_direct(p, Rng(3)) != draw_nu_direct(p, Rng(3), SamplerConfig())
+
+
+class TestNuTable:
+    """The nu family's table: bounds on log w, read instead of log w."""
+
+    @pytest.mark.parametrize("n", [1, 5, 200, 10_000])
+    def test_bounds_on_random_points(self, n):
+        # Mirrors TestRhoTable.test_bounds_on_random_graph_tables: lo <= log w
+        # <= hi, lo up to the rounding of log w and equal to it at grid
+        # points, for A from n/2 to 100 n, at random points, next to both
+        # ends of the box and at grid points.
+        family = nu_family(n, 0.01, 200.0)
+        table = family.table
+        assert table.x[0] == 0.01 and table.x[-1] == 200.0
+        rng = np.random.default_rng(n)
+        on_grid = table.x[np.concatenate((rng.integers(0, table.x.size, 200), [0, 1, table.x.size - 1]))]
+        near_ends = np.concatenate((0.01 + 1e-5 * rng.uniform(size=50), 200.0 - 2e-4 * rng.uniform(size=50)))
+        points = (np.exp(rng.uniform(math.log(0.01), math.log(200.0), 500)), rng.uniform(0.01, 200.0, 500), near_ends)
+        for a_const in 0.5 * n * np.geomspace(1.0, 200.0, 12):
+            target = nu_target(NuTargetParams(n=n, A=float(a_const), a_nu=0.01, b_nu=200.0))
+            assert target.grid.theta == -a_const and target.grid.f_up is table.f_up
+            for x in points + (on_grid,):
+                lo, hi = target.grid.bounds(x)
+                log_w = nu_log_weight(x, n, a_const)
+                assert np.all((lo <= log_w) | np.isclose(lo, log_w, rtol=1e-12, atol=1e-12))
+                assert np.all(log_w <= hi)
+            assert np.array_equal(target.grid.bounds(on_grid)[0], nu_log_weight(on_grid, n, a_const))
+
+    def test_tabulated_once_per_box(self):
+        p = NuTargetParams(n=37, A=30.0, a_nu=0.5, b_nu=50.0)
+        assert nu_target(p).grid.f is nu_target(dataclasses.replace(p, A=90.0)).grid.f
+        assert nu_target(p).grid.f is not nu_target(dataclasses.replace(p, b_nu=60.0)).grid.f
+
+    def test_level_envelope_reads_only_the_table(self, monkeypatch):
+        # Mirrors TestRhoTable.test_level_envelope_reads_only_the_table_at_40x40.
+        targets = []
+        make_target = stepdirect.treg.nu_target
+        monkeypatch.setattr(stepdirect.treg, "nu_target", lambda *a: targets.append(make_target(*a)) or targets[-1])
+        draw_nu_direct(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0), Rng(1))
+        sim = treg_synthetic(200, Rng(1, 1))
+        data = TregData(y=sim.y, X=CubicBasis(sim.r, 6).design(sim.r))
+        treg_gibbs_run(data, TregHyper(), 20, 0, 1, "direct", Rng(1, 2))
+        assert len(targets) == 21
+
+        def no_log_w(x):
+            raise AssertionError("the level envelope called log_w")
+
+        for target in targets:
+            level_envelope(dataclasses.replace(target, log_w=no_log_w))
 
 
 class TestGewekeSampler:
