@@ -37,9 +37,9 @@ concave, and theta = eta'A eta / (2 tau^2): the rho conditionals are one
 TiltedFamily (``rho_family``). The step's level envelope reads bounds on
 log w at its points, about 1,300, from the family's table of F, with no
 O(k) term; only the mode search and each candidate's accept test evaluate
-log w, at O(k) a point. X'X, the spectrum of D^{-1} A and the table are
-computed once per data set, the last two on first use. `CarData` holds
-all of this, and is frozen so none of it can go stale.
+log w, at O(k) a point. X'X, the spectrum of D^{-1} A and the rho family
+are computed once per data set, the last two on first use. `CarData`
+holds all of this, and is frozen so none of it can go stale.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
-from .target import TiltedFamily, TiltedGrid, WeightedTarget
+from .target import TiltedFamily, WeightedTarget
 
 __all__ = [
     "CarData",
@@ -73,7 +73,6 @@ __all__ = [
     "car_eigen_precompute",
     "rho_log_weight",
     "rho_family",
-    "rho_grid_table",
     "rho_target",
     "draw_beta_car",
     "draw_eta",
@@ -197,7 +196,7 @@ class CarData:
     eta[area]. Everything the Gibbs scan derives from S and A is computed
     here once: the row sums D, the outcomes per area, the edge list, the
     factor order with the band of A in it, X'X, and (on first use) the
-    spectrum of D^{-1} A and the rho table. ``A`` may be passed dense or
+    spectrum of D^{-1} A and the rho family. ``A`` may be passed dense or
     sparse; it is kept as a CSR array, so no k x k array is stored.
     """
 
@@ -255,13 +254,13 @@ class CarData:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of D^{-1} A, descending; computed on first use, then kept."""
-        return car_eigen_precompute(self.A, self.D)
+        """Eigenvalues of D^{-1} A, descending, from the band kept at set-up; computed on first use, then kept."""
+        return _band_spectrum(self.order, self.a_band, self.D)
 
     @cached_property
-    def rho_table(self) -> TiltedGrid:
-        """rho_grid_table of the spectrum, untilted; computed on first use, then kept."""
-        return rho_grid_table(self.eigenvalues)
+    def rho_family(self) -> TiltedFamily:
+        """rho_family of the spectrum, with its table of F; computed on first use, then kept."""
+        return rho_family(self.eigenvalues)
 
     def eta_a_eta(self, eta: np.ndarray) -> float:
         """eta' A eta from the edge list: twice the sum of eta_i eta_j over edges."""
@@ -298,19 +297,23 @@ class CarState:
 
 
 def car_eigen_precompute(a, d_row_sums: np.ndarray) -> np.ndarray:
-    """Eigenvalues of D^{-1} A, descending, capped at 1; A dense or sparse.
+    """Eigenvalues of D^{-1} A, descending, capped at 1 (see _band_spectrum); A dense or sparse."""
+    _, order, band = _band_layout(_validate_adjacency(a))
+    return _band_spectrum(order, band, d_row_sums)
+
+
+def _band_spectrum(order, band, d_row_sums) -> np.ndarray:
+    """Eigenvalues of D^{-1} A, descending, capped at 1, from A's band in order (_band_layout's).
 
     D^{-1} A is similar to the symmetric D^{-1/2} A D^{-1/2}, so a
     symmetric eigensolver yields its (all-real) spectrum. It runs on the
-    lower band of that matrix in _band_layout's order, b + 1 rows of k, in
-    O(k^2 b) time (the reduction to tridiagonal form) with no k x k array.
-    D^{-1} A is row-stochastic, so its largest eigenvalue is exactly 1, and
-    it is set to 1: the solver can round it below, or above, which would put
+    lower band of that matrix in order, b + 1 rows of k, in O(k^2 b) time
+    (the reduction to tridiagonal form) with no k x k array. D^{-1} A is
+    row-stochastic, so its largest eigenvalue is exactly 1, and it is set
+    to 1: the solver can round it below, or above, which would put
     log(1 - rho lambda) at -inf just below rho = 1. Any other eigenvalue
     that rounds above 1 is capped at 1.
     """
-    a = _validate_adjacency(a)
-    _, order, band = _band_layout(a)
     k, b = order.size, (band.shape[0] - 1) // 3
     d_inv_sqrt = 1.0 / np.sqrt(np.asarray(d_row_sums, dtype=float)[order])
     # lower[r, q] holds positions (q + r, q); the clip only touches entries past the corner, which are 0.
@@ -330,13 +333,13 @@ def rho_log_weight(rho, theta: float, eigenvalues: np.ndarray):
     return out if out.ndim else float(out)
 
 
-def rho_family(eigenvalues: np.ndarray, table: TiltedGrid | None = None) -> TiltedFamily:
-    """The rho conditionals of one spectrum, rho_log_weight for each theta.
-    ``table`` is F from 0 through the largest double below 1 to 1, where F
-    is -inf, tabulated here when not given. The mode search stops at
-    RHO_MAX. Its slope at 0, theta - tr(D^-1 A) / 2 with a trace of 0, is
-    off by the float sum's rounding, at most k eps as |lambda| <= 1: that
-    is the search's slack, so theta <= 0 gives mode 0."""
+def rho_family(eigenvalues: np.ndarray) -> TiltedFamily:
+    """The rho conditionals of one spectrum, rho_log_weight for each theta,
+    with F tabulated here from 0 through the largest double below 1 to 1,
+    where F is -inf. The mode search stops at RHO_MAX. Its slope at 0,
+    theta - tr(D^-1 A) / 2 with a trace of 0, is off by the float sum's
+    rounding, at most k eps as |lambda| <= 1: that is the search's slack,
+    so theta <= 0 gives mode 0."""
     lam = np.asarray(eigenvalues, dtype=float)
     log_w = partial(rho_log_weight, eigenvalues=lam)
 
@@ -344,34 +347,27 @@ def rho_family(eigenvalues: np.ndarray, table: TiltedGrid | None = None) -> Tilt
         ratio = lam / (1.0 - rho * lam)
         return -0.5 * float(ratio.sum()) + theta, -0.5 * float(ratio @ ratio)
 
-    shape = dict(mode_hi=RHO_MAX, slack=lam.size * sys.float_info.epsilon)
-    if table is not None:
-        return TiltedFamily(log_w, slope, table, **shape)
     flat = np.arange(0.0, 1.0 - RHO_GRID_FLAT, RHO_GRID_FLAT / RHO_GRID_PER_EFOLD)
     below_one = np.nextafter(1.0, 0.0)
     folds = np.arange(math.ceil(RHO_GRID_PER_EFOLD * math.log(RHO_GRID_FLAT / (1.0 - below_one))) + 1)
     near_one = np.minimum(1.0 - RHO_GRID_FLAT * np.exp(-folds / RHO_GRID_PER_EFOLD), below_one)
-    return TiltedFamily.tabulate(log_w, slope, np.unique(np.concatenate((flat, near_one, [1.0]))), **shape)
-
-
-def rho_grid_table(eigenvalues: np.ndarray) -> TiltedGrid:
-    """rho_family's table of F, exact at its points under every tilt."""
-    return rho_family(eigenvalues).table
+    x = np.unique(np.concatenate((flat, near_one, [1.0])))
+    return TiltedFamily.tabulate(log_w, slope, x, mode_hi=RHO_MAX, slack=lam.size * sys.float_info.epsilon)
 
 
 def rho_target(
     eigenvalues: np.ndarray,
     eta_a_eta: float,
     tau2: float,
-    table: TiltedGrid | None = None,
+    family: TiltedFamily | None = None,
 ) -> WeightedTarget:
     """Weighted Uniform(0,1) target for the dependence parameter: the member
-    of rho_family(eigenvalues, table) at theta = eta'A eta / (2 tau^2).
+    of ``family`` at theta = eta'A eta / (2 tau^2).
 
     log w(rho) = (1/2) sum log(1 - rho lambda_i) + rho eta'A eta / (2 tau^2).
-    The target carries the table tilted by theta, so bounds on log w are
-    read from it at the points used and never formed in full. ``table`` is
-    rho_grid_table(eigenvalues), built here when not given. Raises
+    The target carries the family's table tilted by theta, so bounds on
+    log w are read from it at the points used and never formed in full.
+    ``family`` is rho_family(eigenvalues), built here when not given. Raises
     DomainError unless 0 < tau2 < inf and theta is finite.
     """
     if not 0.0 < tau2 < math.inf:
@@ -379,7 +375,7 @@ def rho_target(
     drift = float(eta_a_eta) / (2.0 * tau2)
     if not math.isfinite(drift):
         raise DomainError(f"the drift eta_a_eta / (2 tau2) is not finite: eta_a_eta = {eta_a_eta!r}, tau2 = {tau2!r}")
-    return rho_family(eigenvalues, table).target(drift, "car-rho")
+    return (family or rho_family(eigenvalues)).target(drift, "car-rho")
 
 
 # -- conjugate updates -----------------------------------------------------
@@ -427,9 +423,8 @@ def draw_rho_direct(
     config: SamplerConfig = GIBBS_STEP_CONFIG,
 ):
     """Exact draw of rho from its conditional; returns (rho, report)."""
-    target = rho_target(data.eigenvalues, data.eta_a_eta(state.eta), state.tau2, data.rho_table)
-    sampler = DirectSampler(target, config)
-    report = sampler.draw(rng)
+    target = rho_target(data.eigenvalues, data.eta_a_eta(state.eta), state.tau2, data.rho_family)
+    report = DirectSampler(target, config).draw(rng)
     return min(report.x, RHO_MAX), report
 
 

@@ -16,15 +16,15 @@ on a stored window and keeps it only if w(x) > u c, so a window that is
 slightly too wide costs a little acceptance but never exactness.
 
 Targets whose log w is a fixed concave F plus a linear term, F(x) +
-theta x, form one ``TiltedFamily`` per F: it owns F, its slopes and a
-table of F (``TiltedGrid``), which bounds log w between its points, and
-its member at each theta finds the mode by ``concave_mode``.
+theta x, form one ``TiltedFamily`` per F: it owns F, its slopes, its base
+and a table of F (``TiltedGrid``), which bounds log w between its points,
+and its member at each theta finds the mode by ``concave_mode``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -419,9 +419,9 @@ class WeightedTarget:
 
 @dataclass(frozen=True)
 class TiltedFamily:
-    """The targets log w = F(x) + theta x on Uniform(x[0], x[-1]), one per
-    tilt theta, of one concave F tabulated at fixed points x (``table``, a
-    TiltedGrid with theta = 0).
+    """The targets log w = F(x) + theta x, one per tilt theta, of one
+    concave F tabulated at fixed points x (``table``, a TiltedGrid with
+    theta = 0), on one shared ``base``, Uniform(x[0], x[-1]).
 
     ``log_w(x, theta)`` is F(x) + theta x, vectorized over x and a float for
     a float, with table.f = log_w(table.x, 0) float for float, and
@@ -436,6 +436,10 @@ class TiltedFamily:
     mode_hi: float = math.inf
     slack: float = 0.0
 
+    @cached_property
+    def base(self) -> UniformBase:
+        return UniformBase(self.table.x[0], self.table.x[-1])
+
     @classmethod
     def tabulate(cls, log_w, slope, x, **shape) -> TiltedFamily:
         """The family with F tabulated at the points x, TABLE_BLOCK per call."""
@@ -446,9 +450,9 @@ class TiltedFamily:
         """The member at tilt theta, which carries the table under that tilt."""
         grid = self.table.tilted(theta)
         slope, log_w = partial(self.slope, theta=grid.theta), partial(self.log_w, theta=grid.theta)
-        lo, hi, start = float(grid.x[0]), float(grid.x[-1]), float(grid.x[grid.peak()])
-        x_mode = concave_mode(slope, lo, min(hi, self.mode_hi), start, self.slack)
-        return WeightedTarget(log_w, x_mode, log_w(x_mode), UniformBase(lo, hi), name, grid)
+        base, start = self.base, float(grid.x[grid.peak()])
+        x_mode = concave_mode(slope, base.lo, min(base.hi, self.mode_hi), start, self.slack)
+        return WeightedTarget(log_w, x_mode, log_w(x_mode), base, name, grid)
 
 
 def concave_mode(slope, lo: float, hi: float, x0: float | None = None, slack: float = 0.0) -> float:

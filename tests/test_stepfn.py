@@ -18,7 +18,7 @@ from stepdirect.car import (
     car_synthetic,
     draw_rho_direct,
     lattice_adjacency,
-    rho_grid_table,
+    rho_family,
     rho_target,
 )
 from stepdirect.cmp import CmpParams, cmp_target
@@ -471,8 +471,8 @@ class TestLevelKnots:
         tabulated=st.booleans(),
     )
     def test_rho_tables(self, eta_a_eta, tau2, tabulated):
-        table = rho_grid_table(self.EIG6) if tabulated else None
-        self.check(rho_target(self.EIG6, eta_a_eta, tau2, table))
+        family = rho_family(self.EIG6) if tabulated else None
+        self.check(rho_target(self.EIG6, eta_a_eta, tau2, family))
 
     def test_integer_base_rejected(self):
         with pytest.raises(DomainError, match="integer support"):
@@ -497,7 +497,7 @@ class TestLevelKnots:
         # The check runs on the lower bounds read from the grid: a table
         # raised by a constant, which keeps it concave, reads above log_c
         # next to the mode, and is caught without a log_w call.
-        target = rho_target(self.EIG6, 20.0, 1.0, rho_grid_table(self.EIG6))
+        target = rho_target(self.EIG6, 20.0, 1.0, rho_family(self.EIG6))
         grid = target.grid
         raised = TiltedGrid(grid.x, grid.f + 1e-6, grid.theta)
         lo, _ = raised.bounds(np.array([target.x_mode]))
@@ -599,7 +599,7 @@ class TestLevelKnotsMatchReference:
     """level_envelope builds reference_level_envelope's cells and table, array for array."""
 
     SPECTRA = {side: lattice_spectrum(side) for side in (4, 6, 8, 12)}
-    TABLES = {side: rho_grid_table(eig) for side, eig in SPECTRA.items()}
+    FAMILIES = {side: rho_family(eig) for side, eig in SPECTRA.items()}
 
     @staticmethod
     def check(target):
@@ -639,7 +639,7 @@ class TestLevelKnotsMatchReference:
     @example(eta_a_eta=0.0, tau2=1.0, tabulated=False)
     @pytest.mark.parametrize("side", [4, 6, 8, 12])
     def test_rho(self, side, eta_a_eta, tau2, tabulated):
-        target = rho_target(self.SPECTRA[side], eta_a_eta, tau2, self.TABLES[side] if tabulated else None)
+        target = rho_target(self.SPECTRA[side], eta_a_eta, tau2, self.FAMILIES[side] if tabulated else None)
         # A drift at or below 0 puts the mode at rho = 0 exactly, since the
         # spectrum's trace is 0, which leaves the left side empty.
         assert eta_a_eta > 0.0 or target.x_mode == 0.0
@@ -678,7 +678,7 @@ class TestDeferredLows:
     def level_targets(car6):
         return [
             nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)),
-            rho_target(car6.eigenvalues, 7.4, 1.0, car6.rho_table),
+            rho_target(car6.eigenvalues, 7.4, 1.0, car6.rho_family),
             quadratic_target(0.3, 50.0),
         ]
 

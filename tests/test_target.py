@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import digamma
 
 import stepdirect.target
-from stepdirect.car import RHO_MAX, rho_grid_table, rho_target
+from stepdirect.car import RHO_MAX, rho_family, rho_target
 from stepdirect.cmp import MAX_LOG_MODE, CmpDecomposition, CmpParams, _drift, cmp_mode, cmp_target
 from stepdirect.errors import DomainError, EmptySetError, NonConvergenceError
 from stepdirect.rngstats import Rng
@@ -22,7 +22,7 @@ from stepdirect.target import (
     concave_mode,
     integer_window,
 )
-from stepdirect.treg import NuTargetParams, geweke_nu_star, nu_target
+from stepdirect.treg import NuTargetParams, geweke_nu_star, nu_family, nu_target
 from tests.test_acceptance import _registered_targets
 
 
@@ -556,6 +556,28 @@ def assert_modes_agree(mode: float, ref: float) -> None:
     assert abs(mode - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
+class TestTiltedFamily:
+    @pytest.mark.parametrize(
+        "family, thetas",
+        [
+            (rho_family(np.array([1.0, 0.5, -0.5, -1.0])), (0.5, 3.0, 40.0)),
+            (nu_family(200, 0.01, 200.0), (-101.0, -150.0, -400.0)),
+        ],
+        ids=["rho", "nu"],
+    )
+    def test_members_share_the_table_and_base(self, family, thetas):
+        # Each member builds only what depends on its tilt.
+        members = [family.target(theta, "member") for theta in thetas]
+        lo, hi = family.table.x[0], family.table.x[-1]
+        assert (family.base.lo, family.base.hi) == (lo, hi)
+        for t in members:
+            assert t.base is family.base
+            assert t.grid.x is family.table.x and t.grid.f is family.table.f
+            assert t.grid.f_up is family.table.f_up and t.grid.flat_tilts is family.table.flat_tilts
+        assert [t.grid.theta for t in members] == list(thetas)
+        assert len({t.x_mode for t in members}) == len(members)
+
+
 class TestConcaveMode:
     """The bracketed Newton modes of rho_target, nu_target, cmp_mode and
     geweke_nu_star against a reference bisection."""
@@ -577,15 +599,15 @@ class TestConcaveMode:
     def test_rho_modes(self, lam, drift, tabulated):
         # The spectrum of D^-1 A has largest eigenvalue 1.
         lam = np.sort(np.append(lam, 1.0))[::-1]
-        table = rho_grid_table(lam) if tabulated else None
-        target = rho_target(lam, 2.0 * drift, 1.0, table)
+        family = rho_family(lam) if tabulated else None
+        target = rho_target(lam, 2.0 * drift, 1.0, family)
         assert_modes_agree(target.x_mode, reference_mode(self.rho_deriv(lam, drift), 0.0, RHO_MAX))
 
     def test_rho_boundary_modes(self):
         lam = np.array([1.0, 0.5, -0.5, -1.0])
         for drift, mode in ((-1.0, 0.0), (0.0, 0.0), (1e13, RHO_MAX)):
-            for table in (None, rho_grid_table(lam)):
-                assert rho_target(lam, 2.0 * drift, 1.0, table).x_mode == mode
+            for family in (None, rho_family(lam)):
+                assert rho_target(lam, 2.0 * drift, 1.0, family).x_mode == mode
                 assert reference_mode(self.rho_deriv(lam, drift), 0.0, RHO_MAX) == mode
 
     @settings(max_examples=200, deadline=None)

@@ -103,13 +103,13 @@ class TestNuTarget:
     @pytest.mark.parametrize("n, a_const", [(5, 3.5), (200, 101.0), (200, 400.0), (2000, 1100.0)])
     def test_direct_draws_match_quadrature(self, n, a_const):
         p = NuTargetParams(n=n, A=a_const, a_nu=0.01, b_nu=200.0)
-        draws, _ = nu_direct_sample(p, 20_000, Rng(1), GIBBS_STEP_CONFIG)
+        draws, _ = nu_direct_sample(p, 80_000, Rng(1), GIBBS_STEP_CONFIG)
         nu, cdf = nu_quadrature_cdf(p)
         qs = np.linspace(0.05, 0.95, 19)
         edges = np.interp(qs, cdf, nu)
         emp = np.histogram(draws, bins=np.concatenate(([p.a_nu], edges, [p.b_nu])))[0]
         exact = np.diff(np.concatenate(([0.0], qs, [1.0])))
-        assert 0.5 * np.abs(emp / draws.size - exact).sum() < 0.015
+        assert 0.5 * np.abs(emp / draws.size - exact).sum() < 0.010
 
     def test_scalar_draw(self):
         p = NuTargetParams(n=200, A=120.0, a_nu=0.01, b_nu=200.0)
