@@ -290,7 +290,7 @@ class CarState:
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float).ravel()
         self.eta = np.asarray(self.eta, dtype=float).ravel()
-        if self.sigma2 <= 0 or self.tau2 <= 0:
+        if not all(v > 0 for v in (self.sigma2, self.tau2)):
             raise DomainError("variances must be positive")
         if not 0.0 <= self.rho < 1.0:
             raise DomainError("rho must lie in [0, 1)")
@@ -365,8 +365,8 @@ def rho_target(
     of ``family`` at theta = eta'A eta / (2 tau^2).
 
     log w(rho) = (1/2) sum log(1 - rho lambda_i) + rho eta'A eta / (2 tau^2).
-    The target carries the family's table tilted by theta, so bounds on
-    log w are read from it at the points used and never formed in full.
+    The target reads bounds on log w from the family's one table at theta
+    (``log_w_bounds``), at the points used, never formed in full.
     ``family`` is rho_family(eigenvalues), built here when not given. Raises
     DomainError unless 0 < tau2 < inf and theta is finite.
     """

@@ -235,11 +235,19 @@ def _write_curve(path, chain, basis, r, rng: Rng, synthetic: bool) -> None:
     )
 
 
+def _list_flag(flag: str, text: str, kind) -> list:
+    """A comma-separated list flag's entries, read by kind; DomainError names a bad one."""
+    try:
+        return [kind(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise DomainError(f"{flag}: {exc}") from None
+
+
 def cmd_nu_compare(args, out: Path) -> int:
     if args.threads is not None and args.threads < 1:
         raise DomainError(f"--threads must be at least 1, got {args.threads}")
-    a_values = [float(v) for v in args.a_values.split(",") if v]
-    n_values = [int(v) for v in args.n_knots_values.split(",") if v]
+    a_values = _list_flag("--a-values", args.a_values, float)
+    n_values = _list_flag("--n-knots-values", args.n_knots_values, int)
     for a in a_values:
         if a < args.n / 2:
             raise StepDirectError(f"A = {a} is infeasible: must be >= n/2 = {args.n / 2}")

@@ -94,8 +94,8 @@ class SamplerConfig:
 
 # A Gibbs step (rho in car, nu in treg) builds a fresh envelope for each
 # draw and drops it after one accepted value. Level knots build it from
-# the target's grid or two log_w calls, with no endpoint solve, and it does
-# not adapt, since a knot inserted into it would never be used.
+# the target's log_w_bounds or two log_w calls, with no endpoint solve,
+# and it does not adapt, since a knot inserted into it would never be used.
 GIBBS_STEP_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 

@@ -185,7 +185,7 @@ class LevelEnvelope:
 
     ``bounds`` ascend from base.lo through x_mode, at ``bounds[n_left]``,
     to base.hi, with a lower bound on log w at each in ``log_w`` (log w
-    itself where the target has no grid). Cell i, from bounds[i] to
+    itself without ``log_w_bounds``). Cell i, from bounds[i] to
     bounds[i + 1], has height ``heights[i]`` in [0, 1]; the heights rise to
     1 next to the mode and fall after it, so the cells above a level u form
     one window, whose base mass is h(u). ``cdf`` is the share of the cells'
@@ -380,14 +380,14 @@ def _side_points(m: float, sign: float, end: float, scale: float, length: float)
 
 
 def _level_points(target: WeightedTarget, x: np.ndarray):
-    """(lo, hi): bounds on log w at points x, read from the target's grid
-    (``TiltedGrid.bounds``) with no log_w call, or both log w itself, one
-    array from one log_w call, without a grid. Raises ModeError where lo
-    exceeds log_c by more than rounding, and DomainError where it is NaN."""
-    if target.grid is None:
+    """(lo, hi): bounds on log w at points x, from the target's
+    ``log_w_bounds`` with no log_w call, or both log w itself, one array
+    from one log_w call, without it. Raises ModeError where lo exceeds
+    log_c by more than rounding, and DomainError where it is NaN."""
+    if target.log_w_bounds is None:
         lo = hi = np.asarray(target.log_w(x), dtype=float)
     else:
-        lo, hi = target.grid.bounds(x)
+        lo, hi = target.log_w_bounds(x)
     limit = target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
     if not (lo <= limit).all():
         nan = np.isnan(lo)
@@ -419,8 +419,8 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     probed distance at which log w has dropped by SCALE_DROP nats, or L.
     The second tabulates each side on cells of s / LEVEL_CELLS out to
     LEVEL_SPAN s, then cells growing by LEVEL_GROWTH, and the support end.
-    On a target with a grid both steps read bounds on log w at the same
-    points from it instead (see _level_points), and call no log_w.
+    On a target with ``log_w_bounds`` both steps read bounds on log w at
+    the same points from it instead (see _level_points), and call no log_w.
 
     The cell bounds are the tabulated points of both sides, x_mode and the
     support ends, ascending. A cell's height is exp(m - log c), with m the

@@ -17,8 +17,8 @@ slightly too wide costs a little acceptance but never exactness.
 
 Targets whose log w is a fixed concave F plus a linear term, F(x) +
 theta x, form one ``TiltedFamily`` per F: it owns F, its slopes, its base
-and a table of F (``TiltedGrid``), which bounds log w between its points,
-and its member at each theta finds the mode by ``concave_mode``.
+and one table of F (``TiltedGrid``), which bounds log w at any tilt, and
+its member at each theta finds the mode by ``concave_mode``.
 """
 from __future__ import annotations
 
@@ -170,14 +170,14 @@ class GeometricBase:
 
 @dataclass(frozen=True)
 class TiltedGrid:
-    """log w as a fixed concave table plus a tilt: F(x) + theta x.
+    """A fixed concave table of F, read as log w = F(x) + theta x at any tilt.
 
     ``x`` ascends and spans the support, and ``f`` is F at each x_i, finite
-    but at the last point, which may be -inf (F(1) on the rho table). Only
-    ``theta`` changes from one target to the next (``tilted``), and no
-    array of tilted values is formed: ``bounds`` reads log w through the
-    table, exactly at grid points, where f[i] + theta * x[i] must be, float
-    for float, what the target's log_w returns.
+    but at the last point, which may be -inf (F(1) on the rho table). The
+    table holds no tilt: ``bounds`` and ``peak`` take theta, and no array
+    of tilted values is formed. ``bounds`` reads log w through the table,
+    exactly at grid points, where f[i] + theta * x[i] must be, float for
+    float, what the target's log_w returns.
 
     ``flat_tilts[i]`` = -(f[i+1] - f[i]) / (x[i+1] - x[i]) is the tilt under
     which the step from x_i to x_{i+1} is level; F is concave, so they
@@ -185,13 +185,11 @@ class TiltedGrid:
     chords extended (only the left one into f = -inf), and ``f_up[i]`` is
     f[i] raised by the largest gap between the two on the steps next to
     x_i, plus GRID_SLACK (1 + |f[i]|). Both are computed once from (x, f),
-    never passed in, and ``tilted`` shares them. Raises DomainError where f
-    is not finite or not concave.
+    never passed in. Raises DomainError where f is not finite or not concave.
     """
 
     x: np.ndarray
     f: np.ndarray
-    theta: float = 0.0
     flat_tilts: np.ndarray = field(init=False)
     f_up: np.ndarray = field(init=False)
 
@@ -224,21 +222,14 @@ class TiltedGrid:
         for name, value in (("x", x), ("f", f), ("flat_tilts", flat_tilts), ("f_up", f_up)):
             object.__setattr__(self, name, value)
 
-    def tilted(self, theta: float) -> TiltedGrid:
-        """The same table under tilt theta, at no O(n) cost: it shares this
-        table's checked arrays, which no constructor argument can replace."""
-        grid = object.__new__(type(self))
-        object.__setattr__(grid, "__dict__", self.__dict__ | {"theta": float(theta)})
-        return grid
-
-    def bounds(self, x):
-        """(lo, hi) at points x: the chords of f and of f_up by np.interp, each
-        plus theta x. lo <= log w <= hi, lo up to the rounding of log w, and
-        lo is log w itself at grid points."""
-        tilt = self.theta * x
+    def bounds(self, x, theta: float):
+        """(lo, hi) at points x under tilt theta: the chords of f and of f_up
+        by np.interp, each plus theta x. lo <= log w <= hi, lo up to the
+        rounding of log w, and lo is log w itself at grid points."""
+        tilt = theta * x
         return np.interp(x, self.x, self.f) + tilt, np.interp(x, self.x, self.f_up) + tilt
 
-    def peak(self) -> int:
+    def peak(self, theta: float) -> int:
         """Index of the largest tilted value f + theta x, the first of equal
         ones, as np.argmax gives it.
 
@@ -247,9 +238,9 @@ class TiltedGrid:
         between the tilted values disagree in sign with its flat tilt, so
         the peak is taken among the few tilted values around that count.
         """
-        i = int(self.flat_tilts.searchsorted(self.theta))
+        i = int(self.flat_tilts.searchsorted(theta))
         near = slice(max(i - PEAK_REACH, 0), i + PEAK_REACH + 1)
-        return near.start + int((self.f[near] + self.theta * self.x[near]).argmax())
+        return near.start + int((self.f[near] + theta * self.x[near]).argmax())
 
 
 @dataclass
@@ -269,8 +260,8 @@ class WeightedTarget:
     unimodal, every w(k) / c is at most 1 and A_u empties at u = 1.
     Raises DomainError where neither reads finite.
 
-    ``grid``, which ``TiltedFamily.target`` gives, is a ``TiltedGrid``:
-    ``level_envelope`` then reads bounds on log w from it, not ``log_w``.
+    ``log_w_bounds(x)``, which ``TiltedFamily.target`` gives, reads (lo, hi)
+    with lo <= log w <= hi: ``level_envelope`` then reads it, not ``log_w``.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]
@@ -278,7 +269,7 @@ class WeightedTarget:
     log_c: float
     base: UniformBase | GeometricBase
     name: str = ""
-    grid: TiltedGrid | None = None
+    log_w_bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if not self.base.discrete:
@@ -420,13 +411,13 @@ class WeightedTarget:
 @dataclass(frozen=True)
 class TiltedFamily:
     """The targets log w = F(x) + theta x, one per tilt theta, of one
-    concave F tabulated at fixed points x (``table``, a TiltedGrid with
-    theta = 0), on one shared ``base``, Uniform(x[0], x[-1]).
+    concave F tabulated at fixed points x (``table``, a TiltedGrid), on one
+    shared ``base``, Uniform(x[0], x[-1]); every member reads the one table.
 
     ``log_w(x, theta)`` is F(x) + theta x, vectorized over x and a float for
     a float, with table.f = log_w(table.x, 0) float for float, and
     ``slope(x, theta)`` is (F'(x) + theta, F''(x)); ``target`` passes theta
-    by name. Its mode search, concave_mode from the tilted table's peak, runs
+    by name. Its mode search, concave_mode from table.peak(theta), runs
     on [x[0], min(x[-1], mode_hi)], allowing ``slack`` for rounding at x[0].
     """
 
@@ -447,12 +438,11 @@ class TiltedFamily:
         return cls(log_w, slope, TiltedGrid(x, np.concatenate(f)), **shape)
 
     def target(self, theta: float, name: str) -> WeightedTarget:
-        """The member at tilt theta, which carries the table under that tilt."""
-        grid = self.table.tilted(theta)
-        slope, log_w = partial(self.slope, theta=grid.theta), partial(self.log_w, theta=grid.theta)
-        base, start = self.base, float(grid.x[grid.peak()])
-        x_mode = concave_mode(slope, base.lo, min(base.hi, self.mode_hi), start, self.slack)
-        return WeightedTarget(log_w, x_mode, log_w(x_mode), base, name, grid)
+        """The member at tilt theta: log_w, slope and the table's bounds, each with theta bound."""
+        theta, table, base = float(theta), self.table, self.base
+        slope, log_w = partial(self.slope, theta=theta), partial(self.log_w, theta=theta)
+        x_mode = concave_mode(slope, base.lo, min(base.hi, self.mode_hi), table.x[table.peak(theta)], self.slack)
+        return WeightedTarget(log_w, x_mode, log_w(x_mode), base, name, partial(table.bounds, theta=theta))
 
 
 def concave_mode(slope, lo: float, hi: float, x0: float | None = None, slack: float = 0.0) -> float:

@@ -110,7 +110,7 @@ class TregState:
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float).ravel()
         self.s = np.asarray(self.s, dtype=float).ravel()
-        if self.sigma2 <= 0 or np.any(self.s <= 0) or self.nu <= 0:
+        if not (all(v > 0 for v in (self.sigma2, self.nu)) and np.all(self.s > 0)):
             raise DomainError("sigma2, s, and nu must be positive")
 
 

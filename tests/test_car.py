@@ -194,6 +194,14 @@ class TestHyper:
                 CarHyper(**{name: 0.0})
         assert CarHyper(m_sigma=math.inf, m_tau=math.inf).m_tau == math.inf
 
+    @pytest.mark.parametrize("name", ["sigma2", "tau2"])
+    def test_state_rejects_nan_variance(self, name):
+        # As in CarHyper: a NaN in a chain's init fails here, not later in
+        # the conjugate draws as a matrix that is not positive definite.
+        state = dict(beta=np.zeros(2), eta=np.zeros(4), sigma2=0.5, tau2=1.0, rho=0.5)
+        with pytest.raises(DomainError, match="must be positive"):
+            CarState(**state | {name: math.nan})
+
 
 class TestAreaIndicator:
     @pytest.mark.parametrize(
@@ -425,8 +433,8 @@ def assert_brackets(lo, log_w, hi):
 
 
 class FullGrid:
-    """The tilted table written out in full, F + theta rho and its upper
-    bounds f_up + theta rho, each one array read by np.interp: the
+    """The table written out in full under one tilt, F + theta rho and its
+    upper bounds f_up + theta rho, each one array read by np.interp: the
     representation that TiltedGrid avoids, kept as a reference."""
 
     def __init__(self, table: TiltedGrid, theta: float):
@@ -438,14 +446,14 @@ class FullGrid:
         return np.interp(x, self.x, self.values), np.interp(x, self.x, self.up)
 
 
-@dataclasses.dataclass(frozen=True)
-class RecordingGrid(TiltedGrid):
-    """A TiltedGrid that keeps each (points, lo, hi) it is read at."""
+class RecordingReader:
+    """A log_w_bounds reader that keeps each (points, lo, hi) it reads."""
 
-    reads: list = dataclasses.field(default_factory=list)
+    def __init__(self, read):
+        self.read, self.reads = read, []
 
-    def bounds(self, x):
-        lo, hi = super().bounds(x)
+    def __call__(self, x):
+        lo, hi = self.read(x)
         self.reads.append((x, lo, hi))
         return lo, hi
 
@@ -476,14 +484,13 @@ def check_table_bounds(eig, table, drift, seed):
     rho = 1e-4."""
     rng = np.random.default_rng(seed)
     log_w = rho_target(eig, 2.0 * drift, 1.0).log_w
-    grid = table.tilted(drift)
     on_grid = table.x[np.append(rng.integers(0, table.x.size, 200), np.arange(table.x.size - 12, table.x.size))]
     near_one = table.x[-12] + (1.0 - table.x[-12]) * rng.uniform(size=100)
     small = np.concatenate((1e-4 * rng.uniform(size=50), 10.0 ** rng.uniform(-300.0, -4.0, 50)))
     for x in (on_grid, rng.uniform(size=200), near_one, small):
-        lo, hi = grid.bounds(x)
+        lo, hi = table.bounds(x, drift)
         assert_brackets(lo, log_w(x), hi)
-    assert np.array_equal(grid.bounds(on_grid)[0], log_w(on_grid))
+    assert np.array_equal(table.bounds(on_grid, drift)[0], log_w(on_grid))
 
 
 class TestRhoTable:
@@ -501,13 +508,13 @@ class TestRhoTable:
     def test_tabulated_envelope(self, a, drifts):
         eig = car_eigen_precompute(a, a.sum(axis=1))
         family = rho_family(eig)
+        table = family.table
         bounds, plain_bounds = [], []
         for eta_a_eta, tau2 in drifts:
             target = rho_target(eig, eta_a_eta, tau2, family)
-            grid = target.grid
-            tilted = grid.bounds(grid.x)[0]
-            assert np.array_equal(tilted, target.log_w(grid.x))
-            assert grid.peak() == np.argmax(tilted)
+            tilted = target.log_w_bounds(table.x)[0]
+            assert np.array_equal(tilted, target.log_w(table.x))
+            assert table.peak(eta_a_eta / (2.0 * tau2)) == np.argmax(tilted)
             envelope = level_envelope(target)
             kt = envelope.table
             assert np.array_equal(kt.log_probs, target.base.log_prob(kt.x1, kt.x2))
@@ -517,7 +524,7 @@ class TestRhoTable:
                 inside = (ends > 0.0) & (ends < 1.0)
                 assert np.all(np.exp(target.log_w(ends[inside]) - target.log_c) <= kt.knots[inside])
             bounds.append(rejection_bound(envelope))
-            plain_bounds.append(rejection_bound(level_envelope(dataclasses.replace(target, grid=None))))
+            plain_bounds.append(rejection_bound(level_envelope(dataclasses.replace(target, log_w_bounds=None))))
         # The table's upper bounds raise the cells by at most ~1e-5 nats,
         # and its knots come from the levels of both bounds, so that each
         # piece keeps the lower bound it has without the table; with the
@@ -574,7 +581,7 @@ class TestRhoTable:
         # unchecked could put hi below log w and the draws off, silently.
         table = LATTICE_FAMILIES[6][1].table
         with pytest.raises(TypeError):
-            TiltedGrid(table.x, table.f, 0.0, table.flat_tilts, table.f_up)
+            TiltedGrid(table.x, table.f, table.flat_tilts, table.f_up)
         with pytest.raises(TypeError):
             TiltedGrid(table.x, table.f, f_up=table.f_up - 1.0)
 
@@ -608,7 +615,8 @@ class TestRhoTable:
         eig = car_eigen_precompute(lattice_adjacency(4), lattice_adjacency(4).sum(axis=1))
         table = rho_family(eig).table
         grid, log_f = table.x, table.f
-        assert table.theta == 0.0
+        # The table holds no tilt: its members pass theta to each read.
+        assert [f.name for f in dataclasses.fields(table)] == ["x", "f", "flat_tilts", "f_up"]
         assert grid[0] == 0.0 and grid[-1] == 1.0 and grid[-2] == np.nextafter(1.0, 0.0)
         assert np.all(np.diff(grid) > 0.0)
         assert np.array_equal(log_f, rho_target(eig, 0.0, 1.0).log_w(grid))
@@ -631,13 +639,13 @@ class TestRhoTable:
         table = family.table
         drift = eta_a_eta / (2.0 * tau2)
         target = rho_target(eig, eta_a_eta, tau2, family)
-        grid = target.grid
-        assert grid.theta == drift and grid.flat_tilts is table.flat_tilts
-        assert grid.f_up is table.f_up
+        # The member reads the family's table at its tilt, float for float.
+        for got, want in zip(target.log_w_bounds(table.x), table.bounds(table.x, drift)):
+            assert np.array_equal(got, want)
         # Every point the level envelope reads has lo <= log w <= hi, lo up
         # to the rounding of log w.
-        recording = RecordingGrid(grid.x, grid.f, grid.theta)
-        envelope = level_envelope(dataclasses.replace(target, grid=recording))
+        recording = RecordingReader(target.log_w_bounds)
+        envelope = level_envelope(dataclasses.replace(target, log_w_bounds=recording))
         assert recording.reads
         for x, lo, hi in recording.reads:
             assert_brackets(lo, target.log_w(x), hi)
@@ -645,7 +653,7 @@ class TestRhoTable:
         # written out in full under the tilt: the same points, and the same
         # levels up to the rounding of the tilt's sum.
         full = FullGrid(table, drift)
-        ref = level_envelope(dataclasses.replace(target, grid=full))
+        ref = level_envelope(dataclasses.replace(target, log_w_bounds=full.bounds))
         assert np.array_equal(envelope.bounds, ref.bounds)
         for name in ("heights", "cdf", "log_w"):
             assert np.allclose(getattr(envelope, name), getattr(ref, name), rtol=1e-9, atol=0.0), name
@@ -653,7 +661,7 @@ class TestRhoTable:
         # the same mode, except that a slope at 0 within the rounding of the
         # spectrum's sum gives 0 exactly.
         start = int(np.argmax(full.values))
-        assert grid.peak() == start
+        assert table.peak(drift) == start
         mode = concave_mode(rho_slope(eig, drift), 0.0, RHO_MAX, float(table.x[start]))
         assert target.x_mode == mode or (target.x_mode == 0.0 and mode < 1e-14)
 

@@ -296,6 +296,17 @@ class TestNuCompare:
         assert f"stepdirect: error: --threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "rejections.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, values, entry",
+        [("--a-values", "101,x", "'x'"), ("--n-knots-values", "5,2.5", "'2.5'")],
+    )
+    def test_bad_list_entry_exits_3(self, tmp_path, capsys, flag, values, entry):
+        args = ["nu-compare", "--n", "20", "--n-draws", "100", flag, values, "--out", str(tmp_path)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"stepdirect: error: {flag}: ") and entry in err
+        assert not (tmp_path / "rejections.csv").exists()
+
     def test_infeasible_a_exits_with_error(self, tmp_path, capsys):
         code = main(
             [

@@ -52,3 +52,23 @@ def test_cli_import_builds_no_table():
         "print(stepdirect.treg.nu_family.cache_info().currsize, len(made))"
     )
     assert fresh_output(code) == "0 0"
+
+
+def test_failing_hypothesis_test_is_reported(tmp_path):
+    # Hypothesis reports a failing example through libcst, whose import of
+    # mypy_extensions warns a DeprecationWarning. Under the project's
+    # warning filters that must fail the one test, not stop the session,
+    # which would drop every later test and the summary.
+    ini = Path(__file__).parents[1] / "pyproject.toml"
+    test = tmp_path / "test_fails.py"
+    test.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+    )
+    args = ["-c", str(ini), "--rootdir", str(tmp_path), "-p", "no:cacheprovider", str(test)]
+    out = subprocess.run([sys.executable, "-m", "pytest", *args], cwd=tmp_path, capture_output=True, text=True)
+    report = out.stdout + out.stderr
+    assert "INTERNALERROR" not in report
+    assert "1 failed" in report

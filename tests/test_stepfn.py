@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -494,16 +495,16 @@ class TestLevelKnots:
             level_envelope(target)
 
     def test_grid_value_above_log_c_raises(self):
-        # The check runs on the lower bounds read from the grid: a table
+        # The check runs on the lower bounds read from the table: a table
         # raised by a constant, which keeps it concave, reads above log_c
         # next to the mode, and is caught without a log_w call.
-        target = rho_target(self.EIG6, 20.0, 1.0, rho_family(self.EIG6))
-        grid = target.grid
-        raised = TiltedGrid(grid.x, grid.f + 1e-6, grid.theta)
-        lo, _ = raised.bounds(np.array([target.x_mode]))
+        family = rho_family(self.EIG6)
+        target = rho_target(self.EIG6, 20.0, 1.0, family)
+        raised = partial(TiltedGrid(family.table.x, family.table.f + 1e-6).bounds, theta=10.0)
+        lo, _ = raised(np.array([target.x_mode]))
         assert lo[0] > target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
         with pytest.raises(ModeError, match="not the maximizer"):
-            level_envelope(replace(target, grid=raised, log_w=None))
+            level_envelope(replace(target, log_w_bounds=raised, log_w=None))
 
 
 def reference_side_distances(scale: float, length: float) -> np.ndarray:

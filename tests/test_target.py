@@ -556,15 +556,38 @@ def assert_modes_agree(mode: float, ref: float) -> None:
     assert abs(mode - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
+FAMILIES = pytest.mark.parametrize(
+    "family, thetas",
+    [
+        (rho_family(np.array([1.0, 0.5, -0.5, -1.0])), (0.5, 3.0, 40.0)),
+        (nu_family(200, 0.01, 200.0), (-101.0, -150.0, -400.0)),
+    ],
+    ids=["rho", "nu"],
+)
+
+
 class TestTiltedFamily:
-    @pytest.mark.parametrize(
-        "family, thetas",
-        [
-            (rho_family(np.array([1.0, 0.5, -0.5, -1.0])), (0.5, 3.0, 40.0)),
-            (nu_family(200, 0.01, 200.0), (-101.0, -150.0, -400.0)),
-        ],
-        ids=["rho", "nu"],
-    )
+    @FAMILIES
+    def test_table_reads_every_tilt(self, family, thetas):
+        # The table holds no tilt: read at each theta with no member built,
+        # it brackets log w, lo up to its rounding, and is log w at grid
+        # points. A member's reader is that read, float for float.
+        table = family.table
+        rng = np.random.default_rng(7)
+        on_grid = table.x[rng.integers(0, table.x.size, 200)]
+        between = rng.uniform(table.x[0], table.x[-1], 500)
+        reads = {}
+        for theta in thetas:
+            lo, hi = reads[theta] = table.bounds(between, theta)
+            log_w = family.log_w(between, theta)
+            assert np.all((lo <= log_w) | np.isclose(lo, log_w, rtol=1e-12, atol=1e-12))
+            assert np.all(log_w <= hi)
+            assert np.array_equal(table.bounds(on_grid, theta)[0], family.log_w(on_grid, theta))
+        for theta, (lo, hi) in reads.items():
+            member_lo, member_hi = family.target(theta, "member").log_w_bounds(between)
+            assert np.array_equal(member_lo, lo) and np.array_equal(member_hi, hi)
+
+    @FAMILIES
     def test_members_share_the_table_and_base(self, family, thetas):
         # Each member builds only what depends on its tilt.
         members = [family.target(theta, "member") for theta in thetas]
@@ -572,9 +595,8 @@ class TestTiltedFamily:
         assert (family.base.lo, family.base.hi) == (lo, hi)
         for t in members:
             assert t.base is family.base
-            assert t.grid.x is family.table.x and t.grid.f is family.table.f
-            assert t.grid.f_up is family.table.f_up and t.grid.flat_tilts is family.table.flat_tilts
-        assert [t.grid.theta for t in members] == list(thetas)
+            assert t.log_w_bounds.func.__self__ is family.table
+        assert [t.log_w_bounds.keywords for t in members] == [{"theta": theta} for theta in thetas]
         assert len({t.x_mode for t in members}) == len(members)
 
 

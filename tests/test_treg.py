@@ -141,18 +141,22 @@ class TestNuTable:
         points = (np.exp(rng.uniform(math.log(0.01), math.log(200.0), 500)), rng.uniform(0.01, 200.0, 500), near_ends)
         for a_const in 0.5 * n * np.geomspace(1.0, 200.0, 12):
             target = nu_target(NuTargetParams(n=n, A=float(a_const), a_nu=0.01, b_nu=200.0))
-            assert target.grid.theta == -a_const and target.grid.f_up is table.f_up
             for x in points + (on_grid,):
-                lo, hi = target.grid.bounds(x)
+                lo, hi = target.log_w_bounds(x)
+                # The member reads the family's table at theta = -A.
+                want_lo, want_hi = table.bounds(x, -a_const)
+                assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
                 log_w = nu_log_weight(x, n, a_const)
                 assert np.all((lo <= log_w) | np.isclose(lo, log_w, rtol=1e-12, atol=1e-12))
                 assert np.all(log_w <= hi)
-            assert np.array_equal(target.grid.bounds(on_grid)[0], nu_log_weight(on_grid, n, a_const))
+            assert np.array_equal(target.log_w_bounds(on_grid)[0], nu_log_weight(on_grid, n, a_const))
 
     def test_tabulated_once_per_box(self):
+        # A member's reader is the table's bounds with theta bound.
         p = NuTargetParams(n=37, A=30.0, a_nu=0.5, b_nu=50.0)
-        assert nu_target(p).grid.f is nu_target(dataclasses.replace(p, A=90.0)).grid.f
-        assert nu_target(p).grid.f is not nu_target(dataclasses.replace(p, b_nu=60.0)).grid.f
+        table = nu_target(p).log_w_bounds.func.__self__
+        assert nu_target(dataclasses.replace(p, A=90.0)).log_w_bounds.func.__self__ is table
+        assert nu_target(dataclasses.replace(p, b_nu=60.0)).log_w_bounds.func.__self__ is not table
 
     def test_level_envelope_reads_only_the_table(self, monkeypatch):
         # Mirrors TestRhoTable.test_level_envelope_reads_only_the_table_at_40x40.
@@ -254,6 +258,14 @@ class TestHyper:
     def test_nan_rejected(self, name):
         with pytest.raises(DomainError, match="must be positive"):
             TregHyper(**{name: math.nan})
+
+    @pytest.mark.parametrize("name, value", [("sigma2", math.nan), ("nu", math.nan), ("s", [1.0, math.nan, 1.0])])
+    def test_state_rejects_nan(self, name, value):
+        # As in TregHyper: a NaN in a chain's init fails here, not later
+        # as a nu target whose A is not finite.
+        state = dict(beta=np.zeros(2), sigma2=1.0, s=np.ones(3), nu=5.0)
+        with pytest.raises(DomainError, match="must be positive"):
+            TregState(**state | {name: value})
 
 
 class TestGibbsRun:
