@@ -34,19 +34,20 @@ BLAS thread count.
 
 In the rho step log w = F(rho) + theta rho, with F fixed by the data and
 concave, and theta = eta'A eta / (2 tau^2): the rho conditionals are one
-TiltedFamily (``rho_family``). The step's level envelope reads bounds on
-log w at its points, about 1,300, from the family's table of F, with no
-O(k) term; only the mode search and each candidate's accept test evaluate
-log w, at O(k) a point. X'X, the spectrum of D^{-1} A and the rho family
-are computed once per data set, the last two on first use. `CarData`
-holds all of this, and is frozen so none of it can go stale.
+TiltedFamily (``rho_family``). The step re-tilts its tilt bucket's cached
+level envelope, which the family built from bounds on log w at about
+1,200 points of its table of F, with no O(k) term; only the mode search
+and each candidate's accept test evaluate log w, at O(k) a point. X'X,
+the spectrum of D^{-1} A and the rho family are computed once per data
+set, the last two on first use. `CarData` holds all of this, and is
+frozen so none of it can go stale.
 """
 from __future__ import annotations
 
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -198,6 +199,7 @@ class CarData:
     factor order with the band of A in it, X'X, and (on first use) the
     spectrum of D^{-1} A and the rho family. ``A`` may be passed dense or
     sparse; it is kept as a CSR array, so no k x k array is stored.
+    ``layout`` optionally gives _band_layout(A) where the caller has it.
     """
 
     y: np.ndarray
@@ -210,8 +212,9 @@ class CarData:
     order: np.ndarray = field(init=False)  # area at each position of the factor order
     a_band: np.ndarray = field(init=False)  # general band of A in that order, for dgbtrf
     xtx: np.ndarray = field(init=False)  # X'X
+    layout: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, layout):
         y = np.asarray(self.y, dtype=float).ravel()
         x = np.atleast_2d(np.asarray(self.X, dtype=float))
         a = _validate_adjacency(self.A)
@@ -227,7 +230,7 @@ class CarData:
             i = int(np.argmin(valid))
             raise DomainError(f"outcome {i} has area {area[i]}, not an integer in [0, {k})")
         area = area.astype(int)
-        edges, order, a_band = _band_layout(a)
+        edges, order, a_band = _band_layout(a) if layout is None else layout
         values = dict(
             y=y, X=x, A=a, D=a.sum(axis=1), area=area,
             counts=np.bincount(area, minlength=k).astype(float),
@@ -550,10 +553,10 @@ def car_synthetic(
     x = np.column_stack(cols)
     area = np.repeat(np.arange(k), n_rep)
     # The prior precision (D - rho A)/tau^2 is draw_eta's with no outcomes and b = 0.
-    _, order, band = _band_layout(a)
-    eta = _band_gmrf_draw(order, band, a.sum(axis=1) / tau2, -rho / tau2, np.zeros(k), rng)
+    layout = _band_layout(a)
+    eta = _band_gmrf_draw(layout[1], layout[2], a.sum(axis=1) / tau2, -rho / tau2, np.zeros(k), rng)
     y = x @ beta + eta[area] + rng.generator.standard_normal(n) * math.sqrt(sigma2)
-    return CarData(y=y, X=x, area=area, A=a)
+    return CarData(y=y, X=x, area=area, A=a, layout=layout)
 
 
 def car_dump_csv(data: CarData, out_dir) -> None:

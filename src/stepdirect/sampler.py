@@ -41,6 +41,7 @@ from .stepfn import (
     insert_knot,
     level_envelope,
     log_total_rect_area,
+    retilt,
     select_knots,
     step_logpdf_unnorm,
     step_quantile,
@@ -92,10 +93,11 @@ class SamplerConfig:
         check_knot_rule(self.midpoint_kind, self.omega)
 
 
-# A Gibbs step (rho in car, nu in treg) builds a fresh envelope for each
-# draw and drops it after one accepted value. Level knots build it from
-# the target's log_w_bounds or two log_w calls, with no endpoint solve,
-# and it does not adapt, since a knot inserted into it would never be used.
+# A Gibbs step (rho in car, nu in treg) takes a new envelope for each draw
+# and drops it after one accepted value. Level knots re-tilt its family's
+# cached envelope of its tilt bucket, or build it from the target's
+# log_w_bounds or two log_w calls, with no endpoint solve either way, and it
+# does not adapt, since a knot inserted into it would never be used.
 GIBBS_STEP_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 
@@ -151,8 +153,11 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
     """Select knots and build the envelope.
 
     Level knots (``knot_method="level"``) give ``level_envelope``'s cells:
-    two log_w calls and no endpoint solve. Their knot table, from u = 0 to
-    u_hi = 1, is built only when read.
+    two log_w calls and no endpoint solve. On a member of a TiltedFamily
+    whose tilt lies in one of the family's buckets they are the cells of
+    the bucket's anchor, built once and cached by the family, re-tilted to
+    the member by ``retilt`` with no read of log w. Their knot table, from
+    u = 0 to u_hi = 1, is built only when read.
 
     The greedy and equal knots cover a descent window [u_lo, u_hi], both in
     closed form with no search. u_lo is find_u_lo's: the smaller of w at
@@ -165,7 +170,11 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
     insertion can split it like any other.
     """
     if config.knot_method == "level":
-        return level_envelope(target)
+        bucket = None if target.family is None else target.family.anchor(target.theta, level_envelope)
+        if bucket is None:
+            return level_envelope(target)
+        theta_k, anchor = bucket
+        return retilt(anchor, target, target.theta - theta_k)
     u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo)
     if config.knot_method == "equal":

@@ -21,6 +21,8 @@ lowest w / c from the mode out to it (the table or ziggurat construction
 for unimodal densities). A candidate takes x from the cells' masses, then
 u uniformly under x's cell: the same region, so u has density h(u) / a and
 x given u is uniform on u's window. Its knot table is built only when read.
+``retilt`` makes the envelope of log w + shift x from one of log w, with
+no read of either.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ __all__ = [
     "select_knots",
     "equal_spaced_knots",
     "level_envelope",
+    "retilt",
     "build_step",
     "step_cdf",
     "step_quantile",
@@ -186,13 +189,15 @@ class LevelEnvelope:
     ``bounds`` ascend from base.lo through x_mode, at ``bounds[n_left]``,
     to base.hi, with a lower bound on log w at each in ``log_w`` (log w
     itself without ``log_w_bounds``). Cell i, from bounds[i] to
-    bounds[i + 1], has height ``heights[i]`` in [0, 1]; the heights rise to
-    1 next to the mode and fall after it, so the cells above a level u form
-    one window, whose base mass is h(u). ``cdf`` is the share of the cells'
-    mass, height times width, below each bound, and ``log_a`` the log of
-    that mass over the base's width. ``table``, the same envelope in u, is
-    built on first read, which only the rejection bound, the knot rows and
-    adaptive insertion make: a Gibbs step that draws once never builds it.
+    bounds[i + 1], has an upper bound ``levels[i]`` on log w and height
+    ``heights[i]`` = exp(levels[i] - log_c), capped at 1; the heights rise
+    to 1 next to the mode and fall after it, so the cells above a level u
+    form one window, whose base mass is h(u). ``cdf`` is the share of the
+    cells' mass, height times width, below each bound, and ``log_a`` the
+    log of that mass over the base's width. ``table``, the same envelope in
+    u, is built on first read, which only the rejection bound, the knot
+    rows and adaptive insertion make: a Gibbs step that draws once never
+    builds it. ``retilt`` reads ``levels`` and ``log_w`` to re-tilt it.
     """
 
     base: UniformBase
@@ -203,6 +208,7 @@ class LevelEnvelope:
     n_left: int
     log_w: np.ndarray
     log_c: float
+    levels: np.ndarray
 
     def propose(self, base, v_u, v_x):
         """Candidates (u, x) from two uniforms, in StepApprox.propose's
@@ -428,7 +434,8 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     inner end. As w is unimodal, w / c is at most that height on the cell,
     so the cells above a level u form a window that contains A_u. No level
     is sorted or searched for: one running minimum per side, then one
-    cumsum. The lower bounds are kept for the knot table's.
+    cumsum. The levels m and the lower bounds are kept for ``retilt`` and
+    the knot table.
 
     Raises DomainError on an integer base, ModeError where a lower bound
     on log w exceeds log_c by more than MODE_SLACK (1 + |log_c|), and
@@ -452,7 +459,38 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     bounds = np.concatenate((left[::-1], [m], right))
     lo = np.concatenate((lo[:n_left][::-1], [log_c], lo[n_left:]))
     hi = np.concatenate((hi[:n_left][::-1], [log_c], hi[n_left:]))
-    heights = np.exp(_cell_levels(hi, n_left) - log_c)
+    return _level_cells(base, bounds, _cell_levels(hi, n_left), n_left, lo, log_c)
+
+
+def retilt(anchor: LevelEnvelope, target: WeightedTarget, shift: float) -> LevelEnvelope:
+    """The envelope of ``target``, log w = log w_a + shift x, from the cells
+    of ``anchor``, the envelope of log w_a, with no read of log w.
+
+    It is exact, up to the rounding of log w as level_envelope is: on
+    anchor cell i, log w is at most levels_i + shift x_far, with x_far the
+    cell's right end where shift > 0 and its left end otherwise. The
+    target's mode splits its cell, and the levels take a running minimum
+    outward from it on each side, as w is unimodal; the heights then rise
+    to 1 next to the mode and fall after it. The lower bounds are the
+    anchor's plus shift x, and log c at the mode.
+    """
+    b, m, log_c = anchor.bounds, target.x_mode, target.log_c
+    tilt = shift * b
+    tilted = anchor.levels + (tilt[1:] if shift > 0.0 else tilt[:-1])
+    j = min(max(int(b.searchsorted(m, side="right")), 1), b.size - 1)
+    bounds = np.concatenate((b[:j], [m], b[j:]))
+    levels = np.concatenate((tilted[:j], tilted[j - 1 :]))
+    left, right = levels[:j][::-1], levels[j:]
+    np.minimum.accumulate(left, out=left)
+    np.minimum.accumulate(right, out=right)
+    lo = anchor.log_w + tilt
+    return _level_cells(anchor.base, bounds, levels, j, np.concatenate((lo[:j], [log_c], lo[j:])), log_c)
+
+
+def _level_cells(base, bounds, levels, n_left, lo, log_c) -> LevelEnvelope:
+    """The LevelEnvelope of cells between ``bounds`` with upper bounds
+    ``levels`` on log w; raises DegenerateTargetError where they have no mass."""
+    heights = np.exp(np.minimum(levels - log_c, 0.0))
     cdf = np.empty(bounds.size)
     cdf[0] = 0.0
     (heights * (bounds[1:] - bounds[:-1])).cumsum(out=cdf[1:])
@@ -460,7 +498,7 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     if not total > 0.0:
         raise DegenerateTargetError("step function has zero total mass")
     cdf /= total
-    return LevelEnvelope(base, bounds, heights, cdf, math.log(total / (base.hi - base.lo)), n_left, lo, log_c)
+    return LevelEnvelope(base, bounds, heights, cdf, math.log(total / (base.hi - base.lo)), n_left, lo, log_c, levels)
 
 
 def build_step(kt: KnotTable) -> StepApprox:

@@ -18,11 +18,13 @@ slightly too wide costs a little acceptance but never exactness.
 Targets whose log w is a fixed concave F plus a linear term, F(x) +
 theta x, form one ``TiltedFamily`` per F: it owns F, its slopes, its base
 and one table of F (``TiltedGrid``), which bounds log w at any tilt, and
-its member at each theta finds the mode by ``concave_mode``.
+its member at each theta finds the mode by ``concave_mode``. It also
+caches one envelope per tilt bucket, which its members re-tilt.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -60,6 +62,12 @@ GRID_SLACK = 1e-9
 # TiltedFamily.tabulate reads F at this many points per call, so an F of O(k)
 # per point needs TABLE_BLOCK x k doubles of working memory.
 TABLE_BLOCK = 256
+
+# Tilt buckets (TiltedFamily.anchor): a bucket is BUCKET_ARC wide on the
+# family's arc, in units of a member's scale, and a family keeps the
+# envelopes of at most ANCHOR_CAP anchors, 50-75 KB each on the Gibbs families.
+BUCKET_ARC = 0.5
+ANCHOR_CAP = 64
 
 # TiltedGrid.peak compares the tilted values this many points either side
 # of the step where its binary search on the flat tilts lands.
@@ -192,6 +200,7 @@ class TiltedGrid:
     f: np.ndarray
     flat_tilts: np.ndarray = field(init=False)
     f_up: np.ndarray = field(init=False)
+    chords: np.ndarray = field(init=False)
 
     def __post_init__(self):
         x, f = np.asarray(self.x, dtype=float), np.asarray(self.f, dtype=float)
@@ -218,16 +227,23 @@ class TiltedGrid:
             ends[-1] = f[-2] - flat_tilts[-2] * h[-1]
         lift = np.append(gap, 0.0)
         np.maximum(lift[1:], gap, out=lift[1:])
-        f_up = ends + lift + GRID_SLACK * (1.0 + np.abs(ends))
-        for name, value in (("x", x), ("f", f), ("flat_tilts", flat_tilts), ("f_up", f_up)):
+        # f and f_up are the real and imaginary views of one complex array,
+        # so that one np.interp reads both chords.
+        chords = np.empty(x.size, dtype=complex)
+        chords.real = f
+        chords.imag = ends + lift + GRID_SLACK * (1.0 + np.abs(ends))
+        values = (("x", x), ("f", chords.real), ("flat_tilts", flat_tilts), ("f_up", chords.imag), ("chords", chords))
+        for name, value in values:
             object.__setattr__(self, name, value)
 
     def bounds(self, x, theta: float):
-        """(lo, hi) at points x under tilt theta: the chords of f and of f_up
-        by np.interp, each plus theta x. lo <= log w <= hi, lo up to the
-        rounding of log w, and lo is log w itself at grid points."""
+        """(lo, hi) at points x under tilt theta: the chords of f and of f_up,
+        read by one np.interp of ``chords``, each plus theta x. lo <= log w
+        <= hi, lo up to the rounding of log w, and lo is log w itself at
+        grid points."""
         tilt = theta * x
-        return np.interp(x, self.x, self.f) + tilt, np.interp(x, self.x, self.f_up) + tilt
+        both = np.interp(x, self.x, self.chords)
+        return both.real + tilt, both.imag + tilt
 
     def peak(self, theta: float) -> int:
         """Index of the largest tilted value f + theta x, the first of equal
@@ -262,6 +278,8 @@ class WeightedTarget:
 
     ``log_w_bounds(x)``, which ``TiltedFamily.target`` gives, reads (lo, hi)
     with lo <= log w <= hi: ``level_envelope`` then reads it, not ``log_w``.
+    A member of a TiltedFamily also carries the ``family`` and its tilt
+    ``theta``, by which ``build_envelope`` finds the envelope of its bucket.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]
@@ -270,6 +288,8 @@ class WeightedTarget:
     base: UniformBase | GeometricBase
     name: str = ""
     log_w_bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    family: TiltedFamily | None = field(default=None, repr=False)
+    theta: float = 0.0
 
     def __post_init__(self):
         if not self.base.discrete:
@@ -419,6 +439,12 @@ class TiltedFamily:
     ``slope(x, theta)`` is (F'(x) + theta, F''(x)); ``target`` passes theta
     by name. Its mode search, concave_mode from table.peak(theta), runs
     on [x[0], min(x[-1], mode_hi)], allowing ``slack`` for rounding at x[0].
+
+    Tilt buckets: the tilts within the table's flat tilts fall into buckets
+    BUCKET_ARC wide on the ``arc``, each with one anchor tilt, a pure
+    function of theta (``anchor``). ``anchors`` caches an envelope of each
+    anchor's member, built on first use, for at most ANCHOR_CAP buckets;
+    any member of the bucket re-tilts it (``stepfn.retilt``).
     """
 
     log_w: Callable
@@ -426,10 +452,49 @@ class TiltedFamily:
     table: TiltedGrid
     mode_hi: float = math.inf
     slack: float = 0.0
+    anchors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     @cached_property
     def base(self) -> UniformBase:
         return UniformBase(self.table.x[0], self.table.x[-1])
+
+    @cached_property
+    def arc(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, s): the finite flat tilts of the table's steps that end at
+        or below mode_hi, where those members' modes lie, ascending, and the
+        arc length at each, s_i = sum_{j<i} sqrt((x_{j+1} - x_j)(tau_{j+1} -
+        tau_j)). A member's scale is about 1 / sqrt(-F'') = sqrt(dx / dtau)
+        at its mode, so s measures tilts in units of it."""
+        x, tau = self.table.x, self.table.flat_tilts
+        tau = tau[(x[1:] <= self.mode_hi) & np.isfinite(tau)]
+        s = np.zeros(tau.size)
+        np.sqrt((x[1 : tau.size] - x[: tau.size - 1]) * (tau[1:] - tau[:-1])).cumsum(out=s[1:])
+        return tau, s
+
+    def anchor(self, theta: float, build: Callable[[WeightedTarget], object]):
+        """(theta_k, build(member at theta_k)) for theta's bucket k, or None
+        where theta lies outside the flat tilts (or is NaN).
+
+        k = round(s(theta) / BUCKET_ARC) and theta_k = s^-1(k BUCKET_ARC),
+        both read off ``arc`` by np.interp, so what is drawn never depends
+        on what the cache holds. Each bucket is built once while cached;
+        past ANCHOR_CAP buckets the least recently used is dropped. A lock
+        guards the cache, which threads sharing the family share.
+        """
+        tau, s = self.arc
+        if not tau[0] <= theta <= tau[-1]:
+            return None
+        k = round(float(np.interp(theta, tau, s)) / BUCKET_ARC)
+        with self._lock:
+            hit = self.anchors.pop(k, None)
+            if hit is None:
+                if len(self.anchors) >= ANCHOR_CAP:
+                    del self.anchors[next(iter(self.anchors))]
+                theta_k = float(np.interp(k * BUCKET_ARC, s, tau))
+                hit = theta_k, build(self.target(theta_k, f"anchor {k}"))
+            self.anchors[k] = hit
+        return hit
 
     @classmethod
     def tabulate(cls, log_w, slope, x, **shape) -> TiltedFamily:
@@ -442,7 +507,7 @@ class TiltedFamily:
         theta, table, base = float(theta), self.table, self.base
         slope, log_w = partial(self.slope, theta=theta), partial(self.log_w, theta=theta)
         x_mode = concave_mode(slope, base.lo, min(base.hi, self.mode_hi), table.x[table.peak(theta)], self.slack)
-        return WeightedTarget(log_w, x_mode, log_w(x_mode), base, name, partial(table.bounds, theta=theta))
+        return WeightedTarget(log_w, x_mode, log_w(x_mode), base, name, partial(table.bounds, theta=theta), self, theta)
 
 
 def concave_mode(slope, lo: float, hi: float, x0: float | None = None, slack: float = 0.0) -> float:

@@ -11,9 +11,10 @@ have the nonstandard conditional
 
 a weighted Uniform(a_nu, b_nu) target handled exactly by the direct
 sampler. F is concave and only theta = -A changes between iterations: the
-conditionals are one TiltedFamily (``nu_family``), whose table of F each
-nu step's level envelope reads with no log_w call. A rejection sampler
-with a truncated-exponential proposal is included as a baseline.
+conditionals are one TiltedFamily (``nu_family``), and each nu step
+re-tilts the family's cached level envelope of its tilt bucket, read off
+the family's table of F with no log_w call. A rejection sampler with a
+truncated-exponential proposal is included as a baseline.
 """
 from __future__ import annotations
 

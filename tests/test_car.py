@@ -616,7 +616,7 @@ class TestRhoTable:
         table = rho_family(eig).table
         grid, log_f = table.x, table.f
         # The table holds no tilt: its members pass theta to each read.
-        assert [f.name for f in dataclasses.fields(table)] == ["x", "f", "flat_tilts", "f_up"]
+        assert [f.name for f in dataclasses.fields(table)] == ["x", "f", "flat_tilts", "f_up", "chords"]
         assert grid[0] == 0.0 and grid[-1] == 1.0 and grid[-2] == np.nextafter(1.0, 0.0)
         assert np.all(np.diff(grid) > 0.0)
         assert np.array_equal(log_f, rho_target(eig, 0.0, 1.0).log_w(grid))

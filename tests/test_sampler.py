@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import cProfile
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from stepdirect.car import (
     car_synthetic,
     draw_rho_direct,
     lattice_adjacency,
+    rho_family,
     rho_target,
 )
 from stepdirect.cmp import CmpParams, cmp_pmf_oracle, cmp_target
@@ -34,17 +37,27 @@ from stepdirect.sampler import (
     build_sampler,
     rejection_bound,
 )
-from stepdirect.stepfn import DESCENT_TOL, find_u_hi, find_u_lo, step_logpdf_unnorm
-from stepdirect.target import GeometricBase, UniformBase, WeightedTarget, integer_window
+from stepdirect.stepfn import DESCENT_TOL, find_u_hi, find_u_lo, level_envelope, step_logpdf_unnorm
+from stepdirect.target import (
+    ANCHOR_CAP,
+    BUCKET_ARC,
+    GeometricBase,
+    UniformBase,
+    WeightedTarget,
+    integer_window,
+)
 from stepdirect.treg import (
     NuTargetParams,
     draw_nu_direct,
     geweke_nu_star,
     geweke_sample_many,
+    nu_family,
     nu_target,
 )
 from tests.test_acceptance import _registered_targets
+from tests.test_car import rho_quadrature_cdf
 from tests.test_target import lopsided_log_w, quadratic_target
+from tests.test_treg import nu_quadrature_cdf
 
 
 def continuous_targets():
@@ -115,7 +128,7 @@ class TestBuildSampler:
         assert len(calls) == (2 if target.log_w_bounds is None else 0) and solves == []
 
     @pytest.mark.parametrize("name", ["rho drift=1.0", "rho drift=12.0", "nu A=120.0", "nu A=400.0"])
-    def test_gibbs_configs_start_at_descent_tol(self, name, monkeypatch):
+    def test_gibbs_configs_start_at_descent_tol(self, name):
         # The Gibbs config uses level knots, whose u_lo is the smallest
         # positive cell level, with no DESCENT_TOL floor: at or above the
         # smallest positive tabulated level w(x_i) / c, and at or below the
@@ -124,18 +137,11 @@ class TestBuildSampler:
         # upper bound from the mode out to its inner end. On the nu
         # targets it lies far below that floor; on the rho targets w(1) = 0
         # gives no knot, and the next level is far above it.
+        # The lower bounds are the envelope's own, built or re-tilted.
         target, cfg = {n: (t, c) for n, t, c in _registered_targets()}[name]
         assert cfg == GIBBS_STEP_CONFIG
-        tables = []
-        level_points = stepdirect.stepfn._level_points
-
-        def recorded(target, x):
-            tables.append(level_points(target, x))
-            return tables[-1]
-
-        monkeypatch.setattr(stepdirect.stepfn, "_level_points", recorded)
         step, diag = build_sampler(target, cfg)
-        levels = np.exp(tables[-1][0] - target.log_c)
+        levels = np.exp(step.log_w - target.log_c)
         assert levels[levels > 0.0].min() <= diag.u_lo <= step.heights[step.heights > 0.0].min()
         assert (diag.u_lo < DESCENT_TOL) == name.startswith("nu")
 
@@ -326,12 +332,18 @@ class TestGibbsStepCalls:
     cost that needs no timer and does not change with the machine's load.
 
     Each bound sits a few percent above the count with Python 3.11 and
-    numpy 2.4; both draws below take no rejection, which would add calls.
+    numpy 2.4; the draws below take no rejection, which would add calls.
+    A warm step re-tilts its bucket's cached envelope; a cold one, with
+    the family's cache cleared, builds the anchor's envelope first.
     """
 
+    NU = NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)
+
     @staticmethod
-    def calls(step, *args) -> int:
-        step(*args, Rng(0))  # lazy set-up: imports, cached spectra
+    def calls(step, *args, anchors=None) -> int:
+        step(*args, Rng(0))  # lazy set-up: imports, cached spectra, the bucket's envelope
+        if anchors is not None:
+            anchors.clear()
         rng = Rng(1)
         profile = cProfile.Profile()
         profile.enable()
@@ -341,15 +353,162 @@ class TestGibbsStepCalls:
         # dataclass-generated __init__ into one entry; the raw entries do not.
         return sum(entry.callcount for entry in profile.getstats())
 
+    @staticmethod
+    def rho_step():
+        data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
+        return data, CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
+
     def test_nu_step(self):
-        # 162 calls, with the nu table built.
-        assert self.calls(draw_nu_direct, NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)) <= 170
+        # 114 calls, with the nu table built and the bucket's envelope cached.
+        assert self.calls(draw_nu_direct, self.NU) <= 120
+
+    def test_cold_nu_step(self):
+        # 245 calls, building the bucket's envelope.
+        assert self.calls(draw_nu_direct, self.NU, anchors=nu_family(200, 0.01, 200.0).anchors) <= 257
 
     def test_rho_step(self):
-        # 165 calls, on the 6x6 lattice with its rho family.
-        data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
-        state = CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
-        assert self.calls(draw_rho_direct, data, state) <= 173
+        # 121 calls, on the 6x6 lattice with its rho family and the bucket's envelope cached.
+        assert self.calls(draw_rho_direct, *self.rho_step()) <= 127
+
+    def test_cold_rho_step(self):
+        # 252 calls, building the bucket's envelope.
+        data, state = self.rho_step()
+        assert self.calls(draw_rho_direct, data, state, anchors=data.rho_family.anchors) <= 265
+
+
+def bucket_tilt(family, k: int, offset: float) -> float:
+    """The tilt offset bucket widths from the anchor of the family's bucket k."""
+    tau, s = family.arc
+    return float(np.interp((k + offset) * BUCKET_ARC, s, tau))
+
+
+class TestTiltBuckets:
+    """Members of a TiltedFamily re-tilt the cached envelope of their tilt
+    bucket, on both Gibbs families."""
+
+    LATTICE = car_eigen_precompute(lattice_adjacency(6), lattice_adjacency(6).sum(axis=1))
+    FAMILIES = {"nu": nu_family(200, 0.01, 200.0), "rho 6x6": rho_family(LATTICE)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FAMILIES)),
+        share=st.floats(min_value=0.0, max_value=1.0),
+        offset=st.floats(min_value=-0.499, max_value=0.499),
+    )
+    @example(name="nu", share=0.0, offset=0.499)
+    @example(name="rho 6x6", share=1.0, offset=-0.499)
+    def test_retilted_cells_dominate(self, name, share, offset):
+        # Anywhere in any bucket, each cell's height is at least w / c at
+        # nine points across it, ends included, up to the rounding of log w,
+        # and the rejection bound holds up to 3 binomial sigmas.
+        family = self.FAMILIES[name]
+        k = round(share * family.arc[1][-1] / BUCKET_ARC)
+        target = family.target(bucket_tilt(family, k, offset), name)
+        envelope = build_envelope(target, GIBBS_STEP_CONFIG)
+        assert envelope.bounds.size == family.anchors[k][1].bounds.size + 1
+        b = envelope.bounds
+        x = (b[:-1, None] + np.diff(b)[:, None] * np.linspace(0.0, 1.0, 9)).ravel()
+        ratio = np.exp(target.log_w(x) - target.log_c - 1e-12 * (1.0 + abs(target.log_c)))
+        assert np.all(ratio <= np.repeat(envelope.heights, 9))
+        bound = rejection_bound(envelope)
+        n = 20_000
+        _, report = DirectSampler(target, GIBBS_STEP_CONFIG).sample(n, Rng(k))
+        trials = n + report.n_rejected
+        assert report.n_rejected / trials <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+
+    @pytest.mark.parametrize("name", ["nu", "rho"])
+    def test_draws_at_a_bucket_edge_match_quadrature(self, name):
+        # The member furthest from its anchor, half a bucket away, with the
+        # fixed-seed TV test of the direct draws (80,000 draws, 20 bins).
+        if name == "nu":
+            family = nu_family(200, 0.01, 200.0)
+            theta = bucket_tilt(family, round(float(np.interp(-150.0, *family.arc)) / BUCKET_ARC), 0.499)
+            p = NuTargetParams(n=200, A=-theta, a_nu=0.01, b_nu=200.0)
+            target = nu_target(p)
+            grid, cdf = nu_quadrature_cdf(p)
+        else:
+            family = self.FAMILIES["rho 6x6"]
+            theta = bucket_tilt(family, round(float(np.interp(4.0, *family.arc)) / BUCKET_ARC), -0.499)
+            target = rho_target(self.LATTICE, 2.0 * theta, 1.0, family)
+            grid, cdf = rho_quadrature_cdf(self.LATTICE, theta)
+        assert target.theta == theta
+        draws, _ = DirectSampler(target, GIBBS_STEP_CONFIG).sample(80_000, Rng(3))
+        qs = np.linspace(0.05, 0.95, 19)
+        edges = np.concatenate(([target.base.lo], np.interp(qs, cdf, grid), [target.base.hi]))
+        emp = np.histogram(draws, bins=edges)[0] / draws.size
+        assert 0.5 * np.abs(emp - np.diff(np.concatenate(([0.0], qs, [1.0])))).sum() < 0.010
+
+    @pytest.mark.parametrize("name", ["nu", "rho 6x6"])
+    def test_draws_do_not_depend_on_the_cache(self, name):
+        # A draw is the same whether its anchor was just built, cached, or
+        # evicted and built again. The nu family has more buckets than the
+        # cap, so the others evict bucket 5; the 6x6 rho family has fewer,
+        # so it never evicts, and its entry is dropped by hand.
+        family = self.FAMILIES[name]
+        theta = bucket_tilt(family, 5, 0.3)
+        family.anchors.clear()
+        runs = []
+        for state in ("built", "cached", "evicted"):
+            if state == "evicted":
+                for k in range(6, 6 + ANCHOR_CAP):
+                    family.anchor(bucket_tilt(family, k, 0.0), level_envelope)
+                if name == "rho 6x6":
+                    assert len(family.anchors) < ANCHOR_CAP
+                    del family.anchors[5]
+                assert 5 not in family.anchors
+            runs.append(DirectSampler(family.target(theta, name), GIBBS_STEP_CONFIG).sample(2_000, Rng(8))[0])
+            assert 5 in family.anchors
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+    def test_cache_never_exceeds_its_cap(self):
+        # Every bucket of the nu family in turn, then the first again: the
+        # cache keeps the ANCHOR_CAP buckets used last.
+        family = nu_family(200, 0.01, 200.0)
+        n_buckets = round(family.arc[1][-1] / BUCKET_ARC) + 1
+        assert n_buckets > ANCHOR_CAP
+        family.anchors.clear()
+        for k in [*range(n_buckets), n_buckets - ANCHOR_CAP]:
+            build_envelope(family.target(bucket_tilt(family, k, 0.0), "nu"), GIBBS_STEP_CONFIG)
+            assert len(family.anchors) <= ANCHOR_CAP
+        assert list(family.anchors) == [*range(n_buckets - ANCHOR_CAP + 1, n_buckets), n_buckets - ANCHOR_CAP]
+
+    def test_threads_share_the_cache(self):
+        # Eight threads on two cores share the nu family's cache, switching
+        # every 10 us, over more buckets than the cap: each draws what one
+        # thread alone draws, and the cache stays within its cap.
+        family = nu_family(200, 0.01, 200.0)
+        thetas = [bucket_tilt(family, k, 0.2) for k in range(0, round(family.arc[1][-1] / BUCKET_ARC), 2)]
+        assert len(thetas) > ANCHOR_CAP
+
+        def draws(start):
+            order = [(start + i) % len(thetas) for i in range(len(thetas))]
+            out = {}
+            for i in order:
+                out[i] = DirectSampler(family.target(thetas[i], "nu"), GIBBS_STEP_CONFIG).draw(Rng(i)).x
+                assert len(family.anchors) <= ANCHOR_CAP
+            return out
+
+        alone = draws(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(draws, 15 * w) for w in range(8)]
+                shared = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == alone for run in shared)
+
+    @pytest.mark.parametrize("name", ["nu", "rho 6x6"])
+    def test_tilts_outside_the_table_build_their_own(self, name):
+        # Just past the table's flat tilts, a member builds level_envelope's cells.
+        family = self.FAMILIES[name]
+        tau, _ = family.arc
+        for theta in (np.nextafter(tau[0], -np.inf), np.nextafter(tau[-1], np.inf)):
+            target = family.target(theta, name)
+            assert family.anchor(theta, level_envelope) is None
+            built, own = build_envelope(target, GIBBS_STEP_CONFIG), level_envelope(target)
+            assert np.array_equal(built.bounds, own.bounds) and np.array_equal(built.heights, own.heights)
 
 
 class TestSampleWork:

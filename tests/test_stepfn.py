@@ -677,9 +677,11 @@ class TestDeferredLows:
 
     @staticmethod
     def level_targets(car6):
+        # Family members without their family, so that the sampler builds
+        # level_envelope's cells, which the reference describes.
         return [
-            nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)),
-            rho_target(car6.eigenvalues, 7.4, 1.0, car6.rho_family),
+            replace(nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)), family=None),
+            replace(rho_target(car6.eigenvalues, 7.4, 1.0, car6.rho_family), family=None),
             quadratic_target(0.3, 50.0),
         ]
 
