@@ -34,10 +34,10 @@ BLAS thread count.
 
 In the rho step log w = F(rho) + theta rho, with F fixed by the data and
 concave, and theta = eta'A eta / (2 tau^2): the rho conditionals are one
-TiltedFamily (``rho_family``). The step re-tilts its tilt bucket's cached
-level envelope, which the family built from bounds on log w at about
-1,200 points of its table of F, with no O(k) term; only the mode search
-and each candidate's accept test evaluate log w, at O(k) a point. X'X,
+TiltedFamily (``rho_family``). The step draws from its tilt bucket's
+cached cells, which the family built from bounds on log w at about 1,200
+points of its table of F, with no O(k) term, and it searches no mode:
+only each candidate's accept test evaluates log w, at O(k) a point. X'X,
 the spectrum of D^{-1} A and the rho family are computed once per data
 set, the last two on first use. `CarData` holds all of this, and is
 frozen so none of it can go stale.
@@ -61,7 +61,7 @@ from scipy.special import ndtr, ndtri
 from .chains import ChainOutput, run_chain
 from .errors import DomainError, NotPositiveDefiniteError
 from .rngstats import Rng
-from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig
+from .sampler import GIBBS_STEP_CONFIG, SamplerConfig, member_sampler
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
@@ -371,7 +371,8 @@ def rho_target(
     The target reads bounds on log w from the family's one table at theta
     (``log_w_bounds``), at the points used, never formed in full.
     ``family`` is rho_family(eigenvalues), built here when not given. Raises
-    DomainError unless 0 < tau2 < inf and theta is finite.
+    DomainError unless 0 < tau2 < inf and theta is finite; its mode, found
+    on first read, raises DomainError where it lies past RHO_MAX.
     """
     if not 0.0 < tau2 < math.inf:
         raise DomainError(f"tau2 must be positive and finite, not {tau2!r}")
@@ -427,7 +428,7 @@ def draw_rho_direct(
 ):
     """Exact draw of rho from its conditional; returns (rho, report)."""
     target = rho_target(data.eigenvalues, data.eta_a_eta(state.eta), state.tau2, data.rho_family)
-    report = DirectSampler(target, config).draw(rng)
+    report = member_sampler(target, config).draw(rng)
     return min(report.x, RHO_MAX), report
 
 
@@ -476,7 +477,8 @@ def car_gibbs_run(
     """Gibbs scan beta, eta, sigma^2, tau^2, rho for `iters` iterations.
 
     Saves every `thin`-th state after `burnin`; extras carry the
-    per-iteration rho rejection counts (direct) or MH rejection flags.
+    per-iteration rho rejection counts (direct) or MH rejection flags, and
+    the rho candidates thinned per iteration (0 for MH).
     """
     if rho_method not in ("direct", "mh"):
         raise DomainError(f"unknown rho method {rho_method!r}")
@@ -493,6 +495,8 @@ def car_gibbs_run(
         + ["sigma2", "tau2", "rho"]
     )
 
+    thinned = []
+
     def scan() -> int:
         state.beta = draw_beta_car(data, state, hyper, rng)
         state.eta = draw_eta(data, state, hyper, rng)
@@ -500,14 +504,18 @@ def car_gibbs_run(
         state.tau2 = draw_tau2(data, state, hyper, rng)
         if rho_method == "direct":
             state.rho, report = draw_rho_direct(data, state, rng, config)
+            thinned.append(report.n_thinned)
             return report.n_rejected
         state.rho, accepted = draw_rho_mh(data, state, rng, sigma_prop)
+        thinned.append(0)
         return 0 if accepted else 1
 
     def row() -> np.ndarray:
         return np.concatenate((state.beta, state.eta, [state.sigma2, state.tau2, state.rho]))
 
-    return run_chain(scan, row, names, iters, burnin, thin, "rho_rejects", {"rho_method": rho_method})
+    chain = run_chain(scan, row, names, iters, burnin, thin, "rho_rejects", {"rho_method": rho_method})
+    chain.extras["rho_thinned"] = np.array(thinned, dtype=int)
+    return chain
 
 
 # -- data construction -----------------------------------------------------

@@ -8,9 +8,12 @@ function and then x, and a level envelope (``LevelEnvelope``) draws x
 from its cells and then u under x's cell. The candidate is accepted iff
 log w(x) > log u + log c: with probability P(A_u) / h(u), and then x
 follows the base truncated to A_u, so accepted x are exact variates from
-the weighted target. No candidate solves for A_u. ``draw`` runs
+the weighted target. No candidate solves for A_u. A candidate at u >= 1,
+where A_u is empty for every target, is rejected with no read of log w
+(thinned); only a tilted family's bucket cells (``TiltedCells``) propose
+one, for a candidate above the member's own cells. ``draw`` runs
 candidates one at a time on Python floats and ``sample`` runs them in
-vectorized blocks, with the same uniforms, the same accept rule and the
+vectorized blocks, with the same uniforms, the same tests and the
 envelope's one ``propose`` for both.
 Optionally the rejected u become new knots through one helper, tightening
 the envelope as sampling runs: ``draw`` inserts each before its next
@@ -33,6 +36,7 @@ from .stepfn import (
     KnotTable,
     LevelEnvelope,
     StepApprox,
+    TiltedCells,
     build_step,
     check_knot_rule,
     equal_spaced_knots,
@@ -41,15 +45,15 @@ from .stepfn import (
     insert_knot,
     level_envelope,
     log_total_rect_area,
-    retilt,
     select_knots,
     step_logpdf_unnorm,
     step_quantile,
     step_quantile_many,
+    tilt_bucket,
 )
 from .target import WeightedTarget
 
-Envelope = StepApprox | LevelEnvelope
+Envelope = StepApprox | LevelEnvelope | TiltedCells
 
 __all__ = [
     "SamplerConfig",
@@ -59,6 +63,7 @@ __all__ = [
     "DirectSampler",
     "build_envelope",
     "build_sampler",
+    "member_sampler",
     "rejection_bound",
 ]
 
@@ -94,8 +99,8 @@ class SamplerConfig:
 
 
 # A Gibbs step (rho in car, nu in treg) takes a new envelope for each draw
-# and drops it after one accepted value. Level knots re-tilt its family's
-# cached envelope of its tilt bucket, or build it from the target's
+# and drops it after one accepted value. Level knots draw from its family's
+# cached cells of its tilt bucket, or build them from the target's
 # log_w_bounds or two log_w calls, with no endpoint solve either way, and it
 # does not adapt, since a knot inserted into it would never be used.
 GIBBS_STEP_CONFIG = SamplerConfig(knot_method="level", adapt=False)
@@ -103,10 +108,15 @@ GIBBS_STEP_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
 @dataclass(frozen=True)
 class DirectDrawReport:
+    """One draw: x, the u it was accepted at, the candidates rejected by the
+    accept test, the knots inserted, and the candidates thinned, rejected
+    with no read of log w (see the module docstring)."""
+
     x: float
     u_accepted: float
     n_rejected: int
     knots_inserted: int
+    n_thinned: int
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,7 @@ class AggregateReport:
     n_draws: int = 0
     n_rejected: int = 0
     knots_inserted: int = 0
+    n_thinned: int = 0
 
 
 def rejection_bound(step: Envelope) -> float:
@@ -154,10 +165,11 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
 
     Level knots (``knot_method="level"``) give ``level_envelope``'s cells:
     two log_w calls and no endpoint solve. On a member of a TiltedFamily
-    whose tilt lies in one of the family's buckets they are the cells of
-    the bucket's anchor, built once and cached by the family, re-tilted to
-    the member by ``retilt`` with no read of log w. Their knot table, from
-    u = 0 to u_hi = 1, is built only when read.
+    whose tilt lies in one of the family's buckets they are the bucket's
+    cells (``TiltedCells``), built once from its anchor and cached by the
+    family, with the member's log c; ``member_sampler`` takes them with log
+    c' in its place. Their knot table, from u = 0 to u_hi = 1, is built
+    only when read.
 
     The greedy and equal knots cover a descent window [u_lo, u_hi], both in
     closed form with no search. u_lo is find_u_lo's: the smaller of w at
@@ -170,11 +182,8 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
     insertion can split it like any other.
     """
     if config.knot_method == "level":
-        bucket = None if target.family is None else target.family.anchor(target.theta, level_envelope)
-        if bucket is None:
-            return level_envelope(target)
-        theta_k, anchor = bucket
-        return retilt(anchor, target, target.theta - theta_k)
+        cells = None if target.family is None else _bucket_cells(target, target.log_c)
+        return level_envelope(target) if cells is None else cells
     u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo)
     if config.knot_method == "equal":
@@ -189,6 +198,27 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
         np.concatenate(([x2_0], table.x2)),
     )
     return build_step(table)
+
+
+def _bucket_cells(target: WeightedTarget, log_c: float | None) -> TiltedCells | None:
+    """The TiltedCells of a family member from its bucket, with u relative
+    to ``log_c`` (log c' where None), or None outside the buckets."""
+    hit = target.family.anchor(target.theta, tilt_bucket)
+    if hit is None:
+        return None
+    theta_k, bucket = hit
+    return bucket.member(target.theta - theta_k, log_c)
+
+
+def member_sampler(target: WeightedTarget, config: SamplerConfig = GIBBS_STEP_CONFIG) -> DirectSampler:
+    """The DirectSampler a Gibbs step takes for ``target``. On a member of a
+    TiltedFamily under a non-adaptive level config, a tilt in one of the
+    family's buckets draws from the bucket's cells with log c' as its log
+    c, which needs no mode, so the member never searches it; any other
+    target, tilt or config builds as build_envelope does. A draw is a
+    function of the target alone, whatever the family's cache holds."""
+    warm = target.family is not None and config.knot_method == "level" and not config.adapt
+    return DirectSampler(target, config, _bucket_cells(target, None) if warm else None)
 
 
 def build_sampler(target: WeightedTarget, config: SamplerConfig = SamplerConfig()):
@@ -209,6 +239,8 @@ class DirectSampler:
         self.config = config
         self.step = build_envelope(target, config) if step is None else step
         self._built = self.step
+        # The log c that u is relative to: TiltedCells carry their own.
+        self.log_c = self.step.log_c if isinstance(self.step, TiltedCells) else target.log_c
 
     @cached_property
     def diagnostics(self) -> BuildDiagnostics:
@@ -228,18 +260,25 @@ class DirectSampler:
 
         Takes two uniforms per candidate as a pair (v_u, v_x), as ``draw``
         does, which the envelope turns into (u, x), and evaluates log w
-        once per candidate. Rejections are counted on ``report``;
-        more than MAX_REJECTS since the last accepted draw, counted at the
-        block's end, raise SamplerStallError. In adaptive mode the rejected
-        u become knots (``_insert``).
+        once per candidate with u < 1, in one call; the others are thinned.
+        Rejections and thinned candidates are counted on ``report``; more
+        than MAX_REJECTS of either since the last accepted draw, counted at
+        the block's end, raise SamplerStallError. In adaptive mode the u
+        rejected by the accept test become knots (``_insert``).
         """
         uniform, target = rng.generator.uniform, self.target
         v = uniform(size=(m, 2))
         u, x = self.step.propose(target.base, v[:, 0], v[:, 1])
+        tested = u < 1.0
         with np.errstate(divide="ignore"):
-            accept = target.log_w(x) > np.log(u) + target.log_c
-        rejected = u[~accept]
+            if tested.all():
+                accept = target.log_w(x) > np.log(u) + self.log_c
+            else:
+                accept = tested.copy()
+                accept[tested] = target.log_w(x[tested]) > np.log(u[tested]) + self.log_c
+        rejected = u[tested & ~accept]
         report.n_rejected += rejected.size
+        report.n_thinned += m - int(np.count_nonzero(tested))
         x = x[accept]
         since = int(accept[::-1].argmax()) if x.size else since + m
         self._check_stall(since, report.n_draws + x.size)
@@ -274,21 +313,26 @@ class DirectSampler:
         """One exact draw from the weighted target.
 
         Runs candidates one at a time on Python floats until one is
-        accepted, each from two uniforms and with the accept rule of
-        ``sample``: log w(x) > log u + log c. In adaptive mode each rejected
-        u becomes a knot before the next candidate, so on the same stream a
-        draw equals ``sample(1)``.
+        accepted, each from two uniforms and with the tests of ``sample``:
+        thinned where u >= 1, else accepted where log w(x) > log u + log c.
+        In adaptive mode each u rejected by the accept test becomes a knot
+        before the next candidate, so on the same stream a draw equals
+        ``sample(1)``.
         """
         uniform, target, adapt = rng.generator.uniform, self.target, self.config.adapt
-        log_w, log_c, base = target.log_w, target.log_c, target.base
-        n_rejected = knots_inserted = 0
+        log_w, log_c, base = target.log_w, self.log_c, target.base
+        n_rejected = knots_inserted = n_thinned = 0
         while True:
             u, x = self.step.propose(base, uniform(), uniform())
+            if not u < 1.0:
+                n_thinned += 1
+                self._check_stall(n_rejected + n_thinned, 0)
+                continue
             log_u = np.log(u) if u > 0.0 else -math.inf
             if log_w(x) > log_u + log_c:
-                return DirectDrawReport(x=x, u_accepted=u, n_rejected=n_rejected, knots_inserted=knots_inserted)
+                return DirectDrawReport(x, u, n_rejected, knots_inserted, n_thinned)
             n_rejected += 1
-            self._check_stall(n_rejected, 0)
+            self._check_stall(n_rejected + n_thinned, 0)
             if adapt:
                 knots_inserted += self._insert(u)
 

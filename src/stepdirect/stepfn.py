@@ -21,8 +21,13 @@ lowest w / c from the mode out to it (the table or ziggurat construction
 for unimodal densities). A candidate takes x from the cells' masses, then
 u uniformly under x's cell: the same region, so u has density h(u) / a and
 x given u is uniform on u's window. Its knot table is built only when read.
-``retilt`` makes the envelope of log w + shift x from one of log w, with
-no read of either.
+
+Members of a tilted family, log w + shift x, draw from their tilt
+bucket's cells (``TiltBucket``, from ``tilt_bucket``): one member's cells
+with heights raised to dominate every member of the bucket, so that a
+member's own height is read on its candidate's cell alone, and a
+candidate above it is rejected with no read of log w (``TiltedCells``),
+as in the ziggurat method (Marsaglia and Tsang 2000).
 """
 from __future__ import annotations
 
@@ -51,7 +56,9 @@ __all__ = [
     "select_knots",
     "equal_spaced_knots",
     "level_envelope",
-    "retilt",
+    "TiltBucket",
+    "TiltedCells",
+    "tilt_bucket",
     "build_step",
     "step_cdf",
     "step_quantile",
@@ -197,7 +204,14 @@ class LevelEnvelope:
     log of that mass over the base's width. ``table``, the same envelope in
     u, is built on first read, which only the rejection bound, the knot
     rows and adaptive insertion make: a Gibbs step that draws once never
-    builds it. ``retilt`` reads ``levels`` and ``log_w`` to re-tilt it.
+    builds it.
+
+    A tilt bucket's cells (``TiltBucket.cells``) are a LevelEnvelope with
+    their heights raised above exp(levels - log_c), and a member's own
+    cells (``TiltedCells.level``) one whose bounds do not hold its mode,
+    with ``n_left`` at the largest lower bound; their heights need not rise
+    and fall about n_left, and ``table`` takes for each u the hull of the
+    cells above it.
     """
 
     base: UniformBase
@@ -210,38 +224,47 @@ class LevelEnvelope:
     log_c: float
     levels: np.ndarray
 
+    def locate(self, v_x):
+        """(i, x): x = np.interp(v_x, cdf, bounds) and its cell i."""
+        # side="right" skips cells of zero mass, whose cdf entries repeat.
+        return self.cdf.searchsorted(v_x, side="right") - 1, np.interp(v_x, self.cdf, self.bounds)
+
     def propose(self, base, v_u, v_x):
         """Candidates (u, x) from two uniforms, in StepApprox.propose's
-        order: x = np.interp(v_x, cdf, bounds), then u = v_u times the height
-        of x's cell. ``base`` is unused: the cells are its uniform density."""
-        # side="right" skips cells of zero mass, whose cdf entries repeat.
-        i = self.cdf.searchsorted(v_x, side="right") - 1
-        return v_u * self.heights[i], np.interp(v_x, self.cdf, self.bounds)
+        order: x from v_x (``locate``), then u = v_u times the height of x's
+        cell. ``base`` is unused: the cells are its uniform density."""
+        i, x = self.locate(v_x)
+        return v_u * self.heights[i], x
 
     @cached_property
     def table(self) -> KnotTable:
         """The envelope as a KnotTable, comparing levels in u as the cells do.
 
-        Knot u_j's window is, on each side, the cells from the mode out to
-        the first whose height is at or below u_j. Piece j's lower bound is
-        the base mass of the hull of the points whose lower bound on w / c
-        is at or above u_{j+1}, which lies inside A_u for every u below
-        u_{j+1}; the last piece, which ends at u = 1 where P(A_u) falls to
-        0, gets none. The knots are the cells' levels in both bounds, so a
-        point that sets a height counts for the pieces below its lower one.
+        Knot u_j's window is the hull of the cells whose height is above
+        u_j, widened to reach bounds[n_left]: on each side, the cells from
+        the mode out to the first whose height is at or below u_j where the
+        heights rise and fall about n_left. Piece j's lower bound is the base
+        mass of the hull of the points whose lower bound on w / c is at or
+        above u_{j+1}, which lies inside A_u for every u below u_{j+1}, or
+        none where no point is; the last piece, which ends at u = 1 where
+        P(A_u) falls to 0, gets none. The knots are the cells' levels in both
+        bounds, so a point that sets a height counts for the pieces below
+        its lower one.
         """
         b, h, n_left, base = self.bounds, self.heights, self.n_left, self.base
         levels = np.unique(np.concatenate((h, np.exp(_cell_levels(self.log_w, n_left) - self.log_c))))
         u = np.concatenate(([0.0], levels[(levels > 0.0) & (levels < 1.0)], [1.0]))
-        x1 = b[h[:n_left].searchsorted(u, side="right")]
-        x2 = b[n_left + (-h[n_left:]).searchsorted(-u)]
-        # The largest w / c from each support end inward, up to the mode.
+        # The largest height from each support end inward.
+        x1 = b[np.minimum(np.maximum.accumulate(h).searchsorted(u, side="right"), n_left)]
+        x2 = b[np.maximum(h.size - np.maximum.accumulate(h[::-1]).searchsorted(u, side="right"), n_left)]
+        # The largest lower bound on w / c from each support end inward.
         q = np.exp(self.log_w - self.log_c)
-        reach_left = np.maximum.accumulate(q[: n_left + 1])
-        reach_right = np.maximum.accumulate(q[n_left:][::-1])[::-1]
+        reach_left = np.maximum.accumulate(q)
+        reach_right = np.maximum.accumulate(q[::-1])[::-1]
         top, lows = u[1:-1], np.full(u.size, -np.inf)
-        hull_hi = b[n_left - 1 + (-reach_right).searchsorted(-top, side="right")]
-        lows[:-2] = base.log_prob(b[reach_left.searchsorted(top)], hull_hi)
+        hull_lo = b[np.minimum(reach_left.searchsorted(top), b.size - 1)]
+        hull_hi = b[np.maximum((-reach_right).searchsorted(-top, side="right") - 1, 0)]
+        lows[:-2] = base.log_prob(hull_lo, hull_hi)
         return KnotTable(u, base.log_prob(x1, x2), x1, x2, lows)
 
 
@@ -434,8 +457,8 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     inner end. As w is unimodal, w / c is at most that height on the cell,
     so the cells above a level u form a window that contains A_u. No level
     is sorted or searched for: one running minimum per side, then one
-    cumsum. The levels m and the lower bounds are kept for ``retilt`` and
-    the knot table.
+    cumsum. The levels m and the lower bounds are kept for the knot table
+    and for ``tilt_bucket``.
 
     Raises DomainError on an integer base, ModeError where a lower bound
     on log w exceeds log_c by more than MODE_SLACK (1 + |log_c|), and
@@ -462,35 +485,121 @@ def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     return _level_cells(base, bounds, _cell_levels(hi, n_left), n_left, lo, log_c)
 
 
-def retilt(anchor: LevelEnvelope, target: WeightedTarget, shift: float) -> LevelEnvelope:
-    """The envelope of ``target``, log w = log w_a + shift x, from the cells
-    of ``anchor``, the envelope of log w_a, with no read of log w.
+@dataclass(frozen=True)
+class TiltBucket:
+    """The cells that the members of one tilt bucket draw from.
 
-    It is exact, up to the rounding of log w as level_envelope is: on
-    anchor cell i, log w is at most levels_i + shift x_far, with x_far the
-    cell's right end where shift > 0 and its left end otherwise. The
-    target's mode splits its cell, and the levels take a running minimum
-    outward from it on each side, as w is unimodal; the heights then rise
-    to 1 next to the mode and fall after it. The lower bounds are the
-    anchor's plus shift x, and log c at the mode.
+    ``cells`` are the level envelope of the bucket's anchor, log w_a, with
+    bounds b, levels a_i and lower bounds as level_envelope built them, and
+    log c_a at the anchor's mode x*; but each height is raised to q_i, which
+    dominates the member at every shift s = theta - theta_a in ``shifts``.
+    On cell i the member log w = log w_a + s x is at most a_i + s x_far,
+    x_far being the cell's end in the direction of s, and its log c is at
+    least log c_a + s x*, as log c is convex in s with that tangent at 0.
+    So, over s in [s_lo, s_hi], a_i + s x_far - log c is at most
+
+        log q_i = min(max(a_i - log c_a, a_i - log c_a + s_hi (b_{i+1} - x*),
+                          a_i - log c_a + s_lo (b_i - x*)) + slack, 0),
+
+    slack being MODE_SLACK (1 + |log c_a|) for rounding. The cells whose
+    log q_i before the cap and the slack is at least -slack lie within
+    ``top``, a slice; no other cell's a_i + s x_far can reach log c_a + s
+    x*, which the cells next to x* reach, so the largest of them over
+    ``top`` is their largest over every cell (``log_c``).
     """
-    b, m, log_c = anchor.bounds, target.x_mode, target.log_c
-    tilt = shift * b
-    tilted = anchor.levels + (tilt[1:] if shift > 0.0 else tilt[:-1])
-    j = min(max(int(b.searchsorted(m, side="right")), 1), b.size - 1)
-    bounds = np.concatenate((b[:j], [m], b[j:]))
-    levels = np.concatenate((tilted[:j], tilted[j - 1 :]))
-    left, right = levels[:j][::-1], levels[j:]
-    np.minimum.accumulate(left, out=left)
-    np.minimum.accumulate(right, out=right)
-    lo = anchor.log_w + tilt
-    return _level_cells(anchor.base, bounds, levels, j, np.concatenate((lo[:j], [log_c], lo[j:])), log_c)
+
+    cells: LevelEnvelope
+    shifts: tuple[float, float]
+    top: slice
+
+    def log_c(self, shift: float) -> float:
+        """log c' = max_i (a_i + shift x_far,i), read over ``top``: at least
+        log w anywhere, so it may stand for log c, with no mode search."""
+        b, top = self.cells.bounds, self.top
+        far = b[top.start + 1 : top.stop + 1] if shift > 0.0 else b[top]
+        return float((self.cells.levels[top] + shift * far).max())
+
+    def member(self, shift: float, log_c: float | None = None) -> TiltedCells | None:
+        """The cells of the member at ``shift`` from the anchor, whose u is
+        relative to ``log_c``, its log c, or log c' where None; None where
+        the shift lies outside ``shifts``, which rounding could bring about."""
+        if not self.shifts[0] <= shift <= self.shifts[1]:
+            return None
+        return TiltedCells(self, shift, self.log_c(shift) if log_c is None else log_c)
 
 
-def _level_cells(base, bounds, levels, n_left, lo, log_c) -> LevelEnvelope:
+def tilt_bucket(anchor: WeightedTarget, shifts: tuple[float, float]) -> TiltBucket:
+    """The TiltBucket of the members log w_a + s x, s in ``shifts`` (which
+    holds 0), of ``anchor``, log w_a: its level envelope, with no read of
+    log w where it has ``log_w_bounds``, and one cumsum of the raised
+    heights."""
+    cells, (s_lo, s_hi) = level_envelope(anchor), shifts
+    b, x_star, log_c = cells.bounds, anchor.x_mode, cells.log_c
+    slack = MODE_SLACK * (1.0 + abs(log_c))
+    log_q = cells.levels - log_c + np.maximum(np.maximum(s_hi * (b[1:] - x_star), s_lo * (b[:-1] - x_star)), 0.0)
+    near = np.flatnonzero(log_q >= -slack)
+    q = np.exp(np.minimum(log_q + slack, 0.0))
+    raised = _level_cells(cells.base, b, cells.levels, cells.n_left, cells.log_w, log_c, q)
+    return TiltBucket(raised, shifts, slice(int(near[0]), int(near[-1]) + 1))
+
+
+@dataclass(frozen=True)
+class TiltedCells:
+    """The envelope of a tilted family's member from its bucket's cells.
+
+    A candidate (u, x) is proposed under the bucket's heights q by
+    LevelEnvelope.propose's map. The member's own height on x's cell i is
+    h_i = exp(a_i + shift x_far,i - log_c), which bounds w / c there and is
+    at most q_i. A candidate with u >= h_i is returned at u = 1, where A_u
+    is empty for every target, so the sampler rejects it with no read of
+    log w (thinned); the rest are uniform under the member's own cells, so
+    what the accept test keeps is exact. ``log_c`` is the member's log c,
+    or log c' (TiltBucket.log_c), which is at least log w everywhere, and u
+    is relative to it, as is the sampler's accept test.
+
+    ``level``, the member's own cells as a LevelEnvelope, is built on first
+    read, with its knot table, for the rejection bound of the candidates
+    that reach the accept test, the knot rows and adaptive insertion.
+    """
+
+    bucket: TiltBucket
+    shift: float
+    log_c: float
+
+    def propose(self, base, v_u, v_x):
+        """Candidates (u, x), floats or arrays, with u = 1 where v_u q_i is at
+        or above the member's height h_i. ``base`` is unused."""
+        cells, shift = self.bucket.cells, self.shift
+        i, x = cells.locate(v_x)
+        u = v_u * cells.heights[i]
+        h = np.exp(cells.levels[i] + shift * cells.bounds[i + (shift > 0.0)] - self.log_c)
+        return np.where(u < h, u, 1.0)[()], x
+
+    @cached_property
+    def level(self) -> LevelEnvelope:
+        """The member's cells: the bucket's bounds, levels a_i + shift
+        x_far,i, lower bounds shifted by shift x, and n_left at the largest."""
+        cells, shift = self.bucket.cells, self.shift
+        tilt = shift * cells.bounds
+        levels = cells.levels + (tilt[1:] if shift > 0.0 else tilt[:-1])
+        lo = cells.log_w + tilt
+        return _level_cells(cells.base, cells.bounds, levels, int(lo.argmax()), lo, self.log_c)
+
+    @property
+    def table(self) -> KnotTable:
+        return self.level.table
+
+    @property
+    def log_a(self) -> float:
+        return self.level.log_a
+
+
+def _level_cells(base, bounds, levels, n_left, lo, log_c, heights=None) -> LevelEnvelope:
     """The LevelEnvelope of cells between ``bounds`` with upper bounds
-    ``levels`` on log w; raises DegenerateTargetError where they have no mass."""
-    heights = np.exp(np.minimum(levels - log_c, 0.0))
+    ``levels`` on log w, and ``heights`` exp(levels - log_c) capped at 1
+    unless given; raises DegenerateTargetError where they have no mass."""
+    if heights is None:
+        heights = np.exp(np.minimum(levels - log_c, 0.0))
     cdf = np.empty(bounds.size)
     cdf[0] = 0.0
     (heights * (bounds[1:] - bounds[:-1])).cumsum(out=cdf[1:])

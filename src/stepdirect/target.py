@@ -18,8 +18,9 @@ slightly too wide costs a little acceptance but never exactness.
 Targets whose log w is a fixed concave F plus a linear term, F(x) +
 theta x, form one ``TiltedFamily`` per F: it owns F, its slopes, its base
 and one table of F (``TiltedGrid``), which bounds log w at any tilt, and
-its member at each theta finds the mode by ``concave_mode``. It also
-caches one envelope per tilt bucket, which its members re-tilt.
+its member at each theta (``TiltedMember``) finds the mode by
+``concave_mode`` on first read. It also caches the cells of each tilt
+bucket, which its members draw from.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ __all__ = [
     "GeometricBase",
     "TiltedGrid",
     "TiltedFamily",
+    "TiltedMember",
     "WeightedTarget",
     "concave_mode",
     "integer_window",
@@ -64,10 +66,13 @@ GRID_SLACK = 1e-9
 TABLE_BLOCK = 256
 
 # Tilt buckets (TiltedFamily.anchor): a bucket is BUCKET_ARC wide on the
-# family's arc, in units of a member's scale, and a family keeps the
-# envelopes of at most ANCHOR_CAP anchors, 50-75 KB each on the Gibbs families.
+# family's arc, in units of a member's scale, and a family keeps the cells
+# of at most ANCHOR_CAP buckets, 50-75 KB each on the Gibbs families. A
+# bucket's range of tilts is widened by BUCKET_SLACK (1 + |theta|) either
+# side, for the rounding of the arc's two np.interp maps.
 BUCKET_ARC = 0.5
 ANCHOR_CAP = 64
+BUCKET_SLACK = 1e-12
 
 # TiltedGrid.peak compares the tilted values this many points either side
 # of the step where its binary search on the flat tilts lands.
@@ -279,7 +284,7 @@ class WeightedTarget:
     ``log_w_bounds(x)``, which ``TiltedFamily.target`` gives, reads (lo, hi)
     with lo <= log w <= hi: ``level_envelope`` then reads it, not ``log_w``.
     A member of a TiltedFamily also carries the ``family`` and its tilt
-    ``theta``, by which ``build_envelope`` finds the envelope of its bucket.
+    ``theta``, by which ``build_envelope`` finds the cells of its bucket.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]
@@ -436,15 +441,16 @@ class TiltedFamily:
 
     ``log_w(x, theta)`` is F(x) + theta x, vectorized over x and a float for
     a float, with table.f = log_w(table.x, 0) float for float, and
-    ``slope(x, theta)`` is (F'(x) + theta, F''(x)); ``target`` passes theta
-    by name. Its mode search, concave_mode from table.peak(theta), runs
-    on [x[0], min(x[-1], mode_hi)], allowing ``slack`` for rounding at x[0].
+    ``slope(x, theta)`` is (F'(x) + theta, F''(x)); a member passes theta
+    by name. Its mode search (``TiltedMember``), concave_mode from
+    table.peak(theta), runs on [x[0], min(x[-1], mode_hi)], allowing
+    ``slack`` for rounding at x[0].
 
     Tilt buckets: the tilts within the table's flat tilts fall into buckets
     BUCKET_ARC wide on the ``arc``, each with one anchor tilt, a pure
-    function of theta (``anchor``). ``anchors`` caches an envelope of each
-    anchor's member, built on first use, for at most ANCHOR_CAP buckets;
-    any member of the bucket re-tilts it (``stepfn.retilt``).
+    function of theta (``anchor``). ``anchors`` caches what is built from
+    each anchor's member, the cells its bucket's members draw from
+    (``stepfn.tilt_bucket``), on first use, for at most ANCHOR_CAP buckets.
     """
 
     log_w: Callable
@@ -472,13 +478,16 @@ class TiltedFamily:
         np.sqrt((x[1 : tau.size] - x[: tau.size - 1]) * (tau[1:] - tau[:-1])).cumsum(out=s[1:])
         return tau, s
 
-    def anchor(self, theta: float, build: Callable[[WeightedTarget], object]):
-        """(theta_k, build(member at theta_k)) for theta's bucket k, or None
-        where theta lies outside the flat tilts (or is NaN).
+    def anchor(self, theta: float, build: Callable[[WeightedTarget, tuple[float, float]], object]):
+        """(theta_k, build(member at theta_k, shifts)) for theta's bucket k,
+        or None where theta lies outside the flat tilts (or is NaN).
 
         k = round(s(theta) / BUCKET_ARC) and theta_k = s^-1(k BUCKET_ARC),
         both read off ``arc`` by np.interp, so what is drawn never depends
-        on what the cache holds. Each bucket is built once while cached;
+        on what the cache holds. ``shifts`` = (lo, hi) bounds theta' -
+        theta_k over the bucket's tilts theta', s^-1((k -/+ 1/2) BUCKET_ARC)
+        - theta_k widened by BUCKET_SLACK (1 + |theta_k|); the caller checks
+        its own shift against it. Each bucket is built once while cached;
         past ANCHOR_CAP buckets the least recently used is dropped. A lock
         guards the cache, which threads sharing the family share.
         """
@@ -491,8 +500,10 @@ class TiltedFamily:
             if hit is None:
                 if len(self.anchors) >= ANCHOR_CAP:
                     del self.anchors[next(iter(self.anchors))]
-                theta_k = float(np.interp(k * BUCKET_ARC, s, tau))
-                hit = theta_k, build(self.target(theta_k, f"anchor {k}"))
+                theta_k, lo, hi = (float(t) for t in np.interp(np.array([k, k - 0.5, k + 0.5]) * BUCKET_ARC, s, tau))
+                slack = BUCKET_SLACK * (1.0 + abs(theta_k))
+                shifts = (lo - theta_k - slack, hi - theta_k + slack)
+                hit = theta_k, build(self.target(theta_k, f"anchor {k}"), shifts)
             self.anchors[k] = hit
         return hit
 
@@ -502,12 +513,49 @@ class TiltedFamily:
         f = [log_w(x[i : i + TABLE_BLOCK], 0.0) for i in range(0, x.size, TABLE_BLOCK)]
         return cls(log_w, slope, TiltedGrid(x, np.concatenate(f)), **shape)
 
-    def target(self, theta: float, name: str) -> WeightedTarget:
-        """The member at tilt theta: log_w, slope and the table's bounds, each with theta bound."""
-        theta, table, base = float(theta), self.table, self.base
-        slope, log_w = partial(self.slope, theta=theta), partial(self.log_w, theta=theta)
-        x_mode = concave_mode(slope, base.lo, min(base.hi, self.mode_hi), table.x[table.peak(theta)], self.slack)
-        return WeightedTarget(log_w, x_mode, log_w(x_mode), base, name, partial(table.bounds, theta=theta), self, theta)
+    def target(self, theta: float, name: str) -> TiltedMember:
+        """The member at tilt theta: log_w, slope and the table's bounds,
+        each with theta bound, and its mode and log c on first read."""
+        theta = float(theta)
+        member = TiltedMember.__new__(TiltedMember)
+        vars(member).update(
+            log_w=partial(self.log_w, theta=theta),
+            base=self.base,
+            name=name,
+            log_w_bounds=partial(self.table.bounds, theta=theta),
+            family=self,
+            theta=theta,
+        )
+        return member
+
+
+@dataclass
+class TiltedMember(WeightedTarget):
+    """A member of a TiltedFamily (``TiltedFamily.target``), whose
+    ``x_mode`` and ``log_c`` are found on first read, not before: a Gibbs
+    step that draws from its tilt bucket's cells, under their own log c,
+    never reads them. Built with every field given (``dataclasses.replace``
+    does so), it is a WeightedTarget like any other.
+
+    The mode search is concave_mode from table.peak(theta) on [x[0],
+    min(x[-1], mode_hi)], allowing the family's ``slack`` for rounding at
+    x[0]. Reading the mode raises DomainError where w still rises at a
+    mode_hi inside the support, as the mode then lies past it.
+    """
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not set: x_mode and log_c, before their first read.
+        if name not in ("x_mode", "log_c"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        family, theta, base = self.family, self.theta, self.base
+        hi, slope = min(base.hi, family.mode_hi), partial(family.slope, theta=theta)
+        x_mode = concave_mode(slope, base.lo, hi, family.table.x[family.table.peak(theta)], family.slack)
+        if x_mode == hi < base.hi and slope(hi)[0] > 0.0:
+            raise DomainError(
+                f"{self.name}: at theta = {theta!r} log w still rises at mode_hi = {hi!r}, so its mode lies past it"
+            )
+        self.x_mode, self.log_c = x_mode, family.log_w(x_mode, theta=theta)
+        return getattr(self, name)
 
 
 def concave_mode(slope, lo: float, hi: float, x0: float | None = None, slack: float = 0.0) -> float:

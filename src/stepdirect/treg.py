@@ -11,10 +11,10 @@ have the nonstandard conditional
 
 a weighted Uniform(a_nu, b_nu) target handled exactly by the direct
 sampler. F is concave and only theta = -A changes between iterations: the
-conditionals are one TiltedFamily (``nu_family``), and each nu step
-re-tilts the family's cached level envelope of its tilt bucket, read off
-the family's table of F with no log_w call. A rejection sampler with a
-truncated-exponential proposal is included as a baseline.
+conditionals are one TiltedFamily (``nu_family``), and each nu step draws
+from the family's cached cells of its tilt bucket, read off the family's
+table of F with no log_w call, and searches no mode. A rejection sampler
+with a truncated-exponential proposal is included as a baseline.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from scipy.special import digamma, gammaln, zeta
 from .chains import ChainOutput, run_chain
 from .errors import DomainError
 from .rngstats import Rng
-from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig
+from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig, member_sampler
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
@@ -180,9 +180,8 @@ def nu_target(p: NuTargetParams) -> WeightedTarget:
 
 def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = GIBBS_STEP_CONFIG):
     """One exact draw of nu; returns (nu, DirectDrawReport). The default
-    config builds what the Gibbs step builds."""
-    sampler = DirectSampler(nu_target(p), config)
-    report = sampler.draw(rng)
+    config builds what the Gibbs step builds (member_sampler)."""
+    report = member_sampler(nu_target(p), config).draw(rng)
     return report.x, report
 
 
@@ -310,7 +309,8 @@ def treg_gibbs_run(
     """Gibbs scan beta, s, sigma^2, nu for `iters` iterations.
 
     Saves beta, sigma^2, and nu every `thin`-th state after `burnin`;
-    extras carry per-iteration nu rejection counts.
+    extras carry per-iteration nu rejection counts and the nu candidates
+    thinned per iteration (0 for Geweke's sampler).
     """
     if nu_method not in ("direct", "geweke"):
         raise DomainError(f"unknown nu method {nu_method!r}")
@@ -321,6 +321,7 @@ def treg_gibbs_run(
         nu=min(max(5.0, hyper.a_nu * 2.0), hyper.b_nu),
     )
     names = [f"beta_{j}" for j in range(data.d)] + ["sigma2", "nu"]
+    thinned = []
 
     def scan() -> int:
         state.beta = draw_beta_t(data, state, hyper, rng)
@@ -334,14 +335,18 @@ def treg_gibbs_run(
         )
         if nu_method == "direct":
             state.nu, report = draw_nu_direct(p, rng, config)
+            thinned.append(report.n_thinned)
             return report.n_rejected
         state.nu, rejects = draw_nu_geweke(p, rng)
+        thinned.append(0)
         return rejects
 
     def row() -> np.ndarray:
         return np.concatenate((state.beta, [state.sigma2, state.nu]))
 
-    return run_chain(scan, row, names, iters, burnin, thin, "nu_rejects", {"nu_method": nu_method})
+    chain = run_chain(scan, row, names, iters, burnin, thin, "nu_rejects", {"nu_method": nu_method})
+    chain.extras["nu_thinned"] = np.array(thinned, dtype=int)
+    return chain
 
 
 # -- synthetic data and basis ----------------------------------------------

@@ -397,6 +397,26 @@ class TestRhoTarget:
         with pytest.raises(DomainError):
             rho_target(np.array([1.0, -1.0]), 1.0, 0.0)
 
+    @pytest.mark.parametrize("drift", [1e12, 1e13, 8e14])
+    def test_mode_past_rho_max_raises(self, drift):
+        # On the 6x6 lattice w still rises at RHO_MAX at these tilts, so the
+        # mode lies past it: the first read of the target's mode or log c,
+        # and a Gibbs step at that tilt, raise DomainError naming theta and
+        # mode_hi before any envelope is built, so no RuntimeWarning (an
+        # error under Tier-1) from its knot table can escape.
+        data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
+        family = data.rho_family
+        assert family.slope(RHO_MAX, drift)[0] > 0.0
+        match = rf"theta = {drift!r}.*mode_hi = {RHO_MAX!r}"
+        with pytest.raises(DomainError, match=match):
+            rho_target(data.eigenvalues, 2.0 * drift, 1.0, family).x_mode
+        with pytest.raises(DomainError, match=match):
+            family.target(drift, "car-rho").log_c
+        eta = np.ones(data.k)
+        state = CarState(beta=np.zeros(2), eta=eta, sigma2=0.5, tau2=data.eta_a_eta(eta) / (2.0 * drift), rho=0.5)
+        with pytest.raises(DomainError, match=match):
+            draw_rho_direct(data, state, Rng(1))
+
     @pytest.mark.parametrize(
         "eta_a_eta, tau2, named",
         [(math.inf, 1.0, "eta_a_eta = inf"), (-math.inf, 1.0, "eta_a_eta = -inf"), (math.nan, 1.0, "eta_a_eta = nan"),
@@ -782,6 +802,15 @@ class TestGibbsRun:
         assert out.names[-1] == "rho"
         assert out.extras["rho_rejects"].size == 30
         assert np.all((out.column("rho") >= 0) & (out.column("rho") < 1))
+
+    def test_thinned_counts(self):
+        # The direct step thins some candidates with no read of log w, and
+        # counts them apart from its rejections; MH thins none.
+        data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
+        direct = car_gibbs_run(data, CarHyper(), 200, 0, 1, "direct", Rng(71))
+        mh = car_gibbs_run(data, CarHyper(), 20, 0, 1, "mh", Rng(71))
+        assert direct.extras["rho_thinned"].shape == (200,) and direct.extras["rho_thinned"].sum() > 0
+        assert list(mh.extras["rho_thinned"]) == [0] * 20
 
     def test_unknown_method_rejected(self):
         data = car_synthetic(2, beta=[1.0], sigma2=0.5, tau2=1.0, rho=0.5, rng=Rng(12))

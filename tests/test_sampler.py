@@ -35,9 +35,18 @@ from stepdirect.sampler import (
     SamplerConfig,
     build_envelope,
     build_sampler,
+    member_sampler,
     rejection_bound,
 )
-from stepdirect.stepfn import DESCENT_TOL, find_u_hi, find_u_lo, level_envelope, step_logpdf_unnorm
+from stepdirect.stepfn import (
+    DESCENT_TOL,
+    TiltedCells,
+    find_u_hi,
+    find_u_lo,
+    level_envelope,
+    step_logpdf_unnorm,
+    tilt_bucket,
+)
 from stepdirect.target import (
     ANCHOR_CAP,
     BUCKET_ARC,
@@ -137,12 +146,14 @@ class TestBuildSampler:
         # upper bound from the mode out to its inner end. On the nu
         # targets it lies far below that floor; on the rho targets w(1) = 0
         # gives no knot, and the next level is far above it.
-        # The lower bounds are the envelope's own, built or re-tilted.
+        # The lower bounds are those of the member's own cells, which its
+        # bucket's cells give.
         target, cfg = {n: (t, c) for n, t, c in _registered_targets()}[name]
         assert cfg == GIBBS_STEP_CONFIG
         step, diag = build_sampler(target, cfg)
-        levels = np.exp(step.log_w - target.log_c)
-        assert levels[levels > 0.0].min() <= diag.u_lo <= step.heights[step.heights > 0.0].min()
+        cells = step.level
+        levels = np.exp(cells.log_w - target.log_c)
+        assert levels[levels > 0.0].min() <= diag.u_lo <= cells.heights[cells.heights > 0.0].min()
         assert (diag.u_lo < DESCENT_TOL) == name.startswith("nu")
 
     def test_equal_integer_build_solves_three_times(self):
@@ -331,27 +342,33 @@ class TestGibbsStepCalls:
     """Python calls in one direct Gibbs step, as cProfile counts them: a
     cost that needs no timer and does not change with the machine's load.
 
-    Each bound sits a few percent above the count with Python 3.11 and
-    numpy 2.4; the draws below take no rejection, which would add calls.
-    A warm step re-tilts its bucket's cached envelope; a cold one, with
-    the family's cache cleared, builds the anchor's envelope first.
+    Each bound sits about 5% above the count with Python 3.11 and numpy
+    2.4; the draws below take no rejection, which would add calls. A warm
+    step draws from its bucket's cached cells and searches no mode, so it
+    calls log w once, in the accept test; a cold one, with the family's
+    cache cleared, builds the bucket's cells first.
     """
 
     NU = NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)
+    LOG_W = ("nu_log_weight", "rho_log_weight")
 
-    @staticmethod
-    def calls(step, *args, anchors=None) -> int:
-        step(*args, Rng(0))  # lazy set-up: imports, cached spectra, the bucket's envelope
+    @classmethod
+    def calls(cls, step, *args, anchors=None) -> tuple[int, int]:
+        """(all calls, log w calls) of one step."""
+        step(*args, Rng(0))  # lazy set-up: imports, cached spectra, the bucket's cells
         if anchors is not None:
             anchors.clear()
         rng = Rng(1)
         profile = cProfile.Profile()
         profile.enable()
-        step(*args, rng)
+        _, report = step(*args, rng)
         profile.disable()
+        assert report.n_rejected == 0
         # pstats keys functions by (file, line, name), which merges every
         # dataclass-generated __init__ into one entry; the raw entries do not.
-        return sum(entry.callcount for entry in profile.getstats())
+        stats = profile.getstats()
+        log_w = sum(e.callcount for e in stats if getattr(e.code, "co_name", "") in cls.LOG_W)
+        return sum(entry.callcount for entry in stats), log_w
 
     @staticmethod
     def rho_step():
@@ -359,21 +376,23 @@ class TestGibbsStepCalls:
         return data, CarState(beta=np.zeros(2), eta=np.full(data.k, 0.5), sigma2=0.5, tau2=1.0, rho=0.5)
 
     def test_nu_step(self):
-        # 114 calls, with the nu table built and the bucket's envelope cached.
-        assert self.calls(draw_nu_direct, self.NU) <= 120
+        # 51 calls, with the nu table built and the bucket's cells cached.
+        total, log_w = self.calls(draw_nu_direct, self.NU)
+        assert total <= 54 and log_w == 1
 
     def test_cold_nu_step(self):
-        # 245 calls, building the bucket's envelope.
-        assert self.calls(draw_nu_direct, self.NU, anchors=nu_family(200, 0.01, 200.0).anchors) <= 257
+        # 211 calls, building the bucket's cells.
+        assert self.calls(draw_nu_direct, self.NU, anchors=nu_family(200, 0.01, 200.0).anchors)[0] <= 222
 
     def test_rho_step(self):
-        # 121 calls, on the 6x6 lattice with its rho family and the bucket's envelope cached.
-        assert self.calls(draw_rho_direct, *self.rho_step()) <= 127
+        # 56 calls, on the 6x6 lattice with its rho family and the bucket's cells cached.
+        total, log_w = self.calls(draw_rho_direct, *self.rho_step())
+        assert total <= 59 and log_w == 1
 
     def test_cold_rho_step(self):
-        # 252 calls, building the bucket's envelope.
+        # 216 calls, building the bucket's cells.
         data, state = self.rho_step()
-        assert self.calls(draw_rho_direct, data, state, anchors=data.rho_family.anchors) <= 265
+        assert self.calls(draw_rho_direct, data, state, anchors=data.rho_family.anchors)[0] <= 227
 
 
 def bucket_tilt(family, k: int, offset: float) -> float:
@@ -382,12 +401,63 @@ def bucket_tilt(family, k: int, offset: float) -> float:
     return float(np.interp((k + offset) * BUCKET_ARC, s, tau))
 
 
+def bucket_tilts(family, k: int) -> list[float]:
+    """Bucket k's anchor and its two extreme tilts: from each edge, the
+    first tilt inward, by nextafter steps, that the family puts in bucket k
+    (at an edge s(theta) / BUCKET_ARC can round to k -/+ 1/2, which Python's
+    round sends to the even neighbour)."""
+    tau, s = family.arc
+
+    def inward(theta, toward):
+        while round(float(np.interp(theta, tau, s)) / BUCKET_ARC) != k:
+            theta = float(np.nextafter(theta, toward))
+        return theta
+
+    lo, hi = inward(bucket_tilt(family, k, -0.5), np.inf), inward(bucket_tilt(family, k, 0.5), -np.inf)
+    return [bucket_tilt(family, k, 0.0), lo, hi]
+
+
+def n_buckets(family) -> int:
+    return round(family.arc[1][-1] / BUCKET_ARC) + 1
+
+
 class TestTiltBuckets:
-    """Members of a TiltedFamily re-tilt the cached envelope of their tilt
-    bucket, on both Gibbs families."""
+    """A Gibbs step draws from the cached cells of its tilt bucket, with the
+    member's heights read on its candidate's cell and log c' in place of
+    log c, on both Gibbs families."""
 
     LATTICE = car_eigen_precompute(lattice_adjacency(6), lattice_adjacency(6).sum(axis=1))
     FAMILIES = {"nu": nu_family(200, 0.01, 200.0), "rho 6x6": rho_family(LATTICE)}
+
+    @pytest.mark.parametrize("name", ["nu n=5", "nu n=200", "rho 6x6"])
+    def test_bucket_cells_dominate(self, name):
+        # At the centre and next to both edges of every bucket: q is at
+        # least the member's heights, which are at least w / c' at nine
+        # points across each cell, ends included, up to the rounding of log
+        # w; c' is at least every cell's bound a_i + shift x_far and lies
+        # within 0.01 nats of log c; and propose thins a candidate exactly
+        # where its u under q is at or above the member's height.
+        family = {"nu n=5": nu_family(5, 0.01, 200.0), "nu n=200": self.FAMILIES["nu"]}.get(name)
+        family = family or self.FAMILIES["rho 6x6"]
+        excess, generator = [], Rng(12).generator
+        for k in range(n_buckets(family)):
+            for theta in bucket_tilts(family, k):
+                theta_k, bucket = family.anchor(theta, tilt_bucket)
+                assert theta_k == bucket_tilt(family, k, 0.0)
+                cells = bucket.member(theta - theta_k)
+                own, log_c, q = cells.level, cells.log_c, bucket.cells.heights
+                assert np.all(q >= own.heights)
+                v_u, v_x = generator.uniform(size=(2, 2000))
+                i = bucket.cells.cdf.searchsorted(v_x, side="right") - 1
+                assert np.array_equal(cells.propose(None, v_u, v_x)[0] == 1.0, v_u * q[i] >= own.heights[i])
+                b = own.bounds
+                x = (b[:-1, None] + np.diff(b)[:, None] * np.linspace(0.0, 1.0, 9)).ravel()
+                with np.errstate(divide="ignore"):
+                    ratio = np.exp(family.log_w(x, theta) - log_c - 1e-12 * (1.0 + abs(log_c)))
+                assert np.all(ratio <= np.repeat(own.heights, 9))
+                assert own.levels.max() <= log_c
+                excess.append(log_c - family.target(theta, name).log_c)
+        assert 0.0 <= min(excess) and max(excess) < 1e-2
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -397,50 +467,51 @@ class TestTiltBuckets:
     )
     @example(name="nu", share=0.0, offset=0.499)
     @example(name="rho 6x6", share=1.0, offset=-0.499)
-    def test_retilted_cells_dominate(self, name, share, offset):
-        # Anywhere in any bucket, each cell's height is at least w / c at
-        # nine points across it, ends included, up to the rounding of log w,
-        # and the rejection bound holds up to 3 binomial sigmas.
+    def test_rejection_bound_holds(self, name, share, offset):
+        # Anywhere in any bucket the candidates that reach the accept test
+        # are rejected at a rate within 3 binomial sigmas of the bound of
+        # the member's own cells under log c'.
         family = self.FAMILIES[name]
         k = round(share * family.arc[1][-1] / BUCKET_ARC)
-        target = family.target(bucket_tilt(family, k, offset), name)
-        envelope = build_envelope(target, GIBBS_STEP_CONFIG)
-        assert envelope.bounds.size == family.anchors[k][1].bounds.size + 1
-        b = envelope.bounds
-        x = (b[:-1, None] + np.diff(b)[:, None] * np.linspace(0.0, 1.0, 9)).ravel()
-        ratio = np.exp(target.log_w(x) - target.log_c - 1e-12 * (1.0 + abs(target.log_c)))
-        assert np.all(ratio <= np.repeat(envelope.heights, 9))
-        bound = rejection_bound(envelope)
+        sampler = member_sampler(family.target(bucket_tilt(family, k, offset), name))
+        assert isinstance(sampler.step, TiltedCells)
+        bound = sampler.rejection_bound()
         n = 20_000
-        _, report = DirectSampler(target, GIBBS_STEP_CONFIG).sample(n, Rng(k))
+        _, report = sampler.sample(n, Rng(k))
         trials = n + report.n_rejected
         assert report.n_rejected / trials <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+        assert report.n_thinned > 0
 
     @pytest.mark.parametrize("name", ["nu", "rho"])
     def test_draws_at_a_bucket_edge_match_quadrature(self, name):
         # The member furthest from its anchor, half a bucket away, with the
-        # fixed-seed TV test of the direct draws (80,000 draws, 20 bins).
+        # fixed-seed TV test of 80,000 Gibbs steps' draws (20 bins).
         if name == "nu":
             family = nu_family(200, 0.01, 200.0)
             theta = bucket_tilt(family, round(float(np.interp(-150.0, *family.arc)) / BUCKET_ARC), 0.499)
             p = NuTargetParams(n=200, A=-theta, a_nu=0.01, b_nu=200.0)
-            target = nu_target(p)
             grid, cdf = nu_quadrature_cdf(p)
+            rng = Rng(3)
+            draws = np.array([draw_nu_direct(p, rng)[0] for _ in range(80_000)])
         else:
-            family = self.FAMILIES["rho 6x6"]
+            data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
+            family = data.rho_family
             theta = bucket_tilt(family, round(float(np.interp(4.0, *family.arc)) / BUCKET_ARC), -0.499)
-            target = rho_target(self.LATTICE, 2.0 * theta, 1.0, family)
-            grid, cdf = rho_quadrature_cdf(self.LATTICE, theta)
-        assert target.theta == theta
-        draws, _ = DirectSampler(target, GIBBS_STEP_CONFIG).sample(80_000, Rng(3))
+            eta = np.ones(data.k)
+            state = CarState(beta=np.zeros(2), eta=eta, sigma2=0.5, tau2=data.eta_a_eta(eta) / (2.0 * theta), rho=0.5)
+            grid, cdf = rho_quadrature_cdf(data.eigenvalues, theta)
+            rng = Rng(3)
+            draws = np.array([draw_rho_direct(data, state, rng)[0] for _ in range(80_000)])
+        tau, s = family.arc
+        assert abs(float(np.interp(theta, tau, s)) / BUCKET_ARC % 1.0 - 0.5) < 0.01
         qs = np.linspace(0.05, 0.95, 19)
-        edges = np.concatenate(([target.base.lo], np.interp(qs, cdf, grid), [target.base.hi]))
+        edges = np.concatenate(([grid[0]], np.interp(qs, cdf, grid), [grid[-1] if name == "nu" else 1.0]))
         emp = np.histogram(draws, bins=edges)[0] / draws.size
         assert 0.5 * np.abs(emp - np.diff(np.concatenate(([0.0], qs, [1.0])))).sum() < 0.010
 
     @pytest.mark.parametrize("name", ["nu", "rho 6x6"])
     def test_draws_do_not_depend_on_the_cache(self, name):
-        # A draw is the same whether its anchor was just built, cached, or
+        # A draw is the same whether its bucket was just built, cached, or
         # evicted and built again. The nu family has more buckets than the
         # cap, so the others evict bucket 5; the 6x6 rho family has fewer,
         # so it never evicts, and its entry is dropped by hand.
@@ -451,12 +522,12 @@ class TestTiltBuckets:
         for state in ("built", "cached", "evicted"):
             if state == "evicted":
                 for k in range(6, 6 + ANCHOR_CAP):
-                    family.anchor(bucket_tilt(family, k, 0.0), level_envelope)
+                    family.anchor(bucket_tilt(family, k, 0.0), tilt_bucket)
                 if name == "rho 6x6":
                     assert len(family.anchors) < ANCHOR_CAP
                     del family.anchors[5]
                 assert 5 not in family.anchors
-            runs.append(DirectSampler(family.target(theta, name), GIBBS_STEP_CONFIG).sample(2_000, Rng(8))[0])
+            runs.append(member_sampler(family.target(theta, name)).sample(2_000, Rng(8))[0])
             assert 5 in family.anchors
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
@@ -464,27 +535,27 @@ class TestTiltBuckets:
         # Every bucket of the nu family in turn, then the first again: the
         # cache keeps the ANCHOR_CAP buckets used last.
         family = nu_family(200, 0.01, 200.0)
-        n_buckets = round(family.arc[1][-1] / BUCKET_ARC) + 1
-        assert n_buckets > ANCHOR_CAP
+        n = n_buckets(family)
+        assert n > ANCHOR_CAP
         family.anchors.clear()
-        for k in [*range(n_buckets), n_buckets - ANCHOR_CAP]:
-            build_envelope(family.target(bucket_tilt(family, k, 0.0), "nu"), GIBBS_STEP_CONFIG)
+        for k in [*range(n), n - ANCHOR_CAP]:
+            member_sampler(family.target(bucket_tilt(family, k, 0.0), "nu"))
             assert len(family.anchors) <= ANCHOR_CAP
-        assert list(family.anchors) == [*range(n_buckets - ANCHOR_CAP + 1, n_buckets), n_buckets - ANCHOR_CAP]
+        assert list(family.anchors) == [*range(n - ANCHOR_CAP + 1, n), n - ANCHOR_CAP]
 
     def test_threads_share_the_cache(self):
         # Eight threads on two cores share the nu family's cache, switching
         # every 10 us, over more buckets than the cap: each draws what one
         # thread alone draws, and the cache stays within its cap.
         family = nu_family(200, 0.01, 200.0)
-        thetas = [bucket_tilt(family, k, 0.2) for k in range(0, round(family.arc[1][-1] / BUCKET_ARC), 2)]
+        thetas = [bucket_tilt(family, k, 0.2) for k in range(0, n_buckets(family) - 1, 2)]
         assert len(thetas) > ANCHOR_CAP
 
         def draws(start):
             order = [(start + i) % len(thetas) for i in range(len(thetas))]
             out = {}
             for i in order:
-                out[i] = DirectSampler(family.target(thetas[i], "nu"), GIBBS_STEP_CONFIG).draw(Rng(i)).x
+                out[i] = member_sampler(family.target(thetas[i], "nu")).draw(Rng(i)).x
                 assert len(family.anchors) <= ANCHOR_CAP
             return out
 
@@ -506,9 +577,10 @@ class TestTiltBuckets:
         tau, _ = family.arc
         for theta in (np.nextafter(tau[0], -np.inf), np.nextafter(tau[-1], np.inf)):
             target = family.target(theta, name)
-            assert family.anchor(theta, level_envelope) is None
-            built, own = build_envelope(target, GIBBS_STEP_CONFIG), level_envelope(target)
-            assert np.array_equal(built.bounds, own.bounds) and np.array_equal(built.heights, own.heights)
+            assert family.anchor(theta, tilt_bucket) is None
+            own = level_envelope(target)
+            for built in (build_envelope(target, GIBBS_STEP_CONFIG), member_sampler(target).step):
+                assert np.array_equal(built.bounds, own.bounds) and np.array_equal(built.heights, own.heights)
 
 
 class TestSampleWork:
@@ -580,6 +652,7 @@ class TestDraw:
             x, aggregate = sampled.sample(1, block)
             assert report.x == x[0]
             assert (report.n_rejected, report.knots_inserted) == (aggregate.n_rejected, aggregate.knots_inserted)
+            assert report.n_thinned == aggregate.n_thinned
             assert scalar.generator.n_uniforms == block.generator.n_uniforms
             n_rejected += report.n_rejected
             knots_inserted += report.knots_inserted
@@ -711,19 +784,23 @@ class TestSampleBlocks:
         assert sum(solves) <= 2
 
     @pytest.mark.parametrize("max_block", [None, 64])
-    @pytest.mark.parametrize("name", ["cmp", "nu-level"])
+    @pytest.mark.parametrize("name", ["cmp", "nu-level", "nu-warm"])
     def test_non_adaptive_sample_is_draws(self, name, max_block, monkeypatch):
         # Each candidate takes its two uniforms as a pair, in draw and in
         # sample alike, and no block proposes past the n-th acceptance, so a
         # non-adaptive sample(n) is n draws bit for bit: in one block, and
-        # with MAX_BLOCK patched small, in many.
+        # with MAX_BLOCK patched small, in many. The nu members draw from
+        # their bucket's cells, under log c ("nu-level") or log c' as a
+        # Gibbs step does ("nu-warm"), and thin the same candidates.
         if max_block is not None:
             monkeypatch.setattr(stepdirect.sampler, "MAX_BLOCK", max_block)
         if name == "cmp":
-            target, config = cmp_target(CmpParams(2.0, 0.5)), SamplerConfig(adapt=False)
+            sampler = DirectSampler(cmp_target(CmpParams(2.0, 0.5)), SamplerConfig(adapt=False))
+        elif name == "nu-level":
+            sampler = DirectSampler(nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)), GIBBS_STEP_CONFIG)
         else:
-            target, config = nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)), GIBBS_STEP_CONFIG
-        sampler = DirectSampler(target, config)
+            sampler = member_sampler(nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)))
+        assert isinstance(sampler.step, TiltedCells) == (name != "cmp")
         blocks = []
         propose = sampler._propose
         sampler._propose = lambda m, *rest: blocks.append(m) or propose(m, *rest)
@@ -732,6 +809,7 @@ class TestSampleBlocks:
         x, report = sampler.sample(5000, block)
         assert np.array_equal(x, [d.x for d in drawn])
         assert report.n_rejected == sum(d.n_rejected for d in drawn) > 0
+        assert report.n_thinned == sum(d.n_thinned for d in drawn) and (report.n_thinned > 0) == (name != "cmp")
         assert scalar.generator.uniform() == block.generator.uniform()
         assert max(blocks) == (5000 if max_block is None else 64) and (len(blocks) > 78) == (max_block is not None)
 

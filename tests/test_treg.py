@@ -158,6 +158,14 @@ class TestNuTable:
         assert nu_target(dataclasses.replace(p, A=90.0)).log_w_bounds.func.__self__ is table
         assert nu_target(dataclasses.replace(p, b_nu=60.0)).log_w_bounds.func.__self__ is not table
 
+    def test_mode_at_b_nu_is_kept(self):
+        # nu's mode_hi is inf, so the rho family's check that w has stopped
+        # rising at mode_hi never fires: A = n/2 puts the mode at b_nu.
+        target = nu_target(NuTargetParams(n=200, A=100.0, a_nu=0.01, b_nu=200.0))
+        assert target.family.mode_hi == math.inf and target.x_mode == 200.0
+        assert target.family.slope(200.0, -100.0)[0] > 0.0
+        assert draw_nu_direct(NuTargetParams(n=200, A=100.0, a_nu=0.01, b_nu=200.0), Rng(2))[0] <= 200.0
+
     def test_level_envelope_reads_only_the_table(self, monkeypatch):
         # Mirrors TestRhoTable.test_level_envelope_reads_only_the_table_at_40x40.
         targets = []
@@ -276,6 +284,16 @@ class TestGibbsRun:
         assert out.n_saved == 5
         assert out.names[-1] == "nu"
         assert out.extras["nu_rejects"].size == 20
+
+    def test_thinned_counts(self):
+        # The direct step thins some candidates with no read of log w, and
+        # counts them apart from its rejections; Geweke's sampler thins none.
+        sim = treg_synthetic(200, Rng(1, 1))
+        data = TregData(y=sim.y, X=CubicBasis(sim.r, 6).design(sim.r))
+        direct = treg_gibbs_run(data, TregHyper(), 200, 0, 1, "direct", Rng(1, 2))
+        geweke = treg_gibbs_run(data, TregHyper(), 20, 0, 1, "geweke", Rng(1, 2))
+        assert direct.extras["nu_thinned"].shape == (200,) and direct.extras["nu_thinned"].sum() > 0
+        assert list(geweke.extras["nu_thinned"]) == [0] * 20
 
     def test_unknown_method_rejected(self):
         sim = treg_synthetic(10, Rng(13))
