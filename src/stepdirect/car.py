@@ -65,7 +65,7 @@ from .sampler import GIBBS_STEP_CONFIG, SamplerConfig, member_sampler
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
-from .target import TiltedFamily, WeightedTarget
+from .target import TiltedFamily, TiltedMember
 
 __all__ = [
     "CarData",
@@ -363,7 +363,7 @@ def rho_target(
     eta_a_eta: float,
     tau2: float,
     family: TiltedFamily | None = None,
-) -> WeightedTarget:
+) -> TiltedMember:
     """Weighted Uniform(0,1) target for the dependence parameter: the member
     of ``family`` at theta = eta'A eta / (2 tau^2).
 
@@ -379,7 +379,7 @@ def rho_target(
     drift = float(eta_a_eta) / (2.0 * tau2)
     if not math.isfinite(drift):
         raise DomainError(f"the drift eta_a_eta / (2 tau2) is not finite: eta_a_eta = {eta_a_eta!r}, tau2 = {tau2!r}")
-    return (family or rho_family(eigenvalues)).target(drift, "car-rho")
+    return TiltedMember(family or rho_family(eigenvalues), drift, "car-rho")
 
 
 # -- conjugate updates -----------------------------------------------------

@@ -51,7 +51,7 @@ from .stepfn import (
     step_quantile_many,
     tilt_bucket,
 )
-from .target import WeightedTarget
+from .target import TiltedMember, WeightedTarget
 
 Envelope = StepApprox | LevelEnvelope | TiltedCells
 
@@ -100,8 +100,8 @@ class SamplerConfig:
 
 # A Gibbs step (rho in car, nu in treg) takes a new envelope for each draw
 # and drops it after one accepted value. Level knots draw from its family's
-# cached cells of its tilt bucket, or build them from the target's
-# log_w_bounds or two log_w calls, with no endpoint solve either way, and it
+# cached cells of its tilt bucket, or build them from two reads of the
+# target's log_w_bounds, with no endpoint solve either way, and it
 # does not adapt, since a knot inserted into it would never be used.
 GIBBS_STEP_CONFIG = SamplerConfig(knot_method="level", adapt=False)
 
@@ -182,7 +182,7 @@ def build_envelope(target: WeightedTarget, config: SamplerConfig = SamplerConfig
     insertion can split it like any other.
     """
     if config.knot_method == "level":
-        cells = None if target.family is None else _bucket_cells(target, target.log_c)
+        cells = _bucket_cells(target, target.log_c) if isinstance(target, TiltedMember) else None
         return level_envelope(target) if cells is None else cells
     u_lo = find_u_lo(target)
     u_hi = find_u_hi(target, u_lo)
@@ -217,7 +217,7 @@ def member_sampler(target: WeightedTarget, config: SamplerConfig = GIBBS_STEP_CO
     c, which needs no mode, so the member never searches it; any other
     target, tilt or config builds as build_envelope does. A draw is a
     function of the target alone, whatever the family's cache holds."""
-    warm = target.family is not None and config.knot_method == "level" and not config.adapt
+    warm = isinstance(target, TiltedMember) and config.knot_method == "level" and not config.adapt
     return DirectSampler(target, config, _bucket_cells(target, None) if warm else None)
 
 

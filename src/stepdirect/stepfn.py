@@ -195,7 +195,7 @@ class LevelEnvelope:
 
     ``bounds`` ascend from base.lo through x_mode, at ``bounds[n_left]``,
     to base.hi, with a lower bound on log w at each in ``log_w`` (log w
-    itself without ``log_w_bounds``). Cell i, from bounds[i] to
+    itself, except on a TiltedMember). Cell i, from bounds[i] to
     bounds[i + 1], has an upper bound ``levels[i]`` on log w and height
     ``heights[i]`` = exp(levels[i] - log_c), capped at 1; the heights rise
     to 1 next to the mode and fall after it, so the cells above a level u
@@ -410,13 +410,9 @@ def _side_points(m: float, sign: float, end: float, scale: float, length: float)
 
 def _level_points(target: WeightedTarget, x: np.ndarray):
     """(lo, hi): bounds on log w at points x, from the target's
-    ``log_w_bounds`` with no log_w call, or both log w itself, one array
-    from one log_w call, without it. Raises ModeError where lo exceeds
-    log_c by more than rounding, and DomainError where it is NaN."""
-    if target.log_w_bounds is None:
-        lo = hi = np.asarray(target.log_w(x), dtype=float)
-    else:
-        lo, hi = target.log_w_bounds(x)
+    ``log_w_bounds``. Raises ModeError where lo exceeds log_c by more than
+    rounding, and DomainError where it is NaN."""
+    lo, hi = target.log_w_bounds(x)
     limit = target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
     if not (lo <= limit).all():
         nan = np.isnan(lo)
@@ -443,13 +439,13 @@ def _cell_levels(log_w: np.ndarray, n_left: int) -> np.ndarray:
 def level_envelope(target: WeightedTarget) -> LevelEnvelope:
     """The envelope of one tabulation of log w, as cells in x, with no endpoint solve.
 
-    Two log_w calls. The first probes x_mode -/+ L 2^-k (k < SCALE_PROBES,
-    L the side's length) and takes as the side's scale s the smallest
-    probed distance at which log w has dropped by SCALE_DROP nats, or L.
-    The second tabulates each side on cells of s / LEVEL_CELLS out to
+    Two reads of the target's ``log_w_bounds`` (see _level_points), each
+    one log_w call, or none on a TiltedMember, which reads its family's
+    table. The first probes x_mode -/+ L 2^-k (k < SCALE_PROBES, L the
+    side's length) and takes as the side's scale s the smallest probed
+    distance at which log w has dropped by SCALE_DROP nats, or L. The
+    second tabulates each side on cells of s / LEVEL_CELLS out to
     LEVEL_SPAN s, then cells growing by LEVEL_GROWTH, and the support end.
-    On a target with ``log_w_bounds`` both steps read bounds on log w at
-    the same points from it instead (see _level_points), and call no log_w.
 
     The cell bounds are the tabulated points of both sides, x_mode and the
     support ends, ascending. A cell's height is exp(m - log c), with m the
@@ -531,8 +527,7 @@ class TiltBucket:
 def tilt_bucket(anchor: WeightedTarget, shifts: tuple[float, float]) -> TiltBucket:
     """The TiltBucket of the members log w_a + s x, s in ``shifts`` (which
     holds 0), of ``anchor``, log w_a: its level envelope, with no read of
-    log w where it has ``log_w_bounds``, and one cumsum of the raised
-    heights."""
+    log w on a TiltedMember, and one cumsum of the raised heights."""
     cells, (s_lo, s_hi) = level_envelope(anchor), shifts
     b, x_star, log_c = cells.bounds, anchor.x_mode, cells.log_c
     slack = MODE_SLACK * (1.0 + abs(log_c))

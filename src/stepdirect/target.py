@@ -280,11 +280,6 @@ class WeightedTarget:
     maximizer and its log w as ``x_mode`` and ``log_c``, so that, w being
     unimodal, every w(k) / c is at most 1 and A_u empties at u = 1.
     Raises DomainError where neither reads finite.
-
-    ``log_w_bounds(x)``, which ``TiltedFamily.target`` gives, reads (lo, hi)
-    with lo <= log w <= hi: ``level_envelope`` then reads it, not ``log_w``.
-    A member of a TiltedFamily also carries the ``family`` and its tilt
-    ``theta``, by which ``build_envelope`` finds the cells of its bucket.
     """
 
     log_w: Callable[[np.ndarray], np.ndarray]
@@ -292,9 +287,6 @@ class WeightedTarget:
     log_c: float
     base: UniformBase | GeometricBase
     name: str = ""
-    log_w_bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    family: TiltedFamily | None = field(default=None, repr=False)
-    theta: float = 0.0
 
     def __post_init__(self):
         if not self.base.discrete:
@@ -311,6 +303,13 @@ class WeightedTarget:
     @property
     def discrete(self) -> bool:
         return self.base.discrete
+
+    def log_w_bounds(self, x):
+        """(lo, hi) with lo <= log w <= hi at points x, which
+        ``level_envelope`` reads: here log w itself, twice, from one log_w
+        call. A TiltedMember reads its family's table instead."""
+        log_w = np.asarray(self.log_w(x), dtype=float)
+        return log_w, log_w
 
     # -- superlevel-set endpoints ----------------------------------------
 
@@ -478,7 +477,7 @@ class TiltedFamily:
         np.sqrt((x[1 : tau.size] - x[: tau.size - 1]) * (tau[1:] - tau[:-1])).cumsum(out=s[1:])
         return tau, s
 
-    def anchor(self, theta: float, build: Callable[[WeightedTarget, tuple[float, float]], object]):
+    def anchor(self, theta: float, build: Callable[[TiltedMember, tuple[float, float]], object]):
         """(theta_k, build(member at theta_k, shifts)) for theta's bucket k,
         or None where theta lies outside the flat tilts (or is NaN).
 
@@ -503,7 +502,7 @@ class TiltedFamily:
                 theta_k, lo, hi = (float(t) for t in np.interp(np.array([k, k - 0.5, k + 0.5]) * BUCKET_ARC, s, tau))
                 slack = BUCKET_SLACK * (1.0 + abs(theta_k))
                 shifts = (lo - theta_k - slack, hi - theta_k + slack)
-                hit = theta_k, build(self.target(theta_k, f"anchor {k}"), shifts)
+                hit = theta_k, build(TiltedMember(self, theta_k, f"anchor {k}"), shifts)
             self.anchors[k] = hit
         return hit
 
@@ -513,40 +512,30 @@ class TiltedFamily:
         f = [log_w(x[i : i + TABLE_BLOCK], 0.0) for i in range(0, x.size, TABLE_BLOCK)]
         return cls(log_w, slope, TiltedGrid(x, np.concatenate(f)), **shape)
 
-    def target(self, theta: float, name: str) -> TiltedMember:
-        """The member at tilt theta: log_w, slope and the table's bounds,
-        each with theta bound, and its mode and log c on first read."""
-        theta = float(theta)
-        member = TiltedMember.__new__(TiltedMember)
-        vars(member).update(
-            log_w=partial(self.log_w, theta=theta),
-            base=self.base,
-            name=name,
-            log_w_bounds=partial(self.table.bounds, theta=theta),
-            family=self,
-            theta=theta,
-        )
-        return member
 
-
-@dataclass
 class TiltedMember(WeightedTarget):
-    """A member of a TiltedFamily (``TiltedFamily.target``), whose
+    """The member of a TiltedFamily at tilt theta: log w = family.log_w(x,
+    theta) on the family's base, named ``name``. Every member shares the
+    family's table and base; ``log_w_bounds`` reads the table at theta.
+
     ``x_mode`` and ``log_c`` are found on first read, not before: a Gibbs
     step that draws from its tilt bucket's cells, under their own log c,
-    never reads them. Built with every field given (``dataclasses.replace``
-    does so), it is a WeightedTarget like any other.
-
-    The mode search is concave_mode from table.peak(theta) on [x[0],
-    min(x[-1], mode_hi)], allowing the family's ``slack`` for rounding at
-    x[0]. Reading the mode raises DomainError where w still rises at a
-    mode_hi inside the support, as the mode then lies past it.
+    never reads them. The mode search is concave_mode from table.peak(theta)
+    on [x[0], min(x[-1], mode_hi)], allowing the family's ``slack`` for
+    rounding at x[0]. Reading the mode raises DomainError where w still
+    rises at a mode_hi inside the support, as the mode then lies past it.
     """
 
-    def __getattr__(self, name: str):
-        # Called only for attributes not set: x_mode and log_c, before their first read.
-        if name not in ("x_mode", "log_c"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def __init__(self, family: TiltedFamily, theta: float, name: str):
+        self.family, self.theta, self.name = family, float(theta), name
+        self.log_w = partial(family.log_w, theta=self.theta)
+        self.base = family.base
+
+    def __repr__(self) -> str:
+        return f"TiltedMember(name={self.name!r}, theta={self.theta!r})"
+
+    @cached_property
+    def x_mode(self) -> float:
         family, theta, base = self.family, self.theta, self.base
         hi, slope = min(base.hi, family.mode_hi), partial(family.slope, theta=theta)
         x_mode = concave_mode(slope, base.lo, hi, family.table.x[family.table.peak(theta)], family.slack)
@@ -554,8 +543,14 @@ class TiltedMember(WeightedTarget):
             raise DomainError(
                 f"{self.name}: at theta = {theta!r} log w still rises at mode_hi = {hi!r}, so its mode lies past it"
             )
-        self.x_mode, self.log_c = x_mode, family.log_w(x_mode, theta=theta)
-        return getattr(self, name)
+        return x_mode
+
+    @cached_property
+    def log_c(self) -> float:
+        return self.family.log_w(self.x_mode, theta=self.theta)
+
+    def log_w_bounds(self, x):
+        return self.family.table.bounds(x, self.theta)
 
 
 def concave_mode(slope, lo: float, hi: float, x0: float | None = None, slack: float = 0.0) -> float:

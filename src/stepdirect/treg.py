@@ -32,7 +32,7 @@ from .sampler import GIBBS_STEP_CONFIG, DirectSampler, SamplerConfig, member_sam
 # bisect is not called here, but stays importable from this module:
 # perfbench/spans.py wraps it by name.
 from .search import bisect  # noqa: F401
-from .target import TiltedFamily, WeightedTarget, concave_mode
+from .target import TiltedFamily, TiltedMember, concave_mode
 
 __all__ = [
     "TregData",
@@ -172,10 +172,10 @@ def nu_family(n: int, a_nu: float, b_nu: float) -> TiltedFamily:
     return TiltedFamily.tabulate(lambda nu, theta: nu_log_weight(nu, n, -theta), slope, np.geomspace(a_nu, b_nu, size))
 
 
-def nu_target(p: NuTargetParams) -> WeightedTarget:
+def nu_target(p: NuTargetParams) -> TiltedMember:
     """Weighted Uniform(a_nu, b_nu) target for the degrees of freedom: the
     member of nu_family(n, a_nu, b_nu) at theta = -A."""
-    return nu_family(p.n, p.a_nu, p.b_nu).target(-p.A, f"nu(n={p.n}, A={p.A})")
+    return TiltedMember(nu_family(p.n, p.a_nu, p.b_nu), -p.A, f"nu(n={p.n}, A={p.A})")
 
 
 def draw_nu_direct(p: NuTargetParams, rng: Rng, config: SamplerConfig = GIBBS_STEP_CONFIG):

@@ -41,7 +41,7 @@ from stepdirect.errors import DomainError, NotPositiveDefiniteError
 from stepdirect.rngstats import Rng
 from stepdirect.sampler import GIBBS_STEP_CONFIG, DirectSampler, rejection_bound
 from stepdirect.stepfn import level_envelope
-from stepdirect.target import TiltedGrid, concave_mode
+from stepdirect.target import TiltedGrid, TiltedMember, WeightedTarget, concave_mode
 
 
 def cycle_adjacency(k: int) -> np.ndarray:
@@ -403,15 +403,19 @@ class TestRhoTarget:
         # mode lies past it: the first read of the target's mode or log c,
         # and a Gibbs step at that tilt, raise DomainError naming theta and
         # mode_hi before any envelope is built, so no RuntimeWarning (an
-        # error under Tier-1) from its knot table can escape.
+        # error under Tier-1) from its knot table can escape. A member's
+        # repr reads no mode.
         data = car_synthetic(6, [1.0, 0.5], 0.5, 1.0, 0.9, Rng(70), n_rep=4)
         family = data.rho_family
         assert family.slope(RHO_MAX, drift)[0] > 0.0
         match = rf"theta = {drift!r}.*mode_hi = {RHO_MAX!r}"
         with pytest.raises(DomainError, match=match):
             rho_target(data.eigenvalues, 2.0 * drift, 1.0, family).x_mode
+        member = TiltedMember(family, drift, "car-rho")
+        assert repr(member) == f"TiltedMember(name='car-rho', theta={drift!r})"
+        assert "x_mode" not in vars(member)
         with pytest.raises(DomainError, match=match):
-            family.target(drift, "car-rho").log_c
+            member.log_c
         eta = np.ones(data.k)
         state = CarState(beta=np.zeros(2), eta=eta, sigma2=0.5, tau2=data.eta_a_eta(eta) / (2.0 * drift), rho=0.5)
         with pytest.raises(DomainError, match=match):
@@ -544,7 +548,8 @@ class TestRhoTable:
                 inside = (ends > 0.0) & (ends < 1.0)
                 assert np.all(np.exp(target.log_w(ends[inside]) - target.log_c) <= kt.knots[inside])
             bounds.append(rejection_bound(envelope))
-            plain_bounds.append(rejection_bound(level_envelope(dataclasses.replace(target, log_w_bounds=None))))
+            plain = WeightedTarget(target.log_w, target.x_mode, target.log_c, target.base)
+            plain_bounds.append(rejection_bound(level_envelope(plain)))
         # The table's upper bounds raise the cells by at most ~1e-5 nats,
         # and its knots come from the levels of both bounds, so that each
         # piece keeps the lower bound it has without the table; with the
@@ -619,7 +624,8 @@ class TestRhoTable:
             raise AssertionError("the level envelope called log_w")
 
         for target in targets:
-            level_envelope(dataclasses.replace(target, log_w=no_log_w))
+            target.log_w = no_log_w
+            level_envelope(target)
 
     @pytest.mark.parametrize("side", [4, 5, 8, 10])
     def test_finite_below_one(self, side):
@@ -664,8 +670,8 @@ class TestRhoTable:
             assert np.array_equal(got, want)
         # Every point the level envelope reads has lo <= log w <= hi, lo up
         # to the rounding of log w.
-        recording = RecordingReader(target.log_w_bounds)
-        envelope = level_envelope(dataclasses.replace(target, log_w_bounds=recording))
+        recording = target.log_w_bounds = RecordingReader(target.log_w_bounds)
+        envelope = level_envelope(target)
         assert recording.reads
         for x, lo, hi in recording.reads:
             assert_brackets(lo, target.log_w(x), hi)
@@ -673,7 +679,8 @@ class TestRhoTable:
         # written out in full under the tilt: the same points, and the same
         # levels up to the rounding of the tilt's sum.
         full = FullGrid(table, drift)
-        ref = level_envelope(dataclasses.replace(target, log_w_bounds=full.bounds))
+        target.log_w_bounds = full.bounds
+        ref = level_envelope(target)
         assert np.array_equal(envelope.bounds, ref.bounds)
         for name in ("heights", "cdf", "log_w"):
             assert np.allclose(getattr(envelope, name), getattr(ref, name), rtol=1e-9, atol=0.0), name

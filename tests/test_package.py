@@ -1,9 +1,10 @@
-"""Package-level checks: public names and import cost."""
+"""Package-level checks: public names, import cost and the README's examples."""
 from __future__ import annotations
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,16 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_readme_examples_run():
+    # Every Python block of the README runs as written, each in a namespace
+    # of its own, so that a change to the API cannot leave one stale.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for i, code in enumerate(blocks):
+        exec(compile(code, f"README.md python block {i}", "exec"), {})
 
 
 def fresh_output(code: str) -> str:

@@ -503,8 +503,9 @@ class TestLevelKnots:
         raised = partial(TiltedGrid(family.table.x, family.table.f + 1e-6).bounds, theta=10.0)
         lo, _ = raised(np.array([target.x_mode]))
         assert lo[0] > target.log_c + MODE_SLACK * (1.0 + abs(target.log_c))
+        target.log_w_bounds, target.log_w = raised, None
         with pytest.raises(ModeError, match="not the maximizer"):
-            level_envelope(replace(target, log_w_bounds=raised, log_w=None))
+            level_envelope(target)
 
 
 def reference_side_distances(scale: float, length: float) -> np.ndarray:
@@ -677,13 +678,17 @@ class TestDeferredLows:
 
     @staticmethod
     def level_targets(car6):
-        # Family members without their family, so that the sampler builds
-        # level_envelope's cells, which the reference describes.
-        return [
-            replace(nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)), family=None),
-            replace(rho_target(car6.eigenvalues, 7.4, 1.0, car6.rho_family), family=None),
-            quadratic_target(0.3, 50.0),
-        ]
+        # Plain targets that read a member's table, so that the sampler
+        # builds level_envelope's cells, which the reference describes, not
+        # the member's bucket cells.
+        targets = []
+        for member in (
+            nu_target(NuTargetParams(n=200, A=150.0, a_nu=0.01, b_nu=200.0)),
+            rho_target(car6.eigenvalues, 7.4, 1.0, car6.rho_family),
+        ):
+            targets.append(WeightedTarget(member.log_w, member.x_mode, member.log_c, member.base, member.name))
+            targets[-1].log_w_bounds = member.log_w_bounds
+        return targets + [quadratic_target(0.3, 50.0)]
 
     def test_gibbs_steps_and_chains_never_compute(self, monkeypatch, car6):
         def fail(envelope):

@@ -17,6 +17,8 @@ from stepdirect.rngstats import Rng
 from stepdirect.sampler import DirectSampler, SamplerConfig
 from stepdirect.target import (
     GeometricBase,
+    TiltedGrid,
+    TiltedMember,
     UniformBase,
     WeightedTarget,
     concave_mode,
@@ -584,19 +586,24 @@ class TestTiltedFamily:
             assert np.all(log_w <= hi)
             assert np.array_equal(table.bounds(on_grid, theta)[0], family.log_w(on_grid, theta))
         for theta, (lo, hi) in reads.items():
-            member_lo, member_hi = family.target(theta, "member").log_w_bounds(between)
+            member_lo, member_hi = TiltedMember(family, theta, "member").log_w_bounds(between)
             assert np.array_equal(member_lo, lo) and np.array_equal(member_hi, hi)
 
     @FAMILIES
-    def test_members_share_the_table_and_base(self, family, thetas):
-        # Each member builds only what depends on its tilt.
-        members = [family.target(theta, "member") for theta in thetas]
+    def test_members_share_the_table_and_base(self, family, thetas, monkeypatch):
+        # Each member builds only what depends on its tilt, and its reader
+        # reads the family's one table at that tilt.
+        members = [TiltedMember(family, theta, "member") for theta in thetas]
         lo, hi = family.table.x[0], family.table.x[-1]
         assert (family.base.lo, family.base.hi) == (lo, hi)
+        reads = []
+        monkeypatch.setattr(TiltedGrid, "bounds", lambda table, x, theta: reads.append((table, theta)))
         for t in members:
-            assert t.base is family.base
-            assert t.log_w_bounds.func.__self__ is family.table
-        assert [t.log_w_bounds.keywords for t in members] == [{"theta": theta} for theta in thetas]
+            assert t.base is family.base and t.family is family
+            assert np.array_equal(t.log_w(family.table.x), family.log_w(family.table.x, t.theta))
+            t.log_w_bounds(lo)
+        assert [table for table, _ in reads] == [family.table] * len(members)
+        assert [theta for _, theta in reads] == [t.theta for t in members] == list(thetas)
         assert len({t.x_mode for t in members}) == len(members)
 
 

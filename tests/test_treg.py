@@ -152,11 +152,11 @@ class TestNuTable:
             assert np.array_equal(target.log_w_bounds(on_grid)[0], nu_log_weight(on_grid, n, a_const))
 
     def test_tabulated_once_per_box(self):
-        # A member's reader is the table's bounds with theta bound.
+        # A member reads its family's table, one per (n, a_nu, b_nu).
         p = NuTargetParams(n=37, A=30.0, a_nu=0.5, b_nu=50.0)
-        table = nu_target(p).log_w_bounds.func.__self__
-        assert nu_target(dataclasses.replace(p, A=90.0)).log_w_bounds.func.__self__ is table
-        assert nu_target(dataclasses.replace(p, b_nu=60.0)).log_w_bounds.func.__self__ is not table
+        table = nu_target(p).family.table
+        assert nu_target(dataclasses.replace(p, A=90.0)).family.table is table
+        assert nu_target(dataclasses.replace(p, b_nu=60.0)).family.table is not table
 
     def test_mode_at_b_nu_is_kept(self):
         # nu's mode_hi is inf, so the rho family's check that w has stopped
@@ -181,7 +181,8 @@ class TestNuTable:
             raise AssertionError("the level envelope called log_w")
 
         for target in targets:
-            level_envelope(dataclasses.replace(target, log_w=no_log_w))
+            target.log_w = no_log_w
+            level_envelope(target)
 
 
 class TestGewekeSampler:
